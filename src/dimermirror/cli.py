@@ -340,7 +340,7 @@ def cmd_report(args) -> int:
         return EXIT_CHECK_FAILED
     d = v.dimer
     mp = v.jac.poly
-    g, npunct, chi = surface_invariants(dual_dimer(d))
+    g, npunct, chi = surface_invariants(v.sh.dual)
     rep = v.verify_all()
     data = {
         "dimer": dimer_to_dict(d),

@@ -149,8 +149,24 @@ def canonical_rotation(word: tuple) -> tuple:
     return min(cyclic_rotations(word), key=lambda w: tuple(idkey(x) for x in w))
 
 
+def cyclic_arc(word: tuple, start: int, stop: int) -> tuple:
+    """Entries strictly between positions start and stop, walking forward cyclically."""
+    n = len(word)
+    out = []
+    pos = (start + 1) % n
+    while pos != stop:
+        out.append(word[pos])
+        pos = (pos + 1) % n
+    return tuple(out)
+
+
 class Dimer:
-    """Immutable dimer model; derived combinatorial structure built lazily."""
+    """Immutable dimer model; derived combinatorial structure built lazily.
+
+    Each derived structure (zigzag cycles, parallel classes, strips, tree
+    paths) is computed at most once per instance and shared by every caller,
+    so callers must not mutate what they get back.
+    """
 
     def __init__(self, name: str, vertices, arrows, faces):
         self.name = name
@@ -162,6 +178,7 @@ class Dimer:
             self.arrow_by_id.setdefault(a.id, a)
         self._report: Optional[ValidationReport] = None
         self._structure = None
+        self._derived: dict = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -185,6 +202,14 @@ class Dimer:
         total = (0, 0)
         for aid in word:
             total = vec_add(total, self.shift(aid))
+        return total
+
+    def path_shift(self, path: Iterable) -> Vec:
+        """Total shift of a signed arrow path [(arrow id, +1 or -1)]."""
+        total = (0, 0)
+        for aid, sgn in path:
+            s = self.shift(aid)
+            total = (total[0] + sgn * s[0], total[1] + sgn * s[1])
         return total
 
     def is_composable(self, word) -> bool:
@@ -247,6 +272,12 @@ class Dimer:
 
     def face_vertices(self, fi: int) -> set:
         return {self.tail(aid) for aid in self.faces[fi].boundary}
+
+    def _memo(self, key, build):
+        """build() on first use of key; the same object on every later call."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
 
 def _validate(d: Dimer) -> ValidationReport:
@@ -439,7 +470,12 @@ def zigzag_cycles(d: Dimer) -> list[ZigzagCycle]:
     on a positive face.  With shift data present, cycles are grouped into
     homology classes -eta_i sorted counterclockwise by the angle of eta_i, and
     numbered within a class by the strip ordering (base vertex's strip first).
+    Computed once per dimer; the list is shared, so do not mutate it.
     """
+    return d._memo("zigzag_cycles", lambda: _indexed_cycles(d))
+
+
+def _indexed_cycles(d: Dimer) -> list[ZigzagCycle]:
     cycles = _zigzag_orbits(d)
     if not d.has_shifts:
         return cycles
@@ -573,12 +609,7 @@ def anti_zigzag_of_cycle(d: Dimer, z: ZigzagCycle, sign: int) -> tuple:
         iu = b.index(u)
         if b[(iu + 1) % len(b)] != w:
             raise DimerError("zigzag pair is not consecutive on its face")
-        arc = []
-        pos = (iu + 2) % len(b)
-        while b[pos] != u:
-            arc.append(b[pos])
-            pos = (pos + 1) % len(b)
-        arcs.append(tuple(arc))
+        arcs.append(cyclic_arc(b, iu + 1, iu))
     word: list = []
     for arc in reversed(arcs):
         word.extend(arc)
@@ -719,7 +750,12 @@ def parallel_classes(d: Dimer):
 
     Parallel cycles must be edge-disjoint, cycles of independent classes must
     share an edge.  Returns [(eta_i, [Z_{i,1..m_i}])] in class order.
+    Computed once per dimer; the lists are shared, so do not mutate them.
     """
+    return d._memo("parallel_classes", lambda: _parallel_classes(d))
+
+
+def _parallel_classes(d: Dimer):
     ok, witness = is_zigzag_consistent(d)
     if not ok:
         raise DimerError(f"dimer is not zigzag consistent: {witness}")
@@ -747,7 +783,14 @@ def parallel_classes(d: Dimer):
 
 
 def strips(d: Dimer, class_index: int) -> StripDecomposition:
-    """Closed strips between consecutive parallel cycles of one class."""
+    """Closed strips between consecutive parallel cycles of one class.
+
+    Computed once per dimer and class index; the result is shared.
+    """
+    return d._memo(("strips", class_index), lambda: _strips(d, class_index))
+
+
+def _strips(d: Dimer, class_index: int) -> StripDecomposition:
     classes = parallel_classes(d)
     if not 1 <= class_index <= len(classes):
         raise DimerError(f"no zigzag class {class_index}")
@@ -782,6 +825,33 @@ def strips(d: Dimer, class_index: int) -> StripDecomposition:
         cycles=tuple(cycles_out),
         boundary=tuple(boundary_out),
     )
+
+
+def tree_paths(d: Dimer) -> dict:
+    """Signed arrow paths [(arrow id, +1 or -1)] from the base vertex to every vertex.
+
+    All paths run along one spanning tree, grown by sweeping the arrows in id
+    order from d.vertices[0].  Computed once per dimer; the result is shared,
+    so do not mutate it.
+    """
+    return d._memo("tree_paths", lambda: _tree_paths(d))
+
+
+def _tree_paths(d: Dimer) -> dict:
+    d.require_valid()  # a valid dimer is connected, so every vertex is reached
+    arrows = sorted(d.arrows, key=lambda a: idkey(a.id))
+    paths = {d.vertices[0]: []}
+    changed = True
+    while changed:
+        changed = False
+        for a in arrows:
+            if a.tail in paths and a.head not in paths:
+                paths[a.head] = paths[a.tail] + [(a.id, +1)]
+                changed = True
+            elif a.head in paths and a.tail not in paths:
+                paths[a.tail] = paths[a.head] + [(a.id, -1)]
+                changed = True
+    return paths
 
 
 # -- duality ---------------------------------------------------------------

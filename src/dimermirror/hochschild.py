@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .dimer import Vec, dot, idkey, strips, vec_add, vec_neg, vec_sub
+from .dimer import Vec, cyclic_arc, dot, idkey, parallel_classes, strips, vec_add, vec_sub
 from .jacobi import Jacobi, JElement, PathClass
 
 UNIT, X, XBAR, PT = "unit", "X", "Xbar", "pt"
@@ -97,10 +97,7 @@ class KoszulComplex:
     def __init__(self, jac: Jacobi, i0: int = 1, ab: Optional[tuple] = None):
         self.jac = jac
         self.dimer = jac.dimer
-        self.classes = [
-            (vec_neg(members[0].homology), members)
-            for (eta, members) in self._class_list()
-        ]
+        self.classes = parallel_classes(self.dimer)
         self.n_classes = len(self.classes)
         if not 1 <= i0 <= self.n_classes:
             raise HochschildError(f"i0 must be in 1..{self.n_classes}")
@@ -121,11 +118,6 @@ class KoszulComplex:
         if any(self.w_odd_eval(eta) == 0 for eta, _ in self.classes):
             raise HochschildError(f"(a, b) = {self.ab} degenerates on some eta_i")
 
-    def _class_list(self):
-        from .dimer import parallel_classes
-
-        return [(eta, members) for eta, members in parallel_classes(self.dimer)]
-
     def eta(self, i: int) -> Vec:
         return self.classes[i - 1][0]
 
@@ -142,8 +134,12 @@ class KoszulComplex:
         a, b = self.ab
         return a * self.U_eval(eta) + b * self.V_eval(eta)
 
+    # The label coefficient multiplying each winding family must stay nonzero
+    # both on the second page (a U + b V) and on the symplectic side, where the
+    # parallel multiplicities weight the two summands.
     def _choose_ab(self) -> tuple:
         N = self.n_classes
+        m0, m_prev = self.m(self.i0), self.m((self.i0 - 2) % N + 1)
         cands = [
             (a, b)
             for a in range(-(N + 1), N + 2)
@@ -155,10 +151,11 @@ class KoszulComplex:
                 continue
             if all(
                 a * self.U_eval(eta) + b * self.V_eval(eta) != 0
+                and a * m_prev * self.U_eval(eta) + b * m0 * self.V_eval(eta) != 0
                 for eta, _ in self.classes
             ):
                 return (a, b)
-        raise HochschildError("no (a, b) with aU + bV nonzero on every eta_i")
+        raise HochschildError("no (a, b) valid on both sides for every eta_i")
 
     # -- differentials -----------------------------------------------------
 
@@ -212,8 +209,8 @@ class KoszulComplex:
                         if l == j:
                             continue
                         xarr = word[l]
-                        post = _arc(word, l, j)
-                        pre = _arc(word, j, l)
+                        post = cyclic_arc(word, l, j)
+                        pre = cyclic_arc(word, j, l)
                         post_cls = jac.canonical_form(post) if post else jac.idempotent(
                             self.dimer.head(xarr)
                         )
@@ -528,13 +525,3 @@ class KoszulComplex:
                 for n in range(1, n_max + 1):
                     out.append(E2Label("theta", i=i, j=j, n=n))
         return out
-
-
-def _arc(word, start: int, stop: int):
-    n = len(word)
-    out = []
-    pos = (start + 1) % n
-    while pos != stop:
-        out.append(word[pos])
-        pos = (pos + 1) % n
-    return tuple(out)

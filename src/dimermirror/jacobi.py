@@ -12,7 +12,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .dimer import Dimer, Vec, dot, idkey, vec_add, vec_sub, canonical_rotation
+from .dimer import (
+    Dimer,
+    Vec,
+    canonical_rotation,
+    cyclic_arc,
+    dot,
+    idkey,
+    tree_paths,
+    vec_add,
+    vec_sub,
+)
 from .matchings import (
     MatchingPolytope,
     PerfectMatching,
@@ -25,26 +35,6 @@ Word = tuple
 
 class JacobiError(Exception):
     pass
-
-
-def _tree_paths_from_base(d: Dimer) -> dict:
-    """Signed arrow paths from the base vertex to every vertex along one tree."""
-    root = d.vertices[0]
-    arrows = sorted(d.arrows, key=lambda a: idkey(a.id))
-    paths = {root: []}
-    changed = True
-    while changed:
-        changed = False
-        for a in arrows:
-            if a.tail in paths and a.head not in paths:
-                paths[a.head] = paths[a.tail] + [(a.id, +1)]
-                changed = True
-            elif a.head in paths and a.tail not in paths:
-                paths[a.tail] = paths[a.head] + [(a.id, -1)]
-                changed = True
-    if len(paths) != len(d.vertices):
-        raise JacobiError("dimer is not connected")
-    return paths
 
 
 # -- cyclic polynomials ------------------------------------------------------
@@ -76,17 +66,6 @@ def superpotential(d: Dimer) -> CyclicPoly:
     )
 
 
-def _cyclic_arc(word: Word, start: int, stop: int) -> Word:
-    """Entries strictly between positions start and stop, walking forward cyclically."""
-    n = len(word)
-    out = []
-    pos = (start + 1) % n
-    while pos != stop:
-        out.append(word[pos])
-        pos = (pos + 1) % n
-    return tuple(out)
-
-
 def cyclic_derivative(poly: CyclicPoly, e) -> list:
     """All (coefficient, path) contributions of the cyclic derivative at arrow e.
 
@@ -116,8 +95,8 @@ def hessian(poly: CyclicPoly, x, y) -> list:
             for l, b in enumerate(word):
                 if b != x or l == j:
                     continue
-                left = _cyclic_arc(word, l, j)
-                right = _cyclic_arc(word, j, l)
+                left = cyclic_arc(word, l, j)
+                right = cyclic_arc(word, j, l)
                 out.append((coeff, left, right))
     return out
 
@@ -196,7 +175,7 @@ class Jacobi:
         self.superpotential = superpotential(d)
         self.realize_cap = realize_cap if realize_cap is not None else 4 * len(d.arrows)
         # tree paths from the base vertex, for the open-path degree correction
-        self._tree_paths = _tree_paths_from_base(d)
+        self._tree_paths = tree_paths(d)
         self._phi_cache: dict = {}
         self.corner_phis = [self._phi(p) for p in self.corners]
 
@@ -217,14 +196,11 @@ class Jacobi:
         phi = {}
         for v, path in self._tree_paths.items():
             val = 0
-            shift = (0, 0)
             for aid, sgn in path:
                 val += sgn * (
                     (1 if aid in matching.edges else 0) - (1 if aid in self.ref.edges else 0)
                 )
-                s = self.dimer.shift(aid)
-                shift = (shift[0] + sgn * s[0], shift[1] + sgn * s[1])
-            phi[v] = val - dot(off, shift)
+            phi[v] = val - dot(off, self.dimer.path_shift(path))
         self._phi_cache[key] = phi
         return phi
 
@@ -408,14 +384,6 @@ class Jacobi:
         if min(degs) < 1:
             raise JacobiError(f"class with corner degrees {degs} is not divisible by W")
         return PathClass(cls.tail, cls.head, cls.h1, cls.w0 - 1)
-
-    def multiply_central(self, cls: PathClass, elem: JElement) -> JElement:
-        """Multiply a central class into a J-element (vertex-matched composition)."""
-        out: dict = {}
-        for c, k in elem.terms.items():
-            prod = PathClass(c.tail, c.head, vec_add(c.h1, cls.h1), c.w0 + cls.w0)
-            out[prod] = out.get(prod, 0) + k
-        return JElement(out)
 
     # -- witness search ------------------------------------------------------
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .dimer import Dimer, idkey
-from .hochschild import CochainElement, E2Label, HochschildError, KoszulComplex, X
+from .hochschild import CochainElement, E2Label, KoszulComplex, X
 from .jacobi import Jacobi, JElement, PathClass
 from .mirror_sh import E, MirrorSH
 
@@ -93,39 +93,8 @@ class KSVerifier:
         self.jac = Jacobi(d, realize_cap=realize_cap)
         self.sh = MirrorSH(d)
         self.i0 = i0
-        ab = ab if ab is not None else self._choose_ab(i0)
         self.K = KoszulComplex(self.jac, i0=i0, ab=ab)
         self.odd = self.sh.distinguished_odd(i0)
-
-    # The label coefficient multiplying each winding family must stay nonzero
-    # both on the second page (a U + b V) and on the symplectic side, where the
-    # parallel multiplicities weight the two summands.
-    def _choose_ab(self, i0: int) -> tuple:
-        probe = KoszulComplex(self.jac, i0=i0)
-        sh = self.sh
-        m0 = sh.m[i0]
-        m_prev = sh.m[(i0 - 2) % sh.n_classes + 1]
-        N = probe.n_classes
-        cands = [
-            (a, b)
-            for a in range(-(N + 1), N + 2)
-            for b in range(-(N + 1), N + 2)
-            if (a, b) != (0, 0)
-        ]
-        cands.sort(key=lambda t: (abs(t[0]) + abs(t[1]), t))
-        for a, b in cands:
-            ok = True
-            for i in range(1, N + 1):
-                eta = probe.eta(i)
-                if a * probe.U_eval(eta) + b * probe.V_eval(eta) == 0:
-                    ok = False
-                    break
-                if a * m_prev * probe.U_eval(eta) + b * m0 * probe.V_eval(eta) == 0:
-                    ok = False
-                    break
-            if ok:
-                return (a, b)
-        raise HochschildError("no (a, b) valid for both sides")
 
     # -- image descriptions -------------------------------------------------
 

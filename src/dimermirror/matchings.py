@@ -12,8 +12,10 @@ from .dimer import (
     Vec,
     ccw_angle_key,
     cross,
+    dot,
     idkey,
     parallel_classes,
+    tree_paths,
     vec_add,
     vec_neg,
     vec_sub,
@@ -92,34 +94,16 @@ def enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
     return [PerfectMatching(edges=s) for s in uniq]
 
 
-def _tree_potentials(d: Dimer, tree) -> dict:
-    """Vertex potentials along a fixed spanning tree."""
-    pot = {d.vertices[0]: (0, 0)}
-    changed = True
-    while changed:
-        changed = False
-        for a in tree:
-            if a.tail in pot and a.head not in pot:
-                pot[a.head] = vec_add(pot[a.tail], a.shift)
-                changed = True
-            elif a.head in pot and a.tail not in pot:
-                pot[a.tail] = vec_sub(pot[a.head], a.shift)
-                changed = True
-    if len(pot) != len(d.vertices):
-        raise DimerError("dimer is not connected")
-    return pot
-
-
 def generating_cycles(d: Dimer):
     """Two integer 1-chains with homology classes (1,0) and (0,1).
 
     Chains are dicts arrow -> coefficient (reversed traversals count with
-    sign -1); they are built from fundamental cycles of a spanning tree.
+    sign -1); they are built from fundamental cycles of the spanning tree
+    behind ``tree_paths``.
     """
-    d.require_valid()
-    tree = _spanning_tree(d)
-    pot = _tree_potentials(d, tree)
-    tree_ids = {a.id for a in tree}
+    paths = tree_paths(d)
+    pot = {v: d.path_shift(path) for v, path in paths.items()}
+    tree_ids = {path[-1][0] for path in paths.values() if path}
     fundamentals = []
     for a in sorted(d.arrows, key=lambda x: idkey(x.id)):
         if a.id in tree_ids:
@@ -135,9 +119,14 @@ def generating_cycles(d: Dimer):
             raise DimerError(f"no integer cycle with class {t}; invalid torus marking")
         chain: dict = {}
         for (aid, _), lam in zip(fundamentals, combo):
-            if lam:
-                chain[aid] = chain.get(aid, 0) + lam
-        out.append(_chain_with_tree_closure(d, chain, tree))
+            if not lam:
+                continue
+            # close the arrow into a cycle: tree path from its head back to its tail
+            a = d.arrow_by_id[aid]
+            closure = [(b, -sg) for b, sg in reversed(paths[a.head])] + paths[a.tail]
+            for b, sg in [(aid, 1)] + closure:
+                chain[b] = chain.get(b, 0) + lam * sg
+        out.append({k: v for k, v in chain.items() if v})
     return out
 
 
@@ -218,67 +207,6 @@ def _integer_combination(vecs: list[Vec], target: Vec):
         return None
     k2 = residual_y // g2
     return [x + k2 * y for x, y in zip(lam1, l2)]
-
-
-def _chain_with_tree_closure(d: Dimer, chain: dict, tree_arrows) -> dict:
-    """Close a combination of non-tree arrows into genuine cycles using tree paths.
-
-    Evaluation of matchings only needs the chain with correct boundary, so we
-    add, for each non-tree arrow, the tree path from head back to tail.
-    """
-    adj: dict = {v: [] for v in d.vertices}
-    for a in tree_arrows:
-        adj[a.tail].append((a.head, a.id, +1))
-        adj[a.head].append((a.tail, a.id, -1))
-    root = d.vertices[0]
-    order = {root: None}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w, aid, sgn in adj[v]:
-            if w not in order:
-                order[w] = (v, aid, sgn)
-                stack.append(w)
-
-    def tree_path(src, dst):
-        # path as arrow coefficients from src to dst through the root
-        def to_root(v):
-            seq = []
-            while order[v] is not None:
-                p, aid, sgn = order[v]
-                seq.append((aid, -sgn))  # traversing toward the root
-                v = p
-            return seq
-
-        up = to_root(src)
-        down = [(aid, -s) for aid, s in reversed(to_root(dst))]
-        return up + down
-
-    out: dict = dict(chain)
-    for aid, coeff in list(chain.items()):
-        a = d.arrow_by_id[aid]
-        for tid, s in tree_path(a.head, a.tail):
-            out[tid] = out.get(tid, 0) + coeff * s
-    return {k: v for k, v in out.items() if v}
-
-
-def _spanning_tree(d: Dimer):
-    tree = []
-    seen = {d.vertices[0]}
-    arrows = sorted(d.arrows, key=lambda a: idkey(a.id))
-    changed = True
-    while changed:
-        changed = False
-        for a in arrows:
-            if a.tail in seen and a.head not in seen:
-                seen.add(a.head)
-                tree.append(a)
-                changed = True
-            elif a.head in seen and a.tail not in seen:
-                seen.add(a.tail)
-                tree.append(a)
-                changed = True
-    return tree
 
 
 def evaluate_on_chain(matching: frozenset, chain: dict) -> int:
@@ -453,10 +381,6 @@ def corner_structure(d: Dimer, class_index: int, mp: Optional[MatchingPolytope] 
         family_matchings=family,
         edge_points=edge_points,
     )
-
-
-def dot(u: Vec, v: Vec) -> int:
-    return u[0] * v[0] + u[1] * v[1]
 
 
 def corner_matchings_in_order(mp: MatchingPolytope) -> list[PerfectMatching]:

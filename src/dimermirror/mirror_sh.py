@@ -98,7 +98,7 @@ class MirrorSH:
         self.dimer = d
         self.dual = dual_dimer(d)
         self.genus, self.n_punct, _ = surface_invariants(self.dual)
-        cycles = [z for z in zigzag_cycles(d)]
+        cycles = zigzag_cycles(d)
         self.cycles = {(z.class_index, z.parallel_index): z for z in cycles}
         if len(self.cycles) != len(cycles):
             raise SHError("zigzag cycles are not uniquely indexed")
@@ -107,6 +107,8 @@ class MirrorSH:
             i: max(z.parallel_index for z in cycles if z.class_index == i)
             for i in range(1, self.n_classes + 1)
         }
+        # every zigzag path out of the base vertex; xi_v and xi_for_strip read this list
+        self.base_paths = self.zigzag_paths_from(d.vertices[0])
 
     # -- pairing of odd Morse classes with puncture loops --------------------
 
@@ -192,14 +194,14 @@ class MirrorSH:
 
     # -- zigzag paths and distinguished odd classes ------------------------------
 
-    def zigzag_paths_from(self, v0, cap: Optional[int] = None) -> list:
-        """All zigzag paths out of v0 up to the cap, shortest first.
+    def zigzag_paths_from(self, v0) -> list:
+        """All zigzag paths out of v0 of at most 4 |Q1| arrows, shortest first.
 
         A zigzag path alternates the positive-face and negative-face successor;
         both phase choices and all outgoing first arrows are explored.
         """
         d = self.dimer
-        cap = cap if cap is not None else 4 * len(d.arrows)
+        cap = 4 * len(d.arrows)
         paths = []
         starts = [a.id for a in sorted(d.arrows, key=lambda x: idkey(x.id)) if a.tail == v0]
         frontier = deque()
@@ -256,7 +258,7 @@ class MirrorSH:
         q = family_sum(i_prev)
         xi = {v0: SHElement()}
         xi_path = {v0: ()}
-        for path in self.zigzag_paths_from(v0):
+        for path in self.base_paths:
             v = d.head(path[-1])
             if v not in xi:
                 xi[v] = self.xi_from_path(path)
@@ -266,11 +268,10 @@ class MirrorSH:
             raise SHError(f"no zigzag path from {v0!r} reaches {missing}")
         return {"p": p, "q": q, "xi": xi, "xi_path": xi_path, "i0": i0}
 
-    def xi_for_strip(self, class_index: int, strip_vertices, cap: Optional[int] = None):
-        """A zigzag path from the base vertex ending in the given strip, or None."""
+    def xi_for_strip(self, class_index: int, strip_vertices):
+        """A shortest zigzag path from the base vertex ending in the given strip, or None."""
         d = self.dimer
-        v0 = d.vertices[0]
-        for path in self.zigzag_paths_from(v0, cap=cap):
+        for path in self.base_paths:
             if d.head(path[-1]) in strip_vertices:
                 return path
         return None

@@ -1,21 +1,28 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dimermirror.cli import main
 from dimermirror.io import dimer_from_dict, dimer_to_dict, load_bundled
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "dimermirror" / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = SRC / "dimermirror" / "data"
 
 
 def run_cli(*args):
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "dimermirror.cli", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -67,6 +74,22 @@ def test_reports_are_deterministic():
     rc2, out2, _ = run_cli("report", str(DATA / "conifold.json"), "--n-max", "3")
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+# sha256 of the stdout of `dimermirror report <name> --format json` with default
+# flags.  A change that alters the report on purpose updates these and says why.
+REPORT_SHA256 = {
+    "c3": "ff65b2b368c5d0a0a951712d987937a52f23680a81c0aef6747fc7a885712a86",
+    "conifold": "b0e2aec81955f11bf1af70e8f6ee10e0f77c4c412898161d951dae91a2216c91",
+    "spp": "db4f52ecf8ff908859e0669acd7ec006d3deefd0ceebb5873f7505b6b0ca27d4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_json_is_byte_identical(name):
+    rc, out, err = run_cli("report", name, "--format", "json")
+    assert rc == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[name]
 
 
 def test_markdown_report_mentions_pair_of_pants_data():

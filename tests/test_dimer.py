@@ -11,9 +11,12 @@ from dimermirror import (
     parallel_classes,
     strips,
     surface_invariants,
+    load_bundled,
     zigzag_cycles,
 )
+from dimermirror.cli import with_base_vertex
 from dimermirror.dimer import cyclic_equal
+from dimermirror.ks import KSVerifier
 from dimermirror.matchings import matching_polytope
 
 
@@ -178,6 +181,17 @@ def test_spp_strips_partition_vertices(dimers):
     v2 = set(sd.strips[1][1])
     assert v1 | v2 == set(d.vertices) and not v1 & v2
     assert d.vertices[0] in v1
+
+
+def test_derived_structures_belong_to_one_dimer():
+    d = load_bundled("spp")
+    assert parallel_classes(d) is parallel_classes(d)
+    K = KSVerifier(d, n_max=1).K
+    for i in range(1, K.n_classes + 1):
+        assert K.strips[i] is strips(d, i)
+    # same name, arrows and faces, another base vertex: strips must not be shared
+    assert strips(with_base_vertex(d, 2), 3).strips[0][1] == (2, 3)
+    assert strips(d, 3).strips[0][1] == (1,)
 
 
 def test_dual_surfaces(dimers):

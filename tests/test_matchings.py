@@ -51,6 +51,11 @@ def test_generating_cycle_classes(dimers):
                 s = d.shift(aid)
                 total = (total[0] + coeff * s[0], total[1] + coeff * s[1])
             assert total == expect
+            boundary = {v: 0 for v in d.vertices}
+            for aid, coeff in chain.items():
+                boundary[d.head(aid)] += coeff
+                boundary[d.tail(aid)] -= coeff
+            assert set(boundary.values()) == {0}
 
 
 def test_height_independent_of_cycle_choice(dimers):
