@@ -5,6 +5,11 @@ Cochains carry Jacobi-algebra coefficients on slots indexed by vertices
 two vocabularies: the algebraic differentials d0, d1, d2 and the Floer-style
 maps on unit / X / Xbar / point generators; both names refer to one
 implementation.
+
+The differentials depend on the dimer only through the class of each arrow,
+the arrows at each vertex and the Hessian rows of the superpotential.  Each
+``KoszulComplex`` builds that table once, so d0, d1 and d2 only look it up
+and compose it with the coefficients of their input.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .dimer import Vec, cyclic_arc, dot, idkey, parallel_classes, strips, vec_add, vec_sub
-from .jacobi import Jacobi, JElement, PathClass
+from .dimer import Vec, dot, idkey, parallel_classes, strips, vec_add, vec_sub
+from .jacobi import Jacobi, JElement, PathClass, hessian_rows
 
 UNIT, X, XBAR, PT = "unit", "X", "Xbar", "pt"
 _SLOT_DEGREE = {UNIT: 0, X: 1, XBAR: 2, PT: 3}
@@ -42,6 +47,11 @@ class CochainElement:
     @staticmethod
     def zero(degree: int) -> "CochainElement":
         return CochainElement(degree, {})
+
+    @staticmethod
+    def from_sums(degree: int, sums: dict) -> "CochainElement":
+        """Element from slot -> {class: coefficient} sums, dropping zeros."""
+        return CochainElement(degree, {slot: JElement(t) for slot, t in sums.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -117,6 +127,29 @@ class KoszulComplex:
         self.ab = ab if ab is not None else self._choose_ab()
         if any(self.w_odd_eval(eta) == 0 for eta, _ in self.classes):
             raise HochschildError(f"(a, b) = {self.ab} degenerates on some eta_i")
+        # The dimer-only data of the differentials: the class of each arrow,
+        # the arrows leaving and entering each vertex, and for each arrow y the
+        # Hessian rows (sign, x, left class, right class) of the superpotential.
+        d = self.dimer
+        arrows = sorted(d.arrow_by_id, key=idkey)
+        self._arrow_cls = {a: jac.canonical_form((a,)) for a in arrows}
+        self._leaving = {v: [] for v in d.vertices}
+        self._entering = {v: [] for v in d.vertices}
+        for a in arrows:
+            self._leaving[d.tail(a)].append(a)
+            self._entering[d.head(a)].append(a)
+        self._hessian = {
+            y: [
+                (
+                    sign,
+                    x,
+                    jac.canonical_form(left) if left else jac.idempotent(d.head(x)),
+                    jac.canonical_form(right) if right else jac.idempotent(d.tail(x)),
+                )
+                for sign, x, left, right in hessian_rows(jac.superpotential, y)
+            ]
+            for y in arrows
+        }
 
     def eta(self, i: int) -> Vec:
         return self.classes[i - 1][0]
@@ -174,76 +207,54 @@ class KoszulComplex:
 
     def d0(self, c: CochainElement) -> CochainElement:
         """m |-> sum over arrows of (x m - m x) on the arrow slots."""
-        jac = self.jac
-        d = self.dimer
-        out = CochainElement.zero(1)
+        compose = self.jac.compose
+        sums: dict = {}
         for (kind, v), elem in c.terms.items():
             if kind != UNIT:
                 raise HochschildError("degree-0 terms must sit on unit slots")
-            for a in sorted(d.arrow_by_id, key=idkey):
-                acls = jac.canonical_form((a,))
-                contrib = JElement()
-                if d.tail(a) == v:
-                    for cls, k in elem.terms.items():
-                        contrib = contrib + JElement.of(jac.compose(cls, acls), k)
-                if d.head(a) == v:
-                    for cls, k in elem.terms.items():
-                        contrib = contrib - JElement.of(jac.compose(acls, cls), k)
-                if not contrib.is_zero():
-                    out = out.add_term((X, a), contrib)
-        return out
+            for a in self._leaving[v]:
+                acls, out = self._arrow_cls[a], sums.setdefault((X, a), {})
+                for cls, k in elem.terms.items():
+                    total = compose(cls, acls)
+                    out[total] = out.get(total, 0) + k
+            for a in self._entering[v]:
+                acls, out = self._arrow_cls[a], sums.setdefault((X, a), {})
+                for cls, k in elem.terms.items():
+                    total = compose(acls, cls)
+                    out[total] = out.get(total, 0) - k
+        return CochainElement.from_sums(1, sums)
 
     def d1(self, c: CochainElement) -> CochainElement:
         """Hessian sandwich: polygons with one marked corner and the coefficient inserted."""
-        jac = self.jac
-        out = CochainElement.zero(2)
+        compose = self.jac.compose
+        sums: dict = {}
         for (kind, y), elem in c.terms.items():
             if kind != X:
                 raise HochschildError("degree-1 terms must sit on X slots")
-            for sign, word in jac.superpotential.terms:
-                n = len(word)
-                for j in range(n):
-                    if word[j] != y:
-                        continue
-                    for l in range(n):
-                        if l == j:
-                            continue
-                        xarr = word[l]
-                        post = cyclic_arc(word, l, j)
-                        pre = cyclic_arc(word, j, l)
-                        post_cls = jac.canonical_form(post) if post else jac.idempotent(
-                            self.dimer.head(xarr)
-                        )
-                        pre_cls = jac.canonical_form(pre) if pre else jac.idempotent(
-                            self.dimer.tail(xarr)
-                        )
-                        add = JElement()
-                        for cls, k in elem.terms.items():
-                            total = jac.compose(jac.compose(post_cls, cls), pre_cls)
-                            add = add + JElement.of(total, sign * k)
-                        if not add.is_zero():
-                            out = out.add_term((XBAR, xarr), add)
-        return out
+            for sign, x, left, right in self._hessian[y]:
+                out = sums.setdefault((XBAR, x), {})
+                for cls, k in elem.terms.items():
+                    total = compose(compose(left, cls), right)
+                    out[total] = out.get(total, 0) + sign * k
+        return CochainElement.from_sums(2, sums)
 
     def d2(self, c: CochainElement) -> CochainElement:
         """Commutator with the slot arrow, landing on point slots."""
-        jac = self.jac
+        compose = self.jac.compose
         d = self.dimer
-        out = CochainElement.zero(3)
+        sums: dict = {}
         for (kind, y), elem in c.terms.items():
             if kind != XBAR:
                 raise HochschildError("degree-2 terms must sit on Xbar slots")
-            ycls = jac.canonical_form((y,))
-            plus = JElement()
-            minus = JElement()
+            ycls = self._arrow_cls[y]
+            plus = sums.setdefault((PT, d.head(y)), {})
+            minus = sums.setdefault((PT, d.tail(y)), {})
             for cls, k in elem.terms.items():
-                plus = plus + JElement.of(jac.compose(cls, ycls), k)
-                minus = minus + JElement.of(jac.compose(ycls, cls), k)
-            if not plus.is_zero():
-                out = out.add_term((PT, d.head(y)), plus)
-            if not minus.is_zero():
-                out = out.add_term((PT, d.tail(y)), minus.scale(-1))
-        return out
+                total = compose(cls, ycls)
+                plus[total] = plus.get(total, 0) + k
+                total = compose(ycls, cls)
+                minus[total] = minus.get(total, 0) - k
+        return CochainElement.from_sums(3, sums)
 
     # -- BV operator on degree 3 --------------------------------------------
 
@@ -271,10 +282,7 @@ class KoszulComplex:
     # -- distinguished cochains ----------------------------------------------
 
     def unit_cochain(self, per_vertex: dict) -> CochainElement:
-        out = CochainElement.zero(0)
-        for v, cls in per_vertex.items():
-            out = out.add_term((UNIT, v), JElement.of(cls))
-        return out
+        return CochainElement(0, {(UNIT, v): JElement.of(cls) for v, cls in per_vertex.items()})
 
     def W_cochain(self) -> CochainElement:
         return self.unit_cochain(self.jac.central_W())
@@ -290,11 +298,9 @@ class KoszulComplex:
         return c
 
     def partial_of_matching(self, edges) -> CochainElement:
-        jac = self.jac
-        out = CochainElement.zero(1)
-        for e in sorted(edges, key=idkey):
-            out = out.add_term((X, e), JElement.of(jac.canonical_form((e,))))
-        return out
+        return CochainElement(
+            1, {(X, e): JElement.of(self._arrow_cls[e]) for e in sorted(edges, key=idkey)}
+        )
 
     def zero_corner_of(self, alpha: Vec) -> int:
         """The unique corner matching with vanishing x_alpha degree."""

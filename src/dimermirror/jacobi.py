@@ -80,25 +80,28 @@ def cyclic_derivative(poly: CyclicPoly, e) -> list:
     return out
 
 
-def hessian(poly: CyclicPoly, x, y) -> list:
-    """Second cyclic derivative: (coeff, left, right) splittings.
+def hessian_rows(poly: CyclicPoly, y) -> list:
+    """Every split of a term at an occurrence of y: (coeff, x, left, right).
 
+    Each other position of the term gives one row, with x the arrow there.
     ``left`` runs from the head of x to the tail of y and ``right`` from the
-    head of y to the tail of x; the derivative discards the x and y occurrences
-    themselves (distinct positions, even when x == y).
+    head of y to the tail of x; the x and y occurrences themselves are
+    discarded (distinct positions, even when x == y).
     """
     out = []
     for coeff, word in poly.terms:
         for j, a in enumerate(word):
             if a != y:
                 continue
-            for l, b in enumerate(word):
-                if b != x or l == j:
-                    continue
-                left = cyclic_arc(word, l, j)
-                right = cyclic_arc(word, j, l)
-                out.append((coeff, left, right))
+            for l, x in enumerate(word):
+                if l != j:
+                    out.append((coeff, x, cyclic_arc(word, l, j), cyclic_arc(word, j, l)))
     return out
+
+
+def hessian(poly: CyclicPoly, x, y) -> list:
+    """Second cyclic derivative: the (coeff, left, right) rows of ``hessian_rows`` at x."""
+    return [(coeff, left, right) for coeff, b, left, right in hessian_rows(poly, y) if b == x]
 
 
 # -- path classes ------------------------------------------------------------
@@ -177,6 +180,7 @@ class Jacobi:
         # tree paths from the base vertex, for the open-path degree correction
         self._tree_paths = tree_paths(d)
         self._phi_cache: dict = {}
+        self._central_W: Optional[dict] = None
         self.corner_phis = [self._phi(p) for p in self.corners]
 
     # -- degrees ---------------------------------------------------------
@@ -333,7 +337,15 @@ class Jacobi:
     # -- central elements ---------------------------------------------------
 
     def central_W(self) -> dict:
-        """The potential: at each vertex, the class of any adjacent face boundary."""
+        """The potential: at each vertex, the class of any adjacent face boundary.
+
+        Computed on first use and shared by every later call.
+        """
+        if self._central_W is None:
+            self._central_W = self._build_central_W()
+        return self._central_W
+
+    def _build_central_W(self) -> dict:
         d = self.dimer
         out = {}
         for v in d.vertices:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from dimermirror import load_bundled
@@ -9,6 +12,7 @@ from dimermirror.ks import KSVerifier
 from dimermirror.mirror_sh import MirrorSH
 
 NAMES = ("c3", "conifold", "spp")
+COVERS = Path(__file__).resolve().parent.parent / "perfbench" / "covers.py"
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +38,16 @@ def sh_models(dimers):
 @pytest.fixture(scope="session")
 def verifiers(dimers):
     return {name: KSVerifier(d, n_max=10) for name, d in dimers.items()}
+
+
+@pytest.fixture(scope="session")
+def lattice_cover():
+    """(name, k, l) -> the k x l diagonal lattice cover of a bundled dimer, as JSON data.
+
+    The benchmark's input generator builds it from the bundled JSON without
+    importing the package, so it is an input independent of the code under test.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_covers", COVERS)
+    covers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(covers)
+    return lambda name, k, l: covers.cover(covers.load_base(name), k, l)

@@ -92,6 +92,23 @@ def test_report_json_is_byte_identical(name):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[name]
 
 
+# The same for the k x l lattice covers of the conifold, where two zigzag
+# classes have parallel multiplicity 4; the hashes do not depend on the path.
+COVER_REPORT_SHA256 = {
+    (4, 1): "bd064aa32e2a34eec3336dbc707160e22d53a6b49f9d52c4848b18f00a085c5c",
+    (1, 4): "3c253b8f1c0705b66c41cf672a307b5aee0264ac2a3d8488221ce9ca40cf5554",
+}
+
+
+@pytest.mark.parametrize("k,l", sorted(COVER_REPORT_SHA256))
+def test_cover_report_json_is_byte_identical(k, l, tmp_path, lattice_cover):
+    p = tmp_path / f"conifold_{k}x{l}.json"
+    p.write_text(json.dumps(lattice_cover("conifold", k, l)))
+    rc, out, err = run_cli("report", str(p), "--format", "json")
+    assert rc == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == COVER_REPORT_SHA256[(k, l)]
+
+
 def test_markdown_report_mentions_pair_of_pants_data():
     rc, out, _ = run_cli("report", str(DATA / "c3.json"), "--format", "markdown", "--n-max", "2")
     assert rc == 0

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import pytest
 
+from dimermirror.dimer import idkey
 from dimermirror.hochschild import (
     X,
     XBAR,
     PT,
     CochainElement,
     HochschildError,
+    KoszulComplex,
 )
-from dimermirror.jacobi import JElement, PathClass
+from dimermirror.io import dimer_from_dict
+from dimermirror.jacobi import Jacobi, JElement, PathClass, hessian
+from dimermirror.ks import FAIL, KSVerifier
 
 
 def unit_idempotent(K, v):
@@ -260,3 +264,132 @@ def test_ab_choice_nonzero(complexes):
     for K in complexes.values():
         for i in range(1, K.n_classes + 1):
             assert K.w_odd_eval(K.eta(i)) != 0
+
+
+# -- the differentials against their per-call formulas --------------------------
+
+
+def reference_d0(K, c):
+    jac, d = K.jac, K.dimer
+    out = CochainElement.zero(1)
+    for (kind, v), elem in c.terms.items():
+        for a in d.arrow_by_id:
+            acls = jac.canonical_form((a,))
+            for cls, k in elem.terms.items():
+                if d.tail(a) == v:
+                    out = out.add_term((X, a), JElement.of(jac.compose(cls, acls), k))
+                if d.head(a) == v:
+                    out = out.add_term((X, a), JElement.of(jac.compose(acls, cls), -k))
+    return out
+
+
+def reference_d1(K, c):
+    jac, d = K.jac, K.dimer
+    out = CochainElement.zero(2)
+    for (kind, y), elem in c.terms.items():
+        for x in d.arrow_by_id:
+            for sign, left, right in hessian(jac.superpotential, x, y):
+                lcls = jac.canonical_form(left) if left else jac.idempotent(d.head(x))
+                rcls = jac.canonical_form(right) if right else jac.idempotent(d.tail(x))
+                for cls, k in elem.terms.items():
+                    total = jac.compose(jac.compose(lcls, cls), rcls)
+                    out = out.add_term((XBAR, x), JElement.of(total, sign * k))
+    return out
+
+
+def reference_d2(K, c):
+    jac, d = K.jac, K.dimer
+    out = CochainElement.zero(3)
+    for (kind, y), elem in c.terms.items():
+        ycls = jac.canonical_form((y,))
+        for cls, k in elem.terms.items():
+            out = out.add_term((PT, d.head(y)), JElement.of(jac.compose(cls, ycls), k))
+            out = out.add_term((PT, d.tail(y)), JElement.of(jac.compose(ycls, cls), -k))
+    return out
+
+
+def oracle_inputs(K):
+    """Unit idempotents, single-arrow X and Xbar cochains, their sums, and the
+    generators of positive codegree (theta sits in degree 3, where no d starts)."""
+    jac, d = K.jac, K.dimer
+    units = [unit_idempotent(K, v) for v in d.vertices]
+    xs = [
+        CochainElement(1, {(X, a): JElement.of(jac.canonical_form((a,)))})
+        for a in sorted(d.arrow_by_id, key=idkey)
+    ]
+    # the coefficient of Xbar_y runs from head(y) to tail(y): the rest of a face
+    xbars = [
+        CochainElement(2, {(XBAR, a): JElement.of(jac.canonical_form(arc))})
+        for a, arc, _ in jac.jacobi_relations()
+    ]
+    out = units + xs + xbars
+    for family in (units, xs, xbars):
+        total = family[0]
+        for c in family[1:]:
+            total = total + c
+        out.append(total)
+    gens = K.generators()
+    out += [K.W_cochain(), *gens["x_alpha"].values()]
+    out += [*gens["partial_P"].values(), *gens["partial_alpha"].values()]
+    out += [c for c, _, _ in gens["psi"].values()]
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_complexes(complexes, lattice_cover):
+    cover = dimer_from_dict(lattice_cover("conifold", 4, 1))
+    return dict(complexes, conifold_4x1=KoszulComplex(Jacobi(cover)))
+
+
+def test_differentials_match_per_call_formulas(oracle_complexes):
+    nonzero = {0: 0, 1: 0, 2: 0}
+    for name, K in oracle_complexes.items():
+        diffs = {0: (K.d0, reference_d0), 1: (K.d1, reference_d1), 2: (K.d2, reference_d2)}
+        for c in oracle_inputs(K):
+            d, ref = diffs[c.degree]
+            got = d(c)
+            assert got == ref(K, c), (name, c)
+            nonzero[c.degree] += not got.is_zero()
+    # every differential is compared on nonzero outputs (on c3 all of them vanish)
+    assert min(nonzero.values()) > 0, nonzero
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_flipped_hessian_row_fails_a_d1_check(name, dimers, monkeypatch):
+    # every single-row sign flip must surface in the checks that run d1
+    v = KSVerifier(dimers[name], n_max=1)
+    K = v.K
+    assert v.verify_chain_identities().passed
+    for y, rows in K._hessian.items():
+        for i, (sign, x, left, right) in enumerate(rows):
+            flipped = rows[:i] + [(-sign, x, left, right)] + rows[i + 1 :]
+            with monkeypatch.context() as mp:
+                mp.setitem(K._hessian, y, flipped)
+                failed = {
+                    c.name for c in v.verify_chain_identities().checks if c.status == FAIL
+                }
+            assert "complex.d2d1" in failed or any(
+                f.startswith("cocycle.partial_P.") for f in failed
+            ), (y, i)
+
+
+def test_differentials_and_W_reuse_their_classes(dimers, monkeypatch):
+    calls = []
+    canonical_form = Jacobi.canonical_form
+
+    def counted(self, word):
+        calls.append(word)
+        return canonical_form(self, word)
+
+    monkeypatch.setattr(Jacobi, "canonical_form", counted)
+    for name, d in dimers.items():
+        K = KoszulComplex(Jacobi(d))
+        calls.clear()
+        K.jac.central_W()
+        assert len(calls) >= len(d.vertices), name  # the first call builds W
+        inputs = oracle_inputs(K)
+        calls.clear()
+        K.jac.central_W()
+        for c in inputs:
+            K.d(c)
+        assert calls == [], name
