@@ -26,6 +26,9 @@ from .mirror_sh import MirrorSH, SHError
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE = 0, 1, 2
 
+# what the pipeline raises on input it cannot handle
+PIPELINE_ERRORS = (DimerError, DimerFormatError, JacobiError, HochschildError, SHError)
+
 
 def _load(path: str, base_vertex=None) -> Dimer:
     if Path(path).exists():
@@ -64,6 +67,14 @@ def _jsonable(x):
     if hasattr(x, "__dict__"):
         return _jsonable(vars(x))
     return str(x)
+
+
+def _failure(exc: Exception) -> dict:
+    """Failure JSON: the message and the stage, i.e. the module whose code raised."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return {"passed": False, "error": str(exc), "stage": Path(tb.tb_frame.f_code.co_filename).stem}
 
 
 def _emit(data, fmt: str, title: str) -> None:
@@ -325,8 +336,8 @@ def cmd_verify(args) -> int:
     try:
         v = _verifier(args)
         rep = v.verify_all()
-    except (DimerError, DimerFormatError, JacobiError, HochschildError, SHError) as exc:
-        _emit({"passed": False, "error": str(exc)}, args.format, "verification")
+    except PIPELINE_ERRORS as exc:
+        _emit(_failure(exc), args.format, "verification")
         return EXIT_CHECK_FAILED
     _emit(rep.as_dict(), args.format, f"verification of {v.dimer.name}")
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
@@ -335,8 +346,8 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     try:
         v = _verifier(args)
-    except (DimerError, DimerFormatError, JacobiError, HochschildError, SHError) as exc:
-        _emit({"passed": False, "error": str(exc)}, args.format, "report")
+    except PIPELINE_ERRORS as exc:
+        _emit(_failure(exc), args.format, "report")
         return EXIT_CHECK_FAILED
     d = v.dimer
     mp = v.jac.poly
@@ -446,10 +457,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (DimerFormatError,) as exc:
+    except DimerFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DimerError, JacobiError, HochschildError, SHError) as exc:
+    except PIPELINE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -125,10 +125,14 @@ class ZigzagCycle:
 
 @dataclass(frozen=True)
 class StripDecomposition:
+    """The strips E_{i,1..m_i} of one zigzag class: the components of the
+    quiver's vertices joined by the arrows outside the class's parallel family.
+    """
+
     class_index: int
-    # strips[j-1] = (face indices, vertex ids) of the closed strip E_{i,j}
+    # strips[j-1] = the vertex ids of the closed strip E_{i,j}, sorted
     strips: tuple
-    # cycles[j-1] = the parallel cycle Z_{i,j} whose positive side faces strip j
+    # cycles[j-1] = the parallel cycle Z_{i,j}, whose O+ lies in strip j
     cycles: tuple
     # boundary[j-1] = (O+(Z_{i,j}), O-(Z_{i,j+1})) as arrow-id tuples
     boundary: tuple
@@ -270,9 +274,6 @@ class Dimer:
     def next_neg(self, aid):
         return self._struct()[3][aid]
 
-    def face_vertices(self, fi: int) -> set:
-        return {self.tail(aid) for aid in self.faces[fi].boundary}
-
     def _memo(self, key, build):
         """build() on first use of key; the same object on every later call."""
         if key not in self._derived:
@@ -402,22 +403,7 @@ def _check_links(d: Dimer) -> Optional[Issue]:
 
 
 def _is_connected(d: Dimer) -> bool:
-    if not d.vertices:
-        return False
-    adj = {v: set() for v in d.vertices}
-    for a in d.arrows:
-        if a.tail in adj and a.head in adj:
-            adj[a.tail].add(a.head)
-            adj[a.head].add(a.tail)
-    seen = {d.vertices[0]}
-    frontier = [d.vertices[0]]
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(d.vertices)
+    return bool(d.vertices) and set(_strip_components(d, ()).values()) == {0}
 
 
 def validate_dimer(d: Dimer) -> ValidationReport:
@@ -488,7 +474,7 @@ def _indexed_cycles(d: Dimer) -> list[ZigzagCycle]:
     indexed: list[ZigzagCycle] = []
     for i, eta in enumerate(classes, start=1):
         members = [z for z in cycles if z.homology == vec_neg(eta)]
-        order = _parallel_order(d, members)
+        order = _parallel_order(d, _class_components(d, i, members), members)
         for j, z in enumerate(order, start=1):
             indexed.append(
                 ZigzagCycle(z.arrows, z.zigs, z.zags, z.homology, class_index=i, parallel_index=j)
@@ -499,103 +485,77 @@ def _indexed_cycles(d: Dimer) -> list[ZigzagCycle]:
     return indexed
 
 
-def _parallel_order(d: Dimer, members: list[ZigzagCycle]) -> list[ZigzagCycle]:
+def _parallel_order(d: Dimer, comp: dict, members: list[ZigzagCycle]) -> list[ZigzagCycle]:
     """Order parallel cycles so the base vertex's strip comes first.
 
-    Strip j sits on the positive side of Z_{i,j}; the negative side of
-    Z_{i,j+1} faces the same strip, which yields the cyclic ordering.
+    Z_{i,1} is the cycle whose positive side (the component of O+) holds the
+    base vertex; Z_{i,j+1} is the cycle whose negative side (the component of
+    O-) is the positive side of Z_{i,j}.
     """
     if len(members) == 1:
         return members
-    comp_of_face = _strip_components(d, members)
-    plus_comp = {}
-    minus_comp = {}
-    for z in members:
-        pf = {d.pos_face_of(z.zags[k]) for k in range(len(z.zags))}
-        nf = {d.neg_face_of(z.zigs[k]) for k in range(len(z.zigs))}
-        pc = {comp_of_face[f] for f in pf}
-        nc = {comp_of_face[f] for f in nf}
-        if len(pc) != 1 or len(nc) != 1:
-            raise DimerError("parallel cycle touches several strips on one side")
-        plus_comp[z.arrows] = pc.pop()
-        minus_comp[z.arrows] = nc.pop()
-    v0 = d.vertices[0]
-    strip_vertices = _strip_vertex_assignment(d, members, comp_of_face)
-    start_comp = strip_vertices[v0]
-    by_plus = {plus_comp[z.arrows]: z for z in members}
-    by_minus = {minus_comp[z.arrows]: z for z in members}
-    if len(by_plus) != len(members) or len(by_minus) != len(members):
+    plus = {z.arrows: _side(d, comp, anti_zigzag(d, z, +1)) for z in members}
+    by_plus = {plus[z.arrows]: z for z in members}
+    by_minus = {_side(d, comp, anti_zigzag(d, z, -1)): z for z in members}
+    sides = set(comp.values())
+    if len(by_plus) != len(members) or set(by_plus) != sides or set(by_minus) != sides:
         raise DimerError("strips do not separate the parallel family")
-    # Z_{i,1} faces the base vertex's strip on its positive side; Z_{i,j+1} is
-    # the cycle whose negative side faces strip j.
-    chain = [by_plus[start_comp]]
+    chain = [by_plus[comp[d.vertices[0]]]]
     while len(chain) < len(members):
-        chain.append(by_minus[plus_comp[chain[-1].arrows]])
+        chain.append(by_minus[plus[chain[-1].arrows]])
     return chain
 
 
-def _strip_components(d: Dimer, members: list[ZigzagCycle]) -> dict[int, int]:
-    """Flood-fill faces across arrows not used by the parallel family."""
+def _strip_components(d: Dimer, members) -> dict:
+    """Vertex -> component index, flood-filled over arrows off the family's cycles.
+
+    Components are numbered in the order of d.vertices, so the base vertex's
+    component is 0.
+    """
     family = {a for z in members for a in z.arrows}
-    comp_of_face: dict[int, int] = {}
-    comp = 0
-    for start in range(len(d.faces)):
-        if start in comp_of_face:
+    adj: dict = {v: [] for v in d.vertices}
+    for a in d.arrows:
+        if a.id not in family:
+            adj[a.tail].append(a.head)
+            adj[a.head].append(a.tail)
+    comp: dict = {}
+    n = 0
+    for start in d.vertices:
+        if start in comp:
             continue
-        comp_of_face[start] = comp
+        comp[start] = n
         frontier = [start]
         while frontier:
-            fi = frontier.pop()
-            for aid in d.faces[fi].boundary:
-                if aid in family:
-                    continue
-                for gj in (d.pos_face_of(aid), d.neg_face_of(aid)):
-                    if gj not in comp_of_face:
-                        comp_of_face[gj] = comp
-                        frontier.append(gj)
-        comp += 1
-    return comp_of_face
+            for w in adj[frontier.pop()]:
+                if w not in comp:
+                    comp[w] = n
+                    frontier.append(w)
+        n += 1
+    return comp
 
 
-def _strip_vertex_assignment(
-    d: Dimer, members: list[ZigzagCycle], comp_of_face: dict[int, int]
-) -> dict:
-    """Assign each vertex to a strip component.
-
-    Vertices on a positive anti-zigzag O+(Z) belong to Z's strip; the rest
-    inherit the (unique) strip of their incident faces.
-    """
-    assignment: dict = {}
-    for z in members:
-        opos = anti_zigzag_of_cycle(d, z, +1)
-        pf = {d.pos_face_of(z.zags[k]) for k in range(len(z.zags))}
-        strip = {comp_of_face[f] for f in pf}.pop()
-        for aid in opos:
-            for v in (d.tail(aid), d.head(aid)):
-                if v in assignment and assignment[v] != strip:
-                    raise DimerError(f"vertex {v!r} lies on two strip boundaries")
-                assignment[v] = strip
-    incident: dict = {v: set() for v in d.vertices}
-    for fi in range(len(d.faces)):
-        for v in d.face_vertices(fi):
-            incident[v].add(comp_of_face[fi])
-    for v in d.vertices:
-        if v in assignment:
-            continue
-        strips = incident[v]
-        if len(strips) != 1:
-            raise DimerError(f"vertex {v!r} has faces in several strips and no anti-zigzag")
-        assignment[v] = strips.pop()
-    return assignment
+def _class_components(d: Dimer, class_index: int, members) -> dict:
+    """The strip components of one class, computed once per dimer and class."""
+    return d._memo(("strip_components", class_index), lambda: _strip_components(d, members))
 
 
-def anti_zigzag_of_cycle(d: Dimer, z: ZigzagCycle, sign: int) -> tuple:
+def _side(d: Dimer, comp: dict, word: tuple) -> int:
+    """The single component holding the vertices of an anti-zigzag word."""
+    sides = {comp[d.tail(a)] for a in word}
+    if len(sides) != 1:
+        raise DimerError("parallel cycle touches several strips on one side")
+    return sides.pop()
+
+
+def anti_zigzag(d: Dimer, z: ZigzagCycle, sign: int) -> tuple:
     """The anti-zigzag O^{sign}(Z): complementary face arcs, concatenated.
 
     For sign=+1, each pair (zag_l, zig_{l+1}) spans a positive face; the arcs
     complementary to these pairs compose (in reverse pair order) to a closed
     cycle of homology -[Z].  sign=-1 uses the (zig_l, zag_l) negative faces.
     """
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
     L = len(z.zigs)
     arcs = []
     for k in range(L):
@@ -623,12 +583,6 @@ def anti_zigzag_of_cycle(d: Dimer, z: ZigzagCycle, sign: int) -> tuple:
         else:
             raise DimerError("anti-zigzag does not close up")
     return out
-
-
-def anti_zigzag(d: Dimer, z: ZigzagCycle, sign: int) -> tuple:
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return anti_zigzag_of_cycle(d, z, sign)
 
 
 # -- zigzag consistency ----------------------------------------------------
@@ -785,7 +739,10 @@ def _parallel_classes(d: Dimer):
 def strips(d: Dimer, class_index: int) -> StripDecomposition:
     """Closed strips between consecutive parallel cycles of one class.
 
-    Computed once per dimer and class index; the result is shared.
+    The strips are the vertex components left when the arrows of the class's
+    parallel family are removed; strip j is the component of O+(Z_{i,j}),
+    which must also hold O-(Z_{i,j+1}).  Computed once per dimer and class
+    index; the result is shared.
     """
     return d._memo(("strips", class_index), lambda: _strips(d, class_index))
 
@@ -795,35 +752,30 @@ def _strips(d: Dimer, class_index: int) -> StripDecomposition:
     if not 1 <= class_index <= len(classes):
         raise DimerError(f"no zigzag class {class_index}")
     members = classes[class_index - 1][1]  # already in parallel order
-    comp_of_face = _strip_components(d, members)
-    n_comp = len(set(comp_of_face.values()))
-    if n_comp != len(members):
-        raise DimerError(
-            f"class {class_index}: {n_comp} strips for {len(members)} parallel cycles"
-        )
-    assignment = _strip_vertex_assignment(d, members, comp_of_face)
-    strips_out = []
-    cycles_out = []
-    boundary_out = []
+    comp = _class_components(d, class_index, members)
     m = len(members)
-    for j, z in enumerate(members):
-        pf = {d.pos_face_of(z.zags[k]) for k in range(len(z.zags))}
-        strip_comp = {comp_of_face[f] for f in pf}.pop()
-        faces_j = tuple(sorted(fi for fi, c in comp_of_face.items() if c == strip_comp))
-        verts_j = tuple(sorted((v for v, c in assignment.items() if c == strip_comp), key=idkey))
-        strips_out.append((faces_j, verts_j))
-        cycles_out.append(z)
-        nxt = members[(j + 1) % m]
-        boundary_out.append(
-            (anti_zigzag_of_cycle(d, z, +1), anti_zigzag_of_cycle(d, nxt, -1))
-        )
-    if d.vertices[0] not in strips_out[0][1]:
+    n_comp = len(set(comp.values()))
+    if n_comp != m:
+        raise DimerError(f"class {class_index}: {n_comp} strips for {m} parallel cycles")
+    boundary = tuple(
+        (anti_zigzag(d, z, +1), anti_zigzag(d, members[(j + 1) % m], -1))
+        for j, z in enumerate(members)
+    )
+    strips_out = []
+    for j, (opos, oneg) in enumerate(boundary, start=1):
+        side = _side(d, comp, opos)
+        if _side(d, comp, oneg) != side:
+            raise DimerError(
+                f"class {class_index}: O+(Z_{j}) and O-(Z_{j % m + 1}) lie in different strips"
+            )
+        strips_out.append(tuple(sorted((v for v, c in comp.items() if c == side), key=idkey)))
+    if d.vertices[0] not in strips_out[0]:
         raise DimerError("base vertex is not in strip 1 after ordering")
     return StripDecomposition(
         class_index=class_index,
         strips=tuple(strips_out),
-        cycles=tuple(cycles_out),
-        boundary=tuple(boundary_out),
+        cycles=tuple(members),
+        boundary=boundary,
     )
 
 

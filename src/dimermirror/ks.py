@@ -150,7 +150,7 @@ class KSVerifier:
                 )
                 sd = self.K.strips[i]
                 for j in range(2, len(sd.strips) + 1):
-                    path = self.sh.xi_for_strip(i, sd.strips[j - 1][1])
+                    path = self.sh.xi_for_strip(i, sd.strips[j - 1])
                     out.append(
                         {
                             "source": {"kind": "alpha_xi", "i": i, "j": j, "n": n, "path": path},
@@ -227,7 +227,7 @@ class KSVerifier:
             sd = K.strips[i]
             theta_block_ok = True
             for j in range(2, m + 1):
-                path = sh.xi_for_strip(i, sd.strips[j - 1][1])
+                path = sh.xi_for_strip(i, sd.strips[j - 1])
                 if path is None:
                     theta_block_ok = False
                     rep.add(f"xi_path.i{i}.j{j}", False, "no zigzag path into the strip")
@@ -262,12 +262,12 @@ class KSVerifier:
                 ks_odd = [[0] * m for _ in range(m)]
                 ks_odd[0][0] = 1  # alpha^n (a q + b p) -> x^n W
                 for j in range(2, m + 1):
-                    path = sh.xi_for_strip(i, sd.strips[j - 1][1])
+                    path = sh.xi_for_strip(i, sd.strips[j - 1])
                     if path is None:
                         continue
                     endpoint = self.dimer.head(path[-1])
                     for jj in range(2, m + 1):
-                        if endpoint in sd.strips[jj - 1][1]:
+                        if endpoint in sd.strips[jj - 1]:
                             ks_odd[j - 1][jj - 1] = 1
                 det_ko = det_int(ks_odd)
                 rep.add(f"det.odd.ks.i{i}.n{n}", det_ko in (1, -1), {"det": det_ko})

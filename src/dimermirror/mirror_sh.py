@@ -222,9 +222,9 @@ class MirrorSH:
                 seen.add(key)
                 paths.append(new)
                 frontier.append((new, 1 - phase))
-        # deterministic: shortest first, then lexicographic
-        paths = sorted(set(paths), key=lambda p: (len(p), tuple(idkey(x) for x in p)))
-        return paths
+        # deterministic: shortest first, then lexicographic in idkey order
+        rank = {a: r for r, a in enumerate(sorted(d.arrow_by_id, key=idkey))}
+        return sorted(set(paths), key=lambda p: (len(p), tuple(rank[x] for x in p)))
 
     def xi_from_path(self, path: tuple) -> SHElement:
         out = SHElement()

@@ -92,21 +92,41 @@ def test_report_json_is_byte_identical(name):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[name]
 
 
-# The same for the k x l lattice covers of the conifold, where two zigzag
-# classes have parallel multiplicity 4; the hashes do not depend on the path.
+# The same for k x l lattice covers: the conifold ones, where two zigzag
+# classes have parallel multiplicity 4, and a c3 and an spp cover, whose strips
+# need the vertex-component construction; the hashes do not depend on the path.
 COVER_REPORT_SHA256 = {
-    (4, 1): "bd064aa32e2a34eec3336dbc707160e22d53a6b49f9d52c4848b18f00a085c5c",
-    (1, 4): "3c253b8f1c0705b66c41cf672a307b5aee0264ac2a3d8488221ce9ca40cf5554",
+    ("conifold", 4, 1): "bd064aa32e2a34eec3336dbc707160e22d53a6b49f9d52c4848b18f00a085c5c",
+    ("conifold", 1, 4): "3c253b8f1c0705b66c41cf672a307b5aee0264ac2a3d8488221ce9ca40cf5554",
+    ("c3", 2, 2): "082126158241057f27020dfda01b3ea08cc30fe89ad3b20c9ca4c84acc170ca4",
+    ("spp", 2, 1): "689387a7908e6ad412ec9968c6966d625a21fab6bc60e475a2da6cc7763a6ced",
 }
 
 
-@pytest.mark.parametrize("k,l", sorted(COVER_REPORT_SHA256))
-def test_cover_report_json_is_byte_identical(k, l, tmp_path, lattice_cover):
-    p = tmp_path / f"conifold_{k}x{l}.json"
-    p.write_text(json.dumps(lattice_cover("conifold", k, l)))
+@pytest.mark.parametrize("name,k,l", sorted(COVER_REPORT_SHA256))
+def test_cover_report_json_is_byte_identical(name, k, l, tmp_path, lattice_cover):
+    p = tmp_path / f"{name}_{k}x{l}.json"
+    p.write_text(json.dumps(lattice_cover(name, k, l)))
     rc, out, err = run_cli("report", str(p), "--format", "json")
     assert rc == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == COVER_REPORT_SHA256[(k, l)]
+    assert hashlib.sha256(out.encode()).hexdigest() == COVER_REPORT_SHA256[(name, k, l)]
+
+
+def test_failure_json_names_its_stage(tmp_path, lattice_cover):
+    # on the conifold 2x2 cover no zigzag path from the base vertex reaches
+    # every vertex, so the mirror model cannot build xi_v
+    p = tmp_path / "conifold_2x2.json"
+    p.write_text(json.dumps(lattice_cover("conifold", 2, 2)))
+    for command in ("verify", "report"):
+        rc, out, err = run_cli(command, str(p))
+        assert rc == 1 and "Traceback" not in err
+        data = json.loads(out)
+        assert set(data) == {"passed", "error", "stage"}
+        assert data["passed"] is False and "no zigzag path" in data["error"]
+        assert data["stage"] == "mirror_sh"
+    # a passing run carries no stage
+    rc, out, err = run_cli("verify", "c3", "--n-max", "1")
+    assert rc == 0 and "stage" not in json.loads(out)
 
 
 def test_markdown_report_mentions_pair_of_pants_data():

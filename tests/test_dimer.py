@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import json
+
+import pytest
+
+from dimermirror import dimer as dimer_module
 from dimermirror import (
     Arrow,
     Dimer,
+    DimerError,
     Face,
     anti_zigzag,
     dimer_isomorphic,
@@ -16,8 +22,10 @@ from dimermirror import (
 )
 from dimermirror.cli import with_base_vertex
 from dimermirror.dimer import cyclic_equal
+from dimermirror.io import dimer_from_dict
 from dimermirror.ks import KSVerifier
 from dimermirror.matchings import matching_polytope
+from test_cli import run_cli
 
 
 def c3_variant(shift_z=(-1, -1), plus_boundary=("z", "y", "x")):
@@ -170,15 +178,15 @@ def test_strips_single_class(dimers):
         for i in range(1, n + 1):
             sd = strips(d, i)
             assert len(sd.strips) == 1
-            assert set(sd.strips[0][1]) == set(d.vertices)
+            assert set(sd.strips[0]) == set(d.vertices)
 
 
 def test_spp_strips_partition_vertices(dimers):
     d = dimers["spp"]
     sd = strips(d, 3)
     assert len(sd.strips) == 2
-    v1 = set(sd.strips[0][1])
-    v2 = set(sd.strips[1][1])
+    v1 = set(sd.strips[0])
+    v2 = set(sd.strips[1])
     assert v1 | v2 == set(d.vertices) and not v1 & v2
     assert d.vertices[0] in v1
 
@@ -190,8 +198,64 @@ def test_derived_structures_belong_to_one_dimer():
     for i in range(1, K.n_classes + 1):
         assert K.strips[i] is strips(d, i)
     # same name, arrows and faces, another base vertex: strips must not be shared
-    assert strips(with_base_vertex(d, 2), 3).strips[0][1] == (2, 3)
-    assert strips(d, 3).strips[0][1] == (1,)
+    assert strips(with_base_vertex(d, 2), 3).strips[0] == (2, 3)
+    assert strips(d, 3).strips[0] == (1,)
+
+
+# Lattice covers whose zigzag cycles revisit quiver vertices; covers of c3
+# are the abelian orbifolds C^3/Gamma.  conifold 2x2 fails later, in xi_v.
+COVER_ZOO = [
+    ("c3", 2, 1), ("c3", 3, 1), ("c3", 1, 2), ("c3", 2, 2), ("c3", 3, 3),
+    ("spp", 2, 1), ("spp", 1, 2), ("spp", 2, 2), ("conifold", 2, 2),
+]
+
+
+@pytest.mark.parametrize("name,k,l", COVER_ZOO)
+def test_cover_zoo_strips_and_verify(name, k, l, lattice_cover, tmp_path):
+    data = lattice_cover(name, k, l)
+    d, base = dimer_from_dict(data), load_bundled(name)
+    assert d.validate().ok
+    assert is_zigzag_consistent(d)[0]
+    for attr in ("vertices", "arrows", "faces"):
+        assert len(getattr(d, attr)) == k * l * len(getattr(base, attr))
+    for i, (_, members) in enumerate(parallel_classes(d), start=1):
+        sd = strips(d, i)
+        assert len(sd.strips) == len(members)
+        flat = [v for strip in sd.strips for v in strip]
+        assert len(flat) == len(set(flat)) and set(flat) == set(d.vertices)
+        assert d.vertices[0] in sd.strips[0]
+        for strip, (opos, oneg) in zip(sd.strips, sd.boundary):
+            assert {d.tail(a) for a in opos + oneg} <= set(strip)
+    p = tmp_path / f"{name}_{k}x{l}.json"
+    p.write_text(json.dumps(data))
+    rc, out, err = run_cli("verify", str(p))
+    assert "Traceback" not in err
+    if (name, k, l) == ("conifold", 2, 2):
+        assert rc == 1 and "error" in json.loads(out)
+    else:
+        assert rc == 0, out
+        assert json.loads(out)["passed"] is True
+
+
+def test_merged_strip_components_fail_naming_the_class(monkeypatch):
+    d = load_bundled("spp")
+    parallel_classes(d)  # order the cycles with the true components first
+    monkeypatch.setitem(d._derived, ("strip_components", 3), {v: 0 for v in d.vertices})
+    with pytest.raises(DimerError, match="class 3: 1 strips for 2 parallel cycles"):
+        strips(d, 3)
+
+
+def test_swapped_anti_zigzag_sides_fail_the_boundary_check(monkeypatch):
+    d = load_bundled("spp")
+    z2 = parallel_classes(d)[2][1][1]  # Z_{3,2}
+    true_anti_zigzag = dimer_module.anti_zigzag
+
+    def swapped(dd, z, sign):
+        return true_anti_zigzag(dd, z, -sign if z is z2 else sign)
+
+    monkeypatch.setattr(dimer_module, "anti_zigzag", swapped)
+    with pytest.raises(DimerError, match=r"class 3: O\+\(Z_1\) and O-\(Z_2\)"):
+        strips(d, 3)
 
 
 def test_dual_surfaces(dimers):
