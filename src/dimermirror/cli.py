@@ -15,6 +15,7 @@ from .dimer import (
     dual_dimer,
     is_zigzag_consistent,
     surface_invariants,
+    word_key,
     zigzag_cycles,
 )
 from .hochschild import HochschildError, KoszulComplex
@@ -177,7 +178,7 @@ def cmd_matchings(args) -> int:
         "matchings": [
             {"edges": p.key(), "height": p.height}
             for hs in mp.points.values()
-            for p in sorted(hs, key=lambda q: q.key())
+            for p in sorted(hs, key=lambda q: word_key(q.key()))
         ],
         "count": sum(len(v) for v in mp.points.values()),
     }

@@ -51,6 +51,11 @@ def idkey(x):
     return (0, x, "") if isinstance(x, int) else (1, 0, str(x))
 
 
+def word_key(word) -> tuple:
+    """Sort key for a sequence of identifiers, ordered entry by entry by ``idkey``."""
+    return tuple(idkey(x) for x in word)
+
+
 def ccw_angle_key(v: Vec):
     """Total order on nonzero lattice vectors by angle in [0, 2*pi).
 
@@ -150,7 +155,7 @@ def cyclic_equal(a: Iterable, b: Iterable) -> bool:
 def canonical_rotation(word: tuple) -> tuple:
     if not word:
         return word
-    return min(cyclic_rotations(word), key=lambda w: tuple(idkey(x) for x in w))
+    return min(cyclic_rotations(word), key=word_key)
 
 
 def cyclic_arc(word: tuple, start: int, stop: int) -> tuple:
@@ -833,7 +838,7 @@ def dual_dimer(d: Dimer) -> Dimer:
             # rotate to the least zig so cycles with equal words but opposite
             # zig/zag phase (possible on duals) get distinct names
             rots = [z.arrows[2 * k:] + z.arrows[: 2 * k] for k in range(len(z.zigs))]
-            word = min(rots, key=lambda w: tuple(idkey(x) for x in w))
+            word = min(rots, key=word_key)
             names[idx] = "Z_" + "_".join(str(a) for a in word)
     arrows = [
         Arrow(a.id, names[zig_cycle[a.id]], names[zag_cycle[a.id]], None) for a in d.arrows

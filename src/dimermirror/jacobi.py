@@ -22,6 +22,7 @@ from .dimer import (
     tree_paths,
     vec_add,
     vec_sub,
+    word_key,
 )
 from .matchings import (
     MatchingPolytope,
@@ -53,7 +54,7 @@ class CyclicPoly:
             key = canonical_rotation(tuple(word))
             acc[key] = acc.get(key, 0) + coeff
         cleaned = tuple(
-            sorted(((c, w) for w, c in acc.items() if c), key=lambda t: t[1])
+            sorted(((c, w) for w, c in acc.items() if c), key=lambda t: word_key(t[1]))
         )
         return CyclicPoly(cleaned)
 
@@ -209,11 +210,13 @@ class Jacobi:
         return phi
 
     def _with_height(self, matching: "PerfectMatching") -> "PerfectMatching":
-        for h, reps in self.poly.points.items():
-            for r in reps:
-                if r.edges == matching.edges:
-                    return r
-        raise JacobiError("unknown perfect matching")
+        """The matching with its height, read off the polytope's chains and P0."""
+        d = self.dimer
+        if not matching.edges <= d.arrow_by_id.keys() or any(
+            sum(1 for a in f.boundary if a in matching.edges) != 1 for f in d.faces
+        ):
+            raise JacobiError("unknown perfect matching")
+        return PerfectMatching(matching.edges, self.poly.height(matching))
 
     def word_degree(self, word: Word, matching: frozenset) -> int:
         return sum(1 for a in word if a in matching)

@@ -1,8 +1,33 @@
-"""Perfect matchings, height classes, and the matching polytope."""
+"""Perfect matchings, height classes, and the matching polytope.
+
+A perfect matching picks one arrow on every face: it is a perfect matching
+of the bipartite graph whose two sides are the positive and the negative
+faces and whose edges are the arrows.  Its height is its class in H^1
+relative to the reference matching P0, evaluated on the two
+``generating_cycles`` chains.
+
+``matching_polytope`` never lists the matchings.  It asks one exact-integer
+oracle, ``max_weight_matching`` (the Hungarian method with integer
+potentials), for a matching of greatest weight <nu, height>:
+
+* P0 is the least matching in sorted-id order, the maximiser of
+  sum 2^(|Q1| - 1 - rank(a)).
+* The hull starts from the four axis directions; each hull edge's outward
+  normal is queried until no query finds a height beyond its edge.
+* Each corner is queried in the sum of its two edge normals.  The answer must
+  be that corner, and the arrows tight under the optimal potentials must
+  admit no alternating cycle, so the corner carries exactly one matching.
+
+Every answer is checked against its potentials (LP duality), so a wrong
+answer raises ``DimerError`` instead of shrinking the hull.  Enumeration
+(``enumerate_perfect_matchings``) still runs for ``MatchingPolytope.points``,
+read on first use by the ``matchings`` listing and ``corner_structure``, and
+for the per-matching checks of ``ks.KSVerifier.verify_chain_identities``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
@@ -19,6 +44,7 @@ from .dimer import (
     vec_add,
     vec_neg,
     vec_sub,
+    word_key,
 )
 
 
@@ -42,13 +68,31 @@ class HullEdge:
 
 @dataclass
 class MatchingPolytope:
-    points: dict  # height -> list[PerfectMatching]
     hull: list[Vec]  # corner heights in counterclockwise order
     edges: list[HullEdge]
     boundary_count: int  # B
     interior_count: int  # I
     corners: dict  # height -> PerfectMatching (unique per corner)
     normalized_area: int  # twice the Euclidean area
+    dimer: Dimer = field(repr=False)
+    chains: list = field(repr=False)  # generating_cycles(dimer), on which heights are read
+    reference: PerfectMatching = field(repr=False)  # P0, at height (0, 0)
+    _points: Optional[dict] = field(default=None, repr=False, compare=False)
+
+    @property
+    def points(self) -> dict:
+        """height -> list[PerfectMatching], from enumerating every matching on first read."""
+        if self._points is None:
+            points: dict = {}
+            for p in enumerate_perfect_matchings(self.dimer):
+                h = self.height(p)
+                points.setdefault(h, []).append(PerfectMatching(p.edges, h))
+            self._points = points
+        return self._points
+
+    def height(self, matching: PerfectMatching) -> Vec:
+        """Class of (matching - P0) on the chains the polytope was built with."""
+        return matching_height(self.dimer, matching, self.reference, self.chains)
 
 
 def enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
@@ -90,7 +134,7 @@ def enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
             search(chosen + [a], mask, forbidden | newly)
 
     search([], 0, frozenset())
-    uniq = sorted({r for r in results}, key=lambda s: tuple(sorted(s, key=idkey)))
+    uniq = sorted(set(results), key=lambda s: word_key(sorted(s, key=idkey)))
     return [PerfectMatching(edges=s) for s in uniq]
 
 
@@ -240,47 +284,211 @@ def _convex_hull(points: list[Vec]) -> list[Vec]:
     return lower[:-1] + upper[:-1]
 
 
+def max_weight_matching(w: list) -> Optional[tuple]:
+    """Hungarian method on a square matrix of integer weights; None marks a missing pair.
+
+    Returns ``(match, u, v)``: row i is matched to column ``match[i]`` in a
+    perfect matching of greatest total weight, and the integer potentials
+    satisfy u[i] + v[j] >= w[i][j] on every present pair, with equality on
+    the matching.  Returns None when no perfect matching exists.  Works in
+    the cost form (cost = -weight) of the textbook shortest-augmenting-path
+    algorithm, O(n^3), with exact integers throughout.
+    """
+    n = len(w)
+    u = [0] * (n + 1)  # cost-form row potentials, 1-based
+    v = [0] * (n + 1)  # cost-form column potentials; column 0 is the free root
+    owner = [0] * (n + 1)  # row matched to each column, 0 if free
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        minv: list = [None] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = owner[j0]
+            row = w[i0 - 1]
+            delta, j1 = None, 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                if row[j - 1] is not None:
+                    cur = -row[j - 1] - u[i0] - v[j]
+                    if minv[j] is None or cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                if minv[j] is not None and (delta is None or minv[j] < delta):
+                    delta, j1 = minv[j], j
+            if delta is None:
+                return None
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                elif minv[j] is not None:
+                    minv[j] -= delta
+            j0 = j1
+            if owner[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    match = [0] * n
+    for j in range(1, n + 1):
+        match[owner[j] - 1] = j - 1
+    return match, [-x for x in u[1:]], [-x for x in v[1:]]
+
+
+class _MatchingOracle:
+    """Certified max-weight perfect matchings of one dimer.
+
+    Rows are the positive faces and columns the negative faces; arrow a joins
+    the row of its positive face to the column of its negative face.  Among
+    parallel arrows of a face pair the heaviest, then the least id, is used.
+    """
+
+    def __init__(self, d: Dimer):
+        self.arrows = sorted(d.arrow_by_id, key=idkey)
+        pos = [fi for fi, f in enumerate(d.faces) if f.sign > 0]
+        neg = [fi for fi, f in enumerate(d.faces) if f.sign < 0]
+        row = {fi: i for i, fi in enumerate(pos)}
+        col = {fi: j for j, fi in enumerate(neg)}
+        self.n = len(pos) if len(pos) == len(neg) else None
+        self.ends = {a: (row[d.pos_face_of(a)], col[d.neg_face_of(a)]) for a in self.arrows}
+
+    def best(self, weight: dict, label) -> Optional[tuple]:
+        """(matched arrows, tight arrows) of greatest total weight, or None if there is no matching.
+
+        Raises DimerError unless the solver's potentials prove the answer
+        optimal: u[i] + v[j] >= weight[a] on every arrow a from row i to
+        column j, and the matching's weight equals sum(u) + sum(v).  The tight
+        arrows are those with u[i] + v[j] == weight[a]; every optimal matching
+        uses only them.
+        """
+        if self.n is None:
+            return None
+        w: list = [[None] * self.n for _ in range(self.n)]
+        pick: dict = {}
+        for a in self.arrows:
+            i, j = self.ends[a]
+            if w[i][j] is None or weight[a] > w[i][j]:
+                w[i][j], pick[i, j] = weight[a], a
+        found = max_weight_matching(w)
+        if found is None:
+            return None
+        match, u, v = found
+        if sorted(match) != list(range(self.n)) or any((i, j) not in pick for i, j in enumerate(match)):
+            raise DimerError(f"query {label}: the solver returned no perfect matching")
+        edges = frozenset(pick[i, j] for i, j in enumerate(match))
+        bound = {a: u[self.ends[a][0]] + v[self.ends[a][1]] for a in self.arrows}
+        violated = sum(1 for a in self.arrows if bound[a] < weight[a])
+        total = sum(weight[a] for a in edges)
+        if violated or total != sum(u) + sum(v):
+            raise DimerError(
+                f"query {label}: matching of weight {total} is not certified optimal "
+                f"(dual bound {sum(u) + sum(v)}, violated on {violated} arrows)"
+            )
+        return edges, [a for a in self.arrows if bound[a] == weight[a]]
+
+    def is_unique(self, edges: frozenset, tight: list) -> bool:
+        """True when no other matching is optimal: the tight arrows admit no alternating cycle.
+
+        On rows, i -> k for each tight arrow outside the matching that joins
+        row k to the column matched to row i; a parallel tight arrow is a
+        loop.  A cycle there swaps into a second optimal matching.
+        """
+        row_of_col = {self.ends[a][1]: self.ends[a][0] for a in edges}
+        succ: dict = {i: [] for i in range(self.n)}
+        indegree = [0] * self.n
+        for a in tight:
+            if a not in edges:
+                k, j = self.ends[a]
+                succ[row_of_col[j]].append(k)
+                indegree[k] += 1
+        # Kahn's algorithm removes every row exactly when there is no cycle
+        ready = [i for i in range(self.n) if indegree[i] == 0]
+        removed = 0
+        while ready:
+            i = ready.pop()
+            removed += 1
+            for k in succ[i]:
+                indegree[k] -= 1
+                if indegree[k] == 0:
+                    ready.append(k)
+        return removed == self.n
+
+
+def _outward_normal(a: Vec, b: Vec) -> tuple[Vec, int]:
+    """Primitive outward normal of the counterclockwise hull edge a -> b, and its lattice length."""
+    delta = vec_sub(b, a)
+    g = gcd(abs(delta[0]), abs(delta[1]))
+    return (delta[1] // g, -delta[0] // g), g
+
+
 def matching_polytope(d: Dimer) -> MatchingPolytope:
-    """Convex hull of matching heights with the class <-> edge correspondence."""
-    matchings = enumerate_perfect_matchings(d)
-    if not matchings:
+    """Convex hull of matching heights with the class <-> edge correspondence.
+
+    Built from certified max-weight matching queries (see the module
+    docstring); no matching is enumerated.
+    """
+    d.require_valid()
+    oracle = _MatchingOracle(d)
+    # P0, the least matching in sorted-id order, outweighs every other one
+    top = len(oracle.arrows) - 1
+    found = oracle.best({a: 1 << (top - r) for r, a in enumerate(oracle.arrows)}, "P0")
+    if found is None:
         raise DimerError("dimer has no perfect matching")
     chains = generating_cycles(d)
-    p0 = matchings[0]
-    with_heights = [
-        PerfectMatching(p.edges, matching_height(d, p, p0, chains)) for p in matchings
-    ]
-    points: dict = {}
-    for p in with_heights:
-        points.setdefault(p.height, []).append(p)
-    hull = _convex_hull(list(points))
+    p0 = PerfectMatching(found[0], (0, 0))
+    arrow_class = {a: (chains[0].get(a, 0), chains[1].get(a, 0)) for a in oracle.arrows}
+
+    answers: dict = {}  # direction -> answer; the hull and corner steps repeat directions
+
+    def query(nu: Vec):
+        """(height, matched arrows, tight arrows) of a certified optimum for direction nu."""
+        if nu not in answers:
+            weight = {a: dot(nu, c) for a, c in arrow_class.items()}
+            edges, tight = oracle.best(weight, f"direction {nu}")
+            answers[nu] = matching_height(d, PerfectMatching(edges), p0, chains), edges, tight
+        return answers[nu]
+
+    heights = {(0, 0)}  # P0
+    heights.update(query(nu)[0] for nu in ((1, 0), (0, 1), (-1, 0), (0, -1)))
+    hull = _convex_hull(list(heights))
+    while len(hull) > 1:
+        beyond = set()  # heights past a hull edge, found by querying its outward normal
+        for a, b in zip(hull, hull[1:] + hull[:1]):
+            normal, _ = _outward_normal(a, b)
+            h = query(normal)[0]
+            if dot(normal, vec_sub(h, a)) > 0:
+                beyond.add(h)
+        if not beyond:
+            break
+        heights |= beyond
+        hull = _convex_hull(list(heights))
     if len(hull) < 3:
         raise DimerError("matching polytope is degenerate")
     # lattice boundary / interior counts
-    boundary = 0
-    for i in range(len(hull)):
-        delta = vec_sub(hull[(i + 1) % len(hull)], hull[i])
-        boundary += gcd(abs(delta[0]), abs(delta[1]))
+    normals, lengths = zip(*(_outward_normal(a, b) for a, b in zip(hull, hull[1:] + hull[:1])))
+    boundary = sum(lengths)
     twice_area = sum(cross(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull)))
     if twice_area <= 0:
         raise DimerError("hull orientation error")
     interior = (twice_area - boundary + 2) // 2
     corners = {}
-    for h in hull:
-        reps = points[h]
-        if len(reps) != 1:
-            raise DimerError(f"corner {h} carries {len(reps)} matchings, expected exactly 1")
-        corners[h] = reps[0]
+    for i, h in enumerate(hull):
+        nu = vec_add(normals[i - 1], normals[i])
+        got, arrows, tight = query(nu)
+        if got != h:
+            raise DimerError(f"corner {h}: direction {nu} peaks at {got}, not at the corner")
+        if not oracle.is_unique(arrows, tight):
+            raise DimerError(f"corner {h} carries more than one matching, expected exactly 1")
+        corners[h] = PerfectMatching(arrows, h)
 
     classes = parallel_classes(d)
     edges = []
-    normals_seen = []
-    for i in range(len(hull)):
+    for i, normal in enumerate(normals):
         a, b = hull[i], hull[(i + 1) % len(hull)]
-        delta = vec_sub(b, a)
-        g = gcd(abs(delta[0]), abs(delta[1]))
-        normal = (delta[1] // g, -delta[0] // g)  # outward for ccw hull
-        normals_seen.append(normal)
         matched = [
             ci for ci, (eta, _) in enumerate(classes, start=1) if vec_neg(eta) == normal
         ]
@@ -289,9 +497,9 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
                 f"hull edge normal {normal} matches {len(matched)} zigzag classes"
             )
         edges.append(
-            HullEdge(class_index=matched[0], normal=normal, start=a, end=b, lattice_length=g)
+            HullEdge(class_index=matched[0], normal=normal, start=a, end=b, lattice_length=lengths[i])
         )
-    if sorted(normals_seen, key=ccw_angle_key) != sorted(
+    if sorted(normals, key=ccw_angle_key) != sorted(
         [vec_neg(eta) for eta, _ in classes], key=ccw_angle_key
     ):
         raise DimerError("hull edge normals do not match the zigzag classes")
@@ -303,13 +511,15 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
                 f"{e.lattice_length} != m_i = {len(members)}"
             )
     return MatchingPolytope(
-        points=points,
         hull=hull,
         edges=edges,
         boundary_count=boundary,
         interior_count=interior,
         corners=corners,
         normalized_area=twice_area,
+        dimer=d,
+        chains=chains,
+        reference=p0,
     )
 
 

@@ -41,13 +41,20 @@ def verifiers(dimers):
 
 
 @pytest.fixture(scope="session")
-def lattice_cover():
-    """(name, k, l) -> the k x l diagonal lattice cover of a bundled dimer, as JSON data.
+def covers():
+    """The benchmark's input generator, ``perfbench/covers.py``.
 
-    The benchmark's input generator builds it from the bundled JSON without
-    importing the package, so it is an input independent of the code under test.
+    It builds lattice covers (``cover``), seeded relabelings (``relabel``) and
+    the base polygon areas (``BASE_AREA``) from the bundled JSON without
+    importing the package, so its inputs are independent of the code under test.
     """
     spec = importlib.util.spec_from_file_location("perfbench_covers", COVERS)
-    covers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(covers)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def lattice_cover(covers):
+    """(name, k, l) -> the k x l diagonal lattice cover of a bundled dimer, as JSON data."""
     return lambda name, k, l: covers.cover(covers.load_base(name), k, l)

@@ -112,6 +112,40 @@ def test_cover_report_json_is_byte_identical(name, k, l, tmp_path, lattice_cover
     assert hashlib.sha256(out.encode()).hexdigest() == COVER_REPORT_SHA256[(name, k, l)]
 
 
+# sha256 of `dimermirror polytope <conifold 4x3 cover> --format json`, computed
+# when the polygon still came from enumerating all 2,624 perfect matchings.
+COVER_POLYTOPE_SHA256 = {
+    ("conifold", 4, 3): "292e073addaeb8060bf8738a3b597f30d9924674d377e26066bfeb7753280e08",
+}
+
+
+@pytest.mark.parametrize("name,k,l", sorted(COVER_POLYTOPE_SHA256))
+def test_cover_polytope_json_is_byte_identical(name, k, l, tmp_path, lattice_cover):
+    p = tmp_path / f"{name}_{k}x{l}.json"
+    p.write_text(json.dumps(lattice_cover(name, k, l)))
+    rc, out, err = run_cli("polytope", str(p), "--format", "json")
+    assert rc == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == COVER_POLYTOPE_SHA256[(name, k, l)]
+
+
+def test_mixed_int_and_str_arrow_ids(tmp_path):
+    # validation accepts arrow ids of both types; every listing orders them by idkey
+    raw = json.loads((DATA / "spp.json").read_text())
+    ints = {"a": 1, "d": 2}
+    for a in raw["arrows"]:
+        a["id"] = ints.get(a["id"], a["id"])
+    for f in raw["faces"]:
+        f["boundary"] = [ints.get(x, x) for x in f["boundary"]]
+    p = tmp_path / "spp_mixed.json"
+    p.write_text(json.dumps(raw))
+    for command in ("polytope", "matchings", "verify"):
+        rc, out, err = run_cli(command, str(p))
+        assert rc == 0 and "Traceback" not in err, (command, err)
+    rc, out, _ = run_cli("matchings", str(p))
+    listed = [m["edges"] for m in json.loads(out)["matchings"]]
+    assert listed == [[1, "c"], [1, "e"], ["c", "g"], [2, "b"], [2, "f"], ["e", "g"]]
+
+
 def test_failure_json_names_its_stage(tmp_path, lattice_cover):
     # on the conifold 2x2 cover no zigzag path from the base vertex reaches
     # every vertex, so the mirror model cannot build xi_v

@@ -9,7 +9,7 @@ from dimermirror.jacobi import (
     hessian,
     superpotential,
 )
-from dimermirror.matchings import enumerate_perfect_matchings
+from dimermirror.matchings import PerfectMatching, enumerate_perfect_matchings
 
 
 def words_spelled(s: str) -> tuple:
@@ -96,6 +96,26 @@ def test_degree_invariant_under_rewrites(dimers, jacobis):
         for e, lhs, rhs in jac.jacobi_relations():
             for p in pms:
                 assert jac.pm_degree(lhs, p) == jac.pm_degree(rhs, p)
+
+
+def test_pm_degree_reads_heights_off_the_chains(dimers, jacobis):
+    # the enumerated listing is the oracle: same height, and the degree of
+    # each arrow and each face boundary under every perfect matching
+    for name, jac in jacobis.items():
+        d = dimers[name]
+        for ps in jac.poly.points.values():
+            for p in ps:
+                assert jac._with_height(PerfectMatching(p.edges)) == p
+                for e in d.arrow_by_id:
+                    assert jac.pm_degree(jac.canonical_form((e,)), p.edges) == (e in p.edges)
+                for f in d.faces:
+                    assert jac.pm_degree(jac.canonical_form(f.boundary), p) == 1
+        cls = jac.canonical_form(d.faces[0].boundary)
+        p = next(iter(jac.poly.corners.values())).edges
+        some = next(iter(p))
+        for bad in (frozenset(), frozenset(d.arrow_by_id), p - {some}, p | {"no-such-arrow"}):
+            with pytest.raises(JacobiError, match="unknown perfect matching"):
+                jac.pm_degree(cls, bad)
 
 
 def test_c3_word_degrees(jacobis):

@@ -1,7 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import itertools
+import json
+import random
+from math import gcd
+
 import pytest
 
+from dimermirror import matchings
+from dimermirror.cli import main
+from dimermirror.dimer import DimerError
+from dimermirror.io import dimer_from_dict, load_bundled
+from dimermirror.jacobi import Jacobi
 from dimermirror.matchings import (
     corner_matchings_in_order,
     corner_structure,
@@ -154,3 +166,157 @@ def test_boundary_points_equal_total_multiplicity(dimers):
         total = sum(len(members) for _, members in parallel_classes(d))
         assert mp.boundary_count == total
         assert sum(e.lattice_length for e in mp.edges) == total
+
+
+# -- the polytope from max-weight queries, against enumeration ----------------
+
+# (name, k, l): 1 x 1 is the bundled dimer itself
+ORACLE_ZOO = [
+    ("c3", 1, 1), ("conifold", 1, 1), ("spp", 1, 1),
+    ("c3", 2, 1), ("c3", 3, 1), ("c3", 1, 2), ("c3", 2, 2), ("c3", 3, 3),
+    ("spp", 2, 1), ("spp", 1, 2), ("spp", 2, 2),
+    ("conifold", 2, 1), ("conifold", 4, 1), ("conifold", 1, 4), ("conifold", 2, 2), ("conifold", 3, 2),
+]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
+def test_polytope_is_the_hull_of_every_matching(name, k, l, seed, covers):
+    raw = covers.cover(covers.load_base(name), k, l) if (k, l) != (1, 1) else covers.load_base(name)
+    if seed is not None:
+        raw = covers.relabel(raw, random.Random(seed))
+    d = dimer_from_dict(raw)
+    mp = matching_polytope(d)
+    every = enumerate_perfect_matchings(d)
+    assert mp.reference.edges == every[0].edges  # P0: least in sorted-id order
+    heights = {matching_height(d, p, every[0]) for p in every}
+    hull = mp.hull
+    n = len(hull)
+    sides = [(hull[i], hull[(i + 1) % n]) for i in range(n)]
+    # a strictly convex counterclockwise polygon on matching heights that
+    # holds every height is their convex hull
+    assert set(hull) <= heights and hull[0] == min(heights)
+    for (a, b), (_, c) in zip(sides, sides[1:] + sides[:1]):
+        assert (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) > 0
+        assert all((b[0] - a[0]) * (h[1] - a[1]) - (b[1] - a[1]) * (h[0] - a[0]) >= 0 for h in heights)
+    lengths = [gcd(b[0] - a[0], b[1] - a[1]) for a, b in sides]
+    assert [(e.start, e.end, e.lattice_length) for e in mp.edges] == [
+        (a, b, g) for (a, b), g in zip(sides, lengths)
+    ]
+    assert [e.normal for e in mp.edges] == [
+        ((b[1] - a[1]) // g, (a[0] - b[0]) // g) for (a, b), g in zip(sides, lengths)
+    ]
+    twice_area = sum(a[0] * b[1] - a[1] * b[0] for a, b in sides)
+    assert (mp.normalized_area, mp.boundary_count) == (twice_area, sum(lengths))
+    assert mp.interior_count == (twice_area - sum(lengths) + 2) // 2
+    for h in hull:
+        at_h = [p for p in every if matching_height(d, p, every[0]) == h]
+        assert len(at_h) == 1 and mp.corners[h].edges == at_h[0].edges
+    assert set(mp.points) == heights
+    assert sum(len(ps) for ps in mp.points.values()) == len(every)
+
+
+def test_max_weight_matching_against_brute_force():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        w = [[rng.randint(-4, 6) if rng.random() < 0.7 else None for _ in range(n)] for _ in range(n)]
+        totals = [
+            sum(w[i][perm[i]] for i in range(n))
+            for perm in itertools.permutations(range(n))
+            if all(w[i][perm[i]] is not None for i in range(n))
+        ]
+        found = matchings.max_weight_matching(w)
+        if not totals:
+            assert found is None
+            continue
+        match, u, v = found
+        assert sorted(match) == list(range(n))
+        assert sum(w[i][match[i]] for i in range(n)) == max(totals) == sum(u) + sum(v)
+        assert all(
+            u[i] + v[j] >= w[i][j] for i in range(n) for j in range(n) if w[i][j] is not None
+        )
+
+
+def test_polytope_and_jacobi_never_enumerate(monkeypatch, tmp_path, lattice_cover):
+    calls = []
+    original = matchings.enumerate_perfect_matchings
+
+    def counted(d):
+        calls.append(d.name)
+        return original(d)
+
+    monkeypatch.setattr(matchings, "enumerate_perfect_matchings", counted)
+    cover = tmp_path / "conifold_4x3.json"
+    cover.write_text(json.dumps(lattice_cover("conifold", 4, 3)))
+    for target in ("c3", "conifold", "spp", str(cover)):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["polytope", target]) == 0
+    jacobis = [Jacobi(load_bundled(name)) for name in ("c3", "conifold", "spp")]
+    assert calls == []
+    # the listing still enumerates, once, when it is first read
+    spp = jacobis[2].poly
+    assert sum(len(ps) for ps in spp.points.values()) == 6
+    assert spp.points is spp.points and calls == ["spp"]
+
+
+@pytest.mark.parametrize("name,k,l", [("c3", 6, 6), ("conifold", 5, 5)])
+def test_polytope_of_large_covers(name, k, l, covers, tmp_path):
+    # 263,640 matchings on c3 6x6; enumerating conifold 5x5 runs out of memory
+    raw = covers.cover(covers.load_base(name), k, l)
+    path = tmp_path / f"{name}_{k}x{l}.json"
+    path.write_text(json.dumps(raw))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["polytope", str(path)]) == 0
+    data = json.loads(out.getvalue())
+    area = data["normalized_area"]
+    assert area == k * l * covers.BASE_AREA[name] == len(raw["vertices"])
+    assert area == 2 * data["interior_lattice_points"] + data["boundary_lattice_points"] - 2
+
+
+def test_non_optimal_solver_answer_fails_the_dual_certificate(monkeypatch):
+    # after the P0 query and the four axis queries come the hull-edge
+    # queries; the first later query with a strictly lighter perfect matching
+    # gets that one, with the optimal potentials
+    original = matchings.max_weight_matching
+    calls, swapped = [], []
+
+    def lighter(w):
+        calls.append(w)
+        match, u, v = original(w)
+        if len(calls) > 5 and not swapped:
+            n = len(w)
+            best = sum(w[i][match[i]] for i in range(n))
+            for perm in itertools.permutations(range(n)):
+                if all(w[i][perm[i]] is not None for i in range(n)):
+                    if sum(w[i][perm[i]] for i in range(n)) < best:
+                        swapped.append(len(calls))
+                        return list(perm), u, v
+        return match, u, v
+
+    monkeypatch.setattr(matchings, "max_weight_matching", lighter)
+    with pytest.raises(DimerError, match="not certified optimal"):
+        matching_polytope(load_bundled("spp"))
+    assert swapped == [6]  # on spp, the first edge-normal query
+
+
+@pytest.mark.parametrize(
+    "name, c1, c2",
+    [
+        # two matchings at one corner that differ by an alternating 4-cycle
+        ("spp", {"a": 1, "b": 1}, {"e": 1, "b": 1}),
+        # parallel arrows a2 and b2 (same two faces), both tight at one corner
+        ("conifold", {"a1": 1}, {"b1": 1}),
+    ],
+)
+def test_corner_with_two_optimal_matchings_fails(monkeypatch, name, c1, c2):
+    d = load_bundled(name)
+    monkeypatch.setattr(matchings, "generating_cycles", lambda _: [c1, c2])
+    heights = {}
+    for p in enumerate_perfect_matchings(d):
+        h = (evaluate_on_chain(p.edges, c1), evaluate_on_chain(p.edges, c2))
+        heights[h] = heights.get(h, 0) + 1
+    assert heights[(0, 0)] == 2 and len(heights) >= 3  # (0, 0) is a corner of the hull
+    with pytest.raises(DimerError, match="carries more than one matching"):
+        matching_polytope(d)
