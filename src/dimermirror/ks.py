@@ -14,6 +14,7 @@ from typing import Optional
 from .dimer import Dimer, idkey
 from .hochschild import CochainElement, E2Label, KoszulComplex, X
 from .jacobi import Jacobi, JElement, PathClass
+from .matchings import check_against_enumeration
 from .mirror_sh import E, MirrorSH
 
 
@@ -411,6 +412,7 @@ class KSVerifier:
         rep = KSReport(self.dimer.name)
         self.verify_dimension_match(rep)
         self.verify_chain_identities(rep)
+        check_against_enumeration(self.jac.poly)
         self.singularity_report(rep)
         rep.skip("dW.psi", "no closed form is available; evaluation refused by design")
         return rep

@@ -21,7 +21,8 @@ potentials), for a matching of greatest weight <nu, height>:
 Every answer is checked against its potentials (LP duality), so a wrong
 answer raises ``DimerError`` instead of shrinking the hull.  Enumeration
 (``enumerate_perfect_matchings``) still runs for ``MatchingPolytope.points``,
-read on first use by the ``matchings`` listing and ``corner_structure``, and
+read on first use by the ``matchings`` listing, ``corner_structure`` and
+``check_against_enumeration`` (which ``ks.KSVerifier.verify_all`` runs), and
 for the per-matching checks of ``ks.KSVerifier.verify_chain_identities``.
 """
 
@@ -521,6 +522,25 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
         chains=chains,
         reference=p0,
     )
+
+
+def check_against_enumeration(mp: MatchingPolytope) -> None:
+    """Cross-check the certified polygon against every perfect matching.
+
+    The hull of all enumerated heights must be ``mp.hull``, and each corner
+    must carry exactly one matching, ``mp.corners[h]``; otherwise
+    ``DimerError``.  Exponential in the size of the dimer, like every read of
+    ``mp.points``.
+    """
+    hull = _convex_hull(list(mp.points))
+    if hull != mp.hull:
+        raise DimerError(f"certified hull {mp.hull} is not the hull {hull} of every matching")
+    for h, corner in mp.corners.items():
+        if [p.edges for p in mp.points[h]] != [corner.edges]:
+            raise DimerError(
+                f"corner {h} carries {len(mp.points[h])} enumerated matchings, "
+                "not the certified one alone"
+            )
 
 
 @dataclass

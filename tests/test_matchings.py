@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -15,6 +16,8 @@ from dimermirror.dimer import DimerError
 from dimermirror.io import dimer_from_dict, load_bundled
 from dimermirror.jacobi import Jacobi
 from dimermirror.matchings import (
+    PerfectMatching,
+    check_against_enumeration,
     corner_matchings_in_order,
     corner_structure,
     enumerate_perfect_matchings,
@@ -320,3 +323,32 @@ def test_corner_with_two_optimal_matchings_fails(monkeypatch, name, c1, c2):
     assert heights[(0, 0)] == 2 and len(heights) >= 3  # (0, 0) is a corner of the hull
     with pytest.raises(DimerError, match="carries more than one matching"):
         matching_polytope(d)
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_enumeration_cross_check_catches_a_wrong_hull_or_corner(name):
+    mp = matching_polytope(load_bundled(name))
+    check_against_enumeration(mp)
+    corner = mp.hull[0]
+    # a hull missing a corner, and a corner carrying a matching of another height
+    other = next(p for h, ps in mp.points.items() if h != corner for p in ps)
+    with pytest.raises(DimerError, match="is not the hull"):
+        check_against_enumeration(dataclasses.replace(mp, hull=mp.hull[1:]))
+    wrong = {**mp.corners, corner: PerfectMatching(other.edges, corner)}
+    with pytest.raises(DimerError, match="not the certified one alone"):
+        check_against_enumeration(dataclasses.replace(mp, corners=wrong))
+
+
+def test_verify_fails_when_the_polygon_disagrees_with_enumeration(monkeypatch):
+    from dimermirror import jacobi
+
+    def shrunk(d):
+        mp = matching_polytope(d)
+        return dataclasses.replace(mp, hull=mp.hull[1:])
+
+    monkeypatch.setattr(jacobi, "matching_polytope", shrunk)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "conifold", "--format", "json"]) == 1
+    data = json.loads(out.getvalue())
+    assert data["stage"] == "matchings" and "is not the hull" in data["error"]
