@@ -811,6 +811,18 @@ def _tree_paths(d: Dimer) -> dict:
     return paths
 
 
+def face_word_at(d: Dimer, v) -> tuple:
+    """The boundary of the first face through v, rotated to start at v.
+
+    The word is a closed path at v; its class is the potential W at v.
+    """
+    for f in d.faces:
+        for k, aid in enumerate(f.boundary):
+            if d.tail(aid) == v:
+                return f.boundary[k:] + f.boundary[:k]
+    raise DimerError(f"vertex {v!r} on no face")
+
+
 # -- duality ---------------------------------------------------------------
 
 

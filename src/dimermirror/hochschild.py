@@ -1,15 +1,16 @@
 """The four-term Koszul-type Hochschild complex of the Jacobi algebra.
 
 Cochains carry Jacobi-algebra coefficients on slots indexed by vertices
-(degrees 0 and 3) and arrows (degrees 1 and 2).  The same complex underlies
-two vocabularies: the algebraic differentials d0, d1, d2 and the Floer-style
-maps on unit / X / Xbar / point generators; both names refer to one
-implementation.
+(degrees 0 and 3) and arrows (degrees 1 and 2): the unit, X, Xbar and point
+slots.
 
 The differentials depend on the dimer only through the class of each arrow,
 the arrows at each vertex and the Hessian rows of the superpotential.  Each
 ``KoszulComplex`` builds that table once, so d0, d1 and d2 only look it up
-and compose it with the coefficients of their input.
+and compose it with the coefficients of their input.  The second
+differential d_W contracts a derivation with the potential through a second
+table, the splits of the face word of W at each vertex.  The product of
+degrees 1 and 2 pairs X_a with Xbar_a and composes their coefficients.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .dimer import Vec, dot, idkey, parallel_classes, strips, vec_add, vec_sub
+from .dimer import Vec, dot, face_word_at, idkey, parallel_classes, strips, vec_add, vec_sub
 from .jacobi import Jacobi, JElement, PathClass, hessian_rows
 
 UNIT, X, XBAR, PT = "unit", "X", "Xbar", "pt"
@@ -116,8 +117,6 @@ class KoszulComplex:
         self.strips = {
             i: strips(self.dimer, i) for i in range(1, self.n_classes + 1)
         }
-        self._psi_registry: dict = {}
-        self._partial_registry: dict = {}
         # U, V as height classes: differences of consecutive corner matchings
         corners = jac.corners
         N = self.n_classes
@@ -150,6 +149,19 @@ class KoszulComplex:
             ]
             for y in arrows
         }
+        # For each vertex v, the splits (arrow, left class, right class) of the
+        # face word of W at v, one per position of the word.
+        self._W_splits = {}
+        for v in d.vertices:
+            word = face_word_at(d, v)
+            self._W_splits[v] = [
+                (
+                    a,
+                    jac.canonical_form(word[:p]) if p else jac.idempotent(v),
+                    jac.canonical_form(word[p + 1 :]) if p + 1 < len(word) else jac.idempotent(v),
+                )
+                for p, a in enumerate(word)
+            ]
 
     def eta(self, i: int) -> Vec:
         return self.classes[i - 1][0]
@@ -200,10 +212,6 @@ class KoszulComplex:
         if c.degree == 2:
             return self.d2(c)
         raise HochschildError(f"no differential out of degree {c.degree}")
-
-    # Floer vocabulary: the degree-raising part of the deformed differential.
-    def delta_plus(self, c: CochainElement) -> CochainElement:
-        return self.d(c)
 
     def d0(self, c: CochainElement) -> CochainElement:
         """m |-> sum over arrows of (x m - m x) on the arrow slots."""
@@ -293,9 +301,7 @@ class KoszulComplex:
     def partial_P(self, i: int) -> CochainElement:
         """The corner-matching derivation: sum of e X_e over e in P_i."""
         p = self.jac.corners[i - 1]
-        c = self.partial_of_matching(p.edges)
-        self._partial_registry[c] = ("corner", i)
-        return c
+        return self.partial_of_matching(p.edges)
 
     def partial_of_matching(self, edges) -> CochainElement:
         return CochainElement(
@@ -334,7 +340,6 @@ class KoszulComplex:
             if min(jac.corner_degrees(cls)) < 0:
                 raise HochschildError(f"partial_alpha({alpha}): coefficient on {e} not in J")
             out = out.add_term((X, e), JElement.of(cls))
-        self._partial_registry[out] = ("alpha", alpha)
         return out
 
     def theta(self, v) -> CochainElement:
@@ -346,8 +351,6 @@ class KoszulComplex:
         Returns (CochainElement, vertex, word); the word is the anti-zigzag
         rotated to end at the chosen vertex and represents x_{eta_i} theta_v.
         """
-        if (i, j) in self._psi_registry:
-            return self._psi_registry[(i, j)]
         sd = self.strips[i]
         if not 1 <= j <= len(sd.cycles):
             raise HochschildError(f"class {i} has no parallel index {j}")
@@ -363,9 +366,7 @@ class KoszulComplex:
             raise HochschildError(
                 f"anti-zigzag of Z_{i},{j} does not represent x_eta theta_v: {cls} vs {expect}"
             )
-        out = (self.bv_delta_deg3(word_at_v), v, word_at_v)
-        self._psi_registry[(i, j)] = out
-        return out
+        return (self.bv_delta_deg3(word_at_v), v, word_at_v)
 
     def generators(self) -> dict:
         """The distinguished cocycles, keyed by family."""
@@ -392,43 +393,29 @@ class KoszulComplex:
                 out["psi"][(i, j)] = self.psi(i, j)
         return out
 
-    # -- the second differential on generators --------------------------------
+    # -- the second differential and the product of degrees 1 and 2 -----------
 
-    def d_W_partial_P(self, i: int) -> CochainElement:
-        return self.W_cochain().scale(-1)
-
-    def d_W_partial_alpha(self, alpha: Vec) -> CochainElement:
-        return self.x_alpha_cochain(alpha).scale(-1)
+    def d_W(self, c: CochainElement) -> CochainElement:
+        """Minus the derivation c applied to W: each X_a coefficient spliced into
+        the face word of W at each vertex, landing on unit slots."""
+        if c.degree != 1:
+            raise HochschildError(f"d_W is computed on degree 1, not degree {c.degree}")
+        compose = self.jac.compose
+        sums: dict = {}
+        for v, splits in self._W_splits.items():
+            out = sums.setdefault((UNIT, v), {})
+            for a, left, right in splits:
+                elem = c.terms.get((X, a))
+                if elem is None:
+                    continue
+                for cls, k in elem.terms.items():
+                    total = compose(compose(left, cls), right)
+                    out[total] = out.get(total, 0) - k
+        return CochainElement.from_sums(0, sums)
 
     def d_W_theta(self, v) -> CochainElement:
-        """Delta(W theta_v): BV of a face boundary through v."""
-        d = self.dimer
-        for f in d.faces:
-            for k, aid in enumerate(f.boundary):
-                if d.tail(aid) == v:
-                    word = f.boundary[k:] + f.boundary[:k]
-                    return self.bv_delta_deg3(word)
-        raise HochschildError(f"vertex {v!r} on no face")
-
-    def d_W_x_alpha(self, alpha: Vec) -> CochainElement:
-        return CochainElement.zero(-1)
-
-    def d_W_on_generator(self, kind: str, key) -> CochainElement:
-        if kind == "partial_P":
-            return self.d_W_partial_P(key)
-        if kind == "partial_alpha":
-            return self.d_W_partial_alpha(key)
-        if kind == "theta":
-            return self.d_W_theta(key)
-        if kind == "x_alpha":
-            return self.d_W_x_alpha(key)
-        if kind == "psi":
-            raise HochschildError(
-                "d_W on psi generators has no closed form here; refusing to guess"
-            )
-        raise HochschildError(f"unknown generator kind {kind!r}")
-
-    # -- cup/bracket closed forms ---------------------------------------------
+        """Delta(W theta_v): BV of the face word of W at v."""
+        return self.bv_delta_deg3(face_word_at(self.dimer, v))
 
     def bracket_partialP_central(self, i: int, f: JElement) -> JElement:
         """{partial_{P_i}, f} = deg_{P_i}(f) f for degree-0 classes f."""
@@ -437,68 +424,26 @@ class KoszulComplex:
             raise HochschildError("bracket oracle needs a P_i-homogeneous input")
         return f.scale(degs.pop()) if degs else JElement()
 
-    def cup_oracle(self, a: CochainElement, b: CochainElement) -> CochainElement:
-        """Closed-form cup products on the supported generator shapes."""
-        # unit acts as identity
-        if a.degree == 0 and self._is_unit(a):
-            return b
-        if b.degree == 0 and self._is_unit(b):
-            return a
-        # central degree-0 scalar times anything
-        if a.degree == 0:
-            cls = self._central_class(a)
-            if cls is not None:
-                return self._scale_by_central(cls, b)
-        if b.degree == 0:
-            cls = self._central_class(b)
-            if cls is not None:
-                return self._scale_by_central(cls, a)
-        # partial_P cup psi
-        if a in self._partial_registry and self._partial_registry[a][0] == "corner":
-            k = self._partial_registry[a][1]
-            for (i, j), (psi_c, v, _) in self._psi_registry.items():
-                if psi_c == b:
-                    eta = self.eta(i)
-                    xcls = PathClass(v, v, eta, self.jac.x_alpha_w0(eta))
-                    deg = self.jac.class_degree(
-                        PathClass(v, v, eta, self.jac.x_alpha_w0(eta)), k
-                    )
-                    return CochainElement(3, {(PT, v): JElement.of(xcls, deg)})
-        raise HochschildError("no closed form for this cup product")
+    def cup(self, a: CochainElement, b: CochainElement) -> CochainElement:
+        """Degree 1 times degree 2: X_e paired with Xbar_e.
 
-    def _is_unit(self, c: CochainElement) -> bool:
-        return all(
-            kind == UNIT and list(e.terms) == [self.jac.idempotent(v)] and e.terms[self.jac.idempotent(v)] == 1
-            for (kind, v), e in c.terms.items()
-        ) and len(c.terms) == len(self.dimer.vertices)
-
-    def _central_class(self, c: CochainElement):
-        data = set()
-        if len(c.terms) != len(self.dimer.vertices):
-            return None
-        for (kind, v), e in c.terms.items():
-            if kind != UNIT or len(e.terms) != 1:
-                return None
-            (cls, k), = e.terms.items()
-            if cls.tail != v or cls.head != v or k != 1:
-                return None
-            data.add((cls.h1, cls.w0))
-        if len(data) != 1:
-            return None
-        h1, w0 = data.pop()
-        return PathClass(None, None, h1, w0)
-
-    def _scale_by_central(self, central: PathClass, c: CochainElement) -> CochainElement:
-        out = CochainElement.zero(c.degree)
-        for slot, e in c.terms.items():
-            scaled = JElement(
-                {
-                    PathClass(cls.tail, cls.head, vec_add(cls.h1, central.h1), cls.w0 + central.w0): k
-                    for cls, k in e.terms.items()
-                }
-            )
-            out = out.add_term(slot, scaled)
-        return out
+        The two coefficients compose to a closed path at tail(e), which is
+        added on the point slot there.
+        """
+        if (a.degree, b.degree) != (1, 2):
+            raise HochschildError(f"cup is computed on degrees 1 x 2, not {a.degree} x {b.degree}")
+        compose = self.jac.compose
+        sums: dict = {}
+        for (_, e), x in a.terms.items():
+            y = b.terms.get((XBAR, e))
+            if y is None:
+                continue
+            out = sums.setdefault((PT, self.dimer.tail(e)), {})
+            for c1, k1 in x.terms.items():
+                for c2, k2 in y.terms.items():
+                    total = compose(c1, c2)
+                    out[total] = out.get(total, 0) + k1 * k2
+        return CochainElement.from_sums(3, sums)
 
     # -- second page -----------------------------------------------------------
 

@@ -18,6 +18,7 @@ from .dimer import (
     canonical_rotation,
     cyclic_arc,
     dot,
+    face_word_at,
     idkey,
     tree_paths,
     vec_add,
@@ -101,7 +102,10 @@ def hessian_rows(poly: CyclicPoly, y) -> list:
 
 
 def hessian(poly: CyclicPoly, x, y) -> list:
-    """Second cyclic derivative: the (coeff, left, right) rows of ``hessian_rows`` at x."""
+    """Second cyclic derivative: the (coeff, left, right) rows of ``hessian_rows`` at x.
+
+    A reference that tests compare the Koszul differentials against.
+    """
     return [(coeff, left, right) for coeff, b, left, right in hessian_rows(poly, y) if b == x]
 
 
@@ -115,9 +119,6 @@ class PathClass:
     h1: Vec
     w0: int
     witness: Optional[Word] = field(default=None, compare=False, hash=False)
-
-    def is_idempotent(self) -> bool:
-        return self.tail == self.head and self.h1 == (0, 0) and self.w0 == 0
 
 
 class JElement:
@@ -349,24 +350,7 @@ class Jacobi:
         return self._central_W
 
     def _build_central_W(self) -> dict:
-        d = self.dimer
-        out = {}
-        for v in d.vertices:
-            classes = set()
-            pick = None
-            for f in d.faces:
-                for i, aid in enumerate(f.boundary):
-                    if d.tail(aid) == v:
-                        word = f.boundary[i:] + f.boundary[:i]
-                        cls = self.canonical_form(word)
-                        classes.add(cls)
-                        pick = cls if pick is None else pick
-            if pick is None:
-                raise JacobiError(f"vertex {v!r} on no face")
-            if len(classes) != 1:
-                raise JacobiError(f"face boundaries at {v!r} disagree in canonical form")
-            out[v] = pick
-        return out
+        return {v: self.canonical_form(face_word_at(self.dimer, v)) for v in self.dimer.vertices}
 
     def x_alpha_w0(self, alpha: Vec) -> int:
         return max(-dot(off, alpha) for off in self.corner_offsets)
@@ -394,7 +378,10 @@ class Jacobi:
         return out
 
     def divide_by_W(self, cls: PathClass) -> PathClass:
-        """Remove one factor of the potential; defined when every corner degree is >= 1."""
+        """Remove one factor of the potential; defined when every corner degree is >= 1.
+
+        A reference that tests compare the central elements against.
+        """
         degs = self.corner_degrees(cls)
         if min(degs) < 1:
             raise JacobiError(f"class with corner degrees {degs} is not divisible by W")

@@ -74,12 +74,6 @@ class SHElement:
         return "SH(" + " + ".join(f"{v}*{k}" for k, v in sorted(self.terms.items(), key=str)) + ")"
 
 
-def _parity(label) -> int:
-    if label[0] in ("unit", "E"):
-        return 0
-    return 1  # p and F are odd
-
-
 @dataclass
 class SHBasis:
     unit: tuple

@@ -92,6 +92,22 @@ def test_report_json_is_byte_identical(name):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[name]
 
 
+# sha256 of the stdout of `dimermirror hh <name> --format json` with default
+# flags: the generators, psi vertices and words, and cocycle checks.
+HH_SHA256 = {
+    "c3": "b41ed250a61391063ad3437c73978e3b460250d5df3e801b87781d2086187bfb",
+    "conifold": "ad10a3c2faf3b9f6ae7679c955f8cfe090ae369600ab9be591a046e90cc3a405",
+    "spp": "df35f3f2ea4cb93d1935d3b2b7c1d84539558361cccee0068e32278ffffb2625",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HH_SHA256))
+def test_hh_json_is_byte_identical(name):
+    rc, out, err = run_cli("hh", name, "--format", "json")
+    assert rc == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == HH_SHA256[name]
+
+
 # The same for k x l lattice covers: the conifold ones, where two zigzag
 # classes have parallel multiplicity 4, and a c3 and an spp cover, whose strips
 # need the vertex-component construction; the hashes do not depend on the path.

@@ -139,30 +139,25 @@ def test_c3_partial_of_singleton_matching(complexes):
     assert c.terms[(X, "x")] == JElement.of(K.jac.canonical_form(("x",)))
 
 
-def test_delta_plus_alias(complexes):
-    K = complexes["spp"]
-    c = unit_idempotent(K, K.dimer.vertices[0])
-    assert K.delta_plus(c) == K.d0(c)
-
-
 def test_d_W_closed_forms(complexes):
+    # contracting a derivation with W gives d_W(partial_P) = -W and
+    # d_W(partial_alpha) = -x_alpha; d_W has nowhere to go from degree 0
     for K in complexes.values():
         minus_w = K.W_cochain().scale(-1)
-        for i in range(1, K.n_classes + 1):
-            assert K.d_W_on_generator("partial_P", i) == minus_w
         gens = K.generators()
-        for alpha in gens["partial_alpha"]:
-            assert K.d_W_on_generator("partial_alpha", alpha) == K.x_alpha_cochain(
-                alpha
-            ).scale(-1)
-        for i in range(1, K.n_classes + 1):
-            assert K.d_W_on_generator("x_alpha", K.eta(i)).is_zero()
+        for c in gens["partial_P"].values():
+            assert K.d_W(c) == minus_w
+        for alpha, c in gens["partial_alpha"].items():
+            assert K.d_W(c) == K.x_alpha_cochain(alpha).scale(-1)
+        for c in gens["x_alpha"].values():
+            with pytest.raises(HochschildError):
+                K.d_W(c)
 
 
 def test_d_W_refuses_psi(complexes):
     K = complexes["c3"]
     with pytest.raises(HochschildError):
-        K.d_W_on_generator("psi", (1, 1))
+        K.d_W(K.psi(1, 1)[0])
 
 
 def test_bracket_oracle(complexes):
@@ -188,28 +183,31 @@ def test_bracket_oracle(complexes):
 
 
 def test_cup_oracle_partialP_psi(complexes):
+    # every term of partial_{P_k} cup psi is x_eta at its own vertex; carried to
+    # v, they add up to the closed form deg_{P_k}(x_eta) x_eta theta_v
     for K in complexes.values():
         jac = K.jac
         for i in range(1, K.n_classes + 1):
+            eta = K.eta(i)
+            xcls_at = lambda u: PathClass(u, u, eta, jac.x_alpha_w0(eta))
             for j in range(1, len(K.strips[i].cycles) + 1):
                 psi_c, v, word = K.psi(i, j)
                 for k in range(1, K.n_classes + 1):
-                    out = K.cup_oracle(K.partial_P(k), psi_c)
-                    eta = K.eta(i)
-                    deg = jac.class_degree(PathClass(v, v, eta, jac.x_alpha_w0(eta)), k)
-                    if deg == 0:
-                        assert out.is_zero()
-                    else:
-                        assert set(out.terms) == {(PT, v)}
+                    out = K.cup(K.partial_P(k), psi_c)
+                    total = 0
+                    for (kind, u), e in out.terms.items():
+                        assert kind == PT and set(e.terms) == {xcls_at(u)}
+                        total += e.terms[xcls_at(u)]
+                    deg = jac.class_degree(xcls_at(v), k)
+                    closed_form = CochainElement(3, {(PT, v): JElement.of(xcls_at(v), deg)})
+                    assert CochainElement(3, {(PT, v): JElement.of(xcls_at(v), total)}) == closed_form
 
 
 def test_cup_oracle_unit_and_unsupported(complexes):
     K = complexes["c3"]
-    unit = K.unit_cochain({v: K.jac.idempotent(v) for v in K.dimer.vertices})
     p1 = K.partial_P(1)
-    assert K.cup_oracle(unit, p1) == p1
     with pytest.raises(HochschildError):
-        K.cup_oracle(p1, p1)
+        K.cup(p1, p1)
 
 
 def test_e2_counts_c3(complexes):
@@ -388,8 +386,14 @@ def test_differentials_and_W_reuse_their_classes(dimers, monkeypatch):
         K.jac.central_W()
         assert len(calls) >= len(d.vertices), name  # the first call builds W
         inputs = oracle_inputs(K)
+        gens = K.generators()
+        pairs = [(p, c) for p in gens["partial_P"].values() for c, _, _ in gens["psi"].values()]
         calls.clear()
         K.jac.central_W()
         for c in inputs:
             K.d(c)
+            if c.degree == 1:
+                K.d_W(c)
+        for p, c in pairs:
+            K.cup(p, c)
         assert calls == [], name

@@ -224,6 +224,10 @@ def test_central_W(dimers, jacobis):
             assert cls.h1 == (0, 0)
             assert all(deg == 1 for deg in jac.corner_degrees(cls))
         d = dimers[name]
+        # every face boundary through v has the class W picks at v
+        for f in d.faces:
+            for k, a in enumerate(f.boundary):
+                assert jac.canonical_form(f.boundary[k:] + f.boundary[:k]) == W[d.tail(a)]
         for a in d.arrows:
             lhs = jac.compose(jac.canonical_form((a.id,)), W[a.head])
             rhs = jac.compose(W[a.tail], jac.canonical_form((a.id,)))

@@ -3,7 +3,9 @@ from __future__ import annotations
 import pytest
 
 from dimermirror import Arrow, Dimer, Face, load_bundled
-from dimermirror.ks import det_int
+from dimermirror.hochschild import X, CochainElement
+from dimermirror.jacobi import Jacobi, JElement, PathClass
+from dimermirror.ks import FAIL, KSVerifier, det_int
 
 
 def test_det_int():
@@ -102,6 +104,72 @@ def test_chain_identities(verifiers):
 def test_report_has_skipped_dw_psi(verifiers):
     rep = verifiers["c3"].verify_all()
     assert any(c.status == "skipped" and c.name == "dW.psi" for c in rep.checks)
+
+
+# -- negative controls for the d_W and cup rows ----------------------------------
+
+
+def failed_chain_rows(v: KSVerifier, prefix: str) -> tuple:
+    """(failed, all) names of the chain-identity rows that start with prefix."""
+    rows = [c for c in v.verify_chain_identities().checks if c.name.startswith(prefix)]
+    return {c.name for c in rows if c.status == FAIL}, {c.name for c in rows}
+
+
+def arrow_on_W_word(d: Dimer, edges) -> object:
+    """The arrow of a perfect matching on the first face through the base vertex."""
+    v0 = d.vertices[0]
+    face = next(f for f in d.faces if any(d.tail(a) == v0 for a in f.boundary))
+    return next(a for a in face.boundary if a in edges)
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_dW_partial_P_fails_on_a_dropped_arrow(name, dimers, monkeypatch):
+    v = KSVerifier(dimers[name], n_max=1)
+    K = v.K
+    assert not failed_chain_rows(v, "dW.")[0]
+    partial_P = K.partial_P
+    dropped = arrow_on_W_word(v.dimer, K.jac.corners[0].edges)
+
+    def without_one_arrow(i):
+        c = partial_P(i)
+        if i != 1:
+            return c
+        return CochainElement(1, {s: e for s, e in c.terms.items() if s != (X, dropped)})
+
+    monkeypatch.setattr(K, "partial_P", without_one_arrow)
+    assert "dW.partial_P.1" in failed_chain_rows(v, "dW.partial_P.")[0]
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_dW_partial_alpha_fails_on_a_shifted_coefficient(name, dimers, monkeypatch):
+    v = KSVerifier(dimers[name], n_max=1)
+    K = v.K
+    partial_alpha = K.partial_alpha
+
+    def shifted(alpha):
+        c = partial_alpha(alpha)
+        e = arrow_on_W_word(v.dimer, {a for _, a in c.terms})
+        (cls, k), = c.terms[(X, e)].terms.items()
+        terms = dict(c.terms)
+        terms[(X, e)] = JElement.of(PathClass(cls.tail, cls.head, cls.h1, cls.w0 + 1), k)
+        return CochainElement(1, terms)
+
+    monkeypatch.setattr(K, "partial_alpha", shifted)
+    failed, rows = failed_chain_rows(v, "dW.partial_alpha.")
+    assert rows and failed == rows
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_cup_partialP_psi_fails_on_a_wrong_degree(name, dimers, monkeypatch):
+    v = KSVerifier(dimers[name], n_max=1)
+    class_degree = Jacobi.class_degree
+
+    def off_by_one_at_corner_1(self, cls, k):
+        return class_degree(self, cls, k) + (k == 1)
+
+    monkeypatch.setattr(Jacobi, "class_degree", off_by_one_at_corner_1)
+    failed, rows = failed_chain_rows(v, "cup.partialP1.psi.")
+    assert rows and failed == rows
 
 
 def corrupted_spp(kind: str) -> Dimer:
