@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dimer import Vec, dot, face_word_at, idkey, parallel_classes, strips, vec_add, vec_sub
-from .jacobi import Jacobi, JElement, PathClass, hessian_rows
+from .jacobi import Jacobi, JacobiError, JElement, PathClass, hessian_rows
 
 UNIT, X, XBAR, PT = "unit", "X", "Xbar", "pt"
 _SLOT_DEGREE = {UNIT: 0, X: 1, XBAR: 2, PT: 3}
@@ -53,6 +53,17 @@ class CochainElement:
     def from_sums(degree: int, sums: dict) -> "CochainElement":
         """Element from slot -> {class: coefficient} sums, dropping zeros."""
         return CochainElement(degree, {slot: JElement(t) for slot, t in sums.items()})
+
+    @staticmethod
+    def sum_of(degree: int, elements) -> "CochainElement":
+        """The sum of elements of one degree, added up in one pass."""
+        sums: dict = {}
+        for c in elements:
+            for slot, elem in c.terms.items():
+                out = sums.setdefault(slot, {})
+                for cls, k in elem.terms.items():
+                    out[cls] = out.get(cls, 0) + k
+        return CochainElement.from_sums(degree, sums)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -128,7 +139,10 @@ class KoszulComplex:
             raise HochschildError(f"(a, b) = {self.ab} degenerates on some eta_i")
         # The dimer-only data of the differentials: the class of each arrow,
         # the arrows leaving and entering each vertex, and for each arrow y the
-        # Hessian rows (sign, x, left class, right class) of the superpotential.
+        # Hessian rows of the superpotential.  A row is (sign, x, outer,
+        # (left, right)): a coefficient c on X_y lands on Xbar_x as the class
+        # of left c right, and outer = (tail, head, h1, w0) of left and right
+        # composed once, so d1 builds one class per term.
         d = self.dimer
         arrows = sorted(d.arrow_by_id, key=idkey)
         self._arrow_cls = {a: jac.canonical_form((a,)) for a in arrows}
@@ -137,18 +151,15 @@ class KoszulComplex:
         for a in arrows:
             self._leaving[d.tail(a)].append(a)
             self._entering[d.head(a)].append(a)
-        self._hessian = {
-            y: [
-                (
-                    sign,
-                    x,
-                    jac.canonical_form(left) if left else jac.idempotent(d.head(x)),
-                    jac.canonical_form(right) if right else jac.idempotent(d.tail(x)),
-                )
-                for sign, x, left, right in hessian_rows(jac.superpotential, y)
-            ]
-            for y in arrows
-        }
+        self._hessian = {}
+        for y in arrows:
+            rows = []
+            for sign, x, left, right in hessian_rows(jac.superpotential, y):
+                left = jac.canonical_form(left) if left else jac.idempotent(d.head(x))
+                right = jac.canonical_form(right) if right else jac.idempotent(d.tail(x))
+                outer = (left.tail, right.head, vec_add(left.h1, right.h1), left.w0 + right.w0)
+                rows.append((sign, x, outer, (left, right)))
+            self._hessian[y] = rows
         # For each vertex v, the splits (arrow, left class, right class) of the
         # face word of W at v, one per position of the word.
         self._W_splits = {}
@@ -234,15 +245,19 @@ class KoszulComplex:
 
     def d1(self, c: CochainElement) -> CochainElement:
         """Hessian sandwich: polygons with one marked corner and the coefficient inserted."""
-        compose = self.jac.compose
         sums: dict = {}
         for (kind, y), elem in c.terms.items():
             if kind != X:
                 raise HochschildError("degree-1 terms must sit on X slots")
-            for sign, x, left, right in self._hessian[y]:
+            for sign, x, (tail, head, h1, w0), (left, right) in self._hessian[y]:
                 out = sums.setdefault((XBAR, x), {})
                 for cls, k in elem.terms.items():
-                    total = compose(compose(left, cls), right)
+                    if left.head != cls.tail or cls.head != right.tail:
+                        raise JacobiError("paths do not compose")
+                    witness = None
+                    if None not in (left.witness, cls.witness, right.witness):
+                        witness = left.witness + cls.witness + right.witness
+                    total = PathClass(tail, head, vec_add(h1, cls.h1), w0 + cls.w0, witness)
                     out[total] = out.get(total, 0) + sign * k
         return CochainElement.from_sums(2, sums)
 

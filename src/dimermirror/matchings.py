@@ -19,17 +19,30 @@ potentials), for a matching of greatest weight <nu, height>:
   admit no alternating cycle, so the corner carries exactly one matching.
 
 Every answer is checked against its potentials (LP duality), so a wrong
-answer raises ``DimerError`` instead of shrinking the hull.  Enumeration
-(``enumerate_perfect_matchings``) still runs for ``MatchingPolytope.points``,
-read on first use by the ``matchings`` listing, ``corner_structure`` and
-``check_against_enumeration`` (which ``ks.KSVerifier.verify_all`` runs), and
-for the per-matching checks of ``ks.KSVerifier.verify_chain_identities``.
+answer raises ``DimerError`` instead of shrinking the hull.
+
+Two more polynomial computations stand in for the list of all matchings:
+
+* ``matching_basis`` asks the same oracle for matchings whose indicator
+  vectors span those of every matching.  They all lie in
+  W = {x in Z^Q1 : every face sum equal}, of dimension |Q0| + 2; each query
+  maximises a direction orthogonal to the span so far, and exact integer
+  elimination certifies the rank.  A linear identity that holds on the basis
+  holds on every matching.
+* ``kasteleyn_count`` counts the matchings from four determinants of a
+  Kasteleyn-signed matrix (Kenyon, Okounkov and Sheffield).
+
+Enumeration (``enumerate_perfect_matchings``) still runs for
+``MatchingPolytope.points``, read on first use by the ``matchings`` listing,
+``corner_structure`` and ``check_against_enumeration``.  ``ks.KSVerifier``
+runs it only as an oracle, on dimers whose Kasteleyn count is at most its
+``ENUMERATION_GATE``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .dimer import (
@@ -541,6 +554,243 @@ def check_against_enumeration(mp: MatchingPolytope) -> None:
                 f"corner {h} carries {len(mp.points[h])} enumerated matchings, "
                 "not the certified one alone"
             )
+
+
+# -- a basis of the matching span ----------------------------------------------
+
+
+class _Span:
+    """The span of integer vectors, kept row-reduced over the rationals with exact integers.
+
+    Each row has a pivot column where every other row is zero, so a vector
+    lies in the span exactly when reducing it by the rows leaves zero.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: dict = {}  # pivot column -> row
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, vec) -> bool:
+        """Adds vec and returns True, unless it already lies in the span."""
+        v = list(vec)
+        for c, row in self.rows.items():
+            if v[c]:
+                k, p = v[c], row[c]
+                v = [p * x - k * y for x, y in zip(v, row)]
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            return False
+        g = gcd(*v)
+        v = [x // g for x in v]
+        for pc, row in self.rows.items():
+            if row[c]:
+                k, p = row[c], v[c]
+                row = [p * x - k * y for x, y in zip(row, v)]
+                g = gcd(*row)
+                self.rows[pc] = [x // g for x in row]
+        self.rows[c] = v
+        return True
+
+    def normal(self) -> Optional[list]:
+        """A nonzero integer vector orthogonal to every row, or None if the rows span everything."""
+        free = next((i for i in range(self.width) if i not in self.rows), None)
+        if free is None:
+            return None
+        scale = lcm(*(row[c] for c, row in self.rows.items()))
+        w = [0] * self.width
+        w[free] = scale
+        for c, row in self.rows.items():
+            w[c] = -row[free] * scale // row[c]
+        return w
+
+
+def _free_arrows(d: Dimer) -> list:
+    """The arrows outside a spanning tree of the face graph, in id order.
+
+    Faces are joined by the arrows between them, and the tree grows from face
+    0, each tree arrow reaching a new face.  A vector with every face sum
+    equal to t is fixed by t and its values on the other arrows (solve the
+    tree from its leaves), so these are coordinates on W and dim W is their
+    number plus one.
+    """
+    arrows = sorted(d.arrow_by_id, key=idkey)
+    ends = {a: (d.pos_face_of(a), d.neg_face_of(a)) for a in arrows}
+    at_face: dict = {}
+    for a in arrows:
+        for f in ends[a]:
+            at_face.setdefault(f, []).append(a)
+    tree, reached, frontier = set(), {0}, [0]
+    while frontier:
+        for a in at_face.get(frontier.pop(), []):
+            for f in ends[a]:
+                if f not in reached:
+                    reached.add(f)
+                    tree.add(a)
+                    frontier.append(f)
+    if len(reached) != len(d.faces):
+        raise DimerError(f"arrows join only {len(reached)} of {len(d.faces)} faces")
+    return [a for a in arrows if a not in tree]
+
+
+def _coordinates(edges: frozenset, free: list) -> list:
+    """A matching's point of W: its face sum 1, then its indicator on the free arrows."""
+    return [1] + [1 if a in edges else 0 for a in free]
+
+
+@dataclass
+class MatchingBasis:
+    matchings: list  # PerfectMatching, with independent indicator vectors
+    dim_W: int  # dimension of W = {x : every face sum equal}
+    free: list = field(repr=False)  # coordinates on W besides the face sum
+
+    @property
+    def rank(self) -> int:
+        return len(self.matchings)
+
+
+def matching_basis(d: Dimer) -> MatchingBasis:
+    """Perfect matchings whose indicators span those of every perfect matching.
+
+    Points of W are read in the coordinates of ``_free_arrows``.  Each step
+    takes a direction w orthogonal to the span so far and asks the oracle for
+    a matching of greatest, then of least, <w, x>.  If neither answer extends
+    the span, both give <w, x> = 0, so every matching lies on that hyperplane:
+    the matchings do not span W, and the rank stays below dim W.  The rank is
+    exact, since ``_Span`` keeps only independent rows.
+    """
+    return d._memo("matching_basis", lambda: _matching_basis(d))
+
+
+def _matching_basis(d: Dimer) -> MatchingBasis:
+    free = _free_arrows(d)
+    oracle = _MatchingOracle(d)
+    span = _Span(len(free) + 1)
+    found: list = []
+    while span.rank < span.width:
+        direction = span.normal()[1:]  # the face sum is 1 on every matching
+        for sign in (1, -1):
+            weight = dict.fromkeys(oracle.arrows, 0)
+            weight.update((a, sign * w) for a, w in zip(free, direction))
+            answer = oracle.best(weight, f"basis step {len(found) + 1}")
+            if answer is None:
+                raise DimerError("dimer has no perfect matching")
+            if span.add(_coordinates(answer[0], free)):
+                found.append(PerfectMatching(answer[0]))
+                break
+        else:
+            break
+    return MatchingBasis(found, span.width, free)
+
+
+def indicator_rank(basis: MatchingBasis, matchings) -> int:
+    """Rank of the indicator vectors of perfect matchings, in the coordinates of ``basis``."""
+    span = _Span(basis.dim_W)
+    for p in matchings:
+        if span.rank == span.width:
+            break
+        span.add(_coordinates(p.edges, basis.free))
+    return span.rank
+
+
+# -- the Kasteleyn count -----------------------------------------------------------
+
+
+def det_int(matrix: list) -> int:
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def kasteleyn_signs(d: Dimer) -> dict:
+    """arrow -> +1 or -1, a Kasteleyn sign for each arrow, solved over GF(2).
+
+    The faces of the bipartite graph are the quiver vertices.  At each vertex
+    v the arrows at v, a loop counted twice, must have sign product
+    (-1)^(deg/2 + 1).  A loop enters that product squared, so only the other
+    arrows are unknowns; free unknowns take the sign +1.
+    """
+    arrows = sorted(d.arrow_by_id, key=idkey)
+    bit = {a: 1 << r for r, a in enumerate(arrows)}
+    pivots = []  # (pivot bit, equation, right-hand side), each free of earlier pivots
+    for v in d.vertices:
+        eq, deg = 0, 0
+        for a in arrows:
+            at_v = (d.tail(a), d.head(a)).count(v)
+            deg += at_v
+            if at_v == 1:
+                eq |= bit[a]
+        rhs = (deg // 2 + 1) & 1
+        for p, e, r in pivots:
+            if eq & p:
+                eq, rhs = eq ^ e, rhs ^ r
+        if eq:
+            pivots.append((eq & -eq, eq, rhs))
+        elif rhs:
+            raise DimerError(f"no Kasteleyn signs: the condition at vertex {v!r} contradicts the others")
+    odd = 0  # arrows of sign -1
+    for p, e, r in reversed(pivots):
+        if r ^ (bin(e & odd).count("1") & 1):
+            odd |= p
+    return {a: -1 if odd & bit[a] else 1 for a in arrows}
+
+
+def kasteleyn_count(d: Dimer) -> int:
+    """The number of perfect matchings, from four Kasteleyn determinants.
+
+    Each arrow enters K(t) with its Kasteleyn sign times t = (t1, t2) in
+    {+1, -1}^2 raised to the parities of its ``generating_cycles``
+    coefficients.  Then det K(t) = sum over matchings M of s(M) t^h(M), where
+    h(M) is the height parity and the sign s(M) depends only on h(M) (Kenyon,
+    Okounkov and Sheffield, math-ph/0311005).  So for each parity class rho,
+    sum_t t^rho det K(t) is 4 times plus or minus the number of matchings in
+    rho; no choice among the four sign patterns is needed.  A sum that is not
+    a multiple of 4 raises ``DimerError``.
+    """
+    d.require_valid()
+    oracle = _MatchingOracle(d)
+    if oracle.n is None:
+        return 0
+    signs = kasteleyn_signs(d)
+    chains = generating_cycles(d)
+    parity = {a: (chains[0].get(a, 0) & 1, chains[1].get(a, 0) & 1) for a in oracle.arrows}
+    thetas = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    dets = []
+    for t in thetas:
+        k = [[0] * oracle.n for _ in range(oracle.n)]
+        for a in oracle.arrows:
+            i, j = oracle.ends[a]
+            k[i][j] += signs[a] * t[0] ** parity[a][0] * t[1] ** parity[a][1]
+        dets.append(det_int(k))
+    total = 0
+    for rho in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        s = sum(t[0] ** rho[0] * t[1] ** rho[1] * det for t, det in zip(thetas, dets))
+        if s % 4:
+            raise DimerError(f"Kasteleyn sum {s} of parity class {rho} is not a multiple of 4")
+        total += abs(s) // 4
+    return total
 
 
 @dataclass

@@ -79,9 +79,9 @@ def test_reports_are_deterministic():
 # sha256 of the stdout of `dimermirror report <name> --format json` with default
 # flags.  A change that alters the report on purpose updates these and says why.
 REPORT_SHA256 = {
-    "c3": "ff65b2b368c5d0a0a951712d987937a52f23680a81c0aef6747fc7a885712a86",
-    "conifold": "b0e2aec81955f11bf1af70e8f6ee10e0f77c4c412898161d951dae91a2216c91",
-    "spp": "db4f52ecf8ff908859e0669acd7ec006d3deefd0ceebb5873f7505b6b0ca27d4",
+    "c3": "f8c73018bb1207b9bb33ad7274db27e2021d9ea411a62d88867e4cf215b4280c",
+    "conifold": "7cf50c52b67bfafea0b04d823cfdec15582b32dc17e267b0dd13e101d2351231",
+    "spp": "1faaadeec9e57e2710354f83752ad0745d318c4045f95b76dfe231f1fd1f7003",
 }
 
 
@@ -112,10 +112,10 @@ def test_hh_json_is_byte_identical(name):
 # classes have parallel multiplicity 4, and a c3 and an spp cover, whose strips
 # need the vertex-component construction; the hashes do not depend on the path.
 COVER_REPORT_SHA256 = {
-    ("conifold", 4, 1): "bd064aa32e2a34eec3336dbc707160e22d53a6b49f9d52c4848b18f00a085c5c",
-    ("conifold", 1, 4): "3c253b8f1c0705b66c41cf672a307b5aee0264ac2a3d8488221ce9ca40cf5554",
-    ("c3", 2, 2): "082126158241057f27020dfda01b3ea08cc30fe89ad3b20c9ca4c84acc170ca4",
-    ("spp", 2, 1): "689387a7908e6ad412ec9968c6966d625a21fab6bc60e475a2da6cc7763a6ced",
+    ("conifold", 4, 1): "4ea9e94d3dff6696d3c3b7892e7fdd0629e3f0880afe1595b3ec63f94e5f3d61",
+    ("conifold", 1, 4): "0d0ceeb41e0169dbaa42205b68cd0bde0bea37fa208f70c1b14e360bba73968b",
+    ("c3", 2, 2): "1782f99504b17120eff15b932ef4b49be573bf77788d1c387d7b36a5e1454f2b",
+    ("spp", 2, 1): "4a787ccb0aad031a4a985b542b4f4b1b507dd0234125d897110db68019ef3752",
 }
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from dimermirror.dimer import idkey
@@ -12,7 +14,7 @@ from dimermirror.hochschild import (
     KoszulComplex,
 )
 from dimermirror.io import dimer_from_dict
-from dimermirror.jacobi import Jacobi, JElement, PathClass, hessian
+from dimermirror.jacobi import Jacobi, JacobiError, JElement, PathClass, hessian
 from dimermirror.ks import FAIL, KSVerifier
 
 
@@ -350,6 +352,36 @@ def test_differentials_match_per_call_formulas(oracle_complexes):
             nonzero[c.degree] += not got.is_zero()
     # every differential is compared on nonzero outputs (on c3 all of them vanish)
     assert min(nonzero.values()) > 0, nonzero
+
+
+def with_witnesses(c: CochainElement) -> dict:
+    """slot -> {(class, witness): coefficient}; class equality ignores witnesses."""
+    return {slot: {(cls, cls.witness): k for cls, k in e.terms.items()} for slot, e in c.terms.items()}
+
+
+def test_d1_terms_are_left_coefficient_right(oracle_complexes):
+    # the table composes each Hessian row's left and right parts once; every
+    # term of d1 must still be compose(compose(left, c), right), witness included
+    for name, K in oracle_complexes.items():
+        jac, d = K.jac, K.dimer
+        for a in sorted(d.arrow_by_id, key=idkey):
+            arrow = jac.canonical_form((a,))
+            for coeff in (arrow, dataclasses.replace(arrow, witness=None)):
+                c = CochainElement(1, {(X, a): JElement.of(coeff)})
+                got, want = K.d1(c), reference_d1(K, c)
+                assert with_witnesses(got) == with_witnesses(want), (name, a, coeff.witness)
+                assert all(
+                    (cls.witness is None) == (coeff.witness is None)
+                    for e in got.terms.values()
+                    for cls in e.terms
+                ), (name, a)
+            if d.tail(a) != d.head(a):
+                # a coefficient that does not run from tail(a) to head(a)
+                stray = CochainElement(1, {(X, a): JElement.of(jac.idempotent(d.tail(a)))})
+                with pytest.raises(JacobiError, match="paths do not compose"):
+                    reference_d1(K, stray)
+                with pytest.raises(JacobiError, match="paths do not compose"):
+                    K.d1(stray)
 
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])

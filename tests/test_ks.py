@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+
 import pytest
 
 from dimermirror import Arrow, Dimer, Face, load_bundled
-from dimermirror.hochschild import X, CochainElement
+from dimermirror.cli import main
+from dimermirror.dimer import idkey
+from dimermirror.hochschild import X, XBAR, CochainElement, E2Label, KoszulComplex
+from dimermirror.io import dimer_from_dict
 from dimermirror.jacobi import Jacobi, JElement, PathClass
-from dimermirror.ks import FAIL, KSVerifier, det_int
+from dimermirror.ks import ENUMERATION_GATE, FAIL, PASS, SKIP, KSVerifier, det_int
+from dimermirror.matchings import matching_basis
+from dimermirror.mirror_sh import MirrorSH
 
 
 def test_det_int():
@@ -215,3 +224,155 @@ def test_ring_compatibility_spot_checks(verifiers, sh_models):
                     (SHElement.of(E_label(i, l, n)) for l in range(1, j)), SHElement()
                 )
                 assert sh.mul(alpha(1), tau(1)) == tau(2)
+
+
+# -- the per-arrow d1 table, the matching basis and the enumeration gate ---------
+
+
+def cover_dimer(lattice_cover, name, k, l) -> Dimer:
+    return dimer_from_dict(lattice_cover(name, k, l))
+
+
+def rows(rep, prefix: str) -> list:
+    return [c for c in rep.checks if c.name.startswith(prefix)]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_chain_identities_compute_each_d1_image_once(k, lattice_cover, monkeypatch):
+    # d1 runs on the d0 images of the units, the x_alpha and W, on each
+    # single-arrow derivation, and on each partial_P and partial_alpha: not
+    # once more per cocycle row, nor once per perfect matching
+    d = cover_dimer(lattice_cover, "c3", k, k)
+    v = KSVerifier(d, n_max=1)
+    n = v.K.n_classes
+    assert len(v.K.generators()["partial_alpha"]) == n == 3
+    calls = []
+    d1 = KoszulComplex.d1
+
+    def counted(self, c):
+        calls.append(c)
+        return d1(self, c)
+
+    monkeypatch.setattr(KoszulComplex, "d1", counted)
+    assert v.verify_chain_identities().passed
+    assert len(calls) == len(d.vertices) + len(d.arrows) + 3 * n + 1  # 46 on 3x3, 74 on 4x4
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_a_corrupted_arrow_image_fails_its_matching_rows(name, dimers, monkeypatch):
+    v = KSVerifier(dimers[name], n_max=1)
+    K, jac = v.K, v.jac
+    basis = matching_basis(v.dimer)
+    arrow = sorted(basis.matchings[0].edges, key=idkey)[0]
+    # an Xbar coefficient runs from head to tail: the rest of a face
+    arc = next(pos for a, pos, _ in jac.jacobi_relations() if a == arrow)
+    extra = CochainElement(2, {(XBAR, arrow): JElement.of(jac.canonical_form(arc))})
+    d1 = K.d1
+
+    def corrupted(c):
+        image = d1(c)
+        return image + extra if set(c.terms) == {(X, arrow)} else image
+
+    monkeypatch.setattr(K, "d1", corrupted)
+    rep = v.verify_chain_identities()
+    units = rows(rep, "matching_unit.")
+    assert len(units) == basis.rank
+    for c in units:
+        has_arrow = arrow in c.name.split(".")[1:]
+        assert (c.status == FAIL) == has_arrow, c.name
+    assert any(c.status == FAIL for c in units)
+
+
+def test_an_oracle_stuck_on_one_matching_fails_the_basis_rank(monkeypatch):
+    from dimermirror import matchings
+
+    first = []
+    best = matchings._MatchingOracle.best
+
+    def stuck(self, weight, label):
+        if not first:
+            first.append(best(self, weight, label))
+        return first[0]
+
+    v = KSVerifier(load_bundled("spp"), n_max=1)
+    monkeypatch.setattr(matchings._MatchingOracle, "best", stuck)
+    rank, = rows(v.verify_chain_identities(), "matching_basis.rank")
+    assert rank.status == FAIL and rank.detail == {"rank": 1, "dim_W": 5}
+    # enumeration finds the four dimensions that the basis misses
+    count, = rows(v.verify_matching_count(), "matchings.count")
+    assert count.status == FAIL and count.detail == {"kasteleyn": 6, "enumerated": 6, "rank": 5}
+
+
+@pytest.mark.parametrize("name,k,l", [("c3", 2, 2), ("spp", 2, 1), ("conifold", 4, 1)])
+def test_a_flipped_kasteleyn_sign_fails_the_matching_count(name, k, l, lattice_cover, monkeypatch):
+    from dimermirror import matchings
+
+    d = cover_dimer(lattice_cover, name, k, l)
+    v = KSVerifier(d, n_max=1)
+    count, = rows(v.verify_matching_count(), "matchings.count")
+    assert count.status == PASS and count.detail["kasteleyn"] == count.detail["enumerated"]
+    solved = matchings.kasteleyn_signs(d)
+    for a in sorted(d.arrow_by_id, key=idkey):
+        if d.tail(a) == d.head(a):
+            continue  # a loop's sign enters its vertex's product squared
+        monkeypatch.setattr(matchings, "kasteleyn_signs", lambda _, a=a: {**solved, a: -solved[a]})
+        assert matchings.kasteleyn_count(d) != count.detail["enumerated"], a
+    count, = rows(v.verify_matching_count(), "matchings.count")
+    assert count.status == FAIL and count.detail["kasteleyn"] != count.detail["enumerated"]
+
+
+def test_a_kasteleyn_sum_off_a_multiple_of_4_fails_the_matching_count(monkeypatch):
+    from dimermirror import matchings
+
+    v = KSVerifier(load_bundled("spp"), n_max=1)
+    dets = iter([1, 0, 0, 0])
+    monkeypatch.setattr(matchings, "det_int", lambda _: next(dets))
+    count, = rows(v.verify_matching_count(), "matchings.count")
+    assert count.status == FAIL and "not a multiple of 4" in count.detail["error"]
+
+
+@pytest.mark.parametrize("k,status", [(4, PASS), (5, SKIP)])
+def test_verify_past_the_enumeration_gate(k, status, lattice_cover):
+    # c3 4x4 has 417 perfect matchings and runs the enumeration oracles;
+    # c3 5x5 has 7,623 and skips them, with a report of the same shape
+    d = cover_dimer(lattice_cover, "c3", k, k)
+    rep = KSVerifier(d).verify_all()
+    assert rep.passed, [c for c in rep.checks if c.status == FAIL]
+    count, = rows(rep, "matchings.count")
+    assert count.status == status
+    assert count.detail["kasteleyn"] == {4: 417, 5: 7623}[k]
+    assert (k > 4) == (count.detail["kasteleyn"] > ENUMERATION_GATE)
+    assert len(rows(rep, "matching_unit.")) <= len(d.vertices) + 2
+
+
+def test_ks_odd_images_find_each_strip_path_once(lattice_cover, tmp_path, monkeypatch):
+    path = tmp_path / "conifold_4x1.json"
+    path.write_text(json.dumps(lattice_cover("conifold", 4, 1)))
+    v = KSVerifier(dimer_from_dict(lattice_cover("conifold", 4, 1)))
+    # the images as listed with one strip-path search per (class, strip, n)
+    a, b = v.K.ab
+    expected = [img for img in v.ks_odd_images() if img["source"]["kind"] in ("q", "p", "xi")]
+    for i in range(1, v.sh.n_classes + 1):
+        sd = v.K.strips[i]
+        for n in range(1, v.n_max + 1):
+            expected.append({"source": {"kind": "alpha_w", "i": i, "n": n, "ab": (a, b)},
+                             "image": E2Label("xW", i=i, n=n), "lift": "canonical"})
+            for j in range(2, len(sd.strips) + 1):
+                p = v.sh.xi_for_strip(i, sd.strips[j - 1])
+                expected.append({"source": {"kind": "alpha_xi", "i": i, "j": j, "n": n, "path": p},
+                                 "image": E2Label("theta", i=i, j=j, n=n),
+                                 "lift": "canonical" if p else "missing"})
+    assert v.ks_odd_images() == expected
+    calls = []
+    xi_for_strip = MirrorSH.xi_for_strip
+
+    def counted(self, i, strip):
+        calls.append((i, strip))
+        return xi_for_strip(self, i, strip)
+
+    monkeypatch.setattr(MirrorSH, "xi_for_strip", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["report", str(path)]) == 0
+    # 2 classes with 4 strips: 6 strips past the first, searched once for the
+    # determinants and once for the odd images
+    assert len(calls) == 12

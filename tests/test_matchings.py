@@ -12,17 +12,23 @@ import pytest
 
 from dimermirror import matchings
 from dimermirror.cli import main
-from dimermirror.dimer import DimerError
+from dimermirror.dimer import DimerError, idkey
 from dimermirror.io import dimer_from_dict, load_bundled
 from dimermirror.jacobi import Jacobi
 from dimermirror.matchings import (
     PerfectMatching,
+    _Span,
     check_against_enumeration,
     corner_matchings_in_order,
     corner_structure,
+    det_int,
     enumerate_perfect_matchings,
     evaluate_on_chain,
     generating_cycles,
+    indicator_rank,
+    kasteleyn_count,
+    kasteleyn_signs,
+    matching_basis,
     matching_height,
     matching_polytope,
 )
@@ -352,3 +358,86 @@ def test_verify_fails_when_the_polygon_disagrees_with_enumeration(monkeypatch):
         assert main(["verify", "conifold", "--format", "json"]) == 1
     data = json.loads(out.getvalue())
     assert data["stage"] == "matchings" and "is not the hull" in data["error"]
+
+
+# -- the Kasteleyn count and the matching basis, against enumeration ------------
+
+COUNT_ZOO = [
+    ("c3", 1, 1), ("conifold", 1, 1), ("spp", 1, 1),
+    ("c3", 2, 2), ("c3", 3, 3), ("c3", 4, 4),
+    ("conifold", 2, 2), ("conifold", 3, 2), ("conifold", 4, 1), ("conifold", 4, 3),
+    ("spp", 2, 1), ("spp", 2, 2),
+]
+
+
+def zoo_dimer(covers, name, k, l, seed=None):
+    raw = covers.cover(covers.load_base(name), k, l) if (k, l) != (1, 1) else covers.load_base(name)
+    if seed is not None:
+        raw = covers.relabel(raw, random.Random(seed))
+    return dimer_from_dict(raw)
+
+
+def indicator(d, p) -> list:
+    return [1 if a in p.edges else 0 for a in sorted(d.arrow_by_id, key=idkey)]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("name,k,l", COUNT_ZOO)
+def test_kasteleyn_count_and_matching_basis_against_enumeration(name, k, l, seed, covers):
+    # the conifold 2x2 and 3x2 covers fail verify on xi_v; they are counted all the same
+    d = zoo_dimer(covers, name, k, l, seed)
+    every = enumerate_perfect_matchings(d)
+    assert kasteleyn_count(d) == len(every)
+    # the solved signs meet the Kasteleyn condition at every quiver vertex
+    signs = kasteleyn_signs(d)
+    for v in d.vertices:
+        at_v = [a for a in d.arrow_by_id for end in (d.tail(a), d.head(a)) if end == v]
+        product = 1
+        for a in at_v:
+            product *= signs[a]
+        assert product == (-1) ** (len(at_v) // 2 + 1), v
+    basis = matching_basis(d)
+    assert basis.rank == basis.dim_W == len(d.vertices) + 2
+    assert {p.edges for p in basis.matchings} <= {p.edges for p in every}
+    assert indicator_rank(basis, every) == basis.rank
+    if len(every) <= 500:
+        # the same span in plain arrow coordinates: every indicator is a
+        # combination of the basis indicators
+        full = _Span(len(d.arrow_by_id))
+        assert all(full.add(indicator(d, p)) for p in basis.matchings)
+        assert not any(full.add(indicator(d, p)) for p in every)
+
+
+def test_span_rank_and_normal_against_gram_determinants():
+    rng = random.Random(0)
+
+    def gram(vs):
+        return det_int([[sum(x * y for x, y in zip(u, v)) for v in vs] for u in vs])
+
+    for _ in range(200):
+        width = rng.randint(1, 5)
+        span = _Span(width)
+        vecs = [[rng.randint(-2, 2) for _ in range(width)] for _ in range(rng.randint(0, 7))]
+        kept = [v for v in vecs if span.add(v)]
+        assert span.rank == len(kept) and gram(kept) != 0
+        assert all(gram(kept + [v]) == 0 for v in vecs)
+        w = span.normal()
+        if len(kept) == width:
+            assert w is None
+        else:
+            assert any(w) and all(sum(x * y for x, y in zip(w, v)) == 0 for v in vecs)
+
+
+def test_matching_basis_stops_short_when_the_oracle_repeats_itself(monkeypatch):
+    # an oracle that always returns its first answer spans one dimension only
+    first = []
+    best = matchings._MatchingOracle.best
+
+    def stuck(self, weight, label):
+        if not first:
+            first.append(best(self, weight, label))
+        return first[0]
+
+    monkeypatch.setattr(matchings._MatchingOracle, "best", stuck)
+    basis = matching_basis(load_bundled("spp"))
+    assert (basis.rank, basis.dim_W) == (1, 5)
