@@ -1,10 +1,21 @@
-"""Command-line interface: inspection subcommands, the verifier, and reports."""
+"""Command-line interface: inspection subcommands, the verifier, and reports.
+
+JSON output is byte-stable: keys sorted, two-space indent, ASCII escapes,
+exactly the text of ``json.dumps(..., indent=2, sort_keys=True)``, so reports
+can be pinned by hash.  ``main`` is safe to call repeatedly in one process: it
+builds the argument parser on its first call and reuses it, and each call
+parses its arguments afresh.  A closed output pipe ends a call with exit code
+1 and no traceback.
+"""
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import math
+import os
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 from .dimer import (
@@ -80,9 +91,73 @@ def _failure(exc: Exception) -> dict:
 
 def _emit(data, fmt: str, title: str) -> None:
     if fmt == "json":
-        print(json.dumps(_jsonable(data), indent=2, sort_keys=True))
+        out = []
+        _encode(data, "\n", out.append)
+        print("".join(out))
     else:
         print(_markdown(data, title))
+
+
+def _encode(x, nl: str, put) -> None:
+    """Write x as ``json.dumps(_jsonable(x), indent=2, sort_keys=True)`` does.
+
+    One pass over x, converting as ``_jsonable`` does on the way, so the
+    indented text comes out without the pure-Python encoder ``json`` falls
+    back to when ``indent`` is set.  ``nl`` is the newline and indent of the
+    current level; each piece of text goes to ``put``.
+    """
+    if isinstance(x, str):
+        put(_escape(x))
+    elif x is None:
+        put("null")
+    elif x is True:
+        put("true")
+    elif x is False:
+        put("false")
+    elif isinstance(x, int):
+        put(int.__repr__(x))
+    elif isinstance(x, float):
+        if x != x:
+            put("NaN")
+        elif x == math.inf:
+            put("Infinity")
+        elif x == -math.inf:
+            put("-Infinity")
+        else:
+            put(float.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            put("{}")
+            return
+        items = {k if type(k) is str else str(_jsonable(k)): v for k, v in x.items()}
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(items):
+            put(sep)
+            put(_escape(k))
+            put(": ")
+            _encode(items[k], inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    elif isinstance(x, (list, tuple, set, frozenset)):
+        if isinstance(x, (set, frozenset)):
+            x = sorted(x, key=str)
+        if not x:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            put(sep)
+            _encode(v, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif hasattr(x, "as_dict"):
+        _encode(x.as_dict(), nl, put)
+    elif hasattr(x, "__dict__"):
+        _encode(vars(x), nl, put)
+    else:
+        put(_escape(str(x)))
 
 
 def _markdown(data, title: str, level: int = 1) -> str:
@@ -385,7 +460,9 @@ def cmd_report(args) -> int:
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and shared by later calls."""
     ap = argparse.ArgumentParser(
         prog="dimermirror",
         description="Exact mirror-symmetry invariants of dimer models on the torus.",
@@ -451,13 +528,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): send what is still buffered to
+        # devnull, so the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CHECK_FAILED
     except DimerFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,7 +8,6 @@ correspondence verification consume.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -192,33 +191,31 @@ class MirrorSH:
         """All zigzag paths out of v0 of at most 4 |Q1| arrows, shortest first.
 
         A zigzag path alternates the positive-face and negative-face successor;
-        both phase choices and all outgoing first arrows are explored.
+        both phase choices and all outgoing first arrows are explored.  Paths
+        of one length are in lexicographic order of their arrows' idkey ranks.
         """
         d = self.dimer
         cap = 4 * len(d.arrows)
-        paths = []
-        starts = [a.id for a in sorted(d.arrows, key=lambda x: idkey(x.id)) if a.tail == v0]
-        frontier = deque()
-        for a in starts:
-            for phase in (0, 1):
-                frontier.append(((a,), phase))
-                paths.append((a,))
-        seen = {(s, ph) for s in [(a,) for a in starts] for ph in (0, 1)}
-        while frontier:
-            path, phase = frontier.popleft()
-            if len(path) >= cap:
-                continue
-            last = path[-1]
-            nxt = d.next_pos(last) if phase == 0 else d.next_neg(last)
-            new = path + (nxt,)
-            key = (new, 1 - phase)
-            if key not in seen:
-                seen.add(key)
-                paths.append(new)
-                frontier.append((new, 1 - phase))
-        # deterministic: shortest first, then lexicographic in idkey order
         rank = {a: r for r, a in enumerate(sorted(d.arrow_by_id, key=idkey))}
-        return sorted(set(paths), key=lambda p: (len(p), tuple(rank[x] for x in p)))
+        # Each (first arrow, phase) grows one path, one arrow per level.  A
+        # path's sort key is (position of its prefix in the previous sorted
+        # level, rank of its last arrow), packed into one int; that orders a
+        # level lexicographically, and equal keys are equal paths.
+        level = [(rank[a], (a,), phase) for a in rank if d.tail(a) == v0 for phase in (0, 1)]
+        paths = []
+        while level:
+            level.sort(key=lambda entry: entry[0])
+            grown = []
+            position, previous = -1, None
+            for key, path, phase in level:
+                if key != previous:
+                    position, previous = position + 1, key
+                    paths.append(path)
+                if len(path) < cap:
+                    nxt = d.next_pos(path[-1]) if phase == 0 else d.next_neg(path[-1])
+                    grown.append((position * len(rank) + rank[nxt], path + (nxt,), 1 - phase))
+            level = grown
+        return paths
 
     def xi_from_path(self, path: tuple) -> SHElement:
         out = SHElement()

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import enum
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from dimermirror.cli import main
+from dimermirror import cli
+from dimermirror.cli import EXIT_OK, EXIT_USAGE, main
 from dimermirror.io import dimer_from_dict, dimer_to_dict, load_bundled
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -223,3 +227,143 @@ def test_base_vertex_override():
     data = json.loads(out)
     thetas = [l for l in data["e2_odd"] if l["kind"] == "theta" and l["n"] == 0]
     assert {l["v"] for l in thetas} == {"1", "3"} or {l["v"] for l in thetas} == {1, 3}
+
+
+# -- the one-pass JSON encoder against json.dumps ------------------------------
+
+
+def oracle_json(x) -> str:
+    return json.dumps(cli._jsonable(x), indent=2, sort_keys=True) + "\n"
+
+
+def emitted_json(x, capsys) -> str:
+    capsys.readouterr()
+    cli._emit(x, "json", "title")
+    return capsys.readouterr().out
+
+
+SUBCOMMANDS = [
+    ["validate"], ["zigzags"], ["matchings"], ["polytope"], ["dual"],
+    ["jacobi", "--w-report"], ["hh"], ["sh"], ["verify"], ["report"],
+]
+
+
+def recorded_emits(monkeypatch, argv) -> list:
+    """The data each _emit call of ``main(argv)`` was given."""
+    seen = []
+    monkeypatch.setattr(cli, "_emit", lambda data, fmt, title: seen.append(data))
+    main(argv)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_emit_json_matches_json_dumps_on_every_subcommand(name, monkeypatch, capsys):
+    argvs = [[cmd[0], name, *cmd[1:]] for cmd in SUBCOMMANDS]
+    if name == "c3":
+        argvs.append(["jacobi", "c3", "--canon", "x,y", "--equal", "x,y", "y,x", "--alpha", "1,0"])
+    for argv in argvs:
+        (data,) = recorded_emits(monkeypatch, argv)
+        assert emitted_json(data, capsys) == oracle_json(data), argv
+
+
+def test_emit_json_matches_json_dumps_on_failure_json(monkeypatch, capsys, tmp_path, lattice_cover):
+    p = tmp_path / "conifold_2x2.json"
+    p.write_text(json.dumps(lattice_cover("conifold", 2, 2)))
+    (data,) = recorded_emits(monkeypatch, ["verify", str(p)])
+    assert data["passed"] is False and data["stage"] == "mirror_sh"
+    assert emitted_json(data, capsys) == oracle_json(data)
+
+
+class WithAsDict:
+    def as_dict(self):
+        return {"b": (1, 2), "a": {3, 1}, "c": WithVars()}
+
+
+class WithVars:
+    def __init__(self):
+        self.z = 1
+        self.y = [None, ()]
+
+
+class StrOnly:
+    __slots__ = ()
+
+    def __str__(self):
+        return "str only \u00e9"
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+EDGE_CASES = [
+    {}, [], (), set(), frozenset(), "", 0,
+    {"a": {}, "b": [], "c": [[], {}, ()], "d": {"e": {}}}, [[[]]],
+    {3, 1, 2, 10}, frozenset({"b", "a", 10, (1, 2)}), {1, "1"},
+    {2: "int", True: "bool", (1, "x"): "tuple", "k": "str", None: "none", 1.5: "float"},
+    {1: "int first", "1": "str last"}, {frozenset({2, 1}): [], Colour.RED: Colour.RED},
+    "na\u00efve \u2603 \U0001d11e \u2028", "\x00\x01\x1f\x7f \n\t\r\b\f \" \\ /",
+    {"\u00e9": 1, "e": 2, "\x00": 3, "E": 4},
+    -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1.5, 1e300, 0.1, 1e-7,
+    [-0.0, float("nan"), float("inf"), float("-inf")],
+    -7, 2 ** 70, True, False, None, [True, False, None, 1, 1.0],
+    WithAsDict(), WithVars(), StrOnly(), [WithAsDict(), {"v": WithVars(), "s": StrOnly()}],
+]
+
+
+@pytest.mark.parametrize("case", range(len(EDGE_CASES)))
+def test_emit_json_matches_json_dumps_on_edge_cases(case, capsys):
+    x = EDGE_CASES[case]
+    assert emitted_json(x, capsys) == oracle_json(x)
+
+
+# -- main called repeatedly in one process --------------------------------------
+
+
+def main_in_process(*args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(args))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_repeated_main_calls_match_fresh_processes():
+    # one shared parser: no option may leak from one call into the next
+    for args in (("verify", "c3", "--n-max", "2"), ("verify", "c3"), ("hh", "spp", "--i0", "2")):
+        assert main_in_process(*args) == run_cli(*args), args
+    rc, out, err = main_in_process("no-such-command")
+    assert rc == EXIT_USAGE and "invalid choice" in err
+    rc, out, _ = main_in_process("--help")
+    assert rc == EXIT_OK and out.startswith("usage: dimermirror")
+    rc, out, _ = main_in_process("verify", "--help")
+    assert rc == EXIT_OK and "--n-max" in out
+    args = ("verify", "c3", "--n-max", "2")
+    assert main_in_process(*args) == run_cli(*args)
+
+
+def test_import_builds_no_parser():
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    code = "import dimermirror.cli as c; print(c.build_parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_closed_output_pipe_exits_without_traceback():
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader is left when the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dimermirror.cli", "verify", "c3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr

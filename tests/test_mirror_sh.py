@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import random
+from collections import deque
 
 import pytest
 
-from dimermirror.mirror_sh import E, F, P_EDGE, SHElement, UNIT_LABEL
+from dimermirror.dimer import idkey
+from dimermirror.io import dimer_from_dict
+from dimermirror.mirror_sh import E, F, P_EDGE, MirrorSH, SHElement, UNIT_LABEL
 
 
 def test_basis_counts_c3(sh_models):
@@ -121,3 +125,45 @@ def test_zigzag_paths_are_deterministic(sh_models):
     b = sh.zigzag_paths_from(sh.dimer.vertices[0])
     assert a == b
     assert all(len(p) <= 4 * len(sh.dimer.arrows) for p in a)
+
+
+def reference_zigzag_paths(d, v0) -> list:
+    """Every zigzag path by breadth-first search, then one sort on the whole rank tuple."""
+    cap = 4 * len(d.arrows)
+    paths = []
+    frontier = deque()
+    for a in d.arrow_by_id:
+        if d.tail(a) == v0:
+            for phase in (0, 1):
+                frontier.append(((a,), phase))
+                paths.append((a,))
+    while frontier:
+        path, phase = frontier.popleft()
+        if len(path) < cap:
+            nxt = d.next_pos(path[-1]) if phase == 0 else d.next_neg(path[-1])
+            paths.append(path + (nxt,))
+            frontier.append((path + (nxt,), 1 - phase))
+    rank = {a: r for r, a in enumerate(sorted(d.arrow_by_id, key=idkey))}
+    return sorted(set(paths), key=lambda p: (len(p), tuple(rank[x] for x in p)))
+
+
+# (name, k, l): 1 x 1 is the bundled dimer itself
+ZIGZAG_PATH_ZOO = [
+    ("c3", 1, 1), ("conifold", 1, 1), ("spp", 1, 1),
+    ("c3", 2, 1), ("c3", 3, 1), ("c3", 1, 2), ("c3", 2, 2), ("c3", 3, 3),
+    ("spp", 2, 1), ("spp", 1, 2), ("spp", 2, 2),
+    ("conifold", 2, 1), ("conifold", 4, 1), ("conifold", 1, 4), ("conifold", 2, 2), ("conifold", 3, 2),
+]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("name,k,l", ZIGZAG_PATH_ZOO)
+def test_zigzag_paths_level_order_matches_one_sort(name, k, l, seed, covers):
+    raw = covers.cover(covers.load_base(name), k, l) if (k, l) != (1, 1) else covers.load_base(name)
+    if seed is not None:
+        raw = covers.relabel(raw, random.Random(seed))
+    d = dimer_from_dict(raw)
+    sh = MirrorSH(d)
+    assert sh.base_paths == reference_zigzag_paths(d, d.vertices[0])
+    for v in d.vertices:
+        assert sh.zigzag_paths_from(v) == reference_zigzag_paths(d, v), v
