@@ -172,9 +172,9 @@ def cyclic_arc(word: tuple, start: int, stop: int) -> tuple:
 class Dimer:
     """Immutable dimer model; derived combinatorial structure built lazily.
 
-    Each derived structure (zigzag cycles, parallel classes, strips, tree
-    paths) is computed at most once per instance and shared by every caller,
-    so callers must not mutate what they get back.
+    Each derived structure (zigzag orbits and cycles, anti-zigzags, parallel
+    classes, strips, tree paths) is computed at most once per instance and
+    shared by every caller, so callers must not mutate what they get back.
     """
 
     def __init__(self, name: str, vertices, arrows, faces):
@@ -225,9 +225,10 @@ class Dimer:
         word = tuple(word)
         if not word:
             return False
-        if any(aid not in self.arrow_by_id for aid in word):
+        arrows = self.arrow_by_id
+        if any(aid not in arrows for aid in word):
             return False
-        return all(self.head(word[i]) == self.tail(word[i + 1]) for i in range(len(word) - 1))
+        return all(arrows[a].head == arrows[b].tail for a, b in zip(word, word[1:]))
 
     def is_closed(self, word) -> bool:
         word = tuple(word)
@@ -289,17 +290,22 @@ class Dimer:
 def _validate(d: Dimer) -> ValidationReport:
     issues: list[Issue] = []
 
+    vertices = set(d.vertices)
     seen = set()
     for a in d.arrows:
         if a.id in seen:
             issues.append(Issue("duplicate_arrow", f"duplicate arrow id {a.id!r}", a.id))
         seen.add(a.id)
         for v in (a.tail, a.head):
-            if v not in d.vertices:
+            try:
+                known = v in vertices
+            except TypeError:  # an unhashable id (a JSON list, say) names no vertex
+                known = False
+            if not known:
                 issues.append(
                     Issue("unknown_vertex", f"arrow {a.id!r} references unknown vertex {v!r}", a.id)
                 )
-    if len(set(d.vertices)) != len(d.vertices):
+    if len(vertices) != len(d.vertices):
         issues.append(Issue("duplicate_vertex", "duplicate vertex id", None))
 
     pos_count = {a.id: 0 for a in d.arrows}
@@ -418,9 +424,16 @@ def validate_dimer(d: Dimer) -> ValidationReport:
 # -- zigzag cycles ---------------------------------------------------------
 
 
+def _orbits(d: Dimer) -> list[ZigzagCycle]:
+    """The unindexed zigzag cycles, walked once per dimer and shared."""
+    return d._memo("zigzag_orbits", lambda: _zigzag_orbits(d))
+
+
 def _zigzag_orbits(d: Dimer) -> list[ZigzagCycle]:
     """Unindexed zigzag cycles: orbits of the alternating successor maps."""
     d.require_valid()
+    _, _, next_pos, next_neg = d._struct()
+    has_shifts = d.has_shifts
     cycles = []
     seen_zig = set()
     for a in sorted(d.arrow_by_id, key=idkey):
@@ -429,28 +442,20 @@ def _zigzag_orbits(d: Dimer) -> list[ZigzagCycle]:
         word = []
         cur = a
         while True:
-            zag = d.next_neg(cur)
-            word.extend([cur, zag])
+            zag = next_neg[cur]
+            word += (cur, zag)
             seen_zig.add(cur)
-            cur = d.next_pos(zag)
+            cur = next_pos[zag]
             if cur == a:
                 break
-        hom = d.word_shift(word) if d.has_shifts else None
-        cycles.append(
-            ZigzagCycle(
-                arrows=tuple(word),
-                zigs=tuple(word[0::2]),
-                zags=tuple(word[1::2]),
-                homology=hom,
-            )
-        )
+        word = tuple(word)
+        hom = d.word_shift(word) if has_shifts else None
+        cycles.append(ZigzagCycle(arrows=word, zigs=word[0::2], zags=word[1::2], homology=hom))
 
-    zig_occ = [a for z in cycles for a in z.zigs]
-    zag_occ = [a for z in cycles for a in z.zags]
-    if sorted(zig_occ, key=idkey) != sorted(d.arrow_by_id, key=idkey) or sorted(
-        zag_occ, key=idkey
-    ) != sorted(d.arrow_by_id, key=idkey):
-        raise DimerError("zigzag orbits do not cover every arrow once as zig and once as zag")
+    ids = d.arrow_by_id.keys()
+    for occ in ([a for z in cycles for a in z.zigs], [a for z in cycles for a in z.zags]):
+        if len(occ) != len(ids) or set(occ) != ids:
+            raise DimerError("zigzag orbits do not cover every arrow once as zig and once as zag")
     return cycles
 
 
@@ -467,7 +472,7 @@ def zigzag_cycles(d: Dimer) -> list[ZigzagCycle]:
 
 
 def _indexed_cycles(d: Dimer) -> list[ZigzagCycle]:
-    cycles = _zigzag_orbits(d)
+    cycles = _orbits(d)
     if not d.has_shifts:
         return cycles
 
@@ -558,56 +563,121 @@ def anti_zigzag(d: Dimer, z: ZigzagCycle, sign: int) -> tuple:
     For sign=+1, each pair (zag_l, zig_{l+1}) spans a positive face; the arcs
     complementary to these pairs compose (in reverse pair order) to a closed
     cycle of homology -[Z].  sign=-1 uses the (zig_l, zag_l) negative faces.
+    Computed once per dimer, cycle and sign; the tuple is shared.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    return d._memo(("anti_zigzag", z.arrows, sign), lambda: _anti_zigzag(d, z, sign))
+
+
+def _anti_zigzag(d: Dimer, z: ZigzagCycle, sign: int) -> tuple:
+    pos_face, neg_face = d._struct()[:2]
     L = len(z.zigs)
     arcs = []
     for k in range(L):
         if sign > 0:
             u, w = z.zags[k], z.zigs[(k + 1) % L]  # (zag, zig) on a positive face
-            face = d.faces[d.pos_face_of(u)]
+            b = d.faces[pos_face[u]].boundary
         else:
             u, w = z.zigs[k], z.zags[k]  # (zig, zag) on a negative face
-            face = d.faces[d.neg_face_of(u)]
-        b = face.boundary
-        iu = b.index(u)
-        if b[(iu + 1) % len(b)] != w:
+            b = d.faces[neg_face[u]].boundary
+        iu, n = b.index(u), len(b)
+        if b[(iu + 1) % n] != w:
             raise DimerError("zigzag pair is not consecutive on its face")
-        arcs.append(cyclic_arc(b, iu + 1, iu))
-    word: list = []
-    for arc in reversed(arcs):
-        word.extend(arc)
-    # rotate so the word is composable from its own start (it is closed)
-    out = tuple(word)
+        arcs.append((b + b)[iu + 2 : iu + n])  # from after w round to before u
+    out = tuple(a for arc in reversed(arcs) for a in arc)
+    # a rotation has the same cyclic adjacent pairs, so none of them would close either
     if out and not d.is_closed(out):
-        for rot in cyclic_rotations(out):
-            if d.is_closed(rot):
-                out = rot
-                break
-        else:
-            raise DimerError("anti-zigzag does not close up")
+        raise DimerError("anti-zigzag does not close up")
     return out
 
 
 # -- zigzag consistency ----------------------------------------------------
+#
+# The zig ray at an arrow e runs along the zigzag orbit in which e is a zig,
+# starting at that position: e, its zag, the next zig, and so on.  The zag ray
+# runs along the orbit in which e is a zag, starting there.  One period of a
+# ray is one lap of its orbit, so instead of walking both rays from every
+# arrow, the check reads them from one table per orbit: the word, its prefix
+# shift sums and, for each arrow, its positions in the word.  Only arrows on
+# both orbits are candidate meetings, so each arrow costs one pass over its
+# zig orbit with a dict lookup per position, not a comparison of every pair
+# of occurrences.  The tables are built from the memoized orbits on each
+# call and dropped when it returns.
 
 
-def _ray_occurrences(d: Dimer, e, as_zig: bool):
-    """One period of the zig (or zag) ray at e: [(arrow, translate)] and the period shift."""
-    occ = []
-    cum = (0, 0)
-    cur = e
-    while True:
-        occ.append((cur, cum))
-        cum = vec_add(cum, d.shift(cur))
-        nxt = d.next_neg(cur) if as_zig else d.next_pos(cur)
-        occ.append((nxt, cum))
-        cum = vec_add(cum, d.shift(nxt))
-        cur = d.next_pos(nxt) if as_zig else d.next_neg(nxt)
-        if cur == e:
-            break
-    return occ, cum
+@dataclass(frozen=True)
+class _OrbitTable:
+    """One zigzag orbit with its prefix shift sums and arrow positions.
+
+    ``prefix[k]`` is the total shift of the first k arrows of the word, so
+    ``prefix[len(word)]`` is the homology.  ``at[a]`` holds the positions of
+    arrow a in the word, ascending: at most two, once as zig and once as zag.
+    """
+
+    cycle: ZigzagCycle
+    prefix: tuple
+    at: dict
+
+    def offset(self, start: int, i: int) -> Vec:
+        """Shift of the arrows from position start up to, not including, position i, going forward."""
+        x, y = self.prefix[i]
+        if i < start:  # around the end of the word: one more period
+            hx, hy = self.prefix[-1]
+            x, y = x + hx, y + hy
+        sx, sy = self.prefix[start]
+        return (x - sx, y - sy)
+
+
+def _orbit_tables(d: Dimer) -> tuple[dict, dict]:
+    """arrow -> (table, position) of its zig occurrence, and of its zag."""
+    zig_at: dict = {}
+    zag_at: dict = {}
+    for z in _orbits(d):
+        word = z.arrows
+        x = y = 0
+        prefix = [(0, 0)]
+        at: dict = {}
+        for k, aid in enumerate(word):
+            sx, sy = d.arrow_by_id[aid].shift
+            x, y = x + sx, y + sy
+            prefix.append((x, y))
+            at[aid] = at.get(aid, ()) + (k,)
+        table = _OrbitTable(z, tuple(prefix), at)
+        for k in range(0, len(word), 2):
+            zig_at[word[k]] = (table, k)
+            zag_at[word[k + 1]] = (table, k + 1)
+    return zig_at, zag_at
+
+
+def _ray_meeting(t_zig: Vec, t_zag: Vec, dd: Vec, trivial: bool):
+    """(n, m) >= 0 with n * t_zig - m * t_zag == dd, or None; (0, 0) does not count when trivial.
+
+    dd is the zag occurrence's translate minus the zig occurrence's; trivial
+    marks the starting arrow itself, met at translate zero on both rays.
+    """
+    det = cross(t_zag, t_zig)  # det of [t_zig | -t_zag]
+    if det != 0:
+        n_num = cross(t_zag, dd)
+        m_num = cross(t_zig, dd)
+        if n_num % det or m_num % det:
+            return None
+        n, m = n_num // det, m_num // det
+        if n < 0 or m < 0 or (trivial and n == m == 0):
+            return None
+        return n, m
+    # parallel periods: project onto the common direction
+    gx = gcd(abs(t_zig[0]), abs(t_zig[1]))
+    base = (t_zig[0] // gx, t_zig[1] // gx)
+    if cross(base, dd) != 0 or cross(base, t_zag) != 0:
+        return None
+    p = t_zig[0] // base[0] if base[0] else t_zig[1] // base[1]
+    q = t_zag[0] // base[0] if base[0] else t_zag[1] // base[1]
+    dv = dd[0] // base[0] if base[0] else dd[1] // base[1]
+    sol = _solve_parallel(p, q, dv)
+    if sol is None or (trivial and sol == (0, 0)):
+        return None
+    return sol
 
 
 def _solve_parallel(p: int, q: int, dd: int):
@@ -657,50 +727,37 @@ def is_zigzag_consistent(d: Dimer):
     For each arrow the zig and zag rays are periodic; an intersection in an
     edge other than the starting one solves a small linear system over
     nonnegative integers.  Null-homologous zigzag cycles are violations too.
-    Returns (True, None) or (False, witness).
+    Arrows are taken in id order, and along the zig ray each occurrence is
+    tried against the zag ray's occurrences of the same arrow in ray order,
+    so the witness is the first meeting found.  Returns (True, None) or
+    (False, witness); witness is (e, f, n, m) for the rays at e meeting at f.
     """
     d.require_valid()
     if not d.has_shifts:
         raise DimerError("consistency requires torus shift data")
-    for z in _zigzag_orbits(d):
+    for z in _orbits(d):
         if z.homology == (0, 0):
             return False, ("null_homologous_cycle", z.arrows)
+    zig_at, zag_at = _orbit_tables(d)
     for e in sorted(d.arrow_by_id, key=idkey):
-        occ_zig, t_zig = _ray_occurrences(d, e, as_zig=True)
-        occ_zag, t_zag = _ray_occurrences(d, e, as_zig=False)
-        det = cross(t_zag, t_zig)  # det of [t_zig | -t_zag]
-        for (f, u) in occ_zig:
-            for (g, v) in occ_zag:
-                if f != g:
-                    continue
-                dd = vec_sub(v, u)
-                if det != 0:
-                    n_num = cross(t_zag, dd)
-                    m_num = cross(t_zig, dd)
-                    if n_num % det or m_num % det:
-                        continue
-                    n, m = n_num // det, m_num // det
-                    if n < 0 or m < 0:
-                        continue
-                    if f == e and u == v == (0, 0) and n == m == 0:
-                        continue
-                    return False, (e, f, n, m)
-                # parallel periods: project onto the common direction
-                gx = gcd(abs(t_zig[0]), abs(t_zig[1]))
-                base = (t_zig[0] // gx, t_zig[1] // gx)
-                if cross(base, dd) != 0 or cross(base, t_zag) != 0:
-                    continue
-                p = t_zig[0] // base[0] if base[0] else t_zig[1] // base[1]
-                q = t_zag[0] // base[0] if base[0] else t_zag[1] // base[1]
-                dv = dd[0] // base[0] if base[0] else dd[1] // base[1]
-                trivial_ok = f == e and u == v == (0, 0)
-                sol = _solve_parallel(p, q, dv)
-                if sol is None:
-                    continue
-                n, m = sol
-                if trivial_ok and (n, m) == (0, 0):
-                    continue
-                return False, (e, f, n, m)
+        zig, p = zig_at[e]
+        zag, q = zag_at[e]
+        t_zig, t_zag = zig.cycle.homology, zag.cycle.homology
+        word = zig.cycle.arrows
+        for i in itertools.chain(range(p, len(word)), range(p)):
+            f = word[i]
+            hits = zag.at.get(f)
+            if hits is None:
+                continue
+            u = zig.offset(p, i)
+            if hits[0] < q <= hits[-1]:  # the zag ray from q reaches the later position first
+                hits = hits[::-1]
+            for j in hits:
+                v = zag.offset(q, j)
+                trivial = f == e and u == v == (0, 0)
+                found = _ray_meeting(t_zig, t_zag, vec_sub(v, u), trivial)
+                if found is not None:
+                    return False, (e, f) + tuple(found)
     return True, None
 
 
@@ -727,13 +784,14 @@ def _parallel_classes(d: Dimer):
         if not is_primitive(eta):
             raise DimerError(f"zigzag class {eta} is not primitive")
         out.append((eta, members))
-    for z1, z2 in itertools.combinations(cycles, 2):
-        shared = set(z1.arrows) & set(z2.arrows)
-        if z1.class_index == z2.class_index and shared:
+    arrow_sets = [set(z.arrows) for z in cycles]
+    for (z1, s1), (z2, s2) in itertools.combinations(zip(cycles, arrow_sets), 2):
+        disjoint = s1.isdisjoint(s2)
+        if z1.class_index == z2.class_index and not disjoint:
             raise DimerError(
-                f"parallel cycles share arrows {sorted(shared, key=idkey)}"
+                f"parallel cycles share arrows {sorted(s1 & s2, key=idkey)}"
             )
-        if cross(z1.homology, z2.homology) != 0 and not shared:
+        if cross(z1.homology, z2.homology) != 0 and disjoint:
             raise DimerError(
                 "independent zigzag cycles "
                 f"{z1.arrows} and {z2.arrows} share no arrow"

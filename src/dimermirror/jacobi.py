@@ -252,15 +252,42 @@ class Jacobi:
     # -- canonical forms ---------------------------------------------------
 
     def canonical_form(self, word: Iterable) -> PathClass:
+        """The class of a composable word: endpoints, total shift and P* degree.
+
+        One pass over the word reads each arrow once.  Composability is
+        decided for the whole word before a missing shift raises
+        ``DimerError``, as ``is_composable`` and then ``word_shift`` would.
+        """
         word = tuple(word)
         d = self.dimer
-        if not d.is_composable(word):
+        arrow_by_id, ref = d.arrow_by_id, self.ref.edges
+        x = y = w0 = 0
+        unshifted = None  # the first arrow without shift data
+        prev = None
+        for aid in word:
+            a = arrow_by_id.get(aid)
+            if a is None or (prev is not None and prev.head != a.tail):
+                # is_composable raises the same TypeError on an unhashable id further on
+                d.is_composable(word)
+                raise JacobiError(f"word {word!r} is not a composable path")
+            if a.shift is None:
+                if unshifted is None:
+                    unshifted = aid
+            else:
+                x += a.shift[0]
+                y += a.shift[1]
+            if aid in ref:
+                w0 += 1
+            prev = a
+        if prev is None:
             raise JacobiError(f"word {word!r} is not a composable path")
+        if unshifted is not None:
+            d.shift(unshifted)  # raises DimerError naming the arrow
         return PathClass(
-            tail=d.tail(word[0]),
-            head=d.head(word[-1]),
-            h1=d.word_shift(word),
-            w0=self.word_degree(word, self.ref.edges),
+            tail=arrow_by_id[word[0]].tail,
+            head=prev.head,
+            h1=(x, y),
+            w0=w0,
             witness=word,
         )
 

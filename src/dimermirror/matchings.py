@@ -21,6 +21,13 @@ potentials), for a matching of greatest weight <nu, height>:
 Every answer is checked against its potentials (LP duality), so a wrong
 answer raises ``DimerError`` instead of shrinking the hull.
 
+Heights come from one table built per polytope, ``arrow_class``: each
+arrow's coefficients on the two chains, which are also the weights of the
+queries.  A query's height is the sum of its matched arrows' entries minus
+that of P0, which is summed once; ``MatchingPolytope.height`` reads the same
+table.  ``matching_height``, which scans both chains for P and for P0, is the
+reference that tests compare these heights against.
+
 Two more polynomial computations stand in for the list of all matchings:
 
 * ``matching_basis`` asks the same oracle for matchings whose indicator
@@ -89,8 +96,10 @@ class MatchingPolytope:
     corners: dict  # height -> PerfectMatching (unique per corner)
     normalized_area: int  # twice the Euclidean area
     dimer: Dimer = field(repr=False)
-    chains: list = field(repr=False)  # generating_cycles(dimer), on which heights are read
+    # arrow -> its coefficients on the two generating_cycles(dimer) chains
+    arrow_class: dict = field(repr=False)
     reference: PerfectMatching = field(repr=False)  # P0, at height (0, 0)
+    reference_class: Vec = field(repr=False)  # _class_sum(P0.edges, arrow_class), taken once
     _points: Optional[dict] = field(default=None, repr=False, compare=False)
 
     @property
@@ -105,8 +114,8 @@ class MatchingPolytope:
         return self._points
 
     def height(self, matching: PerfectMatching) -> Vec:
-        """Class of (matching - P0) on the chains the polytope was built with."""
-        return matching_height(self.dimer, matching, self.reference, self.chains)
+        """Class of (matching - P0), read from the table the polytope was built with."""
+        return vec_sub(_class_sum(matching.edges, self.arrow_class), self.reference_class)
 
 
 def enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
@@ -272,12 +281,26 @@ def evaluate_on_chain(matching: frozenset, chain: dict) -> int:
 
 
 def matching_height(d: Dimer, p: PerfectMatching, p0: PerfectMatching, chains=None) -> Vec:
-    """Class of (P - P0) in H^1, evaluated on fixed generating cycles."""
+    """Class of (P - P0) in H^1, evaluated on fixed generating cycles.
+
+    Scans both chains for P and for P0.  A reference that tests compare the
+    heights ``matching_polytope`` reads from its ``arrow_class`` table against.
+    """
     if chains is None:
         chains = generating_cycles(d)
     return tuple(
         evaluate_on_chain(p.edges, c) - evaluate_on_chain(p0.edges, c) for c in chains
     )
+
+
+def _class_sum(edges, arrow_class: dict) -> Vec:
+    """The sum of the chain coefficients of a set of arrows; arrows off both chains add 0."""
+    x = y = 0
+    for a in edges:
+        cx, cy = arrow_class.get(a, (0, 0))
+        x += cx
+        y += cy
+    return (x, y)
 
 
 def _convex_hull(points: list[Vec]) -> list[Vec]:
@@ -455,6 +478,7 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
     chains = generating_cycles(d)
     p0 = PerfectMatching(found[0], (0, 0))
     arrow_class = {a: (chains[0].get(a, 0), chains[1].get(a, 0)) for a in oracle.arrows}
+    p0_class = _class_sum(p0.edges, arrow_class)
 
     answers: dict = {}  # direction -> answer; the hull and corner steps repeat directions
 
@@ -463,7 +487,7 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
         if nu not in answers:
             weight = {a: dot(nu, c) for a, c in arrow_class.items()}
             edges, tight = oracle.best(weight, f"direction {nu}")
-            answers[nu] = matching_height(d, PerfectMatching(edges), p0, chains), edges, tight
+            answers[nu] = vec_sub(_class_sum(edges, arrow_class), p0_class), edges, tight
         return answers[nu]
 
     heights = {(0, 0)}  # P0
@@ -532,8 +556,9 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
         corners=corners,
         normalized_area=twice_area,
         dimer=d,
-        chains=chains,
+        arrow_class=arrow_class,
         reference=p0,
+        reference_class=p0_class,
     )
 
 

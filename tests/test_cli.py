@@ -367,3 +367,13 @@ def test_closed_output_pipe_exits_without_traceback():
         os.close(write_end)
     assert proc.returncode != 0
     assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [("verify", "c3"), ("polytope", "spp", "--format", "markdown"), ("no-such-command",)])
+def test_python_dash_m_package_runs_the_cli(args):
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dimermirror", *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == main_in_process(*args)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+from math import gcd
 
 import pytest
 
@@ -21,11 +23,12 @@ from dimermirror import (
     zigzag_cycles,
 )
 from dimermirror.cli import with_base_vertex
-from dimermirror.dimer import cyclic_equal
-from dimermirror.io import dimer_from_dict
+from dimermirror.dimer import _solve_parallel, cyclic_equal, cross, idkey, vec_add, vec_sub
+from dimermirror.io import dimer_from_dict, dimer_to_dict
 from dimermirror.ks import KSVerifier
 from dimermirror.matchings import matching_polytope
 from test_cli import run_cli
+from test_matchings import ORACLE_ZOO
 
 
 def c3_variant(shift_z=(-1, -1), plus_boundary=("z", "y", "x")):
@@ -366,7 +369,189 @@ def test_ray_intersection_witness():
         ),
     )
     assert d.validate().ok
-    ok, witness = is_zigzag_consistent(d)
-    assert not ok
-    e0, f0, n, m = witness
-    assert {e0, f0} == {"c1", "c2"} or (e0 in ("c1", "c2"))
+    # the zig and zag rays at c1 first meet again at c1, one period along each
+    assert is_zigzag_consistent(d) == (False, ("c1", "c1", 1, 1))
+    assert reference_consistency(d) == (False, ("c1", "c1", 1, 1))
+
+
+# -- the orbit-table consistency search against walking both rays -------------
+
+
+def _ray_occurrences(d, e, as_zig):
+    """One period of the zig (or zag) ray at e: [(arrow, translate)] and the period shift."""
+    occ = []
+    cum = (0, 0)
+    cur = e
+    while True:
+        occ.append((cur, cum))
+        cum = vec_add(cum, d.shift(cur))
+        nxt = d.next_neg(cur) if as_zig else d.next_pos(cur)
+        occ.append((nxt, cum))
+        cum = vec_add(cum, d.shift(nxt))
+        cur = d.next_pos(nxt) if as_zig else d.next_neg(nxt)
+        if cur == e:
+            break
+    return occ, cum
+
+
+def reference_consistency(d):
+    """The ray criterion by walking both rays from every arrow and comparing all occurrence pairs."""
+    for z in dimer_module._zigzag_orbits(d):
+        if z.homology == (0, 0):
+            return False, ("null_homologous_cycle", z.arrows)
+    for e in sorted(d.arrow_by_id, key=idkey):
+        occ_zig, t_zig = _ray_occurrences(d, e, as_zig=True)
+        occ_zag, t_zag = _ray_occurrences(d, e, as_zig=False)
+        det = cross(t_zag, t_zig)
+        for (f, u) in occ_zig:
+            for (g, v) in occ_zag:
+                if f != g:
+                    continue
+                dd = vec_sub(v, u)
+                trivial = f == e and u == v == (0, 0)
+                if det != 0:
+                    n_num, m_num = cross(t_zag, dd), cross(t_zig, dd)
+                    if n_num % det or m_num % det:
+                        continue
+                    n, m = n_num // det, m_num // det
+                    if n < 0 or m < 0 or (trivial and n == m == 0):
+                        continue
+                    return False, (e, f, n, m)
+                gx = gcd(abs(t_zig[0]), abs(t_zig[1]))
+                base = (t_zig[0] // gx, t_zig[1] // gx)
+                if cross(base, dd) != 0 or cross(base, t_zag) != 0:
+                    continue
+                p = t_zig[0] // base[0] if base[0] else t_zig[1] // base[1]
+                q = t_zag[0] // base[0] if base[0] else t_zag[1] // base[1]
+                dv = dd[0] // base[0] if base[0] else dd[1] // base[1]
+                sol = _solve_parallel(p, q, dv)
+                if sol is None or (trivial and sol == (0, 0)):
+                    continue
+                return False, (e, f) + tuple(sol)
+    return True, None
+
+
+def _raw(covers, name, k, l):
+    base = covers.load_base(name)
+    return base if (k, l) == (1, 1) else covers.cover(base, k, l)
+
+
+def subdivisions(raw):
+    """Every dimer made by splitting one arrow in two at a new 2-valent vertex.
+
+    Each arrow gives two: its shift on the first half or on the second.
+    """
+    for i, a in enumerate(raw["arrows"]):
+        w = f"w_{a['id']}"
+        for on_first in (True, False):
+            halves = [
+                {"id": f"{a['id']}_1", "tail": a["tail"], "head": w,
+                 "shift": a["shift"] if on_first else [0, 0]},
+                {"id": f"{a['id']}_2", "tail": w, "head": a["head"],
+                 "shift": [0, 0] if on_first else a["shift"]},
+            ]
+            faces = [
+                {"sign": f["sign"],
+                 "boundary": [h["id"] for b in f["boundary"] for h in (halves if b == a["id"] else [{"id": b}])]}
+                for f in raw["faces"]
+            ]
+            yield {
+                "name": f"{raw['name']}_split_{a['id']}",
+                "vertices": raw["vertices"] + [w],
+                "arrows": raw["arrows"][:i] + halves + raw["arrows"][i + 1:],
+                "faces": faces,
+            }
+
+
+@pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
+def test_consistency_witness_matches_the_two_ray_search(name, k, l, covers):
+    raw = _raw(covers, name, k, l)
+    for seed in (None, 0, 1, 2):
+        data = raw if seed is None else covers.relabel(raw, random.Random(seed))
+        d = dimer_from_dict(data)
+        assert is_zigzag_consistent(d) == reference_consistency(d) == (True, None)
+
+
+# the bundled dimers and their covers with at most 24 arrows
+SPLIT_ZOO = [(name, k, l) for name, k, l in ORACLE_ZOO if {"c3": 3, "conifold": 4, "spp": 7}[name] * k * l <= 24]
+
+
+@pytest.mark.parametrize("name,k,l", SPLIT_ZOO)
+def test_subdivided_arrow_witness_matches_the_two_ray_search(name, k, l, covers):
+    raw = _raw(covers, name, k, l)
+    count = 0
+    for data in subdivisions(raw):
+        for seed in (None, 0):
+            d = dimer_from_dict(data if seed is None else covers.relabel(data, random.Random(seed)))
+            assert d.validate().ok
+            got = is_zigzag_consistent(d)
+            assert not got[0] and got == reference_consistency(d), d.name
+        count += 1
+    assert count == 2 * len(raw["arrows"])
+
+
+def test_zigzag_orbits_are_built_once_per_dimer(monkeypatch):
+    from dimermirror import cli
+
+    built = []
+    original = dimer_module._zigzag_orbits
+
+    def counted(d):
+        built.append(d)
+        return original(d)
+
+    monkeypatch.setattr(dimer_module, "_zigzag_orbits", counted)
+    assert cli.main(["verify", "conifold"]) == 0
+    assert cli.main(["polytope", "conifold"]) == 0
+    assert len(built) == 2  # one dimer per command, and one walk each
+    assert len({id(d) for d in built}) == 2
+
+
+def test_anti_zigzag_is_built_once_per_cycle_and_sign():
+    d = load_bundled("spp")
+    for z in zigzag_cycles(d):
+        for sign in (+1, -1):
+            assert anti_zigzag(d, z, sign) is anti_zigzag(d, z, sign)
+    with pytest.raises(ValueError, match="sign must be"):
+        anti_zigzag(d, zigzag_cycles(d)[0], 0)
+
+
+def test_anti_zigzag_that_does_not_close_fails_on_the_first_check(monkeypatch):
+    # every rotation of a word has the same cyclic adjacent pairs, so one
+    # is_closed call decides; no rotation is tried
+    d = load_bundled("spp")
+    z = max(zigzag_cycles(d), key=len)
+    calls = []
+    monkeypatch.setattr(d, "is_closed", lambda word: calls.append(word) or False)
+    with pytest.raises(DimerError, match="anti-zigzag does not close up"):
+        anti_zigzag(d, z, +1)
+    assert len(calls) == 1
+
+
+def test_rotations_of_a_word_close_together(dimers):
+    for d in dimers.values():
+        for z in zigzag_cycles(d):
+            for sign in (+1, -1):
+                word = anti_zigzag(d, z, sign)
+                assert all(d.is_closed(word[k:] + word[:k]) for k in range(len(word)))
+
+
+def test_unhashable_endpoint_is_an_unknown_vertex():
+    raw = dimer_to_dict(load_bundled("conifold"))
+    raw["arrows"][0]["tail"] = [1]  # a JSON list names no vertex
+    rep = dimer_from_dict(raw).validate()
+    assert not rep.ok and rep.codes() == {"unknown_vertex"}
+
+
+@pytest.mark.parametrize("name,k,l", [("c3", 1, 1), ("c3", 2, 1), ("conifold", 1, 1), ("spp", 1, 1)])
+def test_twice_subdivided_witness_matches_the_two_ray_search(name, k, l, covers):
+    # two 2-valent vertices put some arrows twice on one zigzag orbit, so the
+    # zag ray meets them in an order that differs from their order in the word
+    count = 0
+    for once in subdivisions(_raw(covers, name, k, l)):
+        for data in subdivisions(once):
+            d = dimer_from_dict(data)
+            got = is_zigzag_consistent(d)
+            assert not got[0] and got == reference_consistency(d), d.name
+            count += 1
+    assert count > 0

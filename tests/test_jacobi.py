@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from dimermirror.dimer import cyclic_equal, idkey
+from dimermirror.dimer import Arrow, Dimer, DimerError, cyclic_equal, idkey
 from dimermirror.jacobi import (
+    Jacobi,
     JacobiError,
+    PathClass,
     cyclic_derivative,
     hessian,
     superpotential,
@@ -304,3 +308,69 @@ def test_realize_path_not_found_is_none(jacobis):
     # 1 cannot reach; the search reports None rather than claiming nonexistence
     out = jac.realize_path("v", "v", (3, 0), jac.x_alpha_w0((3, 0)), cap=1)
     assert out is None
+
+
+def _three_pass_canonical_form(jac, word):
+    """``Jacobi.canonical_form`` as three walks: composability, then shift, then degree."""
+    word = tuple(word)
+    d = jac.dimer
+    if not d.is_composable(word):
+        raise JacobiError(f"word {word!r} is not a composable path")
+    return PathClass(
+        d.tail(word[0]), d.head(word[-1]), d.word_shift(word), jac.word_degree(word, jac.ref.edges), word
+    )
+
+
+def _outcome(fn, word):
+    try:
+        cls = fn(word)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+    return cls, cls.witness
+
+
+def test_one_pass_canonical_form_matches_three_passes(dimers, jacobis):
+    rng = random.Random(7)
+    for name, d in dimers.items():
+        jac = jacobis[name]
+        out_arrows: dict = {}
+        for a in d.arrows:
+            out_arrows.setdefault(a.tail, []).append(a.id)
+        words = [(), ("nope",), (d.arrows[0].id, "nope"), ([1],), (d.arrows[0].id, [1])]
+        for _ in range(200):
+            v = rng.choice(d.vertices)
+            word = []
+            for _ in range(rng.randint(1, 9)):
+                aid = rng.choice(out_arrows[v])
+                word.append(aid)
+                v = d.head(aid)
+            words.append(tuple(word))
+            words.append(tuple(rng.sample(word, len(word))))  # mostly not composable
+            words.append(tuple(word) + ("nope", [1]))  # a missing id before an unhashable one
+        for word in words:
+            assert _outcome(jac.canonical_form, word) == _outcome(
+                lambda w: _three_pass_canonical_form(jac, w), word
+            ), word
+
+
+def test_canonical_form_decides_composability_before_a_missing_shift(dimers):
+    d = dimers["conifold"]
+    jac = Jacobi(d)
+    jac.dimer = Dimer(
+        d.name,
+        d.vertices,
+        [Arrow(a.id, a.tail, a.head, None if a.id == "a1" else a.shift) for a in d.arrows],
+        d.faces,
+    )
+    with pytest.raises(JacobiError, match="not a composable path"):
+        jac.canonical_form(("a1", "a2", "nope", [1]))
+    with pytest.raises(TypeError):
+        jac.canonical_form(("a1", "b1", "b2", [1]))
+    with pytest.raises(JacobiError, match="not a composable path"):
+        jac.canonical_form(("a1", "a2"))
+    with pytest.raises(DimerError, match="arrow 'a1' carries no shift data"):
+        jac.canonical_form(("b2", "a1", "b1"))
+    for word in (("a1", "a2"), ("b2", "a1", "b1"), ("a1", "b1", "a2")):
+        assert _outcome(jac.canonical_form, word) == _outcome(
+            lambda w: _three_pass_canonical_form(jac, w), word
+        )

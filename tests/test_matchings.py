@@ -441,3 +441,20 @@ def test_matching_basis_stops_short_when_the_oracle_repeats_itself(monkeypatch):
     monkeypatch.setattr(matchings._MatchingOracle, "best", stuck)
     basis = matching_basis(load_bundled("spp"))
     assert (basis.rank, basis.dim_W) == (1, 5)
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+@pytest.mark.parametrize("name,k,l", [("spp", 1, 1), ("conifold", 2, 2), ("c3", 3, 1)])
+def test_table_heights_match_the_chain_scan(name, k, l, seed, covers):
+    raw = covers.cover(covers.load_base(name), k, l) if (k, l) != (1, 1) else covers.load_base(name)
+    if seed is not None:
+        raw = covers.relabel(raw, random.Random(seed))
+    d = dimer_from_dict(raw)
+    mp = matching_polytope(d)
+    chains = generating_cycles(d)
+    for h, corner in mp.corners.items():
+        assert matching_height(d, corner, mp.reference, chains) == h
+    for p in enumerate_perfect_matchings(d):
+        assert mp.height(p) == matching_height(d, p, mp.reference, chains)
+    # an arrow on neither chain adds nothing, as in the chain scan
+    assert mp.height(PerfectMatching(mp.reference.edges | {"not-an-arrow"})) == (0, 0)
