@@ -11,6 +11,15 @@ and compose it with the coefficients of their input.  The second
 differential d_W contracts a derivation with the potential through a second
 table, the splits of the face word of W at each vertex.  The product of
 degrees 1 and 2 pairs X_a with Xbar_a and composes their coefficients.
+
+d0, d1, d2, d_W and the product add their terms on plain keys: each output
+slot sums coefficients in a dict keyed by the tuple (tail, head, h1, w0) of
+the composed class, and keeps beside each key the witness parts of the first
+term added under it.  Most of these sums cancel, so a ``PathClass`` is built
+only for each nonzero total, with the first term's witness (the parts
+joined, or None when one of them is None), even when the running total
+passed through 0 on the way.  Composability is checked term by term, as
+``Jacobi.compose`` would.
 """
 
 from __future__ import annotations
@@ -46,24 +55,38 @@ class CochainElement:
                 self.terms[slot] = elem
 
     @staticmethod
+    def _nonzero(degree: int, terms: dict) -> "CochainElement":
+        """The element on ``terms``: nonzero coefficients on slots of this degree."""
+        out = CochainElement.__new__(CochainElement)
+        out.degree = degree
+        out.terms = terms
+        return out
+
+    @staticmethod
     def zero(degree: int) -> "CochainElement":
         return CochainElement(degree, {})
 
     @staticmethod
-    def from_sums(degree: int, sums: dict) -> "CochainElement":
-        """Element from slot -> {class: coefficient} sums, dropping zeros."""
+    def from_terms(degree: int, terms) -> "CochainElement":
+        """The sum of (slot, class, coefficient) terms, added up in one pass."""
+        sums: dict = {}
+        for slot, cls, k in terms:
+            out = sums.setdefault(slot, {})
+            out[cls] = out.get(cls, 0) + k
         return CochainElement(degree, {slot: JElement(t) for slot, t in sums.items()})
 
     @staticmethod
     def sum_of(degree: int, elements) -> "CochainElement":
         """The sum of elements of one degree, added up in one pass."""
-        sums: dict = {}
-        for c in elements:
-            for slot, elem in c.terms.items():
-                out = sums.setdefault(slot, {})
-                for cls, k in elem.terms.items():
-                    out[cls] = out.get(cls, 0) + k
-        return CochainElement.from_sums(degree, sums)
+        return CochainElement.from_terms(
+            degree,
+            (
+                (slot, cls, k)
+                for c in elements
+                for slot, elem in c.terms.items()
+                for cls, k in elem.terms.items()
+            ),
+        )
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -100,6 +123,26 @@ class CochainElement:
     def __repr__(self):
         bits = [f"{slot}: {elem}" for slot, elem in sorted(self.terms.items(), key=str)]
         return f"Cochain(deg={self.degree}, " + "; ".join(bits) + ")"
+
+
+def _cochain(degree: int, sums: dict) -> CochainElement:
+    """The element of ``sums``: slot -> {(tail, head, h1, w0): [coefficient, witness parts]}.
+
+    A class is built only for a nonzero total.  Its witness is that of the
+    first term added under its key: the parts joined, or None when one is None.
+    """
+    terms = {}
+    for slot, acc in sums.items():
+        elem = {
+            PathClass(*key, None if None in parts else sum(parts, ())): k
+            for key, (k, parts) in acc.items()
+            if k
+        }
+        if elem:
+            if _SLOT_DEGREE[slot[0]] != degree:
+                raise HochschildError(f"slot {slot} has wrong degree for {degree}")
+            terms[slot] = JElement._nonzero(elem)
+    return CochainElement._nonzero(degree, terms)
 
 
 @dataclass(frozen=True)
@@ -226,22 +269,37 @@ class KoszulComplex:
 
     def d0(self, c: CochainElement) -> CochainElement:
         """m |-> sum over arrows of (x m - m x) on the arrow slots."""
-        compose = self.jac.compose
         sums: dict = {}
         for (kind, v), elem in c.terms.items():
             if kind != UNIT:
                 raise HochschildError("degree-0 terms must sit on unit slots")
             for a in self._leaving[v]:
                 acls, out = self._arrow_cls[a], sums.setdefault((X, a), {})
+                head, (a0, a1), aw0, awit = acls.head, acls.h1, acls.w0, acls.witness
                 for cls, k in elem.terms.items():
-                    total = compose(cls, acls)
-                    out[total] = out.get(total, 0) + k
+                    if cls.head != acls.tail:
+                        raise JacobiError("paths do not compose")
+                    h = cls.h1
+                    key = (cls.tail, head, (h[0] + a0, h[1] + a1), cls.w0 + aw0)
+                    entry = out.get(key)
+                    if entry is None:
+                        out[key] = [k, (cls.witness, awit)]
+                    else:
+                        entry[0] += k
             for a in self._entering[v]:
                 acls, out = self._arrow_cls[a], sums.setdefault((X, a), {})
+                tail, (a0, a1), aw0, awit = acls.tail, acls.h1, acls.w0, acls.witness
                 for cls, k in elem.terms.items():
-                    total = compose(acls, cls)
-                    out[total] = out.get(total, 0) - k
-        return CochainElement.from_sums(1, sums)
+                    if acls.head != cls.tail:
+                        raise JacobiError("paths do not compose")
+                    h = cls.h1
+                    key = (tail, cls.head, (a0 + h[0], a1 + h[1]), aw0 + cls.w0)
+                    entry = out.get(key)
+                    if entry is None:
+                        out[key] = [-k, (awit, cls.witness)]
+                    else:
+                        entry[0] -= k
+        return _cochain(1, sums)
 
     def d1(self, c: CochainElement) -> CochainElement:
         """Hessian sandwich: polygons with one marked corner and the coefficient inserted."""
@@ -249,35 +307,50 @@ class KoszulComplex:
         for (kind, y), elem in c.terms.items():
             if kind != X:
                 raise HochschildError("degree-1 terms must sit on X slots")
-            for sign, x, (tail, head, h1, w0), (left, right) in self._hessian[y]:
+            for sign, x, (tail, head, (o0, o1), w0), (left, right) in self._hessian[y]:
                 out = sums.setdefault((XBAR, x), {})
                 for cls, k in elem.terms.items():
                     if left.head != cls.tail or cls.head != right.tail:
                         raise JacobiError("paths do not compose")
-                    witness = None
-                    if None not in (left.witness, cls.witness, right.witness):
-                        witness = left.witness + cls.witness + right.witness
-                    total = PathClass(tail, head, vec_add(h1, cls.h1), w0 + cls.w0, witness)
-                    out[total] = out.get(total, 0) + sign * k
-        return CochainElement.from_sums(2, sums)
+                    h = cls.h1
+                    key = (tail, head, (o0 + h[0], o1 + h[1]), w0 + cls.w0)
+                    entry = out.get(key)
+                    if entry is None:
+                        out[key] = [sign * k, (left.witness, cls.witness, right.witness)]
+                    else:
+                        entry[0] += sign * k
+        return _cochain(2, sums)
 
     def d2(self, c: CochainElement) -> CochainElement:
         """Commutator with the slot arrow, landing on point slots."""
-        compose = self.jac.compose
         d = self.dimer
         sums: dict = {}
         for (kind, y), elem in c.terms.items():
             if kind != XBAR:
                 raise HochschildError("degree-2 terms must sit on Xbar slots")
             ycls = self._arrow_cls[y]
+            (y0, y1), yw0, ywit = ycls.h1, ycls.w0, ycls.witness
             plus = sums.setdefault((PT, d.head(y)), {})
             minus = sums.setdefault((PT, d.tail(y)), {})
             for cls, k in elem.terms.items():
-                total = compose(cls, ycls)
-                plus[total] = plus.get(total, 0) + k
-                total = compose(ycls, cls)
-                minus[total] = minus.get(total, 0) - k
-        return CochainElement.from_sums(3, sums)
+                if cls.head != ycls.tail:
+                    raise JacobiError("paths do not compose")
+                h, w0 = cls.h1, cls.w0 + yw0
+                key = (cls.tail, ycls.head, (h[0] + y0, h[1] + y1), w0)
+                entry = plus.get(key)
+                if entry is None:
+                    plus[key] = [k, (cls.witness, ywit)]
+                else:
+                    entry[0] += k
+                if ycls.head != cls.tail:
+                    raise JacobiError("paths do not compose")
+                key = (ycls.tail, cls.head, (y0 + h[0], y1 + h[1]), w0)
+                entry = minus.get(key)
+                if entry is None:
+                    minus[key] = [-k, (ywit, cls.witness)]
+                else:
+                    entry[0] -= k
+        return _cochain(3, sums)
 
     # -- BV operator on degree 3 --------------------------------------------
 
@@ -288,19 +361,12 @@ class KoszulComplex:
         d = self.dimer
         if word and not d.is_closed(word):
             raise HochschildError(f"{word!r} is not a closed path")
-        out = CochainElement.zero(2)
-        if not word:
-            return out
-        n = len(word)
-        for i in range(n):
+        terms = []
+        for i, a in enumerate(word):
             rest = word[i + 1 :] + word[:i]
-            cls = (
-                jac.canonical_form(rest)
-                if rest
-                else jac.idempotent(d.head(word[i]))
-            )
-            out = out.add_term((XBAR, word[i]), JElement.of(cls))
-        return out
+            cls = jac.canonical_form(rest) if rest else jac.idempotent(d.head(a))
+            terms.append(((XBAR, a), cls, 1))
+        return CochainElement.from_terms(2, terms)
 
     # -- distinguished cochains ----------------------------------------------
 
@@ -344,7 +410,7 @@ class KoszulComplex:
         jac = self.jac
         i = self.zero_corner_of(alpha)
         w0 = jac.x_alpha_w0(alpha)
-        out = CochainElement.zero(1)
+        terms = []
         for e in sorted(jac.corners[i - 1].edges, key=idkey):
             cls = PathClass(
                 self.dimer.tail(e),
@@ -354,8 +420,8 @@ class KoszulComplex:
             )
             if min(jac.corner_degrees(cls)) < 0:
                 raise HochschildError(f"partial_alpha({alpha}): coefficient on {e} not in J")
-            out = out.add_term((X, e), JElement.of(cls))
-        return out
+            terms.append(((X, e), cls, 1))
+        return CochainElement.from_terms(1, terms)
 
     def theta(self, v) -> CochainElement:
         return CochainElement(3, {(PT, v): JElement.of(self.jac.idempotent(v))})
@@ -415,7 +481,6 @@ class KoszulComplex:
         the face word of W at each vertex, landing on unit slots."""
         if c.degree != 1:
             raise HochschildError(f"d_W is computed on degree 1, not degree {c.degree}")
-        compose = self.jac.compose
         sums: dict = {}
         for v, splits in self._W_splits.items():
             out = sums.setdefault((UNIT, v), {})
@@ -423,10 +488,19 @@ class KoszulComplex:
                 elem = c.terms.get((X, a))
                 if elem is None:
                     continue
+                tail, head, w0 = left.tail, right.head, left.w0 + right.w0
+                o0, o1 = vec_add(left.h1, right.h1)
                 for cls, k in elem.terms.items():
-                    total = compose(compose(left, cls), right)
-                    out[total] = out.get(total, 0) - k
-        return CochainElement.from_sums(0, sums)
+                    if left.head != cls.tail or cls.head != right.tail:
+                        raise JacobiError("paths do not compose")
+                    h = cls.h1
+                    key = (tail, head, (o0 + h[0], o1 + h[1]), w0 + cls.w0)
+                    entry = out.get(key)
+                    if entry is None:
+                        out[key] = [-k, (left.witness, cls.witness, right.witness)]
+                    else:
+                        entry[0] -= k
+        return _cochain(0, sums)
 
     def d_W_theta(self, v) -> CochainElement:
         """Delta(W theta_v): BV of the face word of W at v."""
@@ -447,7 +521,6 @@ class KoszulComplex:
         """
         if (a.degree, b.degree) != (1, 2):
             raise HochschildError(f"cup is computed on degrees 1 x 2, not {a.degree} x {b.degree}")
-        compose = self.jac.compose
         sums: dict = {}
         for (_, e), x in a.terms.items():
             y = b.terms.get((XBAR, e))
@@ -456,9 +529,16 @@ class KoszulComplex:
             out = sums.setdefault((PT, self.dimer.tail(e)), {})
             for c1, k1 in x.terms.items():
                 for c2, k2 in y.terms.items():
-                    total = compose(c1, c2)
-                    out[total] = out.get(total, 0) + k1 * k2
-        return CochainElement.from_sums(3, sums)
+                    if c1.head != c2.tail:
+                        raise JacobiError("paths do not compose")
+                    h1, h2 = c1.h1, c2.h1
+                    key = (c1.tail, c2.head, (h1[0] + h2[0], h1[1] + h2[1]), c1.w0 + c2.w0)
+                    entry = out.get(key)
+                    if entry is None:
+                        out[key] = [k1 * k2, (c1.witness, c2.witness)]
+                    else:
+                        entry[0] += k1 * k2
+        return _cochain(3, sums)
 
     # -- second page -----------------------------------------------------------
 

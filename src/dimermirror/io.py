@@ -27,12 +27,34 @@ def _shift(value, where: str):
     return (value[0], value[1])
 
 
+def _ids(values: tuple, where: str) -> tuple:
+    """Vertex or arrow ids: hashable values, so no JSON array or object.
+
+    ``where`` names the field of entry i as ``where.format(i)``.
+    """
+    try:
+        hash(values)
+    except TypeError:
+        for i, value in enumerate(values):
+            try:
+                hash(value)
+            except TypeError:
+                raise DimerFormatError(
+                    f"{where.format(i)}: expected a string or a number, got {value!r}"
+                ) from None
+    return values
+
+
 def dimer_from_dict(data: dict) -> Dimer:
     if not isinstance(data, dict):
         raise DimerFormatError("top level: expected an object")
     for key in ("name", "vertices", "arrows", "faces"):
         if key not in data:
             raise DimerFormatError(f"top level: missing field {key!r}")
+    for key in ("vertices", "arrows", "faces"):
+        if not isinstance(data[key], list):
+            raise DimerFormatError(f"{key}: expected a list, got {data[key]!r}")
+    vertices = _ids(tuple(data["vertices"]), "vertices[{}]")
     arrows = []
     for i, rec in enumerate(data["arrows"]):
         where = f"arrows[{i}]"
@@ -44,6 +66,7 @@ def dimer_from_dict(data: dict) -> Dimer:
         arrows.append(
             Arrow(rec["id"], rec["tail"], rec["head"], _shift(rec.get("shift"), where))
         )
+    _ids(tuple(a.id for a in arrows), "arrows[{}].id")
     faces = []
     for i, rec in enumerate(data["faces"]):
         where = f"faces[{i}]"
@@ -55,10 +78,11 @@ def dimer_from_dict(data: dict) -> Dimer:
         boundary = rec.get("boundary")
         if not isinstance(boundary, list) or not boundary:
             raise DimerFormatError(f"{where}.boundary: expected a nonempty list")
-        faces.append(Face(+1 if sign == "+" else -1, tuple(boundary)))
+        boundary = _ids(tuple(boundary), where + ".boundary[{}]")
+        faces.append(Face(+1 if sign == "+" else -1, boundary))
     return Dimer(
         name=data["name"],
-        vertices=tuple(data["vertices"]),
+        vertices=vertices,
         arrows=tuple(arrows),
         faces=tuple(faces),
     )

@@ -130,20 +130,31 @@ class JElement:
         self.terms = {c: k for c, k in (terms or {}).items() if k}
 
     @staticmethod
+    def _nonzero(terms: dict) -> "JElement":
+        """The element on ``terms``, whose coefficients are all nonzero already."""
+        out = JElement.__new__(JElement)
+        out.terms = terms
+        return out
+
+    @staticmethod
     def of(cls: PathClass, coeff: int = 1) -> "JElement":
-        return JElement({cls: coeff})
+        return JElement._nonzero({cls: coeff} if coeff else {})
 
     def __add__(self, other: "JElement") -> "JElement":
         out = dict(self.terms)
         for c, k in other.terms.items():
-            out[c] = out.get(c, 0) + k
-        return JElement(out)
+            total = out.get(c, 0) + k
+            if total:
+                out[c] = total
+            else:
+                del out[c]
+        return JElement._nonzero(out)
 
     def __sub__(self, other: "JElement") -> "JElement":
         return self + other.scale(-1)
 
     def scale(self, k: int) -> "JElement":
-        return JElement({c: k * v for c, v in self.terms.items()})
+        return JElement._nonzero({c: k * v for c, v in self.terms.items()} if k else {})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -367,15 +367,16 @@ class KSVerifier:
         # image chain of the distinguished odd class: zigs minus zags of the
         # class-i0 family against consecutive corner derivations
         i0 = self.i0
-        family = self.sh.cycles
-        chain = CochainElement.zero(1)
-        for (ci, j), z in sorted(family.items()):
-            if ci != i0:
-                continue
-            for e in z.zigs:
-                chain = chain.add_term((X, e), JElement.of(jac.canonical_form((e,))))
-            for e in z.zags:
-                chain = chain.add_term((X, e), JElement.of(jac.canonical_form((e,))).scale(-1))
+        chain = CochainElement.from_terms(
+            1,
+            (
+                ((X, e), jac.canonical_form((e,)), sign)
+                for (ci, j), z in sorted(self.sh.cycles.items())
+                if ci == i0
+                for sign, edges in ((1, z.zigs), (-1, z.zags))
+                for e in edges
+            ),
+        )
         n = K.n_classes
         expected = gens["partial_P"][i0] - gens["partial_P"][i0 % n + 1]
         rep.add("ks.p.chain", chain == expected)

@@ -100,6 +100,15 @@ class MirrorSH:
             i: max(z.parallel_index for z in cycles if z.class_index == i)
             for i in range(1, self.n_classes + 1)
         }
+        # per cycle, arrow -> zig count minus zag count; pairing reads this table
+        self._pairings = {}
+        for key, z in self.cycles.items():
+            counts: dict = {}
+            for a in z.zigs:
+                counts[a] = counts.get(a, 0) + 1
+            for a in z.zags:
+                counts[a] = counts.get(a, 0) - 1
+            self._pairings[key] = counts
         # every zigzag path out of the base vertex; xi_v and xi_for_strip read this list
         self.base_paths = self.zigzag_paths_from(d.vertices[0])
 
@@ -107,8 +116,7 @@ class MirrorSH:
 
     def pairing(self, edge, puncture: tuple) -> int:
         """<p_e, loop around Z_{i,j}>: +1 per zig occurrence, -1 per zag."""
-        z = self.cycles[puncture]
-        return sum(1 for a in z.zigs if a == edge) - sum(1 for a in z.zags if a == edge)
+        return self._pairings[puncture].get(edge, 0)
 
     def pairing_matrix(self) -> dict:
         """(edge, (i, j)) -> pairing; every edge pairs +1 with one cycle, -1 with one."""

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 
-from dimermirror.dimer import idkey
+from dimermirror.dimer import face_word_at, idkey, vec_add, vec_sub
 from dimermirror.hochschild import (
+    UNIT,
     X,
     XBAR,
     PT,
@@ -16,6 +19,7 @@ from dimermirror.hochschild import (
 from dimermirror.io import dimer_from_dict
 from dimermirror.jacobi import Jacobi, JacobiError, JElement, PathClass, hessian
 from dimermirror.ks import FAIL, KSVerifier
+from test_matchings import ORACLE_ZOO
 
 
 def unit_idempotent(K, v):
@@ -429,3 +433,333 @@ def test_differentials_and_W_reuse_their_classes(dimers, monkeypatch):
         for p, c in pairs:
             K.cup(p, c)
         assert calls == [], name
+
+
+# -- the plain-key kernels against the implementations they replaced -----------
+#
+# The parent_* functions are d0, d1, d2, d_W, cup and bv_delta_deg3 as they were
+# when every term was built as a PathClass and summed in a dict keyed by it.
+# That dict keeps the key object of the first term added under a class, even
+# after its running total has passed through 0, so each output class carries
+# the witness of its first term.  The plain-key kernels must give the same
+# terms, coefficients and witnesses.
+
+
+def _from_sums(degree, sums):
+    return CochainElement(degree, {slot: JElement(t) for slot, t in sums.items()})
+
+
+def parent_d0(K, c: CochainElement):
+    """m |-> sum over arrows of (x m - m x) on the arrow slots."""
+    compose = K.jac.compose
+    sums: dict = {}
+    for (kind, v), elem in c.terms.items():
+        if kind != UNIT:
+            raise HochschildError("degree-0 terms must sit on unit slots")
+        for a in K._leaving[v]:
+            acls, out = K._arrow_cls[a], sums.setdefault((X, a), {})
+            for cls, k in elem.terms.items():
+                total = compose(cls, acls)
+                out[total] = out.get(total, 0) + k
+        for a in K._entering[v]:
+            acls, out = K._arrow_cls[a], sums.setdefault((X, a), {})
+            for cls, k in elem.terms.items():
+                total = compose(acls, cls)
+                out[total] = out.get(total, 0) - k
+    return _from_sums(1, sums)
+
+
+def parent_d1(K, c: CochainElement):
+    """Hessian sandwich: polygons with one marked corner and the coefficient inserted."""
+    sums: dict = {}
+    for (kind, y), elem in c.terms.items():
+        if kind != X:
+            raise HochschildError("degree-1 terms must sit on X slots")
+        for sign, x, (tail, head, h1, w0), (left, right) in K._hessian[y]:
+            out = sums.setdefault((XBAR, x), {})
+            for cls, k in elem.terms.items():
+                if left.head != cls.tail or cls.head != right.tail:
+                    raise JacobiError("paths do not compose")
+                witness = None
+                if None not in (left.witness, cls.witness, right.witness):
+                    witness = left.witness + cls.witness + right.witness
+                total = PathClass(tail, head, vec_add(h1, cls.h1), w0 + cls.w0, witness)
+                out[total] = out.get(total, 0) + sign * k
+    return _from_sums(2, sums)
+
+
+def parent_d2(K, c: CochainElement):
+    """Commutator with the slot arrow, landing on point slots."""
+    compose = K.jac.compose
+    d = K.dimer
+    sums: dict = {}
+    for (kind, y), elem in c.terms.items():
+        if kind != XBAR:
+            raise HochschildError("degree-2 terms must sit on Xbar slots")
+        ycls = K._arrow_cls[y]
+        plus = sums.setdefault((PT, d.head(y)), {})
+        minus = sums.setdefault((PT, d.tail(y)), {})
+        for cls, k in elem.terms.items():
+            total = compose(cls, ycls)
+            plus[total] = plus.get(total, 0) + k
+            total = compose(ycls, cls)
+            minus[total] = minus.get(total, 0) - k
+    return _from_sums(3, sums)
+
+
+def parent_bv_delta_deg3(K, word):
+    """Cyclic deletion of one arrow at a time; input is a closed traversal."""
+    word = tuple(word)
+    jac = K.jac
+    d = K.dimer
+    if word and not d.is_closed(word):
+        raise HochschildError(f"{word!r} is not a closed path")
+    out = CochainElement.zero(2)
+    if not word:
+        return out
+    n = len(word)
+    for i in range(n):
+        rest = word[i + 1 :] + word[:i]
+        cls = (
+            jac.canonical_form(rest)
+            if rest
+            else jac.idempotent(d.head(word[i]))
+        )
+        out = out.add_term((XBAR, word[i]), JElement.of(cls))
+    return out
+
+
+def parent_d_W(K, c: CochainElement):
+    """Minus the derivation c applied to W: each X_a coefficient spliced into
+    the face word of W at each vertex, landing on unit slots."""
+    if c.degree != 1:
+        raise HochschildError(f"d_W is computed on degree 1, not degree {c.degree}")
+    compose = K.jac.compose
+    sums: dict = {}
+    for v, splits in K._W_splits.items():
+        out = sums.setdefault((UNIT, v), {})
+        for a, left, right in splits:
+            elem = c.terms.get((X, a))
+            if elem is None:
+                continue
+            for cls, k in elem.terms.items():
+                total = compose(compose(left, cls), right)
+                out[total] = out.get(total, 0) - k
+    return _from_sums(0, sums)
+
+
+def parent_cup(K, a: CochainElement, b: CochainElement):
+    """Degree 1 times degree 2: X_e paired with Xbar_e.
+
+    The two coefficients compose to a closed path at tail(e), which is
+    added on the point slot there.
+    """
+    if (a.degree, b.degree) != (1, 2):
+        raise HochschildError(f"cup is computed on degrees 1 x 2, not {a.degree} x {b.degree}")
+    compose = K.jac.compose
+    sums: dict = {}
+    for (_, e), x in a.terms.items():
+        y = b.terms.get((XBAR, e))
+        if y is None:
+            continue
+        out = sums.setdefault((PT, K.dimer.tail(e)), {})
+        for c1, k1 in x.terms.items():
+            for c2, k2 in y.terms.items():
+                total = compose(c1, c2)
+                out[total] = out.get(total, 0) + k1 * k2
+    return _from_sums(3, sums)
+
+
+def random_word(K, rng, u, w, tries=400):
+    """A random composable word from u to w of at most 6 arrows, or None."""
+    for _ in range(tries):
+        v, word = u, []
+        for _ in range(rng.randrange(7)):
+            a = rng.choice(K._leaving[v])
+            word.append(a)
+            v = K.dimer.head(a)
+        if v == w:
+            return tuple(word)
+    return None
+
+
+def random_class_pool(K, rng, u, w, size=3) -> list:
+    """Classes of random words from u to w; equal classes may carry different witnesses."""
+    jac = K.jac
+    pool = []
+    for _ in range(size):
+        word = random_word(K, rng, u, w)
+        if word is not None:
+            pool.append(jac.canonical_form(word) if word else jac.idempotent(u))
+    return pool
+
+
+def random_cochain(K, rng, degree, arrows=None) -> CochainElement:
+    """A seeded multi-term cochain on up to five slots.
+
+    Coefficients are drawn from small pools, so a class repeats across slots
+    and under different witnesses; about a quarter have their witness dropped,
+    and some classes cancel and then reappear within their slot (the sum keeps
+    the first term's witness).
+    """
+    d = K.dimer
+    if degree == 0:
+        slots = [((UNIT, v), (v, v)) for v in d.vertices]
+    else:
+        kind = X if degree == 1 else XBAR
+        chosen = sorted(arrows if arrows is not None else d.arrow_by_id, key=idkey)
+        slots = [
+            ((kind, a), (d.tail(a), d.head(a)) if degree == 1 else (d.head(a), d.tail(a)))
+            for a in chosen
+        ]
+    terms = []
+    for slot, (u, w) in rng.sample(slots, min(len(slots), rng.randint(1, 5))):
+        pool = random_class_pool(K, rng, u, w)
+        for _ in range(rng.randint(1, 4) if pool else 0):
+            cls = rng.choice(pool)
+            if rng.random() < 0.25:
+                cls = dataclasses.replace(cls, witness=None)
+            k = rng.choice((-2, -1, 1, 2))
+            terms.append((slot, cls, k))
+            if rng.random() < 0.3:  # cancel it, then add it again under any witness
+                terms += [(slot, cls, -k), (slot, rng.choice([p for p in pool if p == cls]), k)]
+    return CochainElement.from_terms(degree, terms)
+
+
+def random_closed_word(K, rng):
+    d = K.dimer
+    v = rng.choice(d.vertices)
+    word = random_word(K, rng, v, v)
+    return word or face_word_at(d, v)
+
+
+def assert_kernels_match_parent(K, rng, label) -> Counter:
+    """Every kernel against its parent implementation, witnesses included.
+
+    Returns counts of the nonzero outputs and of the output classes with and
+    without a witness, so a caller can tell what was exercised.
+    """
+    seen = Counter()
+
+    def same(got, want, what):
+        assert with_witnesses(got) == with_witnesses(want), (label, what)
+        seen["nonzero"] += not got.is_zero()
+        for e in got.terms.values():
+            for cls in e.terms:
+                seen["witness" if cls.witness is not None else "no_witness"] += 1
+
+    inputs = oracle_inputs(K) + [random_cochain(K, rng, deg) for deg in (0, 1, 2) for _ in range(6)]
+    diffs = {0: (K.d0, parent_d0), 1: (K.d1, parent_d1), 2: (K.d2, parent_d2)}
+    for c in inputs:
+        new, parent = diffs[c.degree]
+        same(new(c), parent(K, c), c)
+        if c.degree == 1:
+            same(K.d_W(c), parent_d_W(K, c), ("d_W", c))
+    gens = K.generators()
+    pairs = [(p, c) for p in gens["partial_P"].values() for c, _, _ in gens["psi"].values()]
+    for _ in range(6):
+        a = random_cochain(K, rng, 1)
+        pairs.append((a, random_cochain(K, rng, 2, [e for _, e in a.terms])))
+    for a, b in pairs:
+        same(K.cup(a, b), parent_cup(K, a, b), ("cup", a, b))
+    d = K.dimer
+    words = [(), *(face_word_at(d, v) for v in d.vertices)]
+    words += [word for _, _, word in gens["psi"].values()]
+    words += [random_closed_word(K, rng) for _ in range(4)]
+    for word in words:
+        same(K.bv_delta_deg3(word), parent_bv_delta_deg3(K, word), ("bv", word))
+    return seen
+
+
+def stray_inputs(K):
+    """(kernel, parent, arguments) whose coefficients do not compose with their slot."""
+    jac, d = K.jac, K.dimer
+    out = []
+    for a in sorted(d.arrow_by_id, key=idkey):
+        tail, head = d.tail(a), d.head(a)
+        if tail == head:
+            continue
+        for v in (tail, head):
+            x = CochainElement(1, {(X, a): JElement.of(jac.idempotent(v))})
+            xbar = CochainElement(2, {(XBAR, a): JElement.of(jac.idempotent(v))})
+            out += [(K.d1, parent_d1, (x,)), (K.d_W, parent_d_W, (x,)), (K.d2, parent_d2, (xbar,))]
+        x = CochainElement(1, {(X, a): JElement.of(jac.idempotent(tail))})
+        xbar = CochainElement(2, {(XBAR, a): JElement.of(jac.idempotent(head))})
+        out.append((K.cup, parent_cup, (x, xbar)))
+        # on the unit slot at tail, a path from tail to head (m x does not
+        # compose) and one from head to tail (m x composes, x m does not)
+        for u, w in ((tail, head), (head, tail)):
+            word = random_word(K, random.Random(0), u, w)
+            m = CochainElement(0, {(UNIT, tail): JElement.of(jac.canonical_form(word))})
+            out.append((K.d0, parent_d0, (m,)))
+    return out
+
+
+def outcome(kernel, *args):
+    try:
+        return with_witnesses(kernel(*args))
+    except JacobiError as exc:
+        return ("JacobiError", str(exc))
+
+
+def assert_stray_inputs_match_parent(K, label) -> Counter:
+    """Each stray input raises in the kernel exactly when it raises in its parent
+    (d_W reads only the face word at each vertex, so some strays never meet a
+    check); returns how many raised, per kernel."""
+    raised = Counter()
+    for new, parent, args in stray_inputs(K):
+        got = outcome(new, *args)
+        assert got == outcome(parent, K, *args), (label, new.__name__, args)
+        raised[f"raised.{new.__name__}"] += got == ("JacobiError", "paths do not compose")
+    return raised
+
+
+KERNEL_COVERAGE = [
+    "nonzero", "witness", "no_witness",
+    "raised.d0", "raised.d1", "raised.d2", "raised.d_W", "raised.cup",
+]
+
+
+def test_kernels_match_parent_on_oracle_complexes(oracle_complexes):
+    rng = random.Random(0)
+    seen = Counter()
+    for name, K in oracle_complexes.items():
+        seen += assert_kernels_match_parent(K, rng, name)
+        seen += assert_stray_inputs_match_parent(K, name)
+    assert all(seen[key] > 0 for key in KERNEL_COVERAGE), seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernels_match_parent_on_the_relabeled_zoo(seed, covers):
+    rng = random.Random(100 + seed)
+    seen = Counter()
+    for name, k, l in ORACLE_ZOO:
+        raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+        K = KoszulComplex(Jacobi(dimer_from_dict(covers.relabel(raw, random.Random(seed)))))
+        seen += assert_kernels_match_parent(K, rng, (name, k, l, seed))
+        seen += assert_stray_inputs_match_parent(K, (name, k, l, seed))
+    assert all(seen[key] > 0 for key in KERNEL_COVERAGE), seen
+
+
+def test_cancelled_class_keeps_its_first_witness(complexes):
+    # at the point slot of vertex 1 of the conifold, three Xbar slots each add
+    # W^2: +1 from b1, -1 from a1 (the running total is 0), +1 from b2.  The
+    # class that survives must carry the first term's witness, built from b1.
+    K = complexes["conifold"]
+    jac, d = K.jac, K.dimer
+    w2 = jac.compose(jac.central_W()[1], jac.central_W()[1])
+    terms = {}
+    for y, k in (("b1", 1), ("a1", -1), ("b2", 1)):
+        # the coefficient runs from head(y) to tail(y); with y it composes to
+        # W^2 at vertex 1, added with +1 at the head of y and -1 at its tail
+        ycls = jac.canonical_form((y,))
+        word = jac.realize_path(d.head(y), d.tail(y), vec_sub(w2.h1, ycls.h1), w2.w0 - ycls.w0)
+        sign = 1 if d.head(y) == 1 else -1
+        terms[(XBAR, y)] = JElement.of(jac.canonical_form(word), sign * k)
+    c = CochainElement(2, terms)
+    (b1_coefficient,) = terms[(XBAR, "b1")].terms
+    got = K.d2(c).terms[(PT, 1)].terms
+    assert with_witnesses(K.d2(c)) == with_witnesses(parent_d2(K, c))
+    assert {(cls.witness, n) for cls, n in got.items() if cls == w2} == {
+        (b1_coefficient.witness + ("b1",), 1)
+    }

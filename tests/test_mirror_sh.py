@@ -9,6 +9,7 @@ import pytest
 from dimermirror.dimer import idkey
 from dimermirror.io import dimer_from_dict
 from dimermirror.mirror_sh import E, F, P_EDGE, MirrorSH, SHElement, UNIT_LABEL
+from test_matchings import ORACLE_ZOO
 
 
 def test_basis_counts_c3(sh_models):
@@ -167,3 +168,25 @@ def test_zigzag_paths_level_order_matches_one_sort(name, k, l, seed, covers):
     assert sh.base_paths == reference_zigzag_paths(d, d.vertices[0])
     for v in d.vertices:
         assert sh.zigzag_paths_from(v) == reference_zigzag_paths(d, v), v
+
+
+def zig_minus_zag_count(sh, edge, puncture) -> int:
+    """The pairing as a rescan of the cycle's zigs and zags."""
+    z = sh.cycles[puncture]
+    return sum(1 for a in z.zigs if a == edge) - sum(1 for a in z.zags if a == edge)
+
+
+@pytest.mark.parametrize("seed", [None, 0])
+@pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
+def test_pairing_table_matches_the_zig_zag_count(name, k, l, seed, covers):
+    raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+    if seed is not None:
+        raw = covers.relabel(raw, random.Random(seed))
+    sh = MirrorSH(dimer_from_dict(raw))
+    for e in sh.dimer.arrow_by_id:
+        for key in sh.cycles:
+            assert sh.pairing(e, key) == zig_minus_zag_count(sh, e, key), (e, key)
+    key = min(sh.cycles)
+    assert sh.pairing("no such arrow", key) == zig_minus_zag_count(sh, "no such arrow", key) == 0
+    with pytest.raises(KeyError):
+        sh.pairing(next(iter(sh.dimer.arrow_by_id)), (0, 0))
