@@ -405,7 +405,7 @@ def cmd_sh(args) -> int:
 
 def _verifier(args) -> KSVerifier:
     d = _load(args.file, args.base_vertex)
-    return KSVerifier(d, n_max=args.n_max, i0=args.i0, ab=args.ab, realize_cap=args.realize_cap)
+    return KSVerifier(d, n_max=args.n_max, i0=args.i0, ab=args.ab)
 
 
 def cmd_verify(args) -> int:
@@ -518,11 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sh)
 
     p = sub.add_parser("verify", help="run every correspondence check")
-    common(p, nmax=True, caps=True)
+    common(p, nmax=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="one document with all module outputs")
-    common(p, nmax=True, caps=True)
+    common(p, nmax=True)
     p.set_defaults(func=cmd_report)
     return ap
 

@@ -4,13 +4,14 @@ Cochains carry Jacobi-algebra coefficients on slots indexed by vertices
 (degrees 0 and 3) and arrows (degrees 1 and 2): the unit, X, Xbar and point
 slots.
 
-The differentials depend on the dimer only through the class of each arrow,
-the arrows at each vertex and the Hessian rows of the superpotential.  Each
-``KoszulComplex`` builds that table once, so d0, d1 and d2 only look it up
-and compose it with the coefficients of their input.  The second
-differential d_W contracts a derivation with the potential through a second
-table, the splits of the face word of W at each vertex.  The product of
-degrees 1 and 2 pairs X_a with Xbar_a and composes their coefficients.
+The differentials d0, d1 and d2 are one sandwich kernel over per-slot row
+tables: each row puts an input coefficient between a left and a right class
+and adds it, signed, on one output slot.  The rows depend on the dimer only
+through the class of each arrow, the arrows at each vertex and the Hessian
+rows of the superpotential, and each ``KoszulComplex`` builds them once.  The
+second differential d_W contracts a derivation with the potential through a
+second table, the splits of the face word of W at each vertex.  The product
+of degrees 1 and 2 pairs X_a with Xbar_a and composes their coefficients.
 
 d0, d1, d2, d_W and the product add their terms on plain keys: each output
 slot sums coefficients in a dict keyed by the tuple (tail, head, h1, w0) of
@@ -145,6 +146,39 @@ def _cochain(degree: int, sums: dict) -> CochainElement:
     return CochainElement._nonzero(degree, terms)
 
 
+def _row(sign: int, out, left: PathClass, right: PathClass) -> tuple:
+    """A row (sign, out, outer, (left, right)) of d0, d1 or d2.
+
+    A coefficient c on the row's input slot lands on output slot ``out`` as
+    sign times the class of left c right; ``outer`` is (tail, head, h1, w0) of
+    left and right composed once, so each term builds one key.
+    """
+    outer = (left.tail, right.head, vec_add(left.h1, right.h1), left.w0 + right.w0)
+    return (sign, out, outer, (left, right))
+
+
+def _sandwich(c: CochainElement, in_kind: str, rows: dict, out_kind: str, degree: int):
+    """The cochain of degree ``degree``: each coefficient on an ``in_kind`` slot
+    put between the left and right of every row of that slot's index."""
+    sums: dict = {}
+    for (kind, s), elem in c.terms.items():
+        if kind != in_kind:
+            raise HochschildError(f"degree-{degree - 1} terms must sit on {in_kind} slots")
+        for sign, x, (tail, head, (o0, o1), w0), (left, right) in rows[s]:
+            out = sums.setdefault((out_kind, x), {})
+            for cls, k in elem.terms.items():
+                if left.head != cls.tail or cls.head != right.tail:
+                    raise JacobiError("paths do not compose")
+                h = cls.h1
+                key = (tail, head, (o0 + h[0], o1 + h[1]), w0 + cls.w0)
+                entry = out.get(key)
+                if entry is None:
+                    out[key] = [sign * k, (left.witness, cls.witness, right.witness)]
+                else:
+                    entry[0] += sign * k
+    return _cochain(degree, sums)
+
+
 @dataclass(frozen=True)
 class E2Label:
     """Additive basis label of the second page (unit / x_eta^n / Psi / U / V / x^n W / Theta)."""
@@ -181,11 +215,9 @@ class KoszulComplex:
         if any(self.w_odd_eval(eta) == 0 for eta, _ in self.classes):
             raise HochschildError(f"(a, b) = {self.ab} degenerates on some eta_i")
         # The dimer-only data of the differentials: the class of each arrow,
-        # the arrows leaving and entering each vertex, and for each arrow y the
-        # Hessian rows of the superpotential.  A row is (sign, x, outer,
-        # (left, right)): a coefficient c on X_y lands on Xbar_x as the class
-        # of left c right, and outer = (tail, head, h1, w0) of left and right
-        # composed once, so d1 builds one class per term.
+        # the arrows leaving and entering each vertex, and per input slot the
+        # rows (see ``_row``) of d0 (e_v m a for a out of v, -a m e_v for a
+        # into v), d1 (the Hessian rows of W) and d2 (e c y, -y c e on Xbar_y).
         d = self.dimer
         arrows = sorted(d.arrow_by_id, key=idkey)
         self._arrow_cls = {a: jac.canonical_form((a,)) for a in arrows}
@@ -194,15 +226,25 @@ class KoszulComplex:
         for a in arrows:
             self._leaving[d.tail(a)].append(a)
             self._entering[d.head(a)].append(a)
-        self._hessian = {}
+        unit, cls = {v: jac.idempotent(v) for v in d.vertices}, self._arrow_cls
+        self._d0_rows = {
+            v: [_row(1, a, unit[v], cls[a]) for a in self._leaving[v]]
+            + [_row(-1, a, cls[a], unit[v]) for a in self._entering[v]]
+            for v in d.vertices
+        }
+        self._hessian = {y: [] for y in arrows}
         for y in arrows:
-            rows = []
             for sign, x, left, right in hessian_rows(jac.superpotential, y):
-                left = jac.canonical_form(left) if left else jac.idempotent(d.head(x))
-                right = jac.canonical_form(right) if right else jac.idempotent(d.tail(x))
-                outer = (left.tail, right.head, vec_add(left.h1, right.h1), left.w0 + right.w0)
-                rows.append((sign, x, outer, (left, right)))
-            self._hessian[y] = rows
+                left = jac.canonical_form(left) if left else unit[d.head(x)]
+                right = jac.canonical_form(right) if right else unit[d.tail(x)]
+                self._hessian[y].append(_row(sign, x, left, right))
+        self._d2_rows = {
+            y: [
+                _row(1, d.head(y), unit[d.head(y)], cls[y]),
+                _row(-1, d.tail(y), cls[y], unit[d.tail(y)]),
+            ]
+            for y in arrows
+        }
         # For each vertex v, the splits (arrow, left class, right class) of the
         # face word of W at v, one per position of the word.
         self._W_splits = {}
@@ -269,88 +311,15 @@ class KoszulComplex:
 
     def d0(self, c: CochainElement) -> CochainElement:
         """m |-> sum over arrows of (x m - m x) on the arrow slots."""
-        sums: dict = {}
-        for (kind, v), elem in c.terms.items():
-            if kind != UNIT:
-                raise HochschildError("degree-0 terms must sit on unit slots")
-            for a in self._leaving[v]:
-                acls, out = self._arrow_cls[a], sums.setdefault((X, a), {})
-                head, (a0, a1), aw0, awit = acls.head, acls.h1, acls.w0, acls.witness
-                for cls, k in elem.terms.items():
-                    if cls.head != acls.tail:
-                        raise JacobiError("paths do not compose")
-                    h = cls.h1
-                    key = (cls.tail, head, (h[0] + a0, h[1] + a1), cls.w0 + aw0)
-                    entry = out.get(key)
-                    if entry is None:
-                        out[key] = [k, (cls.witness, awit)]
-                    else:
-                        entry[0] += k
-            for a in self._entering[v]:
-                acls, out = self._arrow_cls[a], sums.setdefault((X, a), {})
-                tail, (a0, a1), aw0, awit = acls.tail, acls.h1, acls.w0, acls.witness
-                for cls, k in elem.terms.items():
-                    if acls.head != cls.tail:
-                        raise JacobiError("paths do not compose")
-                    h = cls.h1
-                    key = (tail, cls.head, (a0 + h[0], a1 + h[1]), aw0 + cls.w0)
-                    entry = out.get(key)
-                    if entry is None:
-                        out[key] = [-k, (awit, cls.witness)]
-                    else:
-                        entry[0] -= k
-        return _cochain(1, sums)
+        return _sandwich(c, UNIT, self._d0_rows, X, 1)
 
     def d1(self, c: CochainElement) -> CochainElement:
         """Hessian sandwich: polygons with one marked corner and the coefficient inserted."""
-        sums: dict = {}
-        for (kind, y), elem in c.terms.items():
-            if kind != X:
-                raise HochschildError("degree-1 terms must sit on X slots")
-            for sign, x, (tail, head, (o0, o1), w0), (left, right) in self._hessian[y]:
-                out = sums.setdefault((XBAR, x), {})
-                for cls, k in elem.terms.items():
-                    if left.head != cls.tail or cls.head != right.tail:
-                        raise JacobiError("paths do not compose")
-                    h = cls.h1
-                    key = (tail, head, (o0 + h[0], o1 + h[1]), w0 + cls.w0)
-                    entry = out.get(key)
-                    if entry is None:
-                        out[key] = [sign * k, (left.witness, cls.witness, right.witness)]
-                    else:
-                        entry[0] += sign * k
-        return _cochain(2, sums)
+        return _sandwich(c, X, self._hessian, XBAR, 2)
 
     def d2(self, c: CochainElement) -> CochainElement:
         """Commutator with the slot arrow, landing on point slots."""
-        d = self.dimer
-        sums: dict = {}
-        for (kind, y), elem in c.terms.items():
-            if kind != XBAR:
-                raise HochschildError("degree-2 terms must sit on Xbar slots")
-            ycls = self._arrow_cls[y]
-            (y0, y1), yw0, ywit = ycls.h1, ycls.w0, ycls.witness
-            plus = sums.setdefault((PT, d.head(y)), {})
-            minus = sums.setdefault((PT, d.tail(y)), {})
-            for cls, k in elem.terms.items():
-                if cls.head != ycls.tail:
-                    raise JacobiError("paths do not compose")
-                h, w0 = cls.h1, cls.w0 + yw0
-                key = (cls.tail, ycls.head, (h[0] + y0, h[1] + y1), w0)
-                entry = plus.get(key)
-                if entry is None:
-                    plus[key] = [k, (cls.witness, ywit)]
-                else:
-                    entry[0] += k
-                if ycls.head != cls.tail:
-                    raise JacobiError("paths do not compose")
-                key = (ycls.tail, cls.head, (y0 + h[0], y1 + h[1]), w0)
-                entry = minus.get(key)
-                if entry is None:
-                    minus[key] = [-k, (ywit, cls.witness)]
-                else:
-                    entry[0] -= k
-        return _cochain(3, sums)
+        return _sandwich(c, XBAR, self._d2_rows, PT, 3)
 
     # -- BV operator on degree 3 --------------------------------------------
 

@@ -51,6 +51,8 @@ def dimer_from_dict(data: dict) -> Dimer:
     for key in ("name", "vertices", "arrows", "faces"):
         if key not in data:
             raise DimerFormatError(f"top level: missing field {key!r}")
+    if not isinstance(data["name"], str):
+        raise DimerFormatError(f"name: expected a string, got {data['name']!r}")
     for key in ("vertices", "arrows", "faces"):
         if not isinstance(data[key], list):
             raise DimerFormatError(f"{key}: expected a list, got {data[key]!r}")

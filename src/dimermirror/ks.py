@@ -67,18 +67,11 @@ class KSReport:
 
 
 class KSVerifier:
-    def __init__(
-        self,
-        d: Dimer,
-        n_max: int = 10,
-        i0: int = 1,
-        ab: Optional[tuple] = None,
-        realize_cap: Optional[int] = None,
-    ):
+    def __init__(self, d: Dimer, n_max: int = 10, i0: int = 1, ab: Optional[tuple] = None):
         d.require_valid()
         self.dimer = d
         self.n_max = n_max
-        self.jac = Jacobi(d, realize_cap=realize_cap)
+        self.jac = Jacobi(d)
         self.sh = MirrorSH(d)
         self.i0 = i0
         self.K = KoszulComplex(self.jac, i0=i0, ab=ab)
@@ -370,7 +363,7 @@ class KSVerifier:
         chain = CochainElement.from_terms(
             1,
             (
-                ((X, e), jac.canonical_form((e,)), sign)
+                ((X, e), K._arrow_cls[e], sign)
                 for (ci, j), z in sorted(self.sh.cycles.items())
                 if ci == i0
                 for sign, edges in ((1, z.zigs), (-1, z.zags))

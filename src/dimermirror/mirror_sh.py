@@ -109,7 +109,8 @@ class MirrorSH:
             for a in z.zags:
                 counts[a] = counts.get(a, 0) - 1
             self._pairings[key] = counts
-        # every zigzag path out of the base vertex; xi_v and xi_for_strip read this list
+        # the first zigzag path from the base vertex to each vertex; xi_v and
+        # xi_for_strip read this list
         self.base_paths = self.zigzag_paths_from(d.vertices[0])
 
     # -- pairing of odd Morse classes with puncture loops --------------------
@@ -196,34 +197,33 @@ class MirrorSH:
     # -- zigzag paths and distinguished odd classes ------------------------------
 
     def zigzag_paths_from(self, v0) -> list:
-        """All zigzag paths out of v0 of at most 4 |Q1| arrows, shortest first.
+        """The first zigzag path out of v0 to each vertex it reaches.
 
-        A zigzag path alternates the positive-face and negative-face successor;
-        both phase choices and all outgoing first arrows are explored.  Paths
-        of one length are in lexicographic order of their arrows' idkey ranks.
+        A zigzag path alternates the positive-face and negative-face successor,
+        so it is a prefix of a zigzag cycle's word rotated to start at an arrow
+        out of v0 (its zig position gives one phase, its zag position the
+        other).  After one lap it is back at its first arrow in the same phase,
+        so every vertex is first reached within one lap.  Paths are ordered
+        shortest first, then lexicographically by their arrows' idkey ranks,
+        and each vertex keeps the first path into it.
         """
         d = self.dimer
-        cap = 4 * len(d.arrows)
         rank = {a: r for r, a in enumerate(sorted(d.arrow_by_id, key=idkey))}
-        # Each (first arrow, phase) grows one path, one arrow per level.  A
-        # path's sort key is (position of its prefix in the previous sorted
-        # level, rank of its last arrow), packed into one int; that orders a
-        # level lexicographically, and equal keys are equal paths.
-        level = [(rank[a], (a,), phase) for a in rank if d.tail(a) == v0 for phase in (0, 1)]
-        paths = []
-        while level:
-            level.sort(key=lambda entry: entry[0])
-            grown = []
-            position, previous = -1, None
-            for key, path, phase in level:
-                if key != previous:
-                    position, previous = position + 1, key
-                    paths.append(path)
-                if len(path) < cap:
-                    nxt = d.next_pos(path[-1]) if phase == 0 else d.next_neg(path[-1])
-                    grown.append((position * len(rank) + rank[nxt], path + (nxt,), 1 - phase))
-            level = grown
-        return paths
+        hits = []  # per (first arrow, phase), the shortest prefix into each vertex
+        for z in self.cycles.values():
+            for s, a in enumerate(z.arrows):
+                if d.tail(a) != v0:
+                    continue
+                lap, seen = z.arrows[s:] + z.arrows[:s], set()
+                for k, b in enumerate(lap, start=1):
+                    if d.head(b) not in seen:
+                        seen.add(d.head(b))
+                        hits.append(lap[:k])
+        hits.sort(key=lambda p: (len(p), [rank[x] for x in p]))
+        first = {}
+        for path in hits:
+            first.setdefault(d.head(path[-1]), path)
+        return list(first.values())
 
     def xi_from_path(self, path: tuple) -> SHElement:
         out = SHElement()
@@ -255,13 +255,10 @@ class MirrorSH:
         i_prev = (i0 - 2) % self.n_classes + 1
         p = family_sum(i0)
         q = family_sum(i_prev)
-        xi = {v0: SHElement()}
         xi_path = {v0: ()}
         for path in self.base_paths:
-            v = d.head(path[-1])
-            if v not in xi:
-                xi[v] = self.xi_from_path(path)
-                xi_path[v] = path
+            xi_path.setdefault(d.head(path[-1]), path)
+        xi = {v: self.xi_from_path(path) for v, path in xi_path.items()}
         missing = [v for v in d.vertices if v not in xi]
         if missing:
             raise SHError(f"no zigzag path from {v0!r} reaches {missing}")

@@ -231,6 +231,14 @@ def test_base_vertex_override():
     assert {l["v"] for l in thetas} == {"1", "3"} or {l["v"] for l in thetas} == {1, 3}
 
 
+def test_realize_cap_is_an_option_of_jacobi_and_hh_only():
+    # verify and report never search for a witness path, so they have no cap
+    rc, _, err = run_cli("verify", "c3", "--realize-cap", "5")
+    assert rc == EXIT_USAGE and "unrecognized arguments: --realize-cap" in err
+    rc, out, _ = run_cli("hh", "spp", "--realize-cap", "5")
+    assert rc == 0 and json.loads(out)["cocycle_checks"]
+
+
 # -- the one-pass JSON encoder against json.dumps ------------------------------
 
 
@@ -462,6 +470,7 @@ MALFORMED = [
     ("arrows", ("arrows",), None),
     ("faces", ("faces",), "a1 b2 a2 b1"),
     ("faces", ("faces",), {"sign": "+"}),
+    ("name", ("name",), [1]),
 ]
 
 
