@@ -32,8 +32,8 @@ from .dimer import (
 from .hochschild import HochschildError, KoszulComplex
 from .io import BUNDLED, DimerFormatError, dimer_to_dict, load_bundled, parse_dimer
 from .jacobi import Jacobi, JacobiError
-from .ks import KSVerifier
-from .matchings import corner_matchings_in_order, matching_polytope
+from .ks import ENUMERATION_GATE, KSVerifier
+from .matchings import corner_matchings_in_order, kasteleyn_count, matching_polytope
 from .mirror_sh import MirrorSH, SHError
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE = 0, 1, 2
@@ -248,6 +248,15 @@ def cmd_zigzags(args) -> int:
 
 def cmd_matchings(args) -> int:
     d = _load(args.file)
+    try:
+        count = kasteleyn_count(d)
+        if count > ENUMERATION_GATE:
+            raise DimerError(
+                f"{count} perfect matchings, above the enumeration gate {ENUMERATION_GATE}: not listed"
+            )
+    except PIPELINE_ERRORS as exc:
+        _emit(_failure(exc), args.format, "perfect matchings")
+        return EXIT_CHECK_FAILED
     mp = matching_polytope(d)
     data = {
         "matchings": [

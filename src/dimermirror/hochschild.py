@@ -220,7 +220,11 @@ class KoszulComplex:
         # into v), d1 (the Hessian rows of W) and d2 (e c y, -y c e on Xbar_y).
         d = self.dimer
         arrows = sorted(d.arrow_by_id, key=idkey)
-        self._arrow_cls = {a: jac.canonical_form((a,)) for a in arrows}
+        # each face arc is the left of one Hessian row and the right of its
+        # mirror row, and the W splits and BV deletions repeat them
+        self._canon: dict = {}  # word -> its class, normalised once
+        cls_of = self._class_of
+        self._arrow_cls = {a: cls_of((a,)) for a in arrows}
         self._leaving = {v: [] for v in d.vertices}
         self._entering = {v: [] for v in d.vertices}
         for a in arrows:
@@ -235,8 +239,8 @@ class KoszulComplex:
         self._hessian = {y: [] for y in arrows}
         for y in arrows:
             for sign, x, left, right in hessian_rows(jac.superpotential, y):
-                left = jac.canonical_form(left) if left else unit[d.head(x)]
-                right = jac.canonical_form(right) if right else unit[d.tail(x)]
+                left = cls_of(left) if left else unit[d.head(x)]
+                right = cls_of(right) if right else unit[d.tail(x)]
                 self._hessian[y].append(_row(sign, x, left, right))
         self._d2_rows = {
             y: [
@@ -253,8 +257,8 @@ class KoszulComplex:
             self._W_splits[v] = [
                 (
                     a,
-                    jac.canonical_form(word[:p]) if p else jac.idempotent(v),
-                    jac.canonical_form(word[p + 1 :]) if p + 1 < len(word) else jac.idempotent(v),
+                    cls_of(word[:p]) if p else unit[v],
+                    cls_of(word[p + 1 :]) if p + 1 < len(word) else unit[v],
                 )
                 for p, a in enumerate(word)
             ]
@@ -323,6 +327,12 @@ class KoszulComplex:
 
     # -- BV operator on degree 3 --------------------------------------------
 
+    def _class_of(self, word: tuple) -> PathClass:
+        """``Jacobi.canonical_form`` of a word, computed once per word."""
+        if word not in self._canon:
+            self._canon[word] = self.jac.canonical_form(word)
+        return self._canon[word]
+
     def bv_delta_deg3(self, word) -> CochainElement:
         """Cyclic deletion of one arrow at a time; input is a closed traversal."""
         word = tuple(word)
@@ -333,7 +343,7 @@ class KoszulComplex:
         terms = []
         for i, a in enumerate(word):
             rest = word[i + 1 :] + word[:i]
-            cls = jac.canonical_form(rest) if rest else jac.idempotent(d.head(a))
+            cls = self._class_of(rest) if rest else jac.idempotent(d.head(a))
             terms.append(((XBAR, a), cls, 1))
         return CochainElement.from_terms(2, terms)
 
@@ -410,7 +420,7 @@ class KoszulComplex:
         v = verts[0]
         rotations = [word[k + 1 :] + word[: k + 1] for k in range(len(word))]
         word_at_v = next(r for r in rotations if d.head(r[-1]) == v)
-        cls = self.jac.canonical_form(word_at_v)
+        cls = self._class_of(word_at_v)
         expect = PathClass(v, v, self.eta(i), self.jac.x_alpha_w0(self.eta(i)))
         if cls != expect:
             raise HochschildError(

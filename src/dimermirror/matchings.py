@@ -12,14 +12,26 @@ potentials), for a matching of greatest weight <nu, height>:
 
 * P0 is the least matching in sorted-id order, the maximiser of
   sum 2^(|Q1| - 1 - rank(a)).
-* The hull starts from the four axis directions; each hull edge's outward
-  normal is queried until no query finds a height beyond its edge.
-* Each corner is queried in the sum of its two edge normals.  The answer must
-  be that corner, and the arrows tight under the optimal potentials must
-  admit no alternating cycle, so the corner carries exactly one matching.
+* The polygon's edges are the zigzag classes: edge i has outward normal
+  -eta_i and lattice length m_i (Gulotta, arXiv:0807.3012).  The normals are
+  sorted counterclockwise and each is queried once; its potentials bound
+  every height by b_i = max <-eta_i, h>.
+* A corner is a matching optimal for two consecutive normals.  Such a
+  matching uses only arrows tight under both sets of potentials, and every
+  perfect matching on those arrows is optimal for both, so augmenting paths
+  on that sparse set find it without another solve.  The summed potentials
+  certify it for the sum of the two normals, and the absence of an
+  alternating cycle among the doubly tight arrows proves it the only
+  matching at its height.
+* Each pair of consecutive corners must span an edge of the queried normal
+  and of lattice length m_i.  The corners are then realized heights at
+  every vertex of the intersection of {<-eta_i, h> <= b_i}, so that
+  polygon is the hull.
 
 Every answer is checked against its potentials (LP duality), so a wrong
-answer raises ``DimerError`` instead of shrinking the hull.
+answer raises ``DimerError`` instead of shrinking the hull; so does a wrong
+normal, which leaves two consecutive normals with no common optimum or a
+corner where an edge should be.
 
 Heights come from one table built per polytope, ``arrow_class``: each
 arrow's coefficients on the two chains, which are also the weights of the
@@ -39,9 +51,11 @@ Two more polynomial computations stand in for the list of all matchings:
 * ``kasteleyn_count`` counts the matchings from four determinants of a
   Kasteleyn-signed matrix (Kenyon, Okounkov and Sheffield).
 
+The oracle and the chains are built once per dimer and shared by all three.
 Enumeration (``enumerate_perfect_matchings``) still runs for
-``MatchingPolytope.points``, read on first use by the ``matchings`` listing,
-``corner_structure`` and ``check_against_enumeration``.  ``ks.KSVerifier``
+``MatchingPolytope.points``, read on first use by the ``matchings`` listing
+(which refuses dimers above ``ks.ENUMERATION_GATE``), ``corner_structure``
+and ``check_against_enumeration``.  ``ks.KSVerifier``
 runs it only as an oracle, on dimers whose Kasteleyn count is at most its
 ``ENUMERATION_GATE``.
 """
@@ -166,8 +180,13 @@ def generating_cycles(d: Dimer):
 
     Chains are dicts arrow -> coefficient (reversed traversals count with
     sign -1); they are built from fundamental cycles of the spanning tree
-    behind ``tree_paths``.
+    behind ``tree_paths``.  Computed once per dimer; the chains are shared,
+    so do not mutate them.
     """
+    return d._memo("generating_cycles", lambda: _generating_cycles(d))
+
+
+def _generating_cycles(d: Dimer):
     paths = tree_paths(d)
     pot = {v: d.path_shift(path) for v, path in paths.items()}
     tree_ids = {path[-1][0] for path in paths.values() if path}
@@ -376,6 +395,11 @@ def max_weight_matching(w: list) -> Optional[tuple]:
     return match, [-x for x in u[1:]], [-x for x in v[1:]]
 
 
+def _oracle(d: Dimer) -> "_MatchingOracle":
+    """The dimer's matching oracle, built once per dimer and shared."""
+    return d._memo("matching_oracle", lambda: _MatchingOracle(d))
+
+
 class _MatchingOracle:
     """Certified max-weight perfect matchings of one dimer.
 
@@ -427,6 +451,43 @@ class _MatchingOracle:
             )
         return edges, [a for a in self.arrows if bound[a] == weight[a]]
 
+    def perfect_on(self, arrows: list) -> Optional[frozenset]:
+        """A perfect matching that uses only the given arrows, or None if there is none.
+
+        Augmenting paths, one breadth-first search per row: O(n |arrows|)
+        with no weights, for the sparse sets of tight arrows.
+        """
+        out: dict = {i: [] for i in range(self.n)}
+        for a in arrows:
+            out[self.ends[a][0]].append(a)
+        owner: dict = {}  # column -> the matched arrow into it
+        matched: dict = {}  # row -> its matched column
+        for r in range(self.n):
+            via: dict = {}  # column -> the arrow the search reached it by
+            rows, free = [r], None
+            for i in rows:  # grows while it is read
+                for a in out[i]:
+                    j = self.ends[a][1]
+                    if j in via:
+                        continue
+                    via[j] = a
+                    if j not in owner:
+                        free = j
+                        break
+                    rows.append(self.ends[owner[j]][0])
+                if free is not None:
+                    break
+            if free is None:
+                return None
+            # flip the path: each column on it takes the arrow that reached it
+            j = free
+            while j is not None:
+                a = via[j]
+                i = self.ends[a][0]
+                owner[j], j = a, matched.get(i)
+                matched[i] = self.ends[a][1]
+        return frozenset(owner.values())
+
     def is_unique(self, edges: frozenset, tight: list) -> bool:
         """True when no other matching is optimal: the tight arrows admit no alternating cycle.
 
@@ -465,11 +526,11 @@ def _outward_normal(a: Vec, b: Vec) -> tuple[Vec, int]:
 def matching_polytope(d: Dimer) -> MatchingPolytope:
     """Convex hull of matching heights with the class <-> edge correspondence.
 
-    Built from certified max-weight matching queries (see the module
-    docstring); no matching is enumerated.
+    Built from P0 and one certified max-weight matching query per zigzag
+    class (see the module docstring); no matching is enumerated.
     """
     d.require_valid()
-    oracle = _MatchingOracle(d)
+    oracle = _oracle(d)
     # P0, the least matching in sorted-id order, outweighs every other one
     top = len(oracle.arrows) - 1
     found = oracle.best({a: 1 << (top - r) for r, a in enumerate(oracle.arrows)}, "P0")
@@ -480,74 +541,56 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
     arrow_class = {a: (chains[0].get(a, 0), chains[1].get(a, 0)) for a in oracle.arrows}
     p0_class = _class_sum(p0.edges, arrow_class)
 
-    answers: dict = {}  # direction -> answer; the hull and corner steps repeat directions
-
-    def query(nu: Vec):
-        """(height, matched arrows, tight arrows) of a certified optimum for direction nu."""
-        if nu not in answers:
-            weight = {a: dot(nu, c) for a, c in arrow_class.items()}
-            edges, tight = oracle.best(weight, f"direction {nu}")
-            answers[nu] = vec_sub(_class_sum(edges, arrow_class), p0_class), edges, tight
-        return answers[nu]
-
-    heights = {(0, 0)}  # P0
-    heights.update(query(nu)[0] for nu in ((1, 0), (0, 1), (-1, 0), (0, -1)))
-    hull = _convex_hull(list(heights))
-    while len(hull) > 1:
-        beyond = set()  # heights past a hull edge, found by querying its outward normal
-        for a, b in zip(hull, hull[1:] + hull[:1]):
-            normal, _ = _outward_normal(a, b)
-            h = query(normal)[0]
-            if dot(normal, vec_sub(h, a)) > 0:
-                beyond.add(h)
-        if not beyond:
-            break
-        heights |= beyond
-        hull = _convex_hull(list(heights))
-    if len(hull) < 3:
-        raise DimerError("matching polytope is degenerate")
-    # lattice boundary / interior counts
-    normals, lengths = zip(*(_outward_normal(a, b) for a, b in zip(hull, hull[1:] + hull[:1])))
-    boundary = sum(lengths)
-    twice_area = sum(cross(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull)))
-    if twice_area <= 0:
-        raise DimerError("hull orientation error")
-    interior = (twice_area - boundary + 2) // 2
-    corners = {}
-    for i, h in enumerate(hull):
-        nu = vec_add(normals[i - 1], normals[i])
-        got, arrows, tight = query(nu)
-        if got != h:
-            raise DimerError(f"corner {h}: direction {nu} peaks at {got}, not at the corner")
-        if not oracle.is_unique(arrows, tight):
-            raise DimerError(f"corner {h} carries more than one matching, expected exactly 1")
-        corners[h] = PerfectMatching(arrows, h)
-
     classes = parallel_classes(d)
+    # edge k has outward normal -eta of class order[k]; counterclockwise
+    order = sorted(range(len(classes)), key=lambda i: ccw_angle_key(vec_neg(classes[i][0])))
+    normals = [vec_neg(classes[i][0]) for i in order]
+    if len(normals) < 3 or any(cross(normals[k - 1], normals[k]) <= 0 for k in range(len(normals))):
+        raise DimerError(f"zigzag normals {normals} do not turn once around a polygon")
+    tight = []  # per normal, the arrows tight under its certified potentials
+    for nu in normals:
+        weight = {a: dot(nu, c) for a, c in arrow_class.items()}
+        tight.append(oracle.best(weight, f"direction {nu}")[1])
+
+    # corner k: the one matching optimal for normals k - 1 and k
+    corner_at = []
+    for k in range(len(normals)):
+        later = set(tight[k])
+        both = [a for a in tight[k - 1] if a in later]
+        arrows = oracle.perfect_on(both)
+        if arrows is None:
+            raise DimerError(
+                f"normals {normals[k - 1]} and {normals[k]} share no corner: "
+                "no matching is optimal for both"
+            )
+        h = vec_sub(_class_sum(arrows, arrow_class), p0_class)
+        if not oracle.is_unique(arrows, both):
+            raise DimerError(f"corner {h} carries more than one matching, expected exactly 1")
+        corner_at.append(PerfectMatching(arrows, h))
+
     edges = []
-    for i, normal in enumerate(normals):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
-        matched = [
-            ci for ci, (eta, _) in enumerate(classes, start=1) if vec_neg(eta) == normal
-        ]
-        if len(matched) != 1:
+    for k, nu in enumerate(normals):
+        a, b = corner_at[k].height, corner_at[(k + 1) % len(normals)].height
+        ci = order[k] + 1
+        if a == b:
+            raise DimerError(f"the edge normal to -eta_{ci} collapses to the corner {a}")
+        normal, length = _outward_normal(a, b)
+        if normal != nu:
+            raise DimerError(f"hull edge {a} -> {b} has normal {normal}, not -eta_{ci} = {nu}")
+        members = classes[order[k]][1]
+        if length != len(members):
             raise DimerError(
-                f"hull edge normal {normal} matches {len(matched)} zigzag classes"
+                f"edge normal to -eta_{ci} has lattice length {length} != m_i = {len(members)}"
             )
-        edges.append(
-            HullEdge(class_index=matched[0], normal=normal, start=a, end=b, lattice_length=lengths[i])
-        )
-    if sorted(normals, key=ccw_angle_key) != sorted(
-        [vec_neg(eta) for eta, _ in classes], key=ccw_angle_key
-    ):
-        raise DimerError("hull edge normals do not match the zigzag classes")
-    for e in edges:
-        eta, members = classes[e.class_index - 1]
-        if e.lattice_length != len(members):
-            raise DimerError(
-                f"edge normal to -eta_{e.class_index} has lattice length "
-                f"{e.lattice_length} != m_i = {len(members)}"
-            )
+        edges.append(HullEdge(class_index=ci, normal=nu, start=a, end=b, lattice_length=length))
+    # the hull starts at its least corner, as the monotone chain does
+    s = min(range(len(edges)), key=lambda k: edges[k].start)
+    edges = edges[s:] + edges[:s]
+    hull = [e.start for e in edges]
+    corners = {p.height: p for p in corner_at[s:] + corner_at[:s]}
+    boundary = sum(e.lattice_length for e in edges)
+    twice_area = sum(cross(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull)))
+    interior = (twice_area - boundary + 2) // 2
     return MatchingPolytope(
         hull=hull,
         edges=edges,
@@ -692,7 +735,7 @@ def matching_basis(d: Dimer) -> MatchingBasis:
 
 def _matching_basis(d: Dimer) -> MatchingBasis:
     free = _free_arrows(d)
-    oracle = _MatchingOracle(d)
+    oracle = _oracle(d)
     span = _Span(len(free) + 1)
     found: list = []
     while span.rank < span.width:
@@ -795,7 +838,7 @@ def kasteleyn_count(d: Dimer) -> int:
     a multiple of 4 raises ``DimerError``.
     """
     d.require_valid()
-    oracle = _MatchingOracle(d)
+    oracle = _oracle(d)
     if oracle.n is None:
         return 0
     signs = kasteleyn_signs(d)

@@ -185,6 +185,27 @@ def test_failure_json_names_its_stage(tmp_path, lattice_cover):
     assert rc == 0 and "stage" not in json.loads(out)
 
 
+def test_matchings_listing_refuses_above_the_enumeration_gate(tmp_path, lattice_cover, monkeypatch):
+    # c3 6x6 has 263,640 perfect matchings; the Kasteleyn count refuses
+    # before anything is enumerated
+    from dimermirror import matchings
+
+    def never(d):
+        raise AssertionError("enumerated past the gate")
+
+    monkeypatch.setattr(matchings, "enumerate_perfect_matchings", never)
+    p = tmp_path / "c3_6x6.json"
+    p.write_text(json.dumps(lattice_cover("c3", 6, 6)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["matchings", str(p)]) == 1
+    assert json.loads(out.getvalue()) == {
+        "passed": False,
+        "error": "263640 perfect matchings, above the enumeration gate 1000: not listed",
+        "stage": "cli",
+    }
+
+
 def test_markdown_report_mentions_pair_of_pants_data():
     rc, out, _ = run_cli("report", str(DATA / "c3.json"), "--format", "markdown", "--n-max", "2")
     assert rc == 0

@@ -283,6 +283,21 @@ def test_a_corrupted_arrow_image_fails_its_matching_rows(name, dimers, monkeypat
     assert any(c.status == FAIL for c in units)
 
 
+def test_verify_normalises_each_word_once(lattice_cover, monkeypatch):
+    calls = []
+    canonical_form = Jacobi.canonical_form
+
+    def counted(self, word):
+        calls.append(tuple(word))
+        return canonical_form(self, word)
+
+    monkeypatch.setattr(Jacobi, "canonical_form", counted)
+    for d in (load_bundled("spp"), cover_dimer(lattice_cover, "conifold", 4, 1)):
+        calls.clear()
+        assert KSVerifier(d).verify_all().passed
+        assert calls and len(calls) == len(set(calls)), d.name
+
+
 def test_an_oracle_stuck_on_one_matching_fails_the_basis_rank(monkeypatch):
     from dimermirror import matchings
 

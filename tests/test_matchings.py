@@ -12,7 +12,7 @@ import pytest
 
 from dimermirror import matchings
 from dimermirror.cli import main
-from dimermirror.dimer import DimerError, idkey
+from dimermirror.dimer import DimerError, ccw_angle_key, cross, idkey, parallel_classes
 from dimermirror.io import dimer_from_dict, load_bundled
 from dimermirror.jacobi import Jacobi
 from dimermirror.matchings import (
@@ -285,16 +285,15 @@ def test_polytope_of_large_covers(name, k, l, covers, tmp_path):
 
 
 def test_non_optimal_solver_answer_fails_the_dual_certificate(monkeypatch):
-    # after the P0 query and the four axis queries come the hull-edge
-    # queries; the first later query with a strictly lighter perfect matching
-    # gets that one, with the optimal potentials
+    # after the P0 query come the edge-normal queries; the first of them
+    # gets a strictly lighter perfect matching, with the optimal potentials
     original = matchings.max_weight_matching
     calls, swapped = [], []
 
     def lighter(w):
         calls.append(w)
         match, u, v = original(w)
-        if len(calls) > 5 and not swapped:
+        if len(calls) > 1 and not swapped:
             n = len(w)
             best = sum(w[i][match[i]] for i in range(n))
             for perm in itertools.permutations(range(n)):
@@ -307,7 +306,7 @@ def test_non_optimal_solver_answer_fails_the_dual_certificate(monkeypatch):
     monkeypatch.setattr(matchings, "max_weight_matching", lighter)
     with pytest.raises(DimerError, match="not certified optimal"):
         matching_polytope(load_bundled("spp"))
-    assert swapped == [6]  # on spp, the first edge-normal query
+    assert swapped == [2]  # on spp, the first edge-normal query
 
 
 @pytest.mark.parametrize(
@@ -320,15 +319,97 @@ def test_non_optimal_solver_answer_fails_the_dual_certificate(monkeypatch):
     ],
 )
 def test_corner_with_two_optimal_matchings_fails(monkeypatch, name, c1, c2):
+    # heights read on the chains c1 and c2, and zigzag classes whose normals
+    # and lengths are those of the hull of these heights: the corner step
+    # then sees both matchings at (0, 0) among its doubly tight arrows
     d = load_bundled(name)
-    monkeypatch.setattr(matchings, "generating_cycles", lambda _: [c1, c2])
     heights = {}
     for p in enumerate_perfect_matchings(d):
         h = (evaluate_on_chain(p.edges, c1), evaluate_on_chain(p.edges, c2))
         heights[h] = heights.get(h, 0) + 1
-    assert heights[(0, 0)] == 2 and len(heights) >= 3  # (0, 0) is a corner of the hull
+    hull = matchings._convex_hull(list(heights))
+    assert heights[(0, 0)] == 2 and (0, 0) in hull and len(hull) >= 3
+    classes = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        normal, length = matchings._outward_normal(a, b)
+        classes.append(((-normal[0], -normal[1]), [None] * length))
+    monkeypatch.setattr(matchings, "generating_cycles", lambda _: [c1, c2])
+    monkeypatch.setattr(matchings, "parallel_classes", lambda _: classes)
     with pytest.raises(DimerError, match="carries more than one matching"):
         matching_polytope(d)
+
+
+def turned_classes(classes):
+    """Each zigzag class turned, one at a time: by 1, 2 and 3 quarter turns, and toward each other class."""
+    for i, ((x, y), members) in enumerate(classes):
+        turns = [(-y, x), (-x, -y), (y, -x)]
+        turns += [(x + u, y + v) for j, ((u, v), _) in enumerate(classes) if j != i and cross((x, y), (u, v))]
+        for t in turns:
+            g = gcd(*t)
+            yield classes[:i] + [((t[0] // g, t[1] // g), members)] + classes[i + 1:]
+
+
+@pytest.mark.parametrize("name,k,l", [("c3", 1, 1), ("conifold", 1, 1), ("spp", 1, 1), ("conifold", 4, 3)])
+def test_a_turned_zigzag_class_fails_the_edge_certificate(name, k, l, covers, monkeypatch):
+    d = zoo_dimer(covers, name, k, l)
+    classes = parallel_classes(d)
+    mp = matching_polytope(d)
+    assert sorted(e.normal for e in mp.edges) == sorted((-x, -y) for (x, y), _ in classes)
+    seen = set()
+    for turned in turned_classes(classes):
+        monkeypatch.setattr(matchings, "parallel_classes", lambda _, c=turned: c)
+        with pytest.raises(DimerError, match="share no corner|do not turn once around a polygon") as err:
+            matching_polytope(zoo_dimer(covers, name, k, l))
+        seen.add("share no corner" in str(err.value))
+    # on a triangle every turn breaks the counterclockwise order; with more
+    # classes some reach the corner step
+    assert seen == ({False} if len(classes) == 3 else {True, False})
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_an_extra_or_short_zigzag_class_fails_the_edge_certificate(name, monkeypatch):
+    d = load_bundled(name)
+    classes = parallel_classes(d)
+    edges = sorted(matching_polytope(d).edges, key=lambda e: ccw_angle_key(e.normal))
+    # a class normal to a corner's cone, between two edges, puts a corner where an edge should be
+    (x, y), (u, v) = edges[0].normal, edges[1].normal
+    extra = classes + [((-x - u, -y - v), classes[0][1])]
+    monkeypatch.setattr(matchings, "parallel_classes", lambda _: extra)
+    with pytest.raises(DimerError, match=f"the edge normal to -eta_{len(extra)} collapses to the corner"):
+        matching_polytope(load_bundled(name))
+    short = [(eta, members[:-1] if i == 0 else members) for i, (eta, members) in enumerate(classes)]
+    monkeypatch.setattr(matchings, "parallel_classes", lambda _: short)
+    with pytest.raises(DimerError, match="to -eta_1 has lattice length"):
+        matching_polytope(load_bundled(name))
+
+
+@pytest.mark.parametrize(
+    "name,k,l,solves", [("c3", 1, 1, 4), ("conifold", 1, 1, 5), ("spp", 1, 1, 5), ("conifold", 4, 3, 5)]
+)
+def test_polytope_makes_one_solve_per_zigzag_class(name, k, l, solves, covers, monkeypatch):
+    d = zoo_dimer(covers, name, k, l)
+    calls = []
+    original = matchings.max_weight_matching
+    monkeypatch.setattr(matchings, "max_weight_matching", lambda w: calls.append(w) or original(w))
+    matching_polytope(d)
+    assert len(calls) == 1 + len(parallel_classes(d)) == solves  # P0, then one per edge
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_verify_builds_the_oracle_and_the_chains_once(name, monkeypatch):
+    from dimermirror.ks import KSVerifier
+
+    built = []
+    oracle_init, chains = matchings._MatchingOracle.__init__, matchings._generating_cycles
+
+    def counted_init(self, d):
+        built.append("oracle")
+        oracle_init(self, d)
+
+    monkeypatch.setattr(matchings._MatchingOracle, "__init__", counted_init)
+    monkeypatch.setattr(matchings, "_generating_cycles", lambda d: built.append("chains") or chains(d))
+    assert KSVerifier(load_bundled(name)).verify_all().passed
+    assert sorted(built) == ["chains", "oracle"]
 
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
