@@ -16,7 +16,7 @@ import pytest
 from dimermirror import cli
 from dimermirror.cli import EXIT_OK, EXIT_USAGE, main
 from dimermirror.io import dimer_from_dict, dimer_to_dict, load_bundled
-from test_matchings import ORACLE_ZOO
+from test_matchings import ORACLE_ZOO, mirrored
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "dimermirror" / "data"
@@ -472,6 +472,55 @@ def test_every_subcommand_is_byte_identical_on_the_zoo(name, k, l, seed, covers,
         raw = covers.relabel(raw, random.Random(seed))
     monkeypatch.chdir(tmp_path)
     assert zoo_outputs_sha256(raw) == ZOO_OUTPUT_SHA256[(name, k, l, seed)]
+
+
+# -- mirrored inputs and torus markings -------------------------------------------
+
+
+# sha256 over (command, format, exit code, stdout, stderr) of `polytope` and
+# `matchings` on the dimer with every y shift negated, which reverses the
+# orientation of the embedding; computed while heights were still read off
+# two generating chains.
+MIRRORED_OUTPUT_SHA256 = {
+    ("c3", 1, 1): "abf01d651f1556f1e5c661b6c768500feacef49ca85b36cf771596d25f244170",
+    ("conifold", 1, 1): "09ab32be0a176d191e45e0821ae87683240bf9775921ce1bbaa4b98930adcd76",
+    ("spp", 1, 1): "c913095b6d7348baff3301951cc5eeb4b765dcb22068eab1ee7409da747d6e9e",
+    ("conifold", 4, 1): "c5f15f37945725b62756198a9b4cc865824f547ede440378d6d6b53aa7d3cfab",
+    ("spp", 2, 1): "f78bf71652dc8957650c9f292b396328f25b73498fe9dc5377f5f6587f7acd7e",
+    ("c3", 3, 3): "bbc1201c9fb24df2d818cea756f653933a950555c7af3df17833fb8696dd6af9",
+}
+
+
+@pytest.mark.parametrize("name,k,l", sorted(MIRRORED_OUTPUT_SHA256))
+def test_polytope_and_matchings_are_byte_identical_when_mirrored(name, k, l, covers, tmp_path, monkeypatch):
+    raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+    monkeypatch.chdir(tmp_path)
+    Path("dimer.json").write_text(json.dumps(mirrored(raw)))
+    h = hashlib.sha256()
+    for cmd in ("polytope", "matchings"):
+        for fmt in ("json", "markdown"):
+            rc, out, err = main_in_process(cmd, "dimer.json", "--format", fmt)
+            h.update(repr((cmd, fmt, rc, out, err)).encode())
+    assert h.hexdigest() == MIRRORED_OUTPUT_SHA256[(name, k, l)]
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+@pytest.mark.parametrize("axis,factor,target", [(0, 2, (1, 0)), (1, 3, (0, 1))])
+def test_a_torus_marking_of_index_above_one_is_refused(name, axis, factor, target, tmp_path, monkeypatch):
+    # shifts scaled on one axis still close every face, so the file
+    # validates, but no cycle of the quiver has class `target`
+    raw = json.loads((DATA / f"{name}.json").read_text())
+    for a in raw["arrows"]:
+        a["shift"][axis] *= factor
+    monkeypatch.chdir(tmp_path)
+    Path("dimer.json").write_text(json.dumps(raw))
+    assert main_in_process("validate", "dimer.json")[0] == EXIT_OK
+    error = f"no integer cycle with class {target}; invalid torus marking"
+    assert main_in_process("polytope", "dimer.json") == (1, "", f"error: {error}\n")
+    for cmd in ("matchings", "verify"):
+        rc, out, err = main_in_process(cmd, "dimer.json", "--format", "json")
+        assert (rc, err) == (1, "")
+        assert json.loads(out) == {"passed": False, "error": error, "stage": "matchings"}
 
 
 # -- malformed ids and lists in a dimer file -------------------------------------

@@ -188,16 +188,38 @@ ORACLE_ZOO = [
 ]
 
 
+def mirrored(raw: dict) -> dict:
+    """The dimer with its torus reflected in the x axis: every y shift negated."""
+    arrows = [{**a, "shift": [a["shift"][0], -a["shift"][1]]} for a in raw["arrows"]]
+    return {**raw, "arrows": arrows}
+
+
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
 @pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
 def test_polytope_is_the_hull_of_every_matching(name, k, l, seed, covers):
     raw = covers.cover(covers.load_base(name), k, l) if (k, l) != (1, 1) else covers.load_base(name)
     if seed is not None:
         raw = covers.relabel(raw, random.Random(seed))
-    d = dimer_from_dict(raw)
+    check_hull_of_every_matching(dimer_from_dict(raw))
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
+def test_polytope_is_the_hull_of_every_matching_when_mirrored(name, k, l, seed, covers):
+    # the torus reflected reverses the orientation of the embedding
+    raw = covers.cover(covers.load_base(name), k, l) if (k, l) != (1, 1) else covers.load_base(name)
+    if seed is not None:
+        raw = covers.relabel(raw, random.Random(seed))
+    check_hull_of_every_matching(dimer_from_dict(mirrored(raw)))
+
+
+def check_hull_of_every_matching(d):
     mp = matching_polytope(d)
     every = enumerate_perfect_matchings(d)
     assert mp.reference.edges == every[0].edges  # P0: least in sorted-id order
+    # the polytope's table against the chain scan, matching by matching
+    assert [mp.height(p) for p in every] == [matching_height(d, p, every[0]) for p in every]
+    assert kasteleyn_count(d) == len(every)
     heights = {matching_height(d, p, every[0]) for p in every}
     hull = mp.hull
     n = len(hull)
