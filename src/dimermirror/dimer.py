@@ -680,9 +680,20 @@ def _ray_meeting(t_zig: Vec, t_zag: Vec, dd: Vec, trivial: bool):
     return sol
 
 
+def _ext_gcd(a: int, b: int) -> tuple:
+    """(g, s, t) with g = gcd(a, b) >= 0 and g == s*a + t*b, by the extended Euclidean algorithm."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
 def _solve_parallel(p: int, q: int, dd: int):
     """Nonnegative integer solutions of n*p - m*q = dd, smallest first; None if none."""
-    g = gcd(abs(p), abs(q))
+    pp, qq = abs(p), abs(q)
+    g, x0, y0 = _ext_gcd(pp, qq)  # g = x0*pp + y0*qq
     if dd % g:
         return None
     if p > 0 > q or (p < 0 < q):
@@ -695,17 +706,9 @@ def _solve_parallel(p: int, q: int, dd: int):
                 return (n, rem // q)
         return None
     # p, q same sign: the form is indefinite, solutions exist for every multiple of g
-    pp, qq = abs(p), abs(q)
     sgn = 1 if p > 0 else -1
     target = sgn * dd
     # solve n*pp - m*qq = target with n, m >= 0
-    # extended euclid on (pp, qq)
-    x0, x1, y0, y1, r0, r1 = 1, 0, 0, 1, pp, qq
-    while r1:
-        k, r0, r1 = r0 // r1, r1, r0 % r1
-        x0, x1 = x1, x0 - k * x1
-        y0, y1 = y1, y0 - k * y1
-    # r0 = g = x0*pp + y0*qq
     n0 = x0 * (target // g)
     m0 = -y0 * (target // g)
     step_n, step_m = qq // g, pp // g

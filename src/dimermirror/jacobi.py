@@ -192,23 +192,17 @@ class Jacobi:
         self.realize_cap = realize_cap if realize_cap is not None else 4 * len(d.arrows)
         # tree paths from the base vertex, for the open-path degree correction
         self._tree_paths = tree_paths(d)
-        self._phi_cache: dict = {}
         self._central_W: Optional[dict] = None
         self.corner_phis = [self._phi(p) for p in self.corners]
 
     # -- degrees ---------------------------------------------------------
 
-    def _phi(self, matching: "PerfectMatching") -> dict:
-        """Vertex potential of the cochain (P - P*) minus its harmonic part.
+    def _phi(self, matching: PerfectMatching) -> dict:
+        """Vertex potential of the cochain (P - P*) minus its harmonic part, for P with its height.
 
         On an open path p the cochain evaluates to <height(P) - height(P*),
         h1(p)> + phi(head) - phi(tail); on loops the correction cancels.
         """
-        key = matching.edges
-        if key in self._phi_cache:
-            return self._phi_cache[key]
-        if matching.height is None:
-            matching = self._with_height(matching)
         off = vec_sub(matching.height, self.ref.height)
         phi = {}
         for v, path in self._tree_paths.items():
@@ -218,20 +212,7 @@ class Jacobi:
                     (1 if aid in matching.edges else 0) - (1 if aid in self.ref.edges else 0)
                 )
             phi[v] = val - dot(off, self.dimer.path_shift(path))
-        self._phi_cache[key] = phi
         return phi
-
-    def _with_height(self, matching: "PerfectMatching") -> "PerfectMatching":
-        """The matching with its height, read off the polytope's chains and P0."""
-        d = self.dimer
-        if not matching.edges <= d.arrow_by_id.keys() or any(
-            sum(1 for a in f.boundary if a in matching.edges) != 1 for f in d.faces
-        ):
-            raise JacobiError("unknown perfect matching")
-        return PerfectMatching(matching.edges, self.poly.height(matching))
-
-    def word_degree(self, word: Word, matching: frozenset) -> int:
-        return sum(1 for a in word if a in matching)
 
     def class_degree(self, cls: PathClass, corner_index: int) -> int:
         phi = self.corner_phis[corner_index - 1]
@@ -241,21 +222,6 @@ class Jacobi:
             + phi[cls.head]
             - phi[cls.tail]
         )
-
-    def pm_degree(self, p, matching) -> int:
-        """Degree of a word or class under any perfect matching."""
-        if isinstance(p, PathClass):
-            pm = (
-                matching
-                if isinstance(matching, PerfectMatching)
-                else PerfectMatching(frozenset(matching))
-            )
-            pm = self._with_height(pm)
-            phi = self._phi(pm)
-            off = vec_sub(pm.height, self.ref.height)
-            return p.w0 + dot(off, p.h1) + phi[p.head] - phi[p.tail]
-        edges = matching.edges if isinstance(matching, PerfectMatching) else frozenset(matching)
-        return self.word_degree(tuple(p), edges)
 
     def corner_degrees(self, cls: PathClass) -> tuple:
         return tuple(self.class_degree(cls, i) for i in range(1, len(self.corners) + 1))

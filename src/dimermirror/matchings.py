@@ -3,8 +3,8 @@
 A perfect matching picks one arrow on every face: it is a perfect matching
 of the bipartite graph whose two sides are the positive and the negative
 faces and whose edges are the arrows.  Its height is its class in H^1
-relative to the reference matching P0, evaluated on the two
-``generating_cycles`` chains.
+relative to the reference matching P0: the dual of the homology class of
+the bipartite cycle P - P0.
 
 ``matching_polytope`` never lists the matchings.  It asks one exact-integer
 oracle, ``max_weight_matching`` (the Hungarian method with integer
@@ -33,12 +33,14 @@ answer raises ``DimerError`` instead of shrinking the hull; so does a wrong
 normal, which leaves two consecutive normals with no common optimum or a
 corner where an edge should be.
 
-Heights come from one table built per polytope, ``arrow_class``: each
-arrow's coefficients on the two chains, which are also the weights of the
-queries.  A query's height is the sum of its matched arrows' entries minus
-that of P0, which is summed once; ``MatchingPolytope.height`` reads the same
-table.  ``matching_height``, which scans both chains for P and for P0, is the
-reference that tests compare these heights against.
+Heights come from one table per dimer, ``arrow_classes``, whose entries
+are also the weights of the queries.  Each arrow's entry is read off the
+shift prefixes of the arrow in the stored boundaries of its two faces, one
+pass over the faces (Kenyon, Okounkov and Sheffield, math-ph/0311005).  A
+matching's height is the sum of its arrows' entries minus that of P0, which
+is summed once; ``MatchingPolytope.height`` reads the same table.  Before
+the table is built, ``_check_marking`` refuses shifts whose cycles miss the
+class (1, 0) or (0, 1) of the torus.
 
 Two more polynomial computations stand in for the list of all matchings:
 
@@ -51,7 +53,8 @@ Two more polynomial computations stand in for the list of all matchings:
 * ``kasteleyn_count`` counts the matchings from four determinants of a
   Kasteleyn-signed matrix (Kenyon, Okounkov and Sheffield).
 
-The oracle and the chains are built once per dimer and shared by all three.
+The oracle is built once per dimer and shared by all three, and the table by
+the polygon and the count.
 Enumeration (``enumerate_perfect_matchings``) still runs for
 ``MatchingPolytope.points``, read on first use by the ``matchings`` listing
 (which refuses dimers above ``ks.ENUMERATION_GATE``), ``corner_structure``
@@ -70,6 +73,8 @@ from .dimer import (
     Dimer,
     DimerError,
     Vec,
+    _ext_gcd,
+    _orbits,
     ccw_angle_key,
     cross,
     dot,
@@ -110,7 +115,7 @@ class MatchingPolytope:
     corners: dict  # height -> PerfectMatching (unique per corner)
     normalized_area: int  # twice the Euclidean area
     dimer: Dimer = field(repr=False)
-    # arrow -> its coefficients on the two generating_cycles(dimer) chains
+    # arrow -> its height entry, the table arrow_classes(dimer)
     arrow_class: dict = field(repr=False)
     reference: PerfectMatching = field(repr=False)  # P0, at height (0, 0)
     reference_class: Vec = field(repr=False)  # _class_sum(P0.edges, arrow_class), taken once
@@ -175,145 +180,86 @@ def enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
     return [PerfectMatching(edges=s) for s in uniq]
 
 
-def generating_cycles(d: Dimer):
-    """Two integer 1-chains with homology classes (1,0) and (0,1).
+def arrow_classes(d: Dimer) -> dict:
+    """arrow -> its entry in the height table: the class of P - P0 is the sum over P minus that over P0.
 
-    Chains are dicts arrow -> coefficient (reversed traversals count with
-    sign -1); they are built from fundamental cycles of the spanning tree
-    behind ``tree_paths``.  Computed once per dimer; the chains are shared,
-    so do not mutate them.
+    A face's stored boundary, lifted to the plane from the tail of its first
+    arrow, puts each arrow's tail at its shift prefix: the total shift of the
+    arrows before it.  So s(a), a's prefix in its positive face minus its
+    prefix in its negative face, is the translate between the lifts of the
+    two faces that a joins, and s summed over P minus P0 is the homology
+    class of the bipartite cycle P - P0 (Kenyon, Okounkov and Sheffield,
+    math-ph/0311005).  Its dual in H^1 is sigma * (-s_y, s_x), sigma being
+    the orientation of the embedding (``_orientation``).  Computed once per
+    dimer, after ``_check_marking``; the table is shared, so do not mutate it.
     """
-    return d._memo("generating_cycles", lambda: _generating_cycles(d))
+    return d._memo("arrow_classes", lambda: _arrow_classes(d))
 
 
-def _generating_cycles(d: Dimer):
+def _arrow_classes(d: Dimer) -> dict:
+    _check_marking(d)
+    s: dict = {}
+    for f in d.faces:
+        x = y = 0
+        for a in f.boundary:
+            px, py = s.get(a, (0, 0))
+            s[a] = (px + f.sign * x, py + f.sign * y)
+            dx, dy = d.arrow_by_id[a].shift
+            x, y = x + dx, y + dy
+    sigma = _orientation(d)
+    return {a: (-sigma * s[a][1], sigma * s[a][0]) for a in sorted(s, key=idkey)}
+
+
+def _check_marking(d: Dimer) -> None:
+    """Raise DimerError unless cycles of the quiver have the classes (1, 0) and (0, 1).
+
+    The fundamental cycles of the spanning tree behind ``tree_paths`` span
+    the classes of all cycles.  Their lattice is kept in Hermite form, with
+    rows (g, y) and (0, g2): (1, 0) lies in it when g == 1 and g2 divides y,
+    and (0, 1) when g2 == 1.
+    """
     paths = tree_paths(d)
     pot = {v: d.path_shift(path) for v, path in paths.items()}
     tree_ids = {path[-1][0] for path in paths.values() if path}
-    fundamentals = []
+    g = y = g2 = 0
     for a in sorted(d.arrows, key=lambda x: idkey(x.id)):
         if a.id in tree_ids:
             continue
-        cls = vec_sub(vec_add(pot[a.tail], a.shift), pot[a.head])
-        if cls != (0, 0):
-            fundamentals.append((a.id, cls))
-    targets = [(1, 0), (0, 1)]
-    out = []
-    for t in targets:
-        combo = _integer_combination([c for _, c in fundamentals], t)
-        if combo is None:
-            raise DimerError(f"no integer cycle with class {t}; invalid torus marking")
-        chain: dict = {}
-        for (aid, _), lam in zip(fundamentals, combo):
-            if not lam:
-                continue
-            # close the arrow into a cycle: tree path from its head back to its tail
-            a = d.arrow_by_id[aid]
-            closure = [(b, -sg) for b, sg in reversed(paths[a.head])] + paths[a.tail]
-            for b, sg in [(aid, 1)] + closure:
-                chain[b] = chain.get(b, 0) + lam * sg
-        out.append({k: v for k, v in chain.items() if v})
-    return out
-
-
-def _integer_combination(vecs: list[Vec], target: Vec):
-    """Integer coefficients lam with sum(lam_k * vecs[k]) == target, or None.
-
-    Column-style Hermite reduction on the 2 x K matrix of classes, tracking
-    the combinations so coefficients can be reported exactly.
-    """
-    if not vecs:
-        return None
-    cols = [(v, tuple(1 if i == j else 0 for j in range(len(vecs)))) for i, v in enumerate(vecs)]
-
-    def combine(c1, c2):
-        # replace (c1, c2) by (g-column, 0-x-column) using extended gcd on x
-        (v1, l1), (v2, l2) = c1, c2
-        a, b = v1[0], v2[0]
-        if b == 0:
-            return c1, c2
-        if a == 0:
-            return c2, c1
-        # extended euclid: g = s*a + t*b
-        s0, s1, t0, t1, r0, r1 = 1, 0, 0, 1, a, b
-        while r1:
-            q, r0, r1 = r0 // r1, r1, r0 % r1
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        g = r0
-        new1 = (
-            (g, s0 * v1[1] + t0 * v2[1]),
-            tuple(s0 * x + t0 * y for x, y in zip(l1, l2)),
-        )
-        new2 = (
-            (0, (-b // g) * v1[1] + (a // g) * v2[1]),
-            tuple((-b // g) * x + (a // g) * y for x, y in zip(l1, l2)),
-        )
-        return new1, new2
-
-    pivot = None
-    rest = []
-    for c in cols:
-        if pivot is None:
-            pivot = c
+        cx, cy = vec_sub(vec_add(pot[a.tail], d.shift(a.id)), pot[a.head])
+        h, s, t = _ext_gcd(g, cx)
+        if h:
+            # rows (g, y), (cx, cy) -> (h, s*y + t*cy) and (0, (cx*y - g*cy) / h)
+            g, y, g2 = h, s * y + t * cy, gcd(g2, (cx * y - g * cy) // h)
         else:
-            pivot, c2 = combine(pivot, c)
-            rest.append(c2)
-    if pivot is None or (pivot[0][0] == 0 and target[0] != 0):
-        return None
-    if pivot[0][0] == 0:
-        rest.append(pivot)
-        k1, lam1 = 0, tuple(0 for _ in vecs)
-    else:
-        if target[0] % pivot[0][0]:
-            return None
-        k1 = target[0] // pivot[0][0]
-        lam1 = tuple(k1 * x for x in pivot[1])
-    residual_y = target[1] - k1 * (pivot[0][1] if pivot[0][0] else 0)
-    g2 = 0
-    l2 = tuple(0 for _ in vecs)
-    for (v, l) in rest:
-        if v[1] == 0:
-            continue
-        if g2 == 0:
-            g2, l2 = v[1], l
-        else:
-            s0, s1, t0, t1, r0, r1 = 1, 0, 0, 1, g2, v[1]
-            while r1:
-                q, r0, r1 = r0 // r1, r1, r0 % r1
-                s0, s1 = s1, s0 - q * s1
-                t0, t1 = t1, t0 - q * t1
-            l2 = tuple(s0 * x + t0 * y for x, y in zip(l2, l))
-            g2 = r0
-    if g2 == 0:
-        if residual_y != 0:
-            return None
-        return list(lam1)
-    if residual_y % g2:
-        return None
-    k2 = residual_y // g2
-    return [x + k2 * y for x, y in zip(lam1, l2)]
+            g2 = gcd(g2, cy)
+    if g != 1 or (y % g2 if g2 else y):
+        raise DimerError("no integer cycle with class (1, 0); invalid torus marking")
+    if g2 != 1:
+        raise DimerError("no integer cycle with class (0, 1); invalid torus marking")
 
 
-def evaluate_on_chain(matching: frozenset, chain: dict) -> int:
-    return sum(coeff for aid, coeff in chain.items() if aid in matching)
+def _orientation(d: Dimer) -> int:
+    """The sign of cross(zig class, zag class) at the first arrow, in id order, where they are independent.
 
-
-def matching_height(d: Dimer, p: PerfectMatching, p0: PerfectMatching, chains=None) -> Vec:
-    """Class of (P - P0) in H^1, evaluated on fixed generating cycles.
-
-    Scans both chains for P and for P0.  A reference that tests compare the
-    heights ``matching_polytope`` reads from its ``arrow_class`` table against.
+    On a consistent dimer every such arrow gives the same sign, the
+    orientation of the embedding.  Without one the zigzag classes span no
+    polygon, and ``matching_polytope`` refuses the dimer before it reads a
+    height; the sign is then +1.
     """
-    if chains is None:
-        chains = generating_cycles(d)
-    return tuple(
-        evaluate_on_chain(p.edges, c) - evaluate_on_chain(p0.edges, c) for c in chains
-    )
+    zig: dict = {}
+    zag: dict = {}
+    for z in _orbits(d):
+        zig.update(dict.fromkeys(z.zigs, z.homology))
+        zag.update(dict.fromkeys(z.zags, z.homology))
+    for a in sorted(d.arrow_by_id, key=idkey):
+        c = cross(zig[a], zag[a])
+        if c:
+            return 1 if c > 0 else -1
+    return 1
 
 
 def _class_sum(edges, arrow_class: dict) -> Vec:
-    """The sum of the chain coefficients of a set of arrows; arrows off both chains add 0."""
+    """The sum of the table entries of a set of arrows; an arrow not in the table adds 0."""
     x = y = 0
     for a in edges:
         cx, cy = arrow_class.get(a, (0, 0))
@@ -536,9 +482,8 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
     found = oracle.best({a: 1 << (top - r) for r, a in enumerate(oracle.arrows)}, "P0")
     if found is None:
         raise DimerError("dimer has no perfect matching")
-    chains = generating_cycles(d)
+    arrow_class = arrow_classes(d)
     p0 = PerfectMatching(found[0], (0, 0))
-    arrow_class = {a: (chains[0].get(a, 0), chains[1].get(a, 0)) for a in oracle.arrows}
     p0_class = _class_sum(p0.edges, arrow_class)
 
     classes = parallel_classes(d)
@@ -829,21 +774,22 @@ def kasteleyn_count(d: Dimer) -> int:
     """The number of perfect matchings, from four Kasteleyn determinants.
 
     Each arrow enters K(t) with its Kasteleyn sign times t = (t1, t2) in
-    {+1, -1}^2 raised to the parities of its ``generating_cycles``
-    coefficients.  Then det K(t) = sum over matchings M of s(M) t^h(M), where
-    h(M) is the height parity and the sign s(M) depends only on h(M) (Kenyon,
-    Okounkov and Sheffield, math-ph/0311005).  So for each parity class rho,
-    sum_t t^rho det K(t) is 4 times plus or minus the number of matchings in
-    rho; no choice among the four sign patterns is needed.  A sum that is not
-    a multiple of 4 raises ``DimerError``.
+    {+1, -1}^2 raised to the parities of its ``arrow_classes`` entry.  A
+    matching M then carries t^c(M), c(M) being the parity of its entries'
+    sum: its height parity plus that of P0's sum, one constant for every
+    matching, which only permutes the four parity classes.  So det K(t) is
+    the sum over matchings of s(M) t^c(M), where the sign s(M) depends only
+    on c(M) (Kenyon, Okounkov and Sheffield, math-ph/0311005), and for each
+    parity class rho, sum_t t^rho det K(t) is 4 times plus or minus the number
+    of matchings in rho; no choice among the four sign patterns is needed.  A
+    sum that is not a multiple of 4 raises ``DimerError``.
     """
     d.require_valid()
     oracle = _oracle(d)
     if oracle.n is None:
         return 0
     signs = kasteleyn_signs(d)
-    chains = generating_cycles(d)
-    parity = {a: (chains[0].get(a, 0) & 1, chains[1].get(a, 0) & 1) for a in oracle.arrows}
+    parity = {a: (cx & 1, cy & 1) for a, (cx, cy) in arrow_classes(d).items()}
     thetas = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     dets = []
     for t in thetas:

@@ -25,6 +25,7 @@ from dimermirror.matchings import (
     enumerate_perfect_matchings,
     matching_polytope,
 )
+from test_jacobi import pm_degree
 
 NAMES = ("c3", "conifold", "spp")
 
@@ -127,7 +128,7 @@ def test_criterion_4_jacobi_calculus(dimers, jacobis):
         pms = enumerate_perfect_matchings(dimers[name])
         for e, lhs, rhs in jac.jacobi_relations():
             for p in pms:
-                ok = ok and jac.pm_degree(lhs, p) == jac.pm_degree(rhs, p)
+                ok = ok and pm_degree(jac, lhs, p) == pm_degree(jac, rhs, p)
     # oracle agreement: the rewrite-closure partition (cap 10) equals the
     # canonical-form partition on all composable words of length <= 6
     max_len, cap = 6, 10

@@ -491,27 +491,59 @@ MIRRORED_OUTPUT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name,k,l", sorted(MIRRORED_OUTPUT_SHA256))
-def test_polytope_and_matchings_are_byte_identical_when_mirrored(name, k, l, covers, tmp_path, monkeypatch):
-    raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
-    monkeypatch.chdir(tmp_path)
+def mirrored_outputs_sha256(raw: dict) -> str:
     Path("dimer.json").write_text(json.dumps(mirrored(raw)))
     h = hashlib.sha256()
     for cmd in ("polytope", "matchings"):
         for fmt in ("json", "markdown"):
             rc, out, err = main_in_process(cmd, "dimer.json", "--format", fmt)
             h.update(repr((cmd, fmt, rc, out, err)).encode())
-    assert h.hexdigest() == MIRRORED_OUTPUT_SHA256[(name, k, l)]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,k,l", sorted(MIRRORED_OUTPUT_SHA256))
+def test_polytope_and_matchings_are_byte_identical_when_mirrored(name, k, l, covers, tmp_path, monkeypatch):
+    raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+    monkeypatch.chdir(tmp_path)
+    assert mirrored_outputs_sha256(raw) == MIRRORED_OUTPUT_SHA256[(name, k, l)]
 
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
-@pytest.mark.parametrize("axis,factor,target", [(0, 2, (1, 0)), (1, 3, (0, 1))])
-def test_a_torus_marking_of_index_above_one_is_refused(name, axis, factor, target, tmp_path, monkeypatch):
-    # shifts scaled on one axis still close every face, so the file
-    # validates, but no cycle of the quiver has class `target`
+def test_a_flipped_orientation_is_caught(name, covers, tmp_path, monkeypatch):
+    # negative control for the sign sigma in the height table: flipped, it
+    # negates every height
+    from dimermirror import matchings
+
+    hull = matchings.matching_polytope(load_bundled(name)).hull
+    orientation = matchings._orientation
+    monkeypatch.setattr(matchings, "_orientation", lambda d: -orientation(d))
+    if name != "conifold":
+        with pytest.raises(matchings.DimerError, match="normals .* share no corner"):
+            matchings.matching_polytope(load_bundled(name))
+        return
+    # the conifold's square is symmetric under negation, so nothing raises:
+    # the reflected square comes back, and only the output pin catches it
+    flipped = matchings.matching_polytope(load_bundled(name)).hull
+    assert sorted(flipped) == sorted((-x, -y) for x, y in hull) != sorted(hull)
+    monkeypatch.chdir(tmp_path)
+    assert mirrored_outputs_sha256(covers.load_base(name)) != MIRRORED_OUTPUT_SHA256[(name, 1, 1)]
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+@pytest.mark.parametrize(
+    "matrix,target",
+    [
+        (((2, 0), (0, 1)), (1, 0)),  # x doubled
+        (((1, 0), (0, 3)), (0, 1)),  # y tripled
+        (((1, 0), (1, 2)), (1, 0)),  # cycle classes span (1, 1) and (0, 2)
+    ],
+)
+def test_a_torus_marking_of_index_above_one_is_refused(name, matrix, target, tmp_path, monkeypatch):
+    # shifts mapped by an integer matrix of determinant 2 or 3 still close
+    # every face, so the file validates, but no cycle of the quiver has class `target`
     raw = json.loads((DATA / f"{name}.json").read_text())
     for a in raw["arrows"]:
-        a["shift"][axis] *= factor
+        a["shift"] = [sum(m * x for m, x in zip(row, a["shift"])) for row in matrix]
     monkeypatch.chdir(tmp_path)
     Path("dimer.json").write_text(json.dumps(raw))
     assert main_in_process("validate", "dimer.json")[0] == EXIT_OK
@@ -521,6 +553,23 @@ def test_a_torus_marking_of_index_above_one_is_refused(name, axis, factor, targe
         rc, out, err = main_in_process(cmd, "dimer.json", "--format", "json")
         assert (rc, err) == (1, "")
         assert json.loads(out) == {"passed": False, "error": error, "stage": "matchings"}
+
+
+@pytest.mark.parametrize("arrow", ["a1", "a2", "b1", "b2"])
+def test_an_arrow_without_a_shift_is_named(arrow, tmp_path, monkeypatch):
+    # the file validates without shifts; the torus marking check reads every
+    # arrow's shift and names the one that has none, on or off the spanning tree
+    raw = json.loads((DATA / "conifold.json").read_text())
+    for a in raw["arrows"]:
+        if a["id"] == arrow:
+            del a["shift"]
+    monkeypatch.chdir(tmp_path)
+    Path("dimer.json").write_text(json.dumps(raw))
+    error = f"arrow {arrow!r} carries no shift data"
+    assert main_in_process("polytope", "dimer.json") == (1, "", f"error: {error}\n")
+    for cmd in ("matchings", "verify"):
+        rc, out, err = main_in_process(cmd, "dimer.json", "--format", "json")
+        assert json.loads(out) == {"passed": False, "error": error, "stage": "dimer"}
 
 
 # -- malformed ids and lists in a dimer file -------------------------------------

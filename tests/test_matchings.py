@@ -12,7 +12,18 @@ import pytest
 
 from dimermirror import matchings
 from dimermirror.cli import main
-from dimermirror.dimer import DimerError, ccw_angle_key, cross, idkey, parallel_classes
+from dimermirror.dimer import (
+    Dimer,
+    DimerError,
+    Vec,
+    ccw_angle_key,
+    cross,
+    idkey,
+    parallel_classes,
+    tree_paths,
+    vec_add,
+    vec_sub,
+)
 from dimermirror.io import dimer_from_dict, load_bundled
 from dimermirror.jacobi import Jacobi
 from dimermirror.matchings import (
@@ -23,15 +34,156 @@ from dimermirror.matchings import (
     corner_structure,
     det_int,
     enumerate_perfect_matchings,
-    evaluate_on_chain,
-    generating_cycles,
     indicator_rank,
     kasteleyn_count,
     kasteleyn_signs,
     matching_basis,
-    matching_height,
     matching_polytope,
 )
+
+# -- the chain scan: the reference the table heights are compared against -------
+#
+# Heights as the class of P - P0 in H^1 evaluated on two integer cycles of
+# classes (1, 0) and (0, 1), built from the fundamental cycles of a spanning
+# tree by a Hermite reduction: a computation independent of the face-anchor
+# displacements that ``arrow_classes`` reads them off.
+
+
+def generating_cycles(d: Dimer):
+    """Two integer 1-chains with homology classes (1,0) and (0,1).
+
+    Chains are dicts arrow -> coefficient (reversed traversals count with
+    sign -1); they are built from fundamental cycles of the spanning tree
+    behind ``tree_paths``.  Computed once per dimer; the chains are shared,
+    so do not mutate them.
+    """
+    return d._memo("generating_cycles", lambda: _generating_cycles(d))
+
+
+def _generating_cycles(d: Dimer):
+    paths = tree_paths(d)
+    pot = {v: d.path_shift(path) for v, path in paths.items()}
+    tree_ids = {path[-1][0] for path in paths.values() if path}
+    fundamentals = []
+    for a in sorted(d.arrows, key=lambda x: idkey(x.id)):
+        if a.id in tree_ids:
+            continue
+        cls = vec_sub(vec_add(pot[a.tail], a.shift), pot[a.head])
+        if cls != (0, 0):
+            fundamentals.append((a.id, cls))
+    targets = [(1, 0), (0, 1)]
+    out = []
+    for t in targets:
+        combo = _integer_combination([c for _, c in fundamentals], t)
+        if combo is None:
+            raise DimerError(f"no integer cycle with class {t}; invalid torus marking")
+        chain: dict = {}
+        for (aid, _), lam in zip(fundamentals, combo):
+            if not lam:
+                continue
+            # close the arrow into a cycle: tree path from its head back to its tail
+            a = d.arrow_by_id[aid]
+            closure = [(b, -sg) for b, sg in reversed(paths[a.head])] + paths[a.tail]
+            for b, sg in [(aid, 1)] + closure:
+                chain[b] = chain.get(b, 0) + lam * sg
+        out.append({k: v for k, v in chain.items() if v})
+    return out
+
+
+def _integer_combination(vecs: list[Vec], target: Vec):
+    """Integer coefficients lam with sum(lam_k * vecs[k]) == target, or None.
+
+    Column-style Hermite reduction on the 2 x K matrix of classes, tracking
+    the combinations so coefficients can be reported exactly.
+    """
+    if not vecs:
+        return None
+    cols = [(v, tuple(1 if i == j else 0 for j in range(len(vecs)))) for i, v in enumerate(vecs)]
+
+    def combine(c1, c2):
+        # replace (c1, c2) by (g-column, 0-x-column) using extended gcd on x
+        (v1, l1), (v2, l2) = c1, c2
+        a, b = v1[0], v2[0]
+        if b == 0:
+            return c1, c2
+        if a == 0:
+            return c2, c1
+        # extended euclid: g = s*a + t*b
+        s0, s1, t0, t1, r0, r1 = 1, 0, 0, 1, a, b
+        while r1:
+            q, r0, r1 = r0 // r1, r1, r0 % r1
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        g = r0
+        new1 = (
+            (g, s0 * v1[1] + t0 * v2[1]),
+            tuple(s0 * x + t0 * y for x, y in zip(l1, l2)),
+        )
+        new2 = (
+            (0, (-b // g) * v1[1] + (a // g) * v2[1]),
+            tuple((-b // g) * x + (a // g) * y for x, y in zip(l1, l2)),
+        )
+        return new1, new2
+
+    pivot = None
+    rest = []
+    for c in cols:
+        if pivot is None:
+            pivot = c
+        else:
+            pivot, c2 = combine(pivot, c)
+            rest.append(c2)
+    if pivot is None or (pivot[0][0] == 0 and target[0] != 0):
+        return None
+    if pivot[0][0] == 0:
+        rest.append(pivot)
+        k1, lam1 = 0, tuple(0 for _ in vecs)
+    else:
+        if target[0] % pivot[0][0]:
+            return None
+        k1 = target[0] // pivot[0][0]
+        lam1 = tuple(k1 * x for x in pivot[1])
+    residual_y = target[1] - k1 * (pivot[0][1] if pivot[0][0] else 0)
+    g2 = 0
+    l2 = tuple(0 for _ in vecs)
+    for (v, l) in rest:
+        if v[1] == 0:
+            continue
+        if g2 == 0:
+            g2, l2 = v[1], l
+        else:
+            s0, s1, t0, t1, r0, r1 = 1, 0, 0, 1, g2, v[1]
+            while r1:
+                q, r0, r1 = r0 // r1, r1, r0 % r1
+                s0, s1 = s1, s0 - q * s1
+                t0, t1 = t1, t0 - q * t1
+            l2 = tuple(s0 * x + t0 * y for x, y in zip(l2, l))
+            g2 = r0
+    if g2 == 0:
+        if residual_y != 0:
+            return None
+        return list(lam1)
+    if residual_y % g2:
+        return None
+    k2 = residual_y // g2
+    return [x + k2 * y for x, y in zip(lam1, l2)]
+
+
+def evaluate_on_chain(matching: frozenset, chain: dict) -> int:
+    return sum(coeff for aid, coeff in chain.items() if aid in matching)
+
+
+def matching_height(d: Dimer, p: PerfectMatching, p0: PerfectMatching, chains=None) -> Vec:
+    """Class of (P - P0) in H^1, evaluated on fixed generating cycles.
+
+    Scans both chains for P and for P0.  A reference that tests compare the
+    heights ``matching_polytope`` reads from its ``arrow_class`` table against.
+    """
+    if chains is None:
+        chains = generating_cycles(d)
+    return tuple(
+        evaluate_on_chain(p.edges, c) - evaluate_on_chain(p0.edges, c) for c in chains
+    )
 
 
 def test_c3_matchings(dimers):
@@ -355,7 +507,7 @@ def test_corner_with_two_optimal_matchings_fails(monkeypatch, name, c1, c2):
     for a, b in zip(hull, hull[1:] + hull[:1]):
         normal, length = matchings._outward_normal(a, b)
         classes.append(((-normal[0], -normal[1]), [None] * length))
-    monkeypatch.setattr(matchings, "generating_cycles", lambda _: [c1, c2])
+    monkeypatch.setattr(matchings, "arrow_classes", lambda d: {a: (c1.get(a, 0), c2.get(a, 0)) for a in d.arrow_by_id})
     monkeypatch.setattr(matchings, "parallel_classes", lambda _: classes)
     with pytest.raises(DimerError, match="carries more than one matching"):
         matching_polytope(d)
@@ -422,16 +574,16 @@ def test_verify_builds_the_oracle_and_the_chains_once(name, monkeypatch):
     from dimermirror.ks import KSVerifier
 
     built = []
-    oracle_init, chains = matchings._MatchingOracle.__init__, matchings._generating_cycles
+    oracle_init, table = matchings._MatchingOracle.__init__, matchings._arrow_classes
 
     def counted_init(self, d):
         built.append("oracle")
         oracle_init(self, d)
 
     monkeypatch.setattr(matchings._MatchingOracle, "__init__", counted_init)
-    monkeypatch.setattr(matchings, "_generating_cycles", lambda d: built.append("chains") or chains(d))
+    monkeypatch.setattr(matchings, "_arrow_classes", lambda d: built.append("table") or table(d))
     assert KSVerifier(load_bundled(name)).verify_all().passed
-    assert sorted(built) == ["chains", "oracle"]
+    assert sorted(built) == ["oracle", "table"]
 
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
