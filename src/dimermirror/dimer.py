@@ -10,9 +10,9 @@ fundamental domain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
+from operator import attrgetter
 from typing import Iterable, Optional
 
 Vec = tuple[int, int]
@@ -71,55 +71,144 @@ def ccw_angle_key(v: Vec):
         sector = 1
     else:
         sector = 3
-    # within a sector, larger x/y ratio = smaller angle; compare via slope
-    return (sector, Fraction(-x, y) if y != 0 else Fraction(0))
+    # within a sector, u comes before w when w lies counterclockwise of u
+    return (sector, _by_turn(v))
 
 
-@dataclass(frozen=True)
-class Arrow:
-    id: object
-    tail: object
-    head: object
-    shift: Optional[Vec]
+_by_turn = cmp_to_key(lambda u, w: cross(w, u))
 
 
-@dataclass(frozen=True)
-class Face:
-    sign: int  # +1 or -1
-    boundary: tuple  # arrow ids in traversal order
+# -- records -------------------------------------------------------------------
+#
+# The record classes below are written out rather than generated, so that
+# importing the package builds no code.  Each keeps the contract of a
+# dataclass with the same fields: the same constructor, ``repr`` text,
+# equality and hashing over the compared fields, no hashing for the mutable
+# ones, and assignment refused on the frozen ones.
 
 
-@dataclass(frozen=True)
-class Issue:
-    code: str
-    message: str
-    witness: object = None
+class _Record:
+    """Equality over ``_key``, an attrgetter of the compared fields, and the
+    repr ``Name(field=value, ...)`` over ``_fields``.  Mutable, so unhashable."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    issues: list[Issue] = field(default_factory=list)
+class _Frozen(_Record):
+    """A hashable record whose fields are set once, in ``__init__``, through ``_set``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__
+
+
+class Arrow(_Frozen):
+    __slots__ = _fields = ("id", "tail", "head", "shift")
+
+    def __init__(self, id: object, tail: object, head: object, shift: Optional[Vec]):
+        _set(self, "id", id)
+        _set(self, "tail", tail)
+        _set(self, "head", head)
+        _set(self, "shift", shift)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.id, self.tail, self.head, self.shift) == (
+                other.id, other.tail, other.head, other.shift
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.id, self.tail, self.head, self.shift))
+
+
+class Face(_Frozen):
+    __slots__ = _fields = ("sign", "boundary")
+
+    def __init__(self, sign: int, boundary: tuple):
+        _set(self, "sign", sign)  # +1 or -1
+        _set(self, "boundary", boundary)  # arrow ids in traversal order
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sign, self.boundary) == (other.sign, other.boundary)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sign, self.boundary))
+
+
+class Issue(_Frozen):
+    _fields = ("code", "message", "witness")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, code: str, message: str, witness: object = None):
+        _set(self, "code", code)
+        _set(self, "message", message)
+        _set(self, "witness", witness)
+
+
+class ValidationReport(_Record):
+    _fields = ("ok", "issues")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, ok: bool, issues: Optional[list[Issue]] = None):
+        self.ok = ok
+        self.issues = [] if issues is None else issues
 
     def codes(self) -> set[str]:
         return {i.code for i in self.issues}
 
 
-@dataclass(frozen=True)
-class ZigzagCycle:
+class ZigzagCycle(_Frozen):
     """A zigzag cycle, stored as its traversal (zig1, zag1, zig2, zag2, ...).
 
     Consecutive pairs (zig, zag) lie on negative faces and (zag, next zig) on
     positive faces.  ``homology`` is the sum of shifts; it is None for dimers
-    without shift data (e.g. dual dimers).
+    without shift data (e.g. dual dimers).  ``class_index`` is 1-based, with
+    [Z] = -eta_i; ``parallel_index`` is the 1-based position within the
+    parallel family.
     """
 
-    arrows: tuple
-    zigs: tuple
-    zags: tuple
-    homology: Optional[Vec]
-    class_index: int = 0  # 1-based; [Z] = -eta_i
-    parallel_index: int = 0  # 1-based position within the parallel family
+    _fields = ("arrows", "zigs", "zags", "homology", "class_index", "parallel_index")
+    _key = attrgetter(*_fields)
+
+    def __init__(
+        self,
+        arrows: tuple,
+        zigs: tuple,
+        zags: tuple,
+        homology: Optional[Vec],
+        class_index: int = 0,
+        parallel_index: int = 0,
+    ):
+        _set(self, "arrows", arrows)
+        _set(self, "zigs", zigs)
+        _set(self, "zags", zags)
+        _set(self, "homology", homology)
+        _set(self, "class_index", class_index)
+        _set(self, "parallel_index", parallel_index)
 
     def __len__(self) -> int:
         return len(self.arrows)
@@ -128,19 +217,23 @@ class ZigzagCycle:
         return self.arrows
 
 
-@dataclass(frozen=True)
-class StripDecomposition:
+class StripDecomposition(_Frozen):
     """The strips E_{i,1..m_i} of one zigzag class: the components of the
     quiver's vertices joined by the arrows outside the class's parallel family.
+
+    ``strips[j-1]`` holds the vertex ids of the closed strip E_{i,j}, sorted;
+    ``cycles[j-1]`` is the parallel cycle Z_{i,j}, whose O+ lies in strip j;
+    ``boundary[j-1]`` is (O+(Z_{i,j}), O-(Z_{i,j+1})) as arrow-id tuples.
     """
 
-    class_index: int
-    # strips[j-1] = the vertex ids of the closed strip E_{i,j}, sorted
-    strips: tuple
-    # cycles[j-1] = the parallel cycle Z_{i,j}, whose O+ lies in strip j
-    cycles: tuple
-    # boundary[j-1] = (O+(Z_{i,j}), O-(Z_{i,j+1})) as arrow-id tuples
-    boundary: tuple
+    _fields = ("class_index", "strips", "cycles", "boundary")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, class_index: int, strips: tuple, cycles: tuple, boundary: tuple):
+        _set(self, "class_index", class_index)
+        _set(self, "strips", strips)
+        _set(self, "cycles", cycles)
+        _set(self, "boundary", boundary)
 
 
 def cyclic_rotations(word: tuple) -> list[tuple]:
@@ -606,31 +699,24 @@ def _anti_zigzag(d: Dimer, z: ZigzagCycle, sign: int) -> tuple:
 # call and dropped when it returns.
 
 
-@dataclass(frozen=True)
-class _OrbitTable:
-    """One zigzag orbit with its prefix shift sums and arrow positions.
-
-    ``prefix[k]`` is the total shift of the first k arrows of the word, so
-    ``prefix[len(word)]`` is the homology.  ``at[a]`` holds the positions of
-    arrow a in the word, ascending: at most two, once as zig and once as zag.
-    """
-
-    cycle: ZigzagCycle
-    prefix: tuple
-    at: dict
-
-    def offset(self, start: int, i: int) -> Vec:
-        """Shift of the arrows from position start up to, not including, position i, going forward."""
-        x, y = self.prefix[i]
-        if i < start:  # around the end of the word: one more period
-            hx, hy = self.prefix[-1]
-            x, y = x + hx, y + hy
-        sx, sy = self.prefix[start]
-        return (x - sx, y - sy)
+def _offset(prefix: tuple, start: int, i: int) -> Vec:
+    """Shift of the arrows from position start up to, not including, position i, going forward."""
+    x, y = prefix[i]
+    if i < start:  # around the end of the word: one more period
+        hx, hy = prefix[-1]
+        x, y = x + hx, y + hy
+    sx, sy = prefix[start]
+    return (x - sx, y - sy)
 
 
 def _orbit_tables(d: Dimer) -> tuple[dict, dict]:
-    """arrow -> (table, position) of its zig occurrence, and of its zag."""
+    """arrow -> (table, position) of its zig occurrence, and of its zag.
+
+    A table is (orbit, prefix, at): ``prefix[k]`` is the total shift of the
+    first k arrows of the orbit's word, so ``prefix[len(word)]`` is the
+    homology, and ``at[a]`` holds the positions of arrow a in the word,
+    ascending: at most two, once as zig and once as zag.
+    """
     zig_at: dict = {}
     zag_at: dict = {}
     for z in _orbits(d):
@@ -643,7 +729,7 @@ def _orbit_tables(d: Dimer) -> tuple[dict, dict]:
             x, y = x + sx, y + sy
             prefix.append((x, y))
             at[aid] = at.get(aid, ()) + (k,)
-        table = _OrbitTable(z, tuple(prefix), at)
+        table = (z, tuple(prefix), at)
         for k in range(0, len(word), 2):
             zig_at[word[k]] = (table, k)
             zag_at[word[k + 1]] = (table, k + 1)
@@ -743,20 +829,20 @@ def is_zigzag_consistent(d: Dimer):
             return False, ("null_homologous_cycle", z.arrows)
     zig_at, zag_at = _orbit_tables(d)
     for e in sorted(d.arrow_by_id, key=idkey):
-        zig, p = zig_at[e]
-        zag, q = zag_at[e]
-        t_zig, t_zag = zig.cycle.homology, zag.cycle.homology
-        word = zig.cycle.arrows
+        (zig, zig_prefix, _), p = zig_at[e]
+        (zag, zag_prefix, zag_pos), q = zag_at[e]
+        t_zig, t_zag = zig.homology, zag.homology
+        word = zig.arrows
         for i in itertools.chain(range(p, len(word)), range(p)):
             f = word[i]
-            hits = zag.at.get(f)
+            hits = zag_pos.get(f)
             if hits is None:
                 continue
-            u = zig.offset(p, i)
+            u = _offset(zig_prefix, p, i)
             if hits[0] < q <= hits[-1]:  # the zag ray from q reaches the later position first
                 hits = hits[::-1]
             for j in hits:
-                v = zag.offset(q, j)
+                v = _offset(zag_prefix, q, j)
                 trivial = f == e and u == v == (0, 0)
                 found = _ray_meeting(t_zig, t_zag, vec_sub(v, u), trivial)
                 if found is not None:

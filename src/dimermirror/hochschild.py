@@ -25,10 +25,10 @@ passed through 0 on the way.  Composability is checked term by term, as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
-from .dimer import Vec, dot, face_word_at, idkey, parallel_classes, strips, vec_add, vec_sub
+from .dimer import Vec, _Frozen, _set, dot, face_word_at, idkey, parallel_classes, strips, vec_add, vec_sub
 from .jacobi import Jacobi, JacobiError, JElement, PathClass, hessian_rows
 
 UNIT, X, XBAR, PT = "unit", "X", "Xbar", "pt"
@@ -179,15 +179,18 @@ def _sandwich(c: CochainElement, in_kind: str, rows: dict, out_kind: str, degree
     return _cochain(degree, sums)
 
 
-@dataclass(frozen=True)
-class E2Label:
+class E2Label(_Frozen):
     """Additive basis label of the second page (unit / x_eta^n / Psi / U / V / x^n W / Theta)."""
 
-    kind: str  # unit | x_eta | psi | U | V | xW | theta
-    i: int = 0  # zigzag class index
-    j: int = 0  # strip index within the class
-    n: int = 0  # winding
-    v: object = None  # vertex (winding-zero theta only)
+    _fields = ("kind", "i", "j", "n", "v")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, kind: str, i: int = 0, j: int = 0, n: int = 0, v: object = None):
+        _set(self, "kind", kind)  # unit | x_eta | psi | U | V | xW | theta
+        _set(self, "i", i)  # zigzag class index
+        _set(self, "j", j)  # strip index within the class
+        _set(self, "n", n)  # winding
+        _set(self, "v", v)  # vertex (winding-zero theta only)
 
 
 class KoszulComplex:

@@ -9,12 +9,13 @@ a brute-force rewrite oracle guards the decision procedure at small scale.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .dimer import (
     Dimer,
     Vec,
+    _Frozen,
+    _set,
     canonical_rotation,
     cyclic_arc,
     dot,
@@ -42,11 +43,21 @@ class JacobiError(Exception):
 # -- cyclic polynomials ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclicPoly:
+class CyclicPoly(_Frozen):
     """Integer combination of cyclic words, each stored as a canonical traversal."""
 
-    terms: tuple  # ((coeff, word), ...) sorted
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple):
+        _set(self, "terms", terms)  # ((coeff, word), ...) sorted
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     @staticmethod
     def from_terms(terms: Iterable) -> "CyclicPoly":
@@ -101,24 +112,34 @@ def hessian_rows(poly: CyclicPoly, y) -> list:
     return out
 
 
-def hessian(poly: CyclicPoly, x, y) -> list:
-    """Second cyclic derivative: the (coeff, left, right) rows of ``hessian_rows`` at x.
-
-    A reference that tests compare the Koszul differentials against.
-    """
-    return [(coeff, left, right) for coeff, b, left, right in hessian_rows(poly, y) if b == x]
-
-
 # -- path classes ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathClass:
-    tail: object
-    head: object
-    h1: Vec
-    w0: int
-    witness: Optional[Word] = field(default=None, compare=False, hash=False)
+class PathClass(_Frozen):
+    """A class of paths: endpoints, homology class and reference degree.
+
+    ``witness``, a word in the class, is carried along but is not part of
+    the class: equality and hashing leave it out.
+    """
+
+    __slots__ = _fields = ("tail", "head", "h1", "w0", "witness")
+
+    def __init__(self, tail: object, head: object, h1: Vec, w0: int, witness: Optional[Word] = None):
+        _set(self, "tail", tail)
+        _set(self, "head", head)
+        _set(self, "h1", h1)
+        _set(self, "w0", w0)
+        _set(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tail, self.head, self.h1, self.w0) == (
+                other.tail, other.head, other.h1, other.w0
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.tail, self.head, self.h1, self.w0))
 
 
 class JElement:
@@ -380,16 +401,6 @@ class Jacobi:
                     )
             out[v] = PathClass(v, v, alpha, w0, witness=witness)
         return out
-
-    def divide_by_W(self, cls: PathClass) -> PathClass:
-        """Remove one factor of the potential; defined when every corner degree is >= 1.
-
-        A reference that tests compare the central elements against.
-        """
-        degs = self.corner_degrees(cls)
-        if min(degs) < 1:
-            raise JacobiError(f"class with corner degrees {degs} is not divisible by W")
-        return PathClass(cls.tail, cls.head, cls.h1, cls.w0 - 1)
 
     # -- witness search ------------------------------------------------------
 

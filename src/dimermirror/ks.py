@@ -8,13 +8,14 @@ forms, and the singularity bookkeeping of the matching polytope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
-from .dimer import Dimer, DimerError, idkey, word_key
+from .dimer import Dimer, DimerError, _Record, idkey, word_key
 from .hochschild import CochainElement, E2Label, KoszulComplex, X
 from .jacobi import Jacobi, JElement, PathClass
 from .matchings import (
+    _orientation,
     check_against_enumeration,
     det_int,
     enumerate_perfect_matchings,
@@ -33,20 +34,26 @@ PASS, FAIL, SKIP = "pass", "fail", "skipped"
 ENUMERATION_GATE = 1000
 
 
-@dataclass
-class Check:
-    name: str
-    status: str
-    detail: object = None
+class Check(_Record):
+    __slots__ = _fields = ("name", "status", "detail")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, name: str, status: str, detail: object = None):
+        self.name = name
+        self.status = status
+        self.detail = detail
 
     def as_dict(self):
         return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
-@dataclass
-class KSReport:
-    dimer: str
-    checks: list = field(default_factory=list)
+class KSReport(_Record):
+    _fields = ("dimer", "checks")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, dimer: str, checks: Optional[list] = None):
+        self.dimer = dimer
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, ok: bool, detail=None):
         self.checks.append(Check(name, PASS if ok else FAIL, detail))
@@ -358,7 +365,9 @@ class KSVerifier:
         )
 
         # image chain of the distinguished odd class: zigs minus zags of the
-        # class-i0 family against consecutive corner derivations
+        # class-i0 family is -sigma times the difference of consecutive corner
+        # derivations, sigma the orientation of the embedding that the height
+        # table reads
         i0 = self.i0
         chain = CochainElement.from_terms(
             1,
@@ -371,7 +380,7 @@ class KSVerifier:
             ),
         )
         n = K.n_classes
-        expected = gens["partial_P"][i0] - gens["partial_P"][i0 % n + 1]
+        expected = (gens["partial_P"][i0] - gens["partial_P"][i0 % n + 1]).scale(-_orientation(d))
         rep.add("ks.p.chain", chain == expected)
         return rep
 

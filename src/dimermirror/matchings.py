@@ -57,16 +57,15 @@ The oracle is built once per dimer and shared by all three, and the table by
 the polygon and the count.
 Enumeration (``enumerate_perfect_matchings``) still runs for
 ``MatchingPolytope.points``, read on first use by the ``matchings`` listing
-(which refuses dimers above ``ks.ENUMERATION_GATE``), ``corner_structure``
-and ``check_against_enumeration``.  ``ks.KSVerifier``
-runs it only as an oracle, on dimers whose Kasteleyn count is at most its
-``ENUMERATION_GATE``.
+(which refuses dimers above ``ks.ENUMERATION_GATE``) and by
+``check_against_enumeration``.  ``ks.KSVerifier`` runs it only as an oracle,
+on dimers whose Kasteleyn count is at most its ``ENUMERATION_GATE``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Optional
 
 from .dimer import (
@@ -74,7 +73,10 @@ from .dimer import (
     DimerError,
     Vec,
     _ext_gcd,
+    _Frozen,
     _orbits,
+    _Record,
+    _set,
     ccw_angle_key,
     cross,
     dot,
@@ -88,38 +90,61 @@ from .dimer import (
 )
 
 
-@dataclass(frozen=True)
-class PerfectMatching:
-    edges: frozenset
-    height: Optional[Vec] = None  # class of (P - P0) in H^1, once assigned
+class PerfectMatching(_Frozen):
+    _fields = ("edges", "height")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, edges: frozenset, height: Optional[Vec] = None):
+        _set(self, "edges", edges)
+        _set(self, "height", height)  # class of (P - P0) in H^1, once assigned
 
     def key(self):
         return tuple(sorted(self.edges, key=idkey))
 
 
-@dataclass(frozen=True)
-class HullEdge:
-    class_index: int  # the zigzag class -eta_i normal to this edge
-    normal: Vec  # outward, primitive (= -eta_i)
-    start: Vec  # corner heights, counterclockwise
-    end: Vec
-    lattice_length: int
+class HullEdge(_Frozen):
+    _fields = ("class_index", "normal", "start", "end", "lattice_length")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, class_index: int, normal: Vec, start: Vec, end: Vec, lattice_length: int):
+        _set(self, "class_index", class_index)  # the zigzag class -eta_i normal to this edge
+        _set(self, "normal", normal)  # outward, primitive (= -eta_i)
+        _set(self, "start", start)  # corner heights, counterclockwise
+        _set(self, "end", end)
+        _set(self, "lattice_length", lattice_length)
 
 
-@dataclass
-class MatchingPolytope:
-    hull: list[Vec]  # corner heights in counterclockwise order
-    edges: list[HullEdge]
-    boundary_count: int  # B
-    interior_count: int  # I
-    corners: dict  # height -> PerfectMatching (unique per corner)
-    normalized_area: int  # twice the Euclidean area
-    dimer: Dimer = field(repr=False)
-    # arrow -> its height entry, the table arrow_classes(dimer)
-    arrow_class: dict = field(repr=False)
-    reference: PerfectMatching = field(repr=False)  # P0, at height (0, 0)
-    reference_class: Vec = field(repr=False)  # _class_sum(P0.edges, arrow_class), taken once
-    _points: Optional[dict] = field(default=None, repr=False, compare=False)
+class MatchingPolytope(_Record):
+    """The matching polygon; its repr shows the first six fields."""
+
+    _fields = ("hull", "edges", "boundary_count", "interior_count", "corners", "normalized_area")
+    _key = attrgetter(*_fields, "dimer", "arrow_class", "reference", "reference_class")
+
+    def __init__(
+        self,
+        hull: list[Vec],
+        edges: list[HullEdge],
+        boundary_count: int,
+        interior_count: int,
+        corners: dict,
+        normalized_area: int,
+        dimer: Dimer,
+        arrow_class: dict,
+        reference: PerfectMatching,
+        reference_class: Vec,
+        _points: Optional[dict] = None,
+    ):
+        self.hull = hull  # corner heights in counterclockwise order
+        self.edges = edges
+        self.boundary_count = boundary_count  # B
+        self.interior_count = interior_count  # I
+        self.corners = corners  # height -> PerfectMatching (unique per corner)
+        self.normalized_area = normalized_area  # twice the Euclidean area
+        self.dimer = dimer
+        self.arrow_class = arrow_class  # arrow -> its height entry, the table arrow_classes(dimer)
+        self.reference = reference  # P0, at height (0, 0)
+        self.reference_class = reference_class  # _class_sum(P0.edges, arrow_class), taken once
+        self._points = _points
 
     @property
     def points(self) -> dict:
@@ -654,11 +679,14 @@ def _coordinates(edges: frozenset, free: list) -> list:
     return [1] + [1 if a in edges else 0 for a in free]
 
 
-@dataclass
-class MatchingBasis:
-    matchings: list  # PerfectMatching, with independent indicator vectors
-    dim_W: int  # dimension of W = {x : every face sum equal}
-    free: list = field(repr=False)  # coordinates on W besides the face sum
+class MatchingBasis(_Record):
+    _fields = ("matchings", "dim_W")
+    _key = attrgetter(*_fields, "free")
+
+    def __init__(self, matchings: list, dim_W: int, free: list):
+        self.matchings = matchings  # PerfectMatching, with independent indicator vectors
+        self.dim_W = dim_W  # dimension of W = {x : every face sum equal}
+        self.free = free  # coordinates on W besides the face sum
 
     @property
     def rank(self) -> int:
@@ -805,76 +833,6 @@ def kasteleyn_count(d: Dimer) -> int:
             raise DimerError(f"Kasteleyn sum {s} of parity class {rho} is not a multiple of 4")
         total += abs(s) // 4
     return total
-
-
-@dataclass
-class StructureReport:
-    class_index: int
-    zig_corner: PerfectMatching  # P_i
-    zag_corner: PerfectMatching  # P_{i+1}
-    shared: frozenset  # J_{eta_i}
-    family_matchings: list  # the 2^{m_i} interpolating matchings
-    edge_points: list  # heights on the hull edge, in order
-
-
-def corner_structure(d: Dimer, class_index: int, mp: Optional[MatchingPolytope] = None) -> StructureReport:
-    """Corner matchings across the hull edge normal to -eta_i.
-
-    Verifies P_i = J u (all zigs), P_{i+1} = J u (all zags), that the 2^{m_i}
-    mixed choices exhaust the boundary matchings on the edge, and the corner
-    chaining P_{i+1} = zig corner of class i+1.
-    """
-    if mp is None:
-        mp = matching_polytope(d)
-    classes = parallel_classes(d)
-    if not 1 <= class_index <= len(classes):
-        raise DimerError(f"no zigzag class {class_index}")
-    eta, members = classes[class_index - 1]
-    edge = next(e for e in mp.edges if e.class_index == class_index)
-    c_start, c_end = mp.corners[edge.start], mp.corners[edge.end]
-    zigs = frozenset(a for z in members for a in z.zigs)
-    zags = frozenset(a for z in members for a in z.zags)
-    shared = c_start.edges & c_end.edges
-    if shared & (zigs | zags):
-        raise DimerError(f"class {class_index}: shared corner part meets the cycles")
-    if c_start.edges != shared | zigs or c_end.edges != shared | zags:
-        raise DimerError(
-            f"class {class_index}: corners are not (J u zigs, J u zags): "
-            f"{c_start.key()} / {c_end.key()}"
-        )
-    all_matchings = {p.edges for hs in mp.points.values() for p in hs}
-    family = []
-    for mask in range(1 << len(members)):
-        edges_set = set(shared)
-        for j, z in enumerate(members):
-            edges_set |= set(z.zigs) if mask >> j & 1 else set(z.zags)
-        fs = frozenset(edges_set)
-        if fs not in all_matchings:
-            raise DimerError(f"class {class_index}: mixed choice {mask:b} is not a matching")
-        family.append(PerfectMatching(fs))
-    # the family must exhaust the matchings whose heights lie on the edge
-    def on_edge(h: Vec) -> bool:
-        return (
-            cross(vec_sub(edge.end, edge.start), vec_sub(h, edge.start)) == 0
-            and dot(vec_sub(h, edge.start), vec_sub(edge.end, edge.start)) >= 0
-            and dot(vec_sub(h, edge.end), vec_sub(edge.start, edge.end)) >= 0
-        )
-
-    on_edge_matchings = {
-        p.edges for h, ps in mp.points.items() if on_edge(h) for p in ps
-    }
-    if on_edge_matchings != {p.edges for p in family}:
-        raise DimerError(f"class {class_index}: boundary matchings are not exhausted")
-    edge_points = sorted((h for h in mp.points if on_edge(h)),
-                         key=lambda h: dot(vec_sub(h, edge.start), vec_sub(edge.end, edge.start)))
-    return StructureReport(
-        class_index=class_index,
-        zig_corner=c_start,
-        zag_corner=c_end,
-        shared=shared,
-        family_matchings=family,
-        edge_points=edge_points,
-    )
 
 
 def corner_matchings_in_order(mp: MatchingPolytope) -> list[PerfectMatching]:

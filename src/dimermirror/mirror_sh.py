@@ -8,10 +8,10 @@ correspondence verification consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
-from .dimer import Dimer, dual_dimer, idkey, surface_invariants, zigzag_cycles
+from .dimer import Dimer, _Record, dual_dimer, idkey, surface_invariants, zigzag_cycles
 
 
 class SHError(Exception):
@@ -73,14 +73,17 @@ class SHElement:
         return "SH(" + " + ".join(f"{v}*{k}" for k, v in sorted(self.terms.items(), key=str)) + ")"
 
 
-@dataclass
-class SHBasis:
-    unit: tuple
-    odd_rank: int  # dim H^1 of the punctured curve = 2g + N - 1
-    e_labels: list
-    f_labels: list
-    genus: int
-    punctures: int
+class SHBasis(_Record):
+    _fields = ("unit", "odd_rank", "e_labels", "f_labels", "genus", "punctures")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, unit: tuple, odd_rank: int, e_labels: list, f_labels: list, genus: int, punctures: int):
+        self.unit = unit
+        self.odd_rank = odd_rank  # dim H^1 of the punctured curve = 2g + N - 1
+        self.e_labels = e_labels
+        self.f_labels = f_labels
+        self.genus = genus
+        self.punctures = punctures
 
 
 class MirrorSH:

@@ -20,12 +20,9 @@ from dimermirror import (
     zigzag_cycles,
 )
 from dimermirror.dimer import cyclic_equal, idkey
-from dimermirror.matchings import (
-    corner_structure,
-    enumerate_perfect_matchings,
-    matching_polytope,
-)
+from dimermirror.matchings import enumerate_perfect_matchings, matching_polytope
 from test_jacobi import pm_degree
+from test_matchings import corner_structure
 
 NAMES = ("c3", "conifold", "spp")
 

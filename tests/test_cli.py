@@ -384,6 +384,27 @@ def test_import_builds_no_parser():
     assert proc.stdout.strip() == "0"
 
 
+# Modules a cold start must not load: the dataclass and Fraction machinery
+# (inspect, ast and dis come with dataclasses; decimal with fractions).
+IMPORT_BUDGET_ABSENT = ("dataclasses", "inspect", "fractions", "decimal", "ast", "dis")
+
+
+def test_cold_start_stays_within_the_import_budget():
+    # -I ignores the environment; -S skips site, whose .pth files can preload
+    # modules on their own
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import dimermirror.cli\n"
+        f"d = dimermirror.io.parse_dimer({str(DATA / 'c3.json')!r})\n"
+        "assert d.validate().ok\n"
+        f"print(sorted(set({IMPORT_BUDGET_ABSENT!r}) & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_closed_output_pipe_exits_without_traceback():
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     read_end, write_end = os.pipe()

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -23,7 +25,7 @@ from dimermirror import (
     zigzag_cycles,
 )
 from dimermirror.cli import with_base_vertex
-from dimermirror.dimer import _solve_parallel, cyclic_equal, cross, idkey, vec_add, vec_sub
+from dimermirror.dimer import _solve_parallel, ccw_angle_key, cyclic_equal, cross, idkey, vec_add, vec_sub
 from dimermirror.io import dimer_from_dict, dimer_to_dict
 from dimermirror.ks import KSVerifier
 from dimermirror.matchings import matching_polytope
@@ -555,3 +557,33 @@ def test_twice_subdivided_witness_matches_the_two_ray_search(name, k, l, covers)
             assert not got[0] and got == reference_consistency(d), d.name
             count += 1
     assert count > 0
+
+
+# -- the angle order, against the slope key it replaced ------------------------------
+
+
+def fraction_angle_key(v):
+    """The reference: the sector, then the slope -x/y as a Fraction within it."""
+    x, y = v
+    if y == 0:
+        sector = 0 if x > 0 else 2
+    elif y > 0:
+        sector = 1
+    else:
+        sector = 3
+    return (sector, Fraction(-x, y) if y != 0 else Fraction(0))
+
+
+def test_ccw_angle_key_orders_as_the_fraction_key():
+    vectors = [(x, y) for x in range(-6, 7) for y in range(-6, 7) if (x, y) != (0, 0)]
+    for u, w in itertools.product(vectors, repeat=2):
+        got, want = ccw_angle_key(u), ccw_angle_key(w)
+        ref_u, ref_w = fraction_angle_key(u), fraction_angle_key(w)
+        assert (got < want, got == want) == (ref_u < ref_w, ref_u == ref_w), (u, w)
+    # sorting is stable, so equal keys must keep the input order under both
+    rng = random.Random(0)
+    for _ in range(5):
+        rng.shuffle(vectors)
+        assert sorted(vectors, key=ccw_angle_key) == sorted(vectors, key=fraction_angle_key)
+    with pytest.raises(ValueError):
+        ccw_angle_key((0, 0))

@@ -3,10 +3,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 
 import pytest
 
 from dimermirror import Arrow, Dimer, Face, load_bundled
+from dimermirror import ks
 from dimermirror.cli import main
 from dimermirror.dimer import idkey
 from dimermirror.hochschild import X, XBAR, CochainElement, E2Label, KoszulComplex
@@ -15,6 +17,7 @@ from dimermirror.jacobi import Jacobi, JElement, PathClass
 from dimermirror.ks import ENUMERATION_GATE, FAIL, PASS, SKIP, KSVerifier, det_int
 from dimermirror.matchings import matching_basis
 from dimermirror.mirror_sh import MirrorSH
+from test_matchings import mirrored
 
 
 def test_det_int():
@@ -108,6 +111,32 @@ def test_chain_identities(verifiers):
     for v in verifiers.values():
         rep = v.verify_chain_identities()
         assert rep.passed, [c for c in rep.checks if c.status == "fail"]
+
+
+# -- ks.p.chain under both orientations of the embedding -------------------------
+
+MIRRORED = [("c3", 1, 1), ("conifold", 1, 1), ("spp", 1, 1), ("c3", 2, 2), ("spp", 2, 1), ("conifold", 4, 1), ("c3", 3, 3)]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("name,k,l", MIRRORED)
+def test_mirrored_dimers_pass_verify(name, k, l, seed, covers):
+    # every y shift negated reverses the orientation of the embedding, which
+    # flips the sign between zigs - zags and the corner derivations
+    raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+    if seed is not None:
+        raw = covers.relabel(raw, random.Random(seed))
+    rep = KSVerifier(dimer_from_dict(mirrored(raw))).verify_all()
+    assert [c.name for c in rep.checks if c.status == FAIL] == []
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_ks_p_chain_fails_under_the_wrong_orientation(name, dimers, monkeypatch, covers):
+    # the bundled files have orientation -1; reading +1 must fail the row,
+    # and so must reading -1 on the mirrored file
+    for d, wrong in ((dimers[name], 1), (dimer_from_dict(mirrored(covers.load_base(name))), -1)):
+        monkeypatch.setattr(ks, "_orientation", lambda _, sigma=wrong: sigma)
+        assert failed_chain_rows(KSVerifier(d), "ks.p.chain") == ({"ks.p.chain"}, {"ks.p.chain"})
 
 
 def test_report_has_skipped_dw_psi(verifiers):

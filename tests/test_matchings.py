@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
+from dataclasses import dataclass
 import itertools
 import json
 import random
@@ -18,6 +18,7 @@ from dimermirror.dimer import (
     Vec,
     ccw_angle_key,
     cross,
+    dot,
     idkey,
     parallel_classes,
     tree_paths,
@@ -27,11 +28,11 @@ from dimermirror.dimer import (
 from dimermirror.io import dimer_from_dict, load_bundled
 from dimermirror.jacobi import Jacobi
 from dimermirror.matchings import (
+    MatchingPolytope,
     PerfectMatching,
     _Span,
     check_against_enumeration,
     corner_matchings_in_order,
-    corner_structure,
     det_int,
     enumerate_perfect_matchings,
     indicator_rank,
@@ -183,6 +184,82 @@ def matching_height(d: Dimer, p: PerfectMatching, p0: PerfectMatching, chains=No
         chains = generating_cycles(d)
     return tuple(
         evaluate_on_chain(p.edges, c) - evaluate_on_chain(p0.edges, c) for c in chains
+    )
+
+
+# -- corner structure from the list of every matching ------------------------
+#
+# The paper's corner claim, read off ``mp.points``.  ``verify`` does not check
+# it yet; ROADMAP item 3 computes it from the tight arrows of each edge.
+
+
+@dataclass
+class StructureReport:
+    class_index: int
+    zig_corner: PerfectMatching  # P_i
+    zag_corner: PerfectMatching  # P_{i+1}
+    shared: frozenset  # J_{eta_i}
+    family_matchings: list  # the 2^{m_i} interpolating matchings
+    edge_points: list  # heights on the hull edge, in order
+
+
+def corner_structure(d: Dimer, class_index: int, mp=None) -> StructureReport:
+    """Corner matchings across the hull edge normal to -eta_i.
+
+    Verifies P_i = J u (all zigs), P_{i+1} = J u (all zags), that the 2^{m_i}
+    mixed choices exhaust the boundary matchings on the edge, and the corner
+    chaining P_{i+1} = zig corner of class i+1.
+    """
+    if mp is None:
+        mp = matching_polytope(d)
+    classes = parallel_classes(d)
+    if not 1 <= class_index <= len(classes):
+        raise DimerError(f"no zigzag class {class_index}")
+    eta, members = classes[class_index - 1]
+    edge = next(e for e in mp.edges if e.class_index == class_index)
+    c_start, c_end = mp.corners[edge.start], mp.corners[edge.end]
+    zigs = frozenset(a for z in members for a in z.zigs)
+    zags = frozenset(a for z in members for a in z.zags)
+    shared = c_start.edges & c_end.edges
+    if shared & (zigs | zags):
+        raise DimerError(f"class {class_index}: shared corner part meets the cycles")
+    if c_start.edges != shared | zigs or c_end.edges != shared | zags:
+        raise DimerError(
+            f"class {class_index}: corners are not (J u zigs, J u zags): "
+            f"{c_start.key()} / {c_end.key()}"
+        )
+    all_matchings = {p.edges for hs in mp.points.values() for p in hs}
+    family = []
+    for mask in range(1 << len(members)):
+        edges_set = set(shared)
+        for j, z in enumerate(members):
+            edges_set |= set(z.zigs) if mask >> j & 1 else set(z.zags)
+        fs = frozenset(edges_set)
+        if fs not in all_matchings:
+            raise DimerError(f"class {class_index}: mixed choice {mask:b} is not a matching")
+        family.append(PerfectMatching(fs))
+    # the family must exhaust the matchings whose heights lie on the edge
+    def on_edge(h: Vec) -> bool:
+        return (
+            cross(vec_sub(edge.end, edge.start), vec_sub(h, edge.start)) == 0
+            and dot(vec_sub(h, edge.start), vec_sub(edge.end, edge.start)) >= 0
+            and dot(vec_sub(h, edge.end), vec_sub(edge.start, edge.end)) >= 0
+        )
+
+    on_edge_matchings = {
+        p.edges for h, ps in mp.points.items() if on_edge(h) for p in ps
+    }
+    if on_edge_matchings != {p.edges for p in family}:
+        raise DimerError(f"class {class_index}: boundary matchings are not exhausted")
+    edge_points = sorted((h for h in mp.points if on_edge(h)),
+                         key=lambda h: dot(vec_sub(h, edge.start), vec_sub(edge.end, edge.start)))
+    return StructureReport(
+        class_index=class_index,
+        zig_corner=c_start,
+        zag_corner=c_end,
+        shared=shared,
+        family_matchings=family,
+        edge_points=edge_points,
     )
 
 
@@ -586,6 +663,23 @@ def test_verify_builds_the_oracle_and_the_chains_once(name, monkeypatch):
     assert sorted(built) == ["oracle", "table"]
 
 
+def polytope_with(mp: MatchingPolytope, hull=None, corners=None) -> MatchingPolytope:
+    """mp with its hull or its corners replaced and every other field kept."""
+    return MatchingPolytope(
+        mp.hull if hull is None else hull,
+        mp.edges,
+        mp.boundary_count,
+        mp.interior_count,
+        mp.corners if corners is None else corners,
+        mp.normalized_area,
+        mp.dimer,
+        mp.arrow_class,
+        mp.reference,
+        mp.reference_class,
+        mp._points,
+    )
+
+
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
 def test_enumeration_cross_check_catches_a_wrong_hull_or_corner(name):
     mp = matching_polytope(load_bundled(name))
@@ -594,10 +688,10 @@ def test_enumeration_cross_check_catches_a_wrong_hull_or_corner(name):
     # a hull missing a corner, and a corner carrying a matching of another height
     other = next(p for h, ps in mp.points.items() if h != corner for p in ps)
     with pytest.raises(DimerError, match="is not the hull"):
-        check_against_enumeration(dataclasses.replace(mp, hull=mp.hull[1:]))
+        check_against_enumeration(polytope_with(mp, hull=mp.hull[1:]))
     wrong = {**mp.corners, corner: PerfectMatching(other.edges, corner)}
     with pytest.raises(DimerError, match="not the certified one alone"):
-        check_against_enumeration(dataclasses.replace(mp, corners=wrong))
+        check_against_enumeration(polytope_with(mp, corners=wrong))
 
 
 def test_verify_fails_when_the_polygon_disagrees_with_enumeration(monkeypatch):
@@ -605,7 +699,7 @@ def test_verify_fails_when_the_polygon_disagrees_with_enumeration(monkeypatch):
 
     def shrunk(d):
         mp = matching_polytope(d)
-        return dataclasses.replace(mp, hull=mp.hull[1:])
+        return polytope_with(mp, hull=mp.hull[1:])
 
     monkeypatch.setattr(jacobi, "matching_polytope", shrunk)
     out = io.StringIO()
