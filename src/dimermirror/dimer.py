@@ -10,10 +10,10 @@ fundamental domain.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from functools import cmp_to_key
 from math import gcd
 from operator import attrgetter
-from typing import Iterable, Optional
 
 Vec = tuple[int, int]
 
@@ -121,12 +121,62 @@ class _Frozen(_Record):
 
 
 _set = object.__setattr__
+_new = object.__new__
+
+
+class _Combination:
+    """Integer combination: ``terms`` maps keys to nonzero coefficients.  Arithmetic
+    returns the caller's class, and an element equals only those of its class."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = {c: k for c, k in (terms or {}).items() if k}
+
+    def __init_subclass__(cls):
+        # a plain function per class is the cheapest call for the Koszul kernels
+        def _nonzero(terms: dict):
+            """The element on ``terms``, whose coefficients are all nonzero already."""
+            out = _new(cls)
+            out.terms = terms
+            return out
+
+        cls._nonzero = staticmethod(_nonzero)
+
+    @classmethod
+    def of(cls, key, coeff: int = 1):
+        return cls._nonzero({key: coeff} if coeff else {})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for c, k in other.terms.items():
+            total = out.get(c, 0) + k
+            if total:
+                out[c] = total
+            else:
+                del out[c]
+        return self._nonzero(out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, k: int):
+        return self._nonzero({c: k * v for c, v in self.terms.items()} if k else {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
 
 
 class Arrow(_Frozen):
     __slots__ = _fields = ("id", "tail", "head", "shift")
 
-    def __init__(self, id: object, tail: object, head: object, shift: Optional[Vec]):
+    def __init__(self, id: object, tail: object, head: object, shift: Vec | None):
         _set(self, "id", id)
         _set(self, "tail", tail)
         _set(self, "head", head)
@@ -173,7 +223,7 @@ class ValidationReport(_Record):
     _fields = ("ok", "issues")
     _key = attrgetter(*_fields)
 
-    def __init__(self, ok: bool, issues: Optional[list[Issue]] = None):
+    def __init__(self, ok: bool, issues: list[Issue] | None = None):
         self.ok = ok
         self.issues = [] if issues is None else issues
 
@@ -199,7 +249,7 @@ class ZigzagCycle(_Frozen):
         arrows: tuple,
         zigs: tuple,
         zags: tuple,
-        homology: Optional[Vec],
+        homology: Vec | None,
         class_index: int = 0,
         parallel_index: int = 0,
     ):
@@ -265,9 +315,18 @@ def cyclic_arc(word: tuple, start: int, stop: int) -> tuple:
 class Dimer:
     """Immutable dimer model; derived combinatorial structure built lazily.
 
-    Each derived structure (zigzag orbits and cycles, anti-zigzags, parallel
-    classes, strips, tree paths) is computed at most once per instance and
-    shared by every caller, so callers must not mutate what they get back.
+    Each derived structure is computed at most once per instance, most of them
+    in one cache (``_memo``), and shared by every caller, so callers must not
+    mutate what they get back.  The lookup tables that every module reads:
+
+    * ``arrow_ids`` (sorted by ``idkey``) and ``arrow_rank`` (id -> position
+      there), set on construction, like ``has_shifts``;
+    * ``leaving``, ``entering``: vertex -> arrow ids out of, into it, in id order;
+    * ``pos_face_of``, ``neg_face_of``, ``next_pos``, ``next_neg``: an arrow's
+      two faces and its successor on each, and ``face_words``: vertex -> the
+      first face through it, rotated to start there (``face_word_at``);
+    * ``zigzag_of``: arrow -> (k, l), the arrow being a zig of ``_orbits(d)[k]``
+      and a zag of ``_orbits(d)[l]``.
     """
 
     def __init__(self, name: str, vertices, arrows, faces):
@@ -278,15 +337,17 @@ class Dimer:
         self.arrow_by_id = {}
         for a in self.arrows:
             self.arrow_by_id.setdefault(a.id, a)
-        self._report: Optional[ValidationReport] = None
-        self._structure = None
+        self.arrow_ids, self.arrow_rank = _arrow_order(self)
+        self.has_shifts = all(a.shift is not None for a in self.arrows)
         self._derived: dict = {}
 
-    # -- basic accessors -------------------------------------------------
+    def _memo(self, key, build):
+        """build() on first use of key; the same object on every later call."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
-    @property
-    def has_shifts(self) -> bool:
-        return all(a.shift is not None for a in self.arrows)
+    # -- basic accessors -------------------------------------------------
 
     def tail(self, aid) -> object:
         return self.arrow_by_id[aid].tail
@@ -330,9 +391,7 @@ class Dimer:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        if self._report is None:
-            self._report = _validate(self)
-        return self._report
+        return self._memo("report", lambda: _validate(self))
 
     def require_valid(self):
         rep = self.validate()
@@ -342,24 +401,27 @@ class Dimer:
                 + "; ".join(i.message for i in rep.issues)
             )
 
-    # -- face incidence / successor maps ----------------------------------
+    # -- lookup tables -----------------------------------------------------
+
+    @property
+    def leaving(self) -> dict:
+        return self._memo("incidence", lambda: _vertex_incidence(self))[0]
+
+    @property
+    def entering(self) -> dict:
+        return self._memo("incidence", lambda: _vertex_incidence(self))[1]
+
+    @property
+    def face_words(self) -> dict:
+        return self._struct()[4]
+
+    @property
+    def zigzag_of(self) -> dict:
+        _orbits(self)  # the orbit walk fills the table
+        return self._derived["zigzag_of"]
 
     def _struct(self):
-        if self._structure is None:
-            self.require_valid()
-            pos_face = {}
-            neg_face = {}
-            next_pos = {}
-            next_neg = {}
-            for fi, f in enumerate(self.faces):
-                table = pos_face if f.sign > 0 else neg_face
-                succ = next_pos if f.sign > 0 else next_neg
-                n = len(f.boundary)
-                for i, aid in enumerate(f.boundary):
-                    table[aid] = fi
-                    succ[aid] = f.boundary[(i + 1) % n]
-            self._structure = (pos_face, neg_face, next_pos, next_neg)
-        return self._structure
+        return self._memo("face_structure", lambda: _face_structure(self))
 
     def pos_face_of(self, aid) -> int:
         return self._struct()[0][aid]
@@ -373,11 +435,40 @@ class Dimer:
     def next_neg(self, aid):
         return self._struct()[3][aid]
 
-    def _memo(self, key, build):
-        """build() on first use of key; the same object on every later call."""
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
+
+def _arrow_order(d: Dimer) -> tuple:
+    """(the arrow ids sorted by ``idkey``, id -> its position in that order)."""
+    ids = tuple(sorted(d.arrow_by_id, key=idkey))
+    return ids, {a: r for r, a in enumerate(ids)}
+
+
+def _vertex_incidence(d: Dimer) -> tuple:
+    """(vertex -> arrow ids out of it, vertex -> arrow ids into it), each in id order."""
+    d.require_valid()
+    leaving: dict = {v: [] for v in d.vertices}
+    entering: dict = {v: [] for v in d.vertices}
+    for aid in d.arrow_ids:
+        a = d.arrow_by_id[aid]
+        leaving[a.tail].append(aid)
+        entering[a.head].append(aid)
+    return leaving, entering
+
+
+def _face_structure(d: Dimer) -> tuple:
+    """One pass over the faces: arrow -> its positive face, its negative face, its
+    successor on each, and vertex -> the first face through it, rotated to start there."""
+    d.require_valid()
+    pos_face, neg_face, next_pos, next_neg, words = {}, {}, {}, {}, {}
+    for fi, f in enumerate(d.faces):
+        table, succ = (pos_face, next_pos) if f.sign > 0 else (neg_face, next_neg)
+        b, n = f.boundary, len(f.boundary)
+        for i, aid in enumerate(b):
+            table[aid] = fi
+            succ[aid] = b[(i + 1) % n]
+            v = d.tail(aid)
+            if v not in words:
+                words[v] = b[i:] + b[:i]
+    return pos_face, neg_face, next_pos, next_neg, words
 
 
 def _validate(d: Dimer) -> ValidationReport:
@@ -475,7 +566,7 @@ def _validate(d: Dimer) -> ValidationReport:
     return ValidationReport(not issues, issues)
 
 
-def _check_links(d: Dimer) -> Optional[Issue]:
+def _check_links(d: Dimer) -> Issue | None:
     """Each vertex link must be a single cycle (one disk neighborhood)."""
     corners: dict = {v: [] for v in d.vertices}
     for f in d.faces:
@@ -523,32 +614,33 @@ def _orbits(d: Dimer) -> list[ZigzagCycle]:
 
 
 def _zigzag_orbits(d: Dimer) -> list[ZigzagCycle]:
-    """Unindexed zigzag cycles: orbits of the alternating successor maps."""
+    """Unindexed zigzag cycles: orbits of the alternating successor maps; the walk fills ``d.zigzag_of``."""
     d.require_valid()
-    _, _, next_pos, next_neg = d._struct()
-    has_shifts = d.has_shifts
+    next_pos, next_neg = d._struct()[2:4]
     cycles = []
-    seen_zig = set()
-    for a in sorted(d.arrow_by_id, key=idkey):
-        if a in seen_zig:
+    zig_of, zag_of = {}, {}  # arrow -> index of the orbit through it as a zig, as a zag
+    for a in d.arrow_ids:
+        if a in zig_of:
             continue
+        k = len(cycles)
         word = []
         cur = a
         while True:
             zag = next_neg[cur]
             word += (cur, zag)
-            seen_zig.add(cur)
+            zig_of[cur] = k
+            zag_of[zag] = k
             cur = next_pos[zag]
             if cur == a:
                 break
         word = tuple(word)
-        hom = d.word_shift(word) if has_shifts else None
+        hom = d.word_shift(word) if d.has_shifts else None
         cycles.append(ZigzagCycle(arrows=word, zigs=word[0::2], zags=word[1::2], homology=hom))
 
-    ids = d.arrow_by_id.keys()
-    for occ in ([a for z in cycles for a in z.zigs], [a for z in cycles for a in z.zags]):
-        if len(occ) != len(ids) or set(occ) != ids:
-            raise DimerError("zigzag orbits do not cover every arrow once as zig and once as zag")
+    n = len(d.arrow_ids)
+    if len(zig_of) != n or len(zag_of) != n or sum(len(z.zigs) for z in cycles) != n:
+        raise DimerError("zigzag orbits do not cover every arrow once as zig and once as zag")
+    d._derived["zigzag_of"] = {a: (zig_of[a], zag_of[a]) for a in d.arrow_ids}
     return cycles
 
 
@@ -584,7 +676,8 @@ def _indexed_cycles(d: Dimer) -> list[ZigzagCycle]:
             )
     for z in null:
         indexed.append(z)
-    indexed.sort(key=lambda z: (z.class_index, z.parallel_index, idkey(z.arrows[0])))
+    rank = d.arrow_rank
+    indexed.sort(key=lambda z: (z.class_index, z.parallel_index, rank[z.arrows[0]]))
     return indexed
 
 
@@ -828,7 +921,7 @@ def is_zigzag_consistent(d: Dimer):
         if z.homology == (0, 0):
             return False, ("null_homologous_cycle", z.arrows)
     zig_at, zag_at = _orbit_tables(d)
-    for e in sorted(d.arrow_by_id, key=idkey):
+    for e in d.arrow_ids:
         (zig, zig_prefix, _), p = zig_at[e]
         (zag, zag_prefix, zag_pos), q = zag_at[e]
         t_zig, t_zag = zig.homology, zag.homology
@@ -878,7 +971,7 @@ def _parallel_classes(d: Dimer):
         disjoint = s1.isdisjoint(s2)
         if z1.class_index == z2.class_index and not disjoint:
             raise DimerError(
-                f"parallel cycles share arrows {sorted(s1 & s2, key=idkey)}"
+                f"parallel cycles share arrows {[a for a in d.arrow_ids if a in s1 and a in s2]}"
             )
         if cross(z1.homology, z2.homology) != 0 and disjoint:
             raise DimerError(
@@ -943,7 +1036,7 @@ def tree_paths(d: Dimer) -> dict:
 
 def _tree_paths(d: Dimer) -> dict:
     d.require_valid()  # a valid dimer is connected, so every vertex is reached
-    arrows = sorted(d.arrows, key=lambda a: idkey(a.id))
+    arrows = [d.arrow_by_id[aid] for aid in d.arrow_ids]
     paths = {d.vertices[0]: []}
     changed = True
     while changed:
@@ -962,12 +1055,12 @@ def face_word_at(d: Dimer, v) -> tuple:
     """The boundary of the first face through v, rotated to start at v.
 
     The word is a closed path at v; its class is the potential W at v.
+    Read from the table ``d.face_words``.
     """
-    for f in d.faces:
-        for k, aid in enumerate(f.boundary):
-            if d.tail(aid) == v:
-                return f.boundary[k:] + f.boundary[:k]
-    raise DimerError(f"vertex {v!r} on no face")
+    word = d.face_words.get(v)
+    if word is None:
+        raise DimerError(f"vertex {v!r} on no face")
+    return word
 
 
 # -- duality ---------------------------------------------------------------
@@ -976,31 +1069,25 @@ def face_word_at(d: Dimer, v) -> tuple:
 def dual_dimer(d: Dimer) -> Dimer:
     """The dual dimer: vertices are zigzag cycles, arrows keep their ids.
 
-    An arrow's dual tail is the cycle through it as a zag and its head the
-    cycle through it as a zig.  Positive faces keep their boundary traversal;
+    An arrow's dual tail is the cycle through it as a zig and its head the
+    cycle through it as a zag.  Positive faces keep their boundary traversal;
     negative boundaries reverse.  The dual carries no shift data.
     """
     d.require_valid()
-    cycles = zigzag_cycles(d)
-    zig_cycle = {}
-    zag_cycle = {}
-    for idx, z in enumerate(cycles):
-        for a in z.zigs:
-            zig_cycle[a] = idx
-        for a in z.zags:
-            zag_cycle[a] = idx
-    names = {}
-    for idx, z in enumerate(cycles):
+    orbit_of = d.zigzag_of
+    names = {}  # orbit index -> the dual vertex, in the order of zigzag_cycles
+    for z in zigzag_cycles(d):
         if z.class_index:
-            names[idx] = f"Z{z.class_index}.{z.parallel_index}"
+            name = f"Z{z.class_index}.{z.parallel_index}"
         else:
             # rotate to the least zig so cycles with equal words but opposite
             # zig/zag phase (possible on duals) get distinct names
             rots = [z.arrows[2 * k:] + z.arrows[: 2 * k] for k in range(len(z.zigs))]
             word = min(rots, key=word_key)
-            names[idx] = "Z_" + "_".join(str(a) for a in word)
+            name = "Z_" + "_".join(str(a) for a in word)
+        names[orbit_of[z.zigs[0]][0]] = name
     arrows = [
-        Arrow(a.id, names[zig_cycle[a.id]], names[zag_cycle[a.id]], None) for a in d.arrows
+        Arrow(a.id, names[orbit_of[a.id][0]], names[orbit_of[a.id][1]], None) for a in d.arrows
     ]
     faces = []
     for f in d.faces:
@@ -1008,7 +1095,7 @@ def dual_dimer(d: Dimer) -> Dimer:
         faces.append(Face(f.sign, boundary))
     out = Dimer(
         name=f"{d.name}_dual",
-        vertices=tuple(names[i] for i in range(len(cycles))),
+        vertices=tuple(names.values()),
         arrows=tuple(arrows),
         faces=tuple(faces),
     )
@@ -1027,7 +1114,7 @@ def surface_invariants(d_dual: Dimer):
 
 def dimer_isomorphic(d1: Dimer, d2: Dimer) -> bool:
     """Quiver isomorphism preserving arrow ids, face signs and boundaries."""
-    if sorted(d1.arrow_by_id, key=idkey) != sorted(d2.arrow_by_id, key=idkey):
+    if d1.arrow_ids != d2.arrow_ids:
         return False
     vmap = {}
     for aid in d1.arrow_by_id:

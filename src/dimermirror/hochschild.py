@@ -26,7 +26,6 @@ passed through 0 on the way.  Composability is checked term by term, as
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Optional
 
 from .dimer import Vec, _Frozen, _set, dot, face_word_at, idkey, parallel_classes, strips, vec_add, vec_sub
 from .jacobi import Jacobi, JacobiError, JElement, PathClass, hessian_rows
@@ -44,7 +43,7 @@ class CochainElement:
 
     __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: Optional[dict] = None):
+    def __init__(self, degree: int, terms: dict | None = None):
         self.degree = degree
         self.terms = {}
         for slot, elem in (terms or {}).items():
@@ -196,7 +195,7 @@ class E2Label(_Frozen):
 class KoszulComplex:
     """Differentials, distinguished cocycles, and second-page bookkeeping."""
 
-    def __init__(self, jac: Jacobi, i0: int = 1, ab: Optional[tuple] = None):
+    def __init__(self, jac: Jacobi, i0: int = 1, ab: tuple | None = None):
         self.jac = jac
         self.dimer = jac.dimer
         self.classes = parallel_classes(self.dimer)
@@ -222,17 +221,13 @@ class KoszulComplex:
         # rows (see ``_row``) of d0 (e_v m a for a out of v, -a m e_v for a
         # into v), d1 (the Hessian rows of W) and d2 (e c y, -y c e on Xbar_y).
         d = self.dimer
-        arrows = sorted(d.arrow_by_id, key=idkey)
+        arrows = d.arrow_ids
         # each face arc is the left of one Hessian row and the right of its
         # mirror row, and the W splits and BV deletions repeat them
         self._canon: dict = {}  # word -> its class, normalised once
         cls_of = self._class_of
         self._arrow_cls = {a: cls_of((a,)) for a in arrows}
-        self._leaving = {v: [] for v in d.vertices}
-        self._entering = {v: [] for v in d.vertices}
-        for a in arrows:
-            self._leaving[d.tail(a)].append(a)
-            self._entering[d.head(a)].append(a)
+        self._leaving, self._entering = d.leaving, d.entering
         unit, cls = {v: jac.idempotent(v) for v in d.vertices}, self._arrow_cls
         self._d0_rows = {
             v: [_row(1, a, unit[v], cls[a]) for a in self._leaving[v]]
@@ -358,8 +353,8 @@ class KoszulComplex:
     def W_cochain(self) -> CochainElement:
         return self.unit_cochain(self.jac.central_W())
 
-    def x_alpha_cochain(self, alpha: Vec, want_witness: bool = False) -> CochainElement:
-        return self.unit_cochain(self.jac.central_x_alpha(alpha, want_witness=want_witness))
+    def x_alpha_cochain(self, alpha: Vec) -> CochainElement:
+        return self.unit_cochain(self.jac.central_x_alpha(alpha, want_witness=False))
 
     def partial_P(self, i: int) -> CochainElement:
         """The corner-matching derivation: sum of e X_e over e in P_i."""
@@ -367,8 +362,9 @@ class KoszulComplex:
         return self.partial_of_matching(p.edges)
 
     def partial_of_matching(self, edges) -> CochainElement:
+        rank = self.dimer.arrow_rank
         return CochainElement(
-            1, {(X, e): JElement.of(self._arrow_cls[e]) for e in sorted(edges, key=idkey)}
+            1, {(X, e): JElement.of(self._arrow_cls[e]) for e in sorted(edges, key=rank.__getitem__)}
         )
 
     def zero_corner_of(self, alpha: Vec) -> int:
@@ -393,7 +389,7 @@ class KoszulComplex:
         i = self.zero_corner_of(alpha)
         w0 = jac.x_alpha_w0(alpha)
         terms = []
-        for e in sorted(jac.corners[i - 1].edges, key=idkey):
+        for e in sorted(jac.corners[i - 1].edges, key=self.dimer.arrow_rank.__getitem__):
             cls = PathClass(
                 self.dimer.tail(e),
                 self.dimer.head(e),

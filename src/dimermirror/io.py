@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 
 from .dimer import Arrow, Dimer, Face
@@ -129,7 +128,7 @@ def parse_dimer(path) -> Dimer:
 def load_bundled(name: str) -> Dimer:
     if name not in BUNDLED:
         raise DimerFormatError(f"unknown bundled dimer {name!r}; have {BUNDLED}")
-    text = resources.files("dimermirror.data").joinpath(f"{name}.json").read_text("utf-8")
+    text = (Path(__file__).with_name("data") / f"{name}.json").read_text(encoding="utf-8")
     d = dimer_from_dict(json.loads(text))
     d.require_valid()
     return d

@@ -9,11 +9,12 @@ a brute-force rewrite oracle guards the decision procedure at small scale.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .dimer import (
     Dimer,
     Vec,
+    _Combination,
     _Frozen,
     _set,
     canonical_rotation,
@@ -124,7 +125,7 @@ class PathClass(_Frozen):
 
     __slots__ = _fields = ("tail", "head", "h1", "w0", "witness")
 
-    def __init__(self, tail: object, head: object, h1: Vec, w0: int, witness: Optional[Word] = None):
+    def __init__(self, tail: object, head: object, h1: Vec, w0: int, witness: Word | None = None):
         _set(self, "tail", tail)
         _set(self, "head", head)
         _set(self, "h1", h1)
@@ -142,49 +143,10 @@ class PathClass(_Frozen):
         return hash((self.tail, self.head, self.h1, self.w0))
 
 
-class JElement:
+class JElement(_Combination):
     """Finite integer combination of path classes (no zero coefficients stored)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[dict] = None):
-        self.terms = {c: k for c, k in (terms or {}).items() if k}
-
-    @staticmethod
-    def _nonzero(terms: dict) -> "JElement":
-        """The element on ``terms``, whose coefficients are all nonzero already."""
-        out = JElement.__new__(JElement)
-        out.terms = terms
-        return out
-
-    @staticmethod
-    def of(cls: PathClass, coeff: int = 1) -> "JElement":
-        return JElement._nonzero({cls: coeff} if coeff else {})
-
-    def __add__(self, other: "JElement") -> "JElement":
-        out = dict(self.terms)
-        for c, k in other.terms.items():
-            total = out.get(c, 0) + k
-            if total:
-                out[c] = total
-            else:
-                del out[c]
-        return JElement._nonzero(out)
-
-    def __sub__(self, other: "JElement") -> "JElement":
-        return self + other.scale(-1)
-
-    def scale(self, k: int) -> "JElement":
-        return JElement._nonzero({c: k * v for c, v in self.terms.items()} if k else {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, JElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    __slots__ = ()
 
     def __repr__(self):
         if not self.terms:
@@ -199,7 +161,7 @@ class JElement:
 class Jacobi:
     """Canonical forms and central elements for one consistent dimer."""
 
-    def __init__(self, d: Dimer, realize_cap: Optional[int] = None):
+    def __init__(self, d: Dimer, realize_cap: int | None = None):
         d.require_valid()
         self.dimer = d
         self.poly: MatchingPolytope = matching_polytope(d)
@@ -213,7 +175,7 @@ class Jacobi:
         self.realize_cap = realize_cap if realize_cap is not None else 4 * len(d.arrows)
         # tree paths from the base vertex, for the open-path degree correction
         self._tree_paths = tree_paths(d)
-        self._central_W: Optional[dict] = None
+        self._central_W: dict | None = None
         self.corner_phis = [self._phi(p) for p in self.corners]
 
     # -- degrees ---------------------------------------------------------
@@ -323,7 +285,7 @@ class Jacobi:
         """
         d = self.dimer
         out = []
-        for aid in sorted(d.arrow_by_id, key=idkey):
+        for aid in d.arrow_ids:
             arcs = []
             for fi in (d.pos_face_of(aid), d.neg_face_of(aid)):
                 b = d.faces[fi].boundary
@@ -371,11 +333,9 @@ class Jacobi:
         Computed on first use and shared by every later call.
         """
         if self._central_W is None:
-            self._central_W = self._build_central_W()
+            d = self.dimer
+            self._central_W = {v: self.canonical_form(face_word_at(d, v)) for v in d.vertices}
         return self._central_W
-
-    def _build_central_W(self) -> dict:
-        return {v: self.canonical_form(face_word_at(self.dimer, v)) for v in self.dimer.vertices}
 
     def x_alpha_w0(self, alpha: Vec) -> int:
         return max(-dot(off, alpha) for off in self.corner_offsets)
@@ -404,7 +364,7 @@ class Jacobi:
 
     # -- witness search ------------------------------------------------------
 
-    def realize_path(self, tail, head, h1: Vec, w0: int, cap: Optional[int] = None):
+    def realize_path(self, tail, head, h1: Vec, w0: int, cap: int | None = None):
         """Shortest composable word with the given class data, or None within the cap.
 
         Search states are (vertex, shift, reference degree); a partial path is
@@ -416,11 +376,7 @@ class Jacobi:
         targets = self.corner_degrees(target)
         if w0 < 0 or min(targets) < 0:
             raise JacobiError("target degrees must be nonnegative")
-        d = self.dimer
-        arrows = sorted(d.arrows, key=lambda a: idkey(a.id))
-        out_arrows: dict = {}
-        for a in arrows:
-            out_arrows.setdefault(a.tail, []).append(a)
+        d, leaving = self.dimer, self.dimer.leaving
         start = (tail, (0, 0), 0)
         if tail == head and h1 == (0, 0) and w0 == 0:
             return ()
@@ -430,7 +386,8 @@ class Jacobi:
             (v, sh, deg), length = frontier.popleft()
             if length >= cap:
                 continue
-            for a in out_arrows.get(v, []):
+            for aid in leaving[v]:
+                a = d.arrow_by_id[aid]
                 sh2 = vec_add(sh, a.shift)
                 deg2 = deg + (1 if a.id in self.ref.edges else 0)
                 state = (a.head, sh2, deg2)

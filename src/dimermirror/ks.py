@@ -9,9 +9,8 @@ forms, and the singularity bookkeeping of the matching polytope.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Optional
 
-from .dimer import Dimer, DimerError, _Record, idkey, word_key
+from .dimer import Dimer, DimerError, _Record, word_key
 from .hochschild import CochainElement, E2Label, KoszulComplex, X
 from .jacobi import Jacobi, JElement, PathClass
 from .matchings import (
@@ -51,7 +50,7 @@ class KSReport(_Record):
     _fields = ("dimer", "checks")
     _key = attrgetter(*_fields)
 
-    def __init__(self, dimer: str, checks: Optional[list] = None):
+    def __init__(self, dimer: str, checks: list | None = None):
         self.dimer = dimer
         self.checks = [] if checks is None else checks
 
@@ -74,7 +73,7 @@ class KSReport(_Record):
 
 
 class KSVerifier:
-    def __init__(self, d: Dimer, n_max: int = 10, i0: int = 1, ab: Optional[tuple] = None):
+    def __init__(self, d: Dimer, n_max: int = 10, i0: int = 1, ab: tuple | None = None):
         d.require_valid()
         self.dimer = d
         self.n_max = n_max
@@ -83,6 +82,11 @@ class KSVerifier:
         self.i0 = i0
         self.K = KoszulComplex(self.jac, i0=i0, ab=ab)
         self.odd = self.sh.distinguished_odd(i0)
+        # per class i, strip j >= 2 -> the zigzag path xi_{i,j} into it, or None
+        self.strip_paths = {
+            i: {j: self.sh.xi_for_strip(i, strip) for j, strip in enumerate(sd.strips[1:], start=2)}
+            for i, sd in self.K.strips.items()
+        }
 
     # -- image descriptions -------------------------------------------------
 
@@ -128,10 +132,7 @@ class KSVerifier:
                 }
             )
         for i in range(1, self.sh.n_classes + 1):
-            sd = self.K.strips[i]
-            paths = {
-                j: self.sh.xi_for_strip(i, sd.strips[j - 1]) for j in range(2, len(sd.strips) + 1)
-            }
+            paths = self.strip_paths[i]
             for n in range(1, self.n_max + 1):
                 out.append(
                     {
@@ -152,7 +153,7 @@ class KSVerifier:
 
     # -- dimension/determinant verification -----------------------------------
 
-    def verify_dimension_match(self, report: Optional[KSReport] = None) -> KSReport:
+    def verify_dimension_match(self, report: KSReport | None = None) -> KSReport:
         rep = report or KSReport(self.dimer.name)
         sh, K = self.sh, self.K
         g, n_punct = sh.genus, sh.n_punct
@@ -215,7 +216,7 @@ class KSVerifier:
             c_i = row0[0]
             odd_rows = [row0]
             sd = K.strips[i]
-            paths = {j: sh.xi_for_strip(i, sd.strips[j - 1]) for j in range(2, m + 1)}
+            paths = self.strip_paths[i]
             for j, path in paths.items():
                 if path is None:
                     rep.add(f"xi_path.i{i}.j{j}", False, "no zigzag path into the strip")
@@ -270,7 +271,7 @@ class KSVerifier:
 
     # -- chain identities ------------------------------------------------------
 
-    def verify_chain_identities(self, report: Optional[KSReport] = None) -> KSReport:
+    def verify_chain_identities(self, report: KSReport | None = None) -> KSReport:
         rep = report or KSReport(self.dimer.name)
         K, jac, d = self.K, self.jac, self.dimer
         gens = K.generators()
@@ -281,7 +282,7 @@ class KSVerifier:
         d0_x_alpha = {eta: K.d0(c) for eta, c in gens["x_alpha"].items()}
         deg0_images = [K.d0(c) for c in units] + list(d0_x_alpha.values()) + [K.d0(K.W_cochain())]
         rep.add("complex.d1d0", all(K.d1(c).is_zero() for c in deg0_images))
-        r = {a: K.d1(K.partial_of_matching((a,))) for a in sorted(d.arrow_by_id, key=idkey)}
+        r = {a: K.d1(K.partial_of_matching((a,))) for a in d.arrow_ids}
         d1_partial_P = {i: K.d1(c) for i, c in gens["partial_P"].items()}
         d1_partial_alpha = {alpha: K.d1(c) for alpha, c in gens["partial_alpha"].items()}
         deg1_images = [*r.values(), *d1_partial_P.values(), *d1_partial_alpha.values()]
@@ -313,7 +314,7 @@ class KSVerifier:
                 and any(d.tail(aid) == v for aid in f.boundary)
                 for f in d.faces
             )
-            rep.add(f"dW.theta.{v}.support", face_ok, sorted(support, key=idkey))
+            rep.add(f"dW.theta.{v}.support", face_ok, sorted(support, key=d.arrow_rank.__getitem__))
             rep.add(f"dW.theta.{v}.closed", K.d2(out).is_zero())
         rep.add("bv.idempotent", K.bv_delta_deg3(()).is_zero())
 
@@ -386,7 +387,7 @@ class KSVerifier:
 
     # -- singularity bookkeeping -------------------------------------------------
 
-    def singularity_report(self, report: Optional[KSReport] = None) -> KSReport:
+    def singularity_report(self, report: KSReport | None = None) -> KSReport:
         rep = report or KSReport(self.dimer.name)
         mp = self.jac.poly
         e2_even = self.K.e2_basis("even", 1)
@@ -413,7 +414,7 @@ class KSVerifier:
 
     # -- the enumeration oracles ------------------------------------------------
 
-    def verify_matching_count(self, report: Optional[KSReport] = None) -> KSReport:
+    def verify_matching_count(self, report: KSReport | None = None) -> KSReport:
         """``matchings.count``: enumeration against the Kasteleyn count and the basis rank.
 
         Runs only up to ``ENUMERATION_GATE`` matchings; above it the row is

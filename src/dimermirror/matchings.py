@@ -66,7 +66,6 @@ from __future__ import annotations
 
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Optional
 
 from .dimer import (
     Dimer,
@@ -86,7 +85,6 @@ from .dimer import (
     vec_add,
     vec_neg,
     vec_sub,
-    word_key,
 )
 
 
@@ -94,7 +92,7 @@ class PerfectMatching(_Frozen):
     _fields = ("edges", "height")
     _key = attrgetter(*_fields)
 
-    def __init__(self, edges: frozenset, height: Optional[Vec] = None):
+    def __init__(self, edges: frozenset, height: Vec | None = None):
         _set(self, "edges", edges)
         _set(self, "height", height)  # class of (P - P0) in H^1, once assigned
 
@@ -132,7 +130,7 @@ class MatchingPolytope(_Record):
         arrow_class: dict,
         reference: PerfectMatching,
         reference_class: Vec,
-        _points: Optional[dict] = None,
+        _points: dict | None = None,
     ):
         self.hull = hull  # corner heights in counterclockwise order
         self.edges = edges
@@ -166,8 +164,8 @@ def enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
     """Exact-cover search: each face boundary contains exactly one chosen arrow."""
     d.require_valid()
     face_sets = [frozenset(f.boundary) for f in d.faces]
-    arrows = sorted(d.arrow_by_id, key=idkey)
-    faces_of = {a: [i for i, fs in enumerate(face_sets) if a in fs] for a in arrows}
+    rank = d.arrow_rank
+    faces_of = {a: (d.pos_face_of(a), d.neg_face_of(a)) for a in d.arrow_ids}
     results = []
 
     def search(chosen: list, covered: int, forbidden: frozenset):
@@ -184,7 +182,7 @@ def enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
                 best, best_cands = i, cands
             if not cands:
                 return
-        for a in sorted(best_cands, key=idkey):
+        for a in sorted(best_cands, key=rank.__getitem__):
             mask = covered
             ok = True
             for i in faces_of[a]:
@@ -201,7 +199,7 @@ def enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
             search(chosen + [a], mask, forbidden | newly)
 
     search([], 0, frozenset())
-    uniq = sorted(set(results), key=lambda s: word_key(sorted(s, key=idkey)))
+    uniq = sorted(set(results), key=lambda s: sorted(map(rank.__getitem__, s)))
     return [PerfectMatching(edges=s) for s in uniq]
 
 
@@ -232,7 +230,7 @@ def _arrow_classes(d: Dimer) -> dict:
             dx, dy = d.arrow_by_id[a].shift
             x, y = x + dx, y + dy
     sigma = _orientation(d)
-    return {a: (-sigma * s[a][1], sigma * s[a][0]) for a in sorted(s, key=idkey)}
+    return {a: (-sigma * s[a][1], sigma * s[a][0]) for a in d.arrow_ids}
 
 
 def _check_marking(d: Dimer) -> None:
@@ -247,10 +245,11 @@ def _check_marking(d: Dimer) -> None:
     pot = {v: d.path_shift(path) for v, path in paths.items()}
     tree_ids = {path[-1][0] for path in paths.values() if path}
     g = y = g2 = 0
-    for a in sorted(d.arrows, key=lambda x: idkey(x.id)):
-        if a.id in tree_ids:
+    for aid in d.arrow_ids:
+        if aid in tree_ids:
             continue
-        cx, cy = vec_sub(vec_add(pot[a.tail], d.shift(a.id)), pot[a.head])
+        a = d.arrow_by_id[aid]
+        cx, cy = vec_sub(vec_add(pot[a.tail], d.shift(aid)), pot[a.head])
         h, s, t = _ext_gcd(g, cx)
         if h:
             # rows (g, y), (cx, cy) -> (h, s*y + t*cy) and (0, (cx*y - g*cy) / h)
@@ -271,13 +270,10 @@ def _orientation(d: Dimer) -> int:
     polygon, and ``matching_polytope`` refuses the dimer before it reads a
     height; the sign is then +1.
     """
-    zig: dict = {}
-    zag: dict = {}
-    for z in _orbits(d):
-        zig.update(dict.fromkeys(z.zigs, z.homology))
-        zag.update(dict.fromkeys(z.zags, z.homology))
-    for a in sorted(d.arrow_by_id, key=idkey):
-        c = cross(zig[a], zag[a])
+    orbits, orbit_of = _orbits(d), d.zigzag_of
+    for a in d.arrow_ids:
+        zig, zag = orbit_of[a]
+        c = cross(orbits[zig].homology, orbits[zag].homology)
         if c:
             return 1 if c > 0 else -1
     return 1
@@ -311,7 +307,7 @@ def _convex_hull(points: list[Vec]) -> list[Vec]:
     return lower[:-1] + upper[:-1]
 
 
-def max_weight_matching(w: list) -> Optional[tuple]:
+def max_weight_matching(w: list) -> tuple | None:
     """Hungarian method on a square matrix of integer weights; None marks a missing pair.
 
     Returns ``(match, u, v)``: row i is matched to column ``match[i]`` in a
@@ -380,7 +376,7 @@ class _MatchingOracle:
     """
 
     def __init__(self, d: Dimer):
-        self.arrows = sorted(d.arrow_by_id, key=idkey)
+        self.arrows = d.arrow_ids
         pos = [fi for fi, f in enumerate(d.faces) if f.sign > 0]
         neg = [fi for fi, f in enumerate(d.faces) if f.sign < 0]
         row = {fi: i for i, fi in enumerate(pos)}
@@ -388,7 +384,7 @@ class _MatchingOracle:
         self.n = len(pos) if len(pos) == len(neg) else None
         self.ends = {a: (row[d.pos_face_of(a)], col[d.neg_face_of(a)]) for a in self.arrows}
 
-    def best(self, weight: dict, label) -> Optional[tuple]:
+    def best(self, weight: dict, label) -> tuple | None:
         """(matched arrows, tight arrows) of greatest total weight, or None if there is no matching.
 
         Raises DimerError unless the solver's potentials prove the answer
@@ -422,7 +418,7 @@ class _MatchingOracle:
             )
         return edges, [a for a in self.arrows if bound[a] == weight[a]]
 
-    def perfect_on(self, arrows: list) -> Optional[frozenset]:
+    def perfect_on(self, arrows: list) -> frozenset | None:
         """A perfect matching that uses only the given arrows, or None if there is none.
 
         Augmenting paths, one breadth-first search per row: O(n |arrows|)
@@ -633,7 +629,7 @@ class _Span:
         self.rows[c] = v
         return True
 
-    def normal(self) -> Optional[list]:
+    def normal(self) -> list | None:
         """A nonzero integer vector orthogonal to every row, or None if the rows span everything."""
         free = next((i for i in range(self.width) if i not in self.rows), None)
         if free is None:
@@ -655,7 +651,7 @@ def _free_arrows(d: Dimer) -> list:
     tree from its leaves), so these are coordinates on W and dim W is their
     number plus one.
     """
-    arrows = sorted(d.arrow_by_id, key=idkey)
+    arrows = d.arrow_ids
     ends = {a: (d.pos_face_of(a), d.neg_face_of(a)) for a in arrows}
     at_face: dict = {}
     for a in arrows:
@@ -773,17 +769,14 @@ def kasteleyn_signs(d: Dimer) -> dict:
     (-1)^(deg/2 + 1).  A loop enters that product squared, so only the other
     arrows are unknowns; free unknowns take the sign +1.
     """
-    arrows = sorted(d.arrow_by_id, key=idkey)
-    bit = {a: 1 << r for r, a in enumerate(arrows)}
+    rank, leaving, entering = d.arrow_rank, d.leaving, d.entering
     pivots = []  # (pivot bit, equation, right-hand side), each free of earlier pivots
     for v in d.vertices:
-        eq, deg = 0, 0
-        for a in arrows:
-            at_v = (d.tail(a), d.head(a)).count(v)
-            deg += at_v
-            if at_v == 1:
-                eq |= bit[a]
-        rhs = (deg // 2 + 1) & 1
+        at_v = leaving[v] + entering[v]
+        eq = 0
+        for a in at_v:
+            eq ^= 1 << rank[a]  # a loop enters twice and cancels
+        rhs = (len(at_v) // 2 + 1) & 1
         for p, e, r in pivots:
             if eq & p:
                 eq, rhs = eq ^ e, rhs ^ r
@@ -795,7 +788,7 @@ def kasteleyn_signs(d: Dimer) -> dict:
     for p, e, r in reversed(pivots):
         if r ^ (bin(e & odd).count("1") & 1):
             odd |= p
-    return {a: -1 if odd & bit[a] else 1 for a in arrows}
+    return {a: -1 if odd >> r & 1 else 1 for a, r in rank.items()}
 
 
 def kasteleyn_count(d: Dimer) -> int:

@@ -9,9 +9,8 @@ correspondence verification consume.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Optional
 
-from .dimer import Dimer, _Record, dual_dimer, idkey, surface_invariants, zigzag_cycles
+from .dimer import Dimer, _Combination, _Record, dual_dimer, surface_invariants, zigzag_cycles
 
 
 class SHError(Exception):
@@ -34,38 +33,10 @@ def P_EDGE(e) -> tuple:
     return ("p", e)
 
 
-class SHElement:
+class SHElement(_Combination):
     """Integer combination of symplectic cochain labels."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[dict] = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @staticmethod
-    def of(label, coeff: int = 1) -> "SHElement":
-        return SHElement({label: coeff})
-
-    def __add__(self, other) -> "SHElement":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return SHElement(out)
-
-    def __sub__(self, other) -> "SHElement":
-        return self + other.scale(-1)
-
-    def scale(self, k: int) -> "SHElement":
-        return SHElement({l: k * v for l, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, SHElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    __slots__ = ()
 
     def __repr__(self):
         if not self.terms:
@@ -103,15 +74,9 @@ class MirrorSH:
             i: max(z.parallel_index for z in cycles if z.class_index == i)
             for i in range(1, self.n_classes + 1)
         }
-        # per cycle, arrow -> zig count minus zag count; pairing reads this table
-        self._pairings = {}
-        for key, z in self.cycles.items():
-            counts: dict = {}
-            for a in z.zigs:
-                counts[a] = counts.get(a, 0) + 1
-            for a in z.zags:
-                counts[a] = counts.get(a, 0) - 1
-            self._pairings[key] = counts
+        # (i, j) -> the index of Z_{i,j} among the orbits that d.zigzag_of names
+        self._zigzag_of = d.zigzag_of
+        self._orbit = {key: self._zigzag_of[z.zigs[0]][0] for key, z in self.cycles.items()}
         # the first zigzag path from the base vertex to each vertex; xi_v and
         # xi_for_strip read this list
         self.base_paths = self.zigzag_paths_from(d.vertices[0])
@@ -120,12 +85,14 @@ class MirrorSH:
 
     def pairing(self, edge, puncture: tuple) -> int:
         """<p_e, loop around Z_{i,j}>: +1 per zig occurrence, -1 per zag."""
-        return self._pairings[puncture].get(edge, 0)
+        orbit = self._orbit[puncture]
+        zig, zag = self._zigzag_of.get(edge, (None, None))
+        return (zig == orbit) - (zag == orbit)
 
     def pairing_matrix(self) -> dict:
         """(edge, (i, j)) -> pairing; every edge pairs +1 with one cycle, -1 with one."""
         out = {}
-        for e in sorted(self.dimer.arrow_by_id, key=idkey):
+        for e in self.dimer.arrow_ids:
             for key in sorted(self.cycles):
                 out[(e, key)] = self.pairing(e, key)
         return out
@@ -211,7 +178,7 @@ class MirrorSH:
         and each vertex keeps the first path into it.
         """
         d = self.dimer
-        rank = {a: r for r, a in enumerate(sorted(d.arrow_by_id, key=idkey))}
+        rank = d.arrow_rank
         hits = []  # per (first arrow, phase), the shortest prefix into each vertex
         for z in self.cycles.values():
             for s, a in enumerate(z.arrows):
@@ -249,10 +216,8 @@ class MirrorSH:
         def family_sum(i: int) -> SHElement:
             out = SHElement()
             for (ci, j), z in sorted(self.cycles.items()):
-                if ci != i:
-                    continue
-                for a in z.arrows:
-                    out = out + SHElement.of(P_EDGE(a))
+                if ci == i:
+                    out = out + self.xi_from_path(z.arrows)
             return out
 
         i_prev = (i0 - 2) % self.n_classes + 1

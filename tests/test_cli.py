@@ -385,8 +385,13 @@ def test_import_builds_no_parser():
 
 
 # Modules a cold start must not load: the dataclass and Fraction machinery
-# (inspect, ast and dis come with dataclasses; decimal with fractions).
-IMPORT_BUDGET_ABSENT = ("dataclasses", "inspect", "fractions", "decimal", "ast", "dis")
+# (inspect, ast and dis come with dataclasses; decimal with fractions), the
+# package-resource machinery (importlib.resources, which brings tempfile,
+# shutil, random, bz2 and lzma) and typing.
+IMPORT_BUDGET_ABSENT = (
+    "dataclasses", "inspect", "fractions", "decimal", "ast", "dis",
+    "importlib.resources", "tempfile", "shutil", "random", "bz2", "lzma", "typing",
+)
 
 
 def test_cold_start_stays_within_the_import_budget():
@@ -398,6 +403,7 @@ def test_cold_start_stays_within_the_import_budget():
         "import dimermirror.cli\n"
         f"d = dimermirror.io.parse_dimer({str(DATA / 'c3.json')!r})\n"
         "assert d.validate().ok\n"
+        "assert dimermirror.io.load_bundled('c3').validate().ok\n"
         f"print(sorted(set({IMPORT_BUDGET_ABSENT!r}) & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)

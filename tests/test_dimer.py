@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import random
@@ -507,6 +509,50 @@ def test_zigzag_orbits_are_built_once_per_dimer(monkeypatch):
     assert cli.main(["polytope", "conifold"]) == 0
     assert len(built) == 2  # one dimer per command, and one walk each
     assert len({id(d) for d in built}) == 2
+
+
+# The builders of the per-dimer lookup tables (see the Dimer docstring):
+# _zigzag_orbits also fills zigzag_of, and _face_structure the face words.
+TABLE_BUILDERS = ("_arrow_order", "_validate", "_face_structure", "_vertex_incidence", "_zigzag_orbits")
+
+
+def test_each_lookup_table_is_built_once_per_dimer(monkeypatch):
+    from dimermirror import cli
+
+    built = {name: [] for name in TABLE_BUILDERS}
+    for name in TABLE_BUILDERS:
+        original = getattr(dimer_module, name)
+
+        def counted(d, name=name, original=original):
+            built[name].append(d)
+            return original(d)
+
+        monkeypatch.setattr(dimer_module, name, counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "conifold"]) == 0
+        verified = [d for d in built["_arrow_order"] if d.name == "conifold"]
+        assert cli.main(["polytope", "conifold"]) == 0
+    assert len(verified) == 1
+    for name, dimers in built.items():
+        assert len({id(d) for d in dimers}) == len(dimers), name  # at most once per dimer
+        assert sum(d is verified[0] for d in dimers) == 1, name  # verify reads every table
+    # polytope builds no vertex incidence; verify's dual dimer builds only what validation needs
+    assert [d.name for d in built["_vertex_incidence"]] == ["conifold"]
+    assert sorted(d.name for d in built["_zigzag_orbits"]) == ["conifold", "conifold"]
+
+
+def test_lookup_tables_follow_the_arrow_order(covers):
+    d = dimer_from_dict(covers.relabel(covers.load_base("spp"), random.Random(0)))
+    assert list(d.arrow_ids) == sorted(d.arrow_by_id, key=idkey)
+    assert [d.arrow_rank[a] for a in d.arrow_ids] == list(range(len(d.arrows)))
+    for v in d.vertices:
+        assert d.leaving[v] == [a for a in d.arrow_ids if d.tail(a) == v]
+        assert d.entering[v] == [a for a in d.arrow_ids if d.head(a) == v]
+    orbits = dimer_module._orbits(d)
+    assert list(d.zigzag_of) == list(d.arrow_ids)
+    for a, (k, l) in d.zigzag_of.items():
+        assert a in orbits[k].zigs and a in orbits[l].zags
+    assert d.has_shifts and not Dimer("x", (), (Arrow("a", 0, 0, None),), ()).has_shifts
 
 
 def test_anti_zigzag_is_built_once_per_cycle_and_sign():

@@ -417,6 +417,6 @@ def test_ks_odd_images_find_each_strip_path_once(lattice_cover, tmp_path, monkey
     monkeypatch.setattr(MirrorSH, "xi_for_strip", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["report", str(path)]) == 0
-    # 2 classes with 4 strips: 6 strips past the first, searched once for the
-    # determinants and once for the odd images
-    assert len(calls) == 12
+    # 2 classes with 4 strips: 6 strips past the first, each searched once
+    # per verifier and read by both the determinants and the odd images
+    assert len(calls) == 6

@@ -24,6 +24,7 @@ from dimermirror.dimer import (
     tree_paths,
     vec_add,
     vec_sub,
+    word_key,
 )
 from dimermirror.io import dimer_from_dict, load_bundled
 from dimermirror.jacobi import Jacobi
@@ -807,3 +808,128 @@ def test_table_heights_match_the_chain_scan(name, k, l, seed, covers):
         assert mp.height(p) == matching_height(d, p, mp.reference, chains)
     # an arrow on neither chain adds nothing, as in the chain scan
     assert mp.height(PerfectMatching(mp.reference.edges | {"not-an-arrow"})) == (0, 0)
+
+
+# -- the old scans, kept as references for the per-dimer lookup tables ------------
+#
+# kasteleyn_signs scanned every arrow at each vertex, enumeration found each
+# arrow's faces by scanning every face, the pairing kept one zig-minus-zag
+# count table per cycle, and face_word_at scanned the faces on each call.
+
+
+def parent_kasteleyn_signs(d: Dimer) -> dict:
+    arrows = sorted(d.arrow_by_id, key=idkey)
+    bit = {a: 1 << r for r, a in enumerate(arrows)}
+    pivots = []
+    for v in d.vertices:
+        eq, deg = 0, 0
+        for a in arrows:
+            at_v = (d.tail(a), d.head(a)).count(v)
+            deg += at_v
+            if at_v == 1:
+                eq |= bit[a]
+        rhs = (deg // 2 + 1) & 1
+        for p, e, r in pivots:
+            if eq & p:
+                eq, rhs = eq ^ e, rhs ^ r
+        if eq:
+            pivots.append((eq & -eq, eq, rhs))
+        elif rhs:
+            raise DimerError(f"no Kasteleyn signs: the condition at vertex {v!r} contradicts the others")
+    odd = 0
+    for p, e, r in reversed(pivots):
+        if r ^ (bin(e & odd).count("1") & 1):
+            odd |= p
+    return {a: -1 if odd & bit[a] else 1 for a in arrows}
+
+
+def parent_enumerate_perfect_matchings(d: Dimer) -> list:
+    face_sets = [frozenset(f.boundary) for f in d.faces]
+    arrows = sorted(d.arrow_by_id, key=idkey)
+    faces_of = {a: [i for i, fs in enumerate(face_sets) if a in fs] for a in arrows}
+    results = []
+
+    def search(chosen: list, covered: int, forbidden: frozenset):
+        if covered == (1 << len(face_sets)) - 1:
+            results.append(frozenset(chosen))
+            return
+        best_cands = None
+        for i, fs in enumerate(face_sets):
+            if covered >> i & 1:
+                continue
+            cands = [a for a in fs if a not in forbidden]
+            if best_cands is None or len(cands) < len(best_cands):
+                best_cands = cands
+            if not cands:
+                return
+        for a in sorted(best_cands, key=idkey):
+            mask = covered
+            ok = True
+            for i in faces_of[a]:
+                if mask >> i & 1:
+                    ok = False
+                    break
+                mask |= 1 << i
+            if not ok:
+                continue
+            newly = frozenset(b for i in faces_of[a] for b in face_sets[i] if b not in forbidden)
+            search(chosen + [a], mask, forbidden | newly)
+
+    search([], 0, frozenset())
+    return sorted(set(results), key=lambda s: word_key(sorted(s, key=idkey)))
+
+
+def parent_pairing_matrix(sh) -> dict:
+    pairings = {}
+    for key, z in sh.cycles.items():
+        counts: dict = {}
+        for a in z.zigs:
+            counts[a] = counts.get(a, 0) + 1
+        for a in z.zags:
+            counts[a] = counts.get(a, 0) - 1
+        pairings[key] = counts
+    return {
+        (e, key): pairings[key].get(e, 0)
+        for e in sorted(sh.dimer.arrow_by_id, key=idkey)
+        for key in sorted(sh.cycles)
+    }
+
+
+def parent_face_word_at(d: Dimer, v) -> tuple:
+    for f in d.faces:
+        for k, aid in enumerate(f.boundary):
+            if d.tail(aid) == v:
+                return f.boundary[k:] + f.boundary[:k]
+    raise DimerError(f"vertex {v!r} on no face")
+
+
+def mixed_ids(raw: dict) -> dict:
+    """The same dimer with every other vertex and arrow id an int, so idkey orders ints before strings."""
+    vmap = {v: i * 7 % 11 if i % 2 else v for i, v in enumerate(raw["vertices"])}
+    amap = {a["id"]: i * 5 % 13 + 100 * (i % 3) if i % 2 else a["id"] for i, a in enumerate(raw["arrows"])}
+    return {
+        "name": raw["name"],
+        "vertices": [vmap[v] for v in raw["vertices"]],
+        "arrows": [{**a, "id": amap[a["id"]], "tail": vmap[a["tail"]], "head": vmap[a["head"]]} for a in raw["arrows"]],
+        "faces": [{**f, "boundary": [amap[x] for x in f["boundary"]]} for f in raw["faces"]],
+    }
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
+def test_lookup_tables_give_the_old_scans(name, k, l, seed, mirror, covers):
+    from dimermirror.dimer import face_word_at
+    from dimermirror.mirror_sh import MirrorSH
+
+    raw = covers.cover(covers.load_base(name), k, l) if (k, l) != (1, 1) else covers.load_base(name)
+    if seed is not None:
+        raw = mixed_ids(covers.relabel(raw, random.Random(seed)))
+    d = dimer_from_dict(mirrored(raw) if mirror else raw)
+    assert list(kasteleyn_signs(d).items()) == list(parent_kasteleyn_signs(d).items())
+    assert [p.edges for p in enumerate_perfect_matchings(d)] == parent_enumerate_perfect_matchings(d)
+    got = MirrorSH(d).pairing_matrix()
+    assert list(got.items()) == list(parent_pairing_matrix(MirrorSH(d)).items())
+    assert {type(x) for x in got.values()} == {int}
+    for v in d.vertices:
+        assert face_word_at(d, v) == parent_face_word_at(d, v)
