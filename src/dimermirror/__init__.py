@@ -22,6 +22,7 @@ from .dimer import (
     strips,
     surface_invariants,
     validate_dimer,
+    zigzag_classes,
     zigzag_cycles,
 )
 from .io import DimerFormatError, load_bundled, parse_dimer
@@ -47,6 +48,7 @@ __all__ = [
     "strips",
     "surface_invariants",
     "validate_dimer",
+    "zigzag_classes",
     "zigzag_cycles",
     "__version__",
 ]

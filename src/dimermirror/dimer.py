@@ -660,25 +660,34 @@ def _indexed_cycles(d: Dimer) -> list[ZigzagCycle]:
     cycles = _orbits(d)
     if not d.has_shifts:
         return cycles
-
-    classes = sorted(
-        {vec_neg(z.homology) for z in cycles if z.homology != (0, 0)},
-        key=ccw_angle_key,
-    )
-    null = [z for z in cycles if z.homology == (0, 0)]
     indexed: list[ZigzagCycle] = []
-    for i, eta in enumerate(classes, start=1):
-        members = [z for z in cycles if z.homology == vec_neg(eta)]
+    for i, (_, members) in enumerate(_homology_classes(d), start=1):
         order = _parallel_order(d, _class_components(d, i, members), members)
         for j, z in enumerate(order, start=1):
             indexed.append(
                 ZigzagCycle(z.arrows, z.zigs, z.zags, z.homology, class_index=i, parallel_index=j)
             )
-    for z in null:
-        indexed.append(z)
+    indexed += [z for z in cycles if z.homology == (0, 0)]
     rank = d.arrow_rank
     indexed.sort(key=lambda z: (z.class_index, z.parallel_index, rank[z.arrows[0]]))
     return indexed
+
+
+def _homology_classes(d: Dimer) -> list:
+    """[(eta_i, members)]: the cycles of class -eta_i, the eta_i sorted counterclockwise by angle.
+
+    Members are unindexed cycles in ``_orbits`` order; null-homologous
+    cycles are in no class.  No check is made.  Computed once per dimer.
+    """
+    return d._memo("homology_classes", lambda: _group_by_homology(d))
+
+
+def _group_by_homology(d: Dimer) -> list:
+    members: dict = {}
+    for z in _orbits(d):
+        if z.homology != (0, 0):
+            members.setdefault(vec_neg(z.homology), []).append(z)
+    return [(eta, members[eta]) for eta in sorted(members, key=ccw_angle_key)]
 
 
 def _parallel_order(d: Dimer, comp: dict, members: list[ZigzagCycle]) -> list[ZigzagCycle]:
@@ -943,33 +952,32 @@ def is_zigzag_consistent(d: Dimer):
     return True, None
 
 
-def parallel_classes(d: Dimer):
-    """Group zigzag cycles by homology class; check the intersection dichotomy.
+def zigzag_classes(d: Dimer) -> list:
+    """The zigzag classes of a consistent dimer: [(eta_i, [cycles of class -eta_i])] in class order.
 
-    Parallel cycles must be edge-disjoint, cycles of independent classes must
-    share an edge.  Returns [(eta_i, [Z_{i,1..m_i}])] in class order.
-    Computed once per dimer; the lists are shared, so do not mutate them.
+    Raises DimerError unless the dimer is zigzag consistent, every eta_i is
+    primitive, parallel cycles are edge-disjoint and cycles of independent
+    classes share an edge.  Classes are numbered as in ``zigzag_cycles``; the
+    members are not put in parallel order (``parallel_classes`` does that),
+    so they carry no class or parallel index.  Enough for the matching
+    polygon, whose edges need only eta_i and m_i.  Computed once per dimer;
+    the lists are shared, so do not mutate them.
     """
-    return d._memo("parallel_classes", lambda: _parallel_classes(d))
+    return d._memo("zigzag_classes", lambda: _zigzag_classes(d))
 
 
-def _parallel_classes(d: Dimer):
+def _zigzag_classes(d: Dimer) -> list:
     ok, witness = is_zigzag_consistent(d)
     if not ok:
         raise DimerError(f"dimer is not zigzag consistent: {witness}")
-    cycles = zigzag_cycles(d)
-    out = []
-    n_classes = max(z.class_index for z in cycles)
-    for i in range(1, n_classes + 1):
-        members = [z for z in cycles if z.class_index == i]
-        eta = vec_neg(members[0].homology)
+    classes = _homology_classes(d)
+    for eta, _ in classes:
         if not is_primitive(eta):
             raise DimerError(f"zigzag class {eta} is not primitive")
-        out.append((eta, members))
-    arrow_sets = [set(z.arrows) for z in cycles]
-    for (z1, s1), (z2, s2) in itertools.combinations(zip(cycles, arrow_sets), 2):
+    cycles = [(z, set(z.arrows)) for _, members in classes for z in members]
+    for (z1, s1), (z2, s2) in itertools.combinations(cycles, 2):
         disjoint = s1.isdisjoint(s2)
-        if z1.class_index == z2.class_index and not disjoint:
+        if z1.homology == z2.homology and not disjoint:
             raise DimerError(
                 f"parallel cycles share arrows {[a for a in d.arrow_ids if a in s1 and a in s2]}"
             )
@@ -978,7 +986,28 @@ def _parallel_classes(d: Dimer):
                 "independent zigzag cycles "
                 f"{z1.arrows} and {z2.arrows} share no arrow"
             )
-    return out
+    return classes
+
+
+def parallel_classes(d: Dimer) -> list:
+    """``zigzag_classes`` with each class's members in parallel order: [(eta_i, [Z_{i,1..m_i}])].
+
+    The members are the indexed cycles of ``zigzag_cycles``, whose ordering
+    builds the anti-zigzags and strip components of every class.  The
+    strips and the Koszul complex read these lists, and the SH model and the
+    ``zigzags`` and ``report`` listings read the same order off
+    ``zigzag_cycles``; the matching polygon reads ``zigzag_classes``.
+    Computed once per dimer; the lists are shared, so do not mutate them.
+    """
+    return d._memo("parallel_classes", lambda: _parallel_classes(d))
+
+
+def _parallel_classes(d: Dimer) -> list:
+    classes = zigzag_classes(d)
+    members: dict = {}
+    for z in zigzag_cycles(d):
+        members.setdefault(z.class_index, []).append(z)
+    return [(eta, members[i]) for i, (eta, _) in enumerate(classes, start=1)]
 
 
 def strips(d: Dimer, class_index: int) -> StripDecomposition:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .dimer import Arrow, Dimer, Face
+from .dimer import Arrow, Dimer, Face, idkey
 
 BUNDLED = ("c3", "conifold", "spp")
 
@@ -44,6 +44,22 @@ def _ids(values: tuple, where: str) -> tuple:
     return values
 
 
+def _distinct_keys(values: tuple, where: str) -> None:
+    """Refuse two unequal ids that share an ``idkey``, such as 1.0 and "1.0", or null and "None".
+
+    Ids are ordered by ``idkey``; two such ids would be ordered by their
+    place in the file's list, so each listing would follow that list.
+    Equal ids, such as true and 1, are left to validation as duplicates.
+    """
+    first: dict = {}
+    for i, value in enumerate(values):
+        j = first.setdefault(idkey(value), i)
+        if values[j] != value:
+            raise DimerFormatError(
+                f"{where.format(i)}: id {value!r} and id {values[j]!r} at {where.format(j)} share a sort key"
+            )
+
+
 def dimer_from_dict(data: dict) -> Dimer:
     if not isinstance(data, dict):
         raise DimerFormatError("top level: expected an object")
@@ -56,6 +72,7 @@ def dimer_from_dict(data: dict) -> Dimer:
         if not isinstance(data[key], list):
             raise DimerFormatError(f"{key}: expected a list, got {data[key]!r}")
     vertices = _ids(tuple(data["vertices"]), "vertices[{}]")
+    _distinct_keys(vertices, "vertices[{}]")
     arrows = []
     for i, rec in enumerate(data["arrows"]):
         where = f"arrows[{i}]"
@@ -67,7 +84,7 @@ def dimer_from_dict(data: dict) -> Dimer:
         arrows.append(
             Arrow(rec["id"], rec["tail"], rec["head"], _shift(rec.get("shift"), where))
         )
-    _ids(tuple(a.id for a in arrows), "arrows[{}].id")
+    _distinct_keys(_ids(tuple(a.id for a in arrows), "arrows[{}].id"), "arrows[{}].id")
     faces = []
     for i, rec in enumerate(data["faces"]):
         where = f"faces[{i}]"

@@ -8,12 +8,15 @@ the bipartite cycle P - P0.
 
 ``matching_polytope`` never lists the matchings.  It asks one exact-integer
 oracle, ``max_weight_matching`` (the Hungarian method with integer
-potentials), for a matching of greatest weight <nu, height>:
+potentials, one heap-based Dijkstra per row over the face pairs an arrow
+joins: O(n (n + E log E)) for n rows and E such pairs), for a matching of
+greatest weight <nu, height>:
 
 * P0 is the least matching in sorted-id order, the maximiser of
   sum 2^(|Q1| - 1 - rank(a)).
-* The polygon's edges are the zigzag classes: edge i has outward normal
-  -eta_i and lattice length m_i (Gulotta, arXiv:0807.3012).  The normals are
+* The polygon's edges are the zigzag classes (``zigzag_classes``, which
+  leaves each class's cycles unordered): edge i has outward normal -eta_i
+  and lattice length m_i (Gulotta, arXiv:0807.3012).  The normals are
   sorted counterclockwise and each is queried once; its potentials bound
   every height by b_i = max <-eta_i, h>.
 * A corner is a matching optimal for two consecutive normals.  Such a
@@ -80,11 +83,11 @@ from .dimer import (
     cross,
     dot,
     idkey,
-    parallel_classes,
     tree_paths,
     vec_add,
     vec_neg,
     vec_sub,
+    zigzag_classes,
 )
 
 
@@ -314,52 +317,67 @@ def max_weight_matching(w: list) -> tuple | None:
     perfect matching of greatest total weight, and the integer potentials
     satisfy u[i] + v[j] >= w[i][j] on every present pair, with equality on
     the matching.  Returns None when no perfect matching exists.  Works in
-    the cost form (cost = -weight) of the textbook shortest-augmenting-path
-    algorithm, O(n^3), with exact integers throughout.
+    the cost form (cost = -weight) of the shortest-augmenting-path
+    algorithm, with exact integers throughout: each row is added by Dijkstra
+    on the reduced costs of the present pairs, with a heap, and the columns
+    it settled have their potentials moved once, when it ends.  With E
+    present pairs that is O(n (n + E log E)) in all, against O(n^3) for the
+    textbook loop that scans every column at each step.
+
+    Ties are broken as that loop breaks them, so the answer is the same
+    (match, u, v): among the columns of least tentative distance the least
+    column is settled first, and a column keeps the first settled row that
+    reached it at its least distance.
     """
+    from heapq import heappop, heappush  # imported here: a cold start never solves
+
     n = len(w)
-    u = [0] * (n + 1)  # cost-form row potentials, 1-based
-    v = [0] * (n + 1)  # cost-form column potentials; column 0 is the free root
-    owner = [0] * (n + 1)  # row matched to each column, 0 if free
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        owner[0] = i
-        j0 = 0
-        minv: list = [None] * (n + 1)
-        used = [False] * (n + 1)
+    pairs = [[(j, -x) for j, x in enumerate(row) if x is not None] for row in w]
+    u = [0] * n  # cost-form row potentials
+    v = [0] * n  # cost-form column potentials
+    owner = [-1] * n  # row matched to each column, -1 if free
+    for r in range(n):
+        dist: list = [None] * n  # column -> least distance found so far from row r
+        way = [-1] * n  # column -> the settled column whose row reached it; -1 for row r
+        done = [False] * n  # settled for good, as the textbook loop's used columns
+        settled = []  # the owned columns settled, in order
+        heap: list = []
+        i, di, j0 = r, 0, -1
         while True:
-            used[j0] = True
-            i0 = owner[j0]
-            row = w[i0 - 1]
-            delta, j1 = None, 0
-            for j in range(1, n + 1):
-                if used[j]:
+            base = di - u[i]
+            for j, c in pairs[i]:
+                if done[j]:
                     continue
-                if row[j - 1] is not None:
-                    cur = -row[j - 1] - u[i0] - v[j]
-                    if minv[j] is None or cur < minv[j]:
-                        minv[j], way[j] = cur, j0
-                if minv[j] is not None and (delta is None or minv[j] < delta):
-                    delta, j1 = minv[j], j
-            if delta is None:
+                t = base + c - v[j]
+                dj = dist[j]
+                if dj is None or t < dj:
+                    dist[j], way[j] = t, j0
+                    heappush(heap, (t, j))
+            while heap:
+                dj, j = heappop(heap)
+                if dist[j] == dj:  # a stale entry has a distance since lowered
+                    break
+            else:
                 return None
-            for j in range(n + 1):
-                if used[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                elif minv[j] is not None:
-                    minv[j] -= delta
-            j0 = j1
-            if owner[j0] == 0:
+            if owner[j] < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            owner[j0] = owner[j1]
-            j0 = j1
+            done[j] = True
+            settled.append(j)
+            i, di, j0 = owner[j], dj, j
+        # potentials: each settled column moves by how much sooner it was reached
+        u[r] += dj
+        for k in settled:
+            s = dj - dist[k]
+            u[owner[k]] += s
+            v[k] -= s
+        while j >= 0:
+            j1 = way[j]
+            owner[j] = owner[j1] if j1 >= 0 else r
+            j = j1
     match = [0] * n
-    for j in range(1, n + 1):
-        match[owner[j] - 1] = j - 1
-    return match, [-x for x in u[1:]], [-x for x in v[1:]]
+    for j, i in enumerate(owner):
+        match[i] = j
+    return match, [-x for x in u], [-x for x in v]
 
 
 def _oracle(d: Dimer) -> "_MatchingOracle":
@@ -507,7 +525,7 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
     p0 = PerfectMatching(found[0], (0, 0))
     p0_class = _class_sum(p0.edges, arrow_class)
 
-    classes = parallel_classes(d)
+    classes = zigzag_classes(d)
     # edge k has outward normal -eta of class order[k]; counterclockwise
     order = sorted(range(len(classes)), key=lambda i: ccw_angle_key(vec_neg(classes[i][0])))
     normals = [vec_neg(classes[i][0]) for i in order]

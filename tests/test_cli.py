@@ -15,7 +15,7 @@ import pytest
 
 from dimermirror import cli
 from dimermirror.cli import EXIT_OK, EXIT_USAGE, main
-from dimermirror.io import dimer_from_dict, dimer_to_dict, load_bundled
+from dimermirror.io import DimerFormatError, dimer_from_dict, dimer_to_dict, load_bundled
 from test_matchings import ORACLE_ZOO, mirrored
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -166,6 +166,50 @@ def test_mixed_int_and_str_arrow_ids(tmp_path):
     rc, out, _ = run_cli("matchings", str(p))
     listed = [m["edges"] for m in json.loads(out)["matchings"]]
     assert listed == [[1, "c"], [1, "e"], ["c", "g"], [2, "b"], [2, "f"], ["e", "g"]]
+
+
+def renamed(raw: dict, names: dict) -> dict:
+    """The dimer with vertex and arrow ids replaced by ``names`` wherever they occur."""
+    def get(x):
+        return names.get(x, x)
+
+    return {
+        "name": raw["name"],
+        "vertices": [get(v) for v in raw["vertices"]],
+        "arrows": [{**a, "id": get(a["id"]), "tail": get(a["tail"]), "head": get(a["head"])} for a in raw["arrows"]],
+        "faces": [{**f, "boundary": [get(x) for x in f["boundary"]]} for f in raw["faces"]],
+    }
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_arrow_ids_that_share_a_sort_key_are_refused(reverse, tmp_path):
+    # 1.0 and "1.0" are unequal ids with one idkey, so their order would follow the arrow list
+    raw = renamed(json.loads((DATA / "c3.json").read_text()), {"x": 1.0, "y": "1.0"})
+    if reverse:
+        raw["arrows"].reverse()
+        error = "arrows[2].id: id 1.0 and id '1.0' at arrows[1].id share a sort key"
+    else:
+        error = "arrows[1].id: id '1.0' and id 1.0 at arrows[0].id share a sort key"
+    with pytest.raises(DimerFormatError) as err:
+        dimer_from_dict(raw)
+    assert str(err.value) == error
+    p = tmp_path / "c3_float_ids.json"
+    p.write_text(json.dumps(raw))
+    assert main_in_process("validate", str(p), "--format", "json") == (
+        1, json.dumps({"error": error, "valid": False}, indent=2) + "\n", ""
+    )
+
+
+def test_vertex_ids_that_share_a_sort_key_are_refused():
+    raw = renamed(json.loads((DATA / "conifold.json").read_text()), {1: None, 2: "None"})
+    with pytest.raises(DimerFormatError, match=r"^vertices\[1\]: id 'None' and id None at vertices\[0\] share"):
+        dimer_from_dict(raw)
+
+
+def test_equal_ids_of_two_types_stay_duplicates():
+    # true == 1: one id twice, which the validator reports, as before
+    d = dimer_from_dict(renamed(json.loads((DATA / "c3.json").read_text()), {"x": True, "y": 1}))
+    assert "duplicate_arrow" in d.validate().codes()
 
 
 def test_failure_json_names_its_stage(tmp_path, lattice_cover):
@@ -645,3 +689,36 @@ def test_unhashable_arrow_endpoint_stays_a_validation_issue(tmp_path):
     rc, out, err = run_cli("validate", str(p))
     assert rc == 1 and "Traceback" not in err
     assert "references unknown vertex [1]" in json.loads(out)["error"]
+
+
+# -- error paths on inconsistent dimers, pinned ----------------------------------
+
+
+# sha256 over (dimer name, command, exit code, stdout, stderr) of `validate`,
+# `zigzags`, `polytope` and `dual` on every single-arrow subdivision of the
+# dimer, each of them zigzag inconsistent (100 dimers, 400 runs); computed
+# before `polytope` stopped putting the parallel families in order, which
+# moved the checks that raise on such dimers.
+INCONSISTENT_OUTPUT_SHA256 = {
+    ("c3", 1, 1): "4c0eab9bcbb47fdfbffd0b7b5f87103b122f4e05936a05cbd4090e103c95ab0b",
+    ("conifold", 1, 1): "6f80a73547dd0e1c0bb99633457b124fa6ddfa53310127e1f91e1cf2c566dbde",
+    ("spp", 1, 1): "70a0ab6bf5f1f1c8f557f1db6b6f8d10d3ea0a4a4f1bbe09dfae7f1b67ae3952",
+    ("c3", 2, 1): "6f89e8971f4b7374bf7e1cee95cf54f88d279c8fccacf1b7af5782f001d7c44f",
+    ("spp", 2, 1): "429434249244cfc0851f1566cab283b041473d83d6fdcd33cf75979d6cb4b313",
+    ("conifold", 2, 2): "ec9fc2070038ef03bd8948b0c4e67fe4218e768a5f5b8bcaa726084e49f236a9",
+}
+
+
+@pytest.mark.parametrize("name,k,l", list(INCONSISTENT_OUTPUT_SHA256))
+def test_error_paths_are_byte_identical_on_inconsistent_dimers(name, k, l, covers, tmp_path, monkeypatch):
+    from test_dimer import subdivisions
+
+    raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for data in subdivisions(raw):
+        Path("dimer.json").write_text(json.dumps(data))
+        for cmd in ("validate", "zigzags", "polytope", "dual"):
+            rc, out, err = main_in_process(cmd, "dimer.json")
+            h.update(repr((data["name"], cmd, rc, out, err)).encode())
+    assert h.hexdigest() == INCONSISTENT_OUTPUT_SHA256[(name, k, l)]

@@ -24,6 +24,7 @@ from dimermirror import (
     strips,
     surface_invariants,
     load_bundled,
+    zigzag_classes,
     zigzag_cycles,
 )
 from dimermirror.cli import with_base_vertex
@@ -539,6 +540,48 @@ def test_each_lookup_table_is_built_once_per_dimer(monkeypatch):
     # polytope builds no vertex incidence; verify's dual dimer builds only what validation needs
     assert [d.name for d in built["_vertex_incidence"]] == ["conifold"]
     assert sorted(d.name for d in built["_zigzag_orbits"]) == ["conifold", "conifold"]
+
+
+def test_polytope_orders_no_parallel_family(monkeypatch, tmp_path, lattice_cover):
+    from dimermirror import cli
+
+    calls = []
+    for name in ("_parallel_order", "anti_zigzag", "_class_components"):
+        original = getattr(dimer_module, name)
+        monkeypatch.setattr(
+            dimer_module, name, lambda *args, name=name, original=original: calls.append(name) or original(*args)
+        )
+    cover = tmp_path / "conifold_4x3.json"
+    cover.write_text(json.dumps(lattice_cover("conifold", 4, 3)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for target in ("c3", "conifold", "spp", str(cover)):
+            assert cli.main(["polytope", target]) == 0
+        assert calls == []
+        # the control: listing the zigzags orders spp's family of two through all three
+        assert cli.main(["zigzags", "spp"]) == 0
+    assert set(calls) == {"_parallel_order", "anti_zigzag", "_class_components"}
+
+
+def test_verify_checks_consistency_and_groups_the_classes_once(monkeypatch):
+    from dimermirror import cli
+
+    calls = []
+    for name in ("is_zigzag_consistent", "_zigzag_classes"):
+        original = getattr(dimer_module, name)
+        monkeypatch.setattr(dimer_module, name, lambda d, name=name, original=original: calls.append(name) or original(d))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "conifold"]) == 0
+    assert sorted(calls) == ["_zigzag_classes", "is_zigzag_consistent"]
+
+
+def test_zigzag_classes_are_the_parallel_classes_unordered(covers):
+    for name, k, l in ORACLE_ZOO:
+        d = dimer_from_dict(_raw(covers, name, k, l))
+        classes, ordered = zigzag_classes(d), parallel_classes(d)
+        assert [eta for eta, _ in classes] == [eta for eta, _ in ordered]
+        for (_, members), (_, chain) in zip(classes, ordered):
+            assert sorted(z.arrows for z in members) == sorted(z.arrows for z in chain)
+            assert [z.parallel_index for z in chain] == list(range(1, len(chain) + 1))
 
 
 def test_lookup_tables_follow_the_arrow_order(covers):

@@ -499,6 +499,94 @@ def test_max_weight_matching_against_brute_force():
         )
 
 
+def parent_max_weight_matching(w: list) -> tuple | None:
+    """The dense solver the heap-based one replaced, kept as its reference.
+
+    The textbook shortest-augmenting-path loop in cost form: every step scans
+    every column, O(n^3) in all.
+    """
+    n = len(w)
+    u = [0] * (n + 1)  # cost-form row potentials, 1-based
+    v = [0] * (n + 1)  # cost-form column potentials; column 0 is the free root
+    owner = [0] * (n + 1)  # row matched to each column, 0 if free
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        minv: list = [None] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = owner[j0]
+            row = w[i0 - 1]
+            delta, j1 = None, 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                if row[j - 1] is not None:
+                    cur = -row[j - 1] - u[i0] - v[j]
+                    if minv[j] is None or cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                if minv[j] is not None and (delta is None or minv[j] < delta):
+                    delta, j1 = minv[j], j
+            if delta is None:
+                return None
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                elif minv[j] is not None:
+                    minv[j] -= delta
+            j0 = j1
+            if owner[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    match = [0] * n
+    for j in range(1, n + 1):
+        match[owner[j] - 1] = j - 1
+    return match, [-x for x in u[1:]], [-x for x in v[1:]]
+
+
+def test_max_weight_matching_gives_the_dense_answer():
+    # every tie broken alike: equal matchings and equal potentials, not only equal weight
+    rng = random.Random(11)
+    solved = 0
+    for _ in range(5000):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        scale = rng.choice([0, 1, 3, 2**10, 2**40])  # 0 and 1: nearly every weight ties
+        w = [[rng.randint(-scale, scale) if rng.random() < density else None for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.1:
+            w[rng.randrange(n)] = [None] * n  # a row with no pair
+        found = matchings.max_weight_matching(w)
+        assert found == parent_max_weight_matching(w), w
+        solved += found is not None
+    assert 1000 < solved < 4000  # both outcomes are well represented
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
+def test_every_oracle_query_gets_the_dense_answer(name, k, l, seed, covers, monkeypatch):
+    queries = []
+    original = matchings.max_weight_matching
+
+    def checked(w):
+        queries.append(w)
+        found = original(w)
+        assert found == parent_max_weight_matching(w)
+        return found
+
+    monkeypatch.setattr(matchings, "max_weight_matching", checked)
+    d = zoo_dimer(covers, name, k, l, seed)
+    edges = matching_polytope(d).edges
+    basis = matching_basis(d)
+    # P0, one query per normal, and one or two per basis step
+    assert len(queries) >= 1 + len(edges) + basis.rank
+
+
 def test_polytope_and_jacobi_never_enumerate(monkeypatch, tmp_path, lattice_cover):
     calls = []
     original = matchings.enumerate_perfect_matchings
@@ -586,7 +674,7 @@ def test_corner_with_two_optimal_matchings_fails(monkeypatch, name, c1, c2):
         normal, length = matchings._outward_normal(a, b)
         classes.append(((-normal[0], -normal[1]), [None] * length))
     monkeypatch.setattr(matchings, "arrow_classes", lambda d: {a: (c1.get(a, 0), c2.get(a, 0)) for a in d.arrow_by_id})
-    monkeypatch.setattr(matchings, "parallel_classes", lambda _: classes)
+    monkeypatch.setattr(matchings, "zigzag_classes", lambda _: classes)
     with pytest.raises(DimerError, match="carries more than one matching"):
         matching_polytope(d)
 
@@ -609,7 +697,7 @@ def test_a_turned_zigzag_class_fails_the_edge_certificate(name, k, l, covers, mo
     assert sorted(e.normal for e in mp.edges) == sorted((-x, -y) for (x, y), _ in classes)
     seen = set()
     for turned in turned_classes(classes):
-        monkeypatch.setattr(matchings, "parallel_classes", lambda _, c=turned: c)
+        monkeypatch.setattr(matchings, "zigzag_classes", lambda _, c=turned: c)
         with pytest.raises(DimerError, match="share no corner|do not turn once around a polygon") as err:
             matching_polytope(zoo_dimer(covers, name, k, l))
         seen.add("share no corner" in str(err.value))
@@ -626,11 +714,11 @@ def test_an_extra_or_short_zigzag_class_fails_the_edge_certificate(name, monkeyp
     # a class normal to a corner's cone, between two edges, puts a corner where an edge should be
     (x, y), (u, v) = edges[0].normal, edges[1].normal
     extra = classes + [((-x - u, -y - v), classes[0][1])]
-    monkeypatch.setattr(matchings, "parallel_classes", lambda _: extra)
+    monkeypatch.setattr(matchings, "zigzag_classes", lambda _: extra)
     with pytest.raises(DimerError, match=f"the edge normal to -eta_{len(extra)} collapses to the corner"):
         matching_polytope(load_bundled(name))
     short = [(eta, members[:-1] if i == 0 else members) for i, (eta, members) in enumerate(classes)]
-    monkeypatch.setattr(matchings, "parallel_classes", lambda _: short)
+    monkeypatch.setattr(matchings, "zigzag_classes", lambda _: short)
     with pytest.raises(DimerError, match="to -eta_1 has lattice length"):
         matching_polytope(load_bundled(name))
 
