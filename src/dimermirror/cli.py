@@ -90,74 +90,100 @@ def _failure(exc: Exception) -> dict:
 
 
 def _emit(data, fmt: str, title: str) -> None:
+    """Print data as JSON (``_write``) or as markdown under the given title.
+
+    The JSON layout table lives for this one call: its keys carry whatever
+    keys the data has, vertex ids among them, so a table kept across calls
+    would grow with every input a long-running process sees.
+    """
     if fmt == "json":
-        out = []
-        _encode(data, "\n", out.append)
-        print("".join(out))
+        print(_write(data, "\n", {}))
     else:
         print(_markdown(data, title))
 
 
-def _encode(x, nl: str, put) -> None:
-    """Write x as ``json.dumps(_jsonable(x), indent=2, sort_keys=True)`` does.
+# exact type -> its JSON text, for the scalars written inline
+_SCALARS = {
+    str: _escape,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _layout(keys, inner: str) -> list:
+    """(key, the text before its value) for each key, in sorted order."""
+    return [(k, ("," if i else "{") + inner + _escape(k) + ": ") for i, k in enumerate(sorted(keys))]
+
+
+def _write(x, nl: str, layouts: dict) -> str:
+    """The text of ``json.dumps(_jsonable(x), indent=2, sort_keys=True)``.
 
     One pass over x, converting as ``_jsonable`` does on the way, so the
     indented text comes out without the pure-Python encoder ``json`` falls
     back to when ``indent`` is set.  ``nl`` is the newline and indent of the
-    current level; each piece of text goes to ``put``.
+    current level.  Each container's text is joined once; a member whose
+    exact type is in ``_SCALARS`` is written inline, and only other members
+    recurse.  A dict whose keys are all of exact type ``str`` takes its
+    layout, the sorted keys each with the text before its value, from
+    ``layouts``, keyed by (its keys in insertion order, nl), and adds it there
+    on first sight, so dicts of one shape are sorted and escaped once.
     """
-    if isinstance(x, str):
-        put(_escape(x))
-    elif x is None:
-        put("null")
-    elif x is True:
-        put("true")
-    elif x is False:
-        put("false")
-    elif isinstance(x, int):
-        put(int.__repr__(x))
-    elif isinstance(x, float):
-        if x != x:
-            put("NaN")
-        elif x == math.inf:
-            put("Infinity")
-        elif x == -math.inf:
-            put("-Infinity")
-        else:
-            put(float.__repr__(x))
-    elif isinstance(x, dict):
+    inner = nl + "  "
+    scalar = _SCALARS.get
+    if isinstance(x, dict):
         if not x:
-            put("{}")
-            return
-        items = {k if type(k) is str else str(_jsonable(k)): v for k, v in x.items()}
-        inner = nl + "  "
-        sep = "{" + inner
-        for k in sorted(items):
-            put(sep)
-            put(_escape(k))
-            put(": ")
-            _encode(items[k], inner, put)
-            sep = "," + inner
+            return "{}"
+        keys = tuple(x)
+        for k in keys:
+            if type(k) is not str:
+                # the later of two keys equal under str() wins, as in _jsonable
+                x = {k if type(k) is str else str(_jsonable(k)): v for k, v in x.items()}
+                layout = _layout(x, inner)
+                break
+        else:
+            layout = layouts.get((keys, nl))
+            if layout is None:
+                layout = layouts[keys, nl] = _layout(keys, inner)
+        parts = []
+        put = parts.append
+        for k, before in layout:
+            v = x[k]
+            put(before)
+            f = scalar(type(v))
+            put(f(v) if f else _write(v, inner, layouts))
         put(nl + "}")
-    elif isinstance(x, (list, tuple, set, frozenset)):
+        return "".join(parts)
+    if isinstance(x, (list, tuple, set, frozenset)):
         if isinstance(x, (set, frozenset)):
             x = sorted(x, key=str)
         if not x:
-            put("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for v in x:
-            put(sep)
-            _encode(v, inner, put)
-            sep = "," + inner
-        put(nl + "]")
-    elif hasattr(x, "as_dict"):
-        _encode(x.as_dict(), nl, put)
-    elif hasattr(x, "__dict__"):
-        _encode(vars(x), nl, put)
-    else:
-        put(_escape(str(x)))
+            return "[]"
+        parts = [f(v) if (f := scalar(type(v))) else _write(v, inner, layouts) for v in x]
+        return "[" + inner + ("," + inner).join(parts) + nl + "]"
+    if isinstance(x, str):
+        return _escape(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == math.inf:
+            return "Infinity"
+        if x == -math.inf:
+            return "-Infinity"
+        return float.__repr__(x)
+    if hasattr(x, "as_dict"):
+        return _write(x.as_dict(), nl, layouts)
+    if hasattr(x, "__dict__"):
+        return _write(vars(x), nl, layouts)
+    return _escape(str(x))
 
 
 def _markdown(data, title: str, level: int = 1) -> str:

@@ -7,10 +7,10 @@ relative to the reference matching P0: the dual of the homology class of
 the bipartite cycle P - P0.
 
 ``matching_polytope`` never lists the matchings.  It asks one exact-integer
-oracle, ``max_weight_matching`` (the Hungarian method with integer
-potentials, one heap-based Dijkstra per row over the face pairs an arrow
-joins: O(n (n + E log E)) for n rows and E such pairs), for a matching of
-greatest weight <nu, height>:
+oracle, ``_MatchingOracle.best`` (the Hungarian method with integer
+potentials, ``_hungarian``: one heap-based Dijkstra per row over the face
+pairs an arrow joins, O(n (n + E log E)) for n rows and E such pairs), for a
+matching of greatest weight <nu, height>:
 
 * P0 is the least matching in sorted-id order, the maximiser of
   sum 2^(|Q1| - 1 - rank(a)).
@@ -58,7 +58,7 @@ Two more polynomial computations stand in for the list of all matchings:
 
 The oracle is built once per dimer and shared by all three, and the table by
 the polygon and the count.
-Enumeration (``enumerate_perfect_matchings``) still runs for
+Enumeration (``enumerate_perfect_matchings``, once per dimer) still runs for
 ``MatchingPolytope.points``, read on first use by the ``matchings`` listing
 (which refuses dimers above ``ks.ENUMERATION_GATE``) and by
 ``check_against_enumeration``.  ``ks.KSVerifier`` runs it only as an oracle,
@@ -164,7 +164,16 @@ class MatchingPolytope(_Record):
 
 
 def enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
-    """Exact-cover search: each face boundary contains exactly one chosen arrow."""
+    """Every perfect matching, by exact-cover search: each face boundary contains exactly one chosen arrow.
+
+    The search runs once per dimer: every call returns the same list, kept
+    in the dimer's cache and shared by ``MatchingPolytope.points`` and
+    ``ks.KSVerifier``, so callers must not mutate it.
+    """
+    return d._memo("perfect_matchings", lambda: _enumerate_perfect_matchings(d))
+
+
+def _enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
     d.require_valid()
     face_sets = [frozenset(f.boundary) for f in d.faces]
     rank = d.arrow_rank
@@ -316,8 +325,16 @@ def max_weight_matching(w: list) -> tuple | None:
     Returns ``(match, u, v)``: row i is matched to column ``match[i]`` in a
     perfect matching of greatest total weight, and the integer potentials
     satisfy u[i] + v[j] >= w[i][j] on every present pair, with equality on
-    the matching.  Returns None when no perfect matching exists.  Works in
-    the cost form (cost = -weight) of the shortest-augmenting-path
+    the matching.  Returns None when no perfect matching exists.  The dense
+    form of ``_hungarian``, which reads only the present pairs.
+    """
+    return _hungarian([[(j, -x) for j, x in enumerate(row) if x is not None] for row in w])
+
+
+def _hungarian(pairs: list) -> tuple | None:
+    """``max_weight_matching`` on the present pairs alone: pairs[i] lists row i's (column, -weight).
+
+    Works in the cost form (cost = -weight) of the shortest-augmenting-path
     algorithm, with exact integers throughout: each row is added by Dijkstra
     on the reduced costs of the present pairs, with a heap, and the columns
     it settled have their potentials moved once, when it ends.  With E
@@ -331,8 +348,7 @@ def max_weight_matching(w: list) -> tuple | None:
     """
     from heapq import heappop, heappush  # imported here: a cold start never solves
 
-    n = len(w)
-    pairs = [[(j, -x) for j, x in enumerate(row) if x is not None] for row in w]
+    n = len(pairs)
     u = [0] * n  # cost-form row potentials
     v = [0] * n  # cost-form column potentials
     owner = [-1] * n  # row matched to each column, -1 if free
@@ -401,25 +417,34 @@ class _MatchingOracle:
         col = {fi: j for j, fi in enumerate(neg)}
         self.n = len(pos) if len(pos) == len(neg) else None
         self.ends = {a: (row[d.pos_face_of(a)], col[d.neg_face_of(a)]) for a in self.arrows}
+        # by (row, column), and in id order among parallel arrows
+        self.by_pair = sorted(self.arrows, key=self.ends.__getitem__)
 
     def best(self, weight: dict, label) -> tuple | None:
         """(matched arrows, tight arrows) of greatest total weight, or None if there is no matching.
 
-        Raises DimerError unless the solver's potentials prove the answer
-        optimal: u[i] + v[j] >= weight[a] on every arrow a from row i to
-        column j, and the matching's weight equals sum(u) + sum(v).  The tight
-        arrows are those with u[i] + v[j] == weight[a]; every optimal matching
-        uses only them.
+        Each row's (column, -weight) pairs come straight from its arrows, in
+        column order, so the solver (``_hungarian``) reads about four pairs a
+        row rather than a dense n x n matrix.  Raises DimerError unless the
+        solver's potentials prove the answer optimal: u[i] + v[j] >= weight[a]
+        on every arrow a from row i to column j, and the matching's weight
+        equals sum(u) + sum(v).  The tight arrows are those with
+        u[i] + v[j] == weight[a]; every optimal matching uses only them.
         """
         if self.n is None:
             return None
-        w: list = [[None] * self.n for _ in range(self.n)]
+        pairs: list = [[] for _ in range(self.n)]
         pick: dict = {}
-        for a in self.arrows:
+        for a in self.by_pair:
             i, j = self.ends[a]
-            if w[i][j] is None or weight[a] > w[i][j]:
-                w[i][j], pick[i, j] = weight[a], a
-        found = max_weight_matching(w)
+            row = pairs[i]
+            if row and row[-1][0] == j:  # a parallel arrow: the heaviest, then the least id
+                if weight[a] <= -row[-1][1]:
+                    continue
+                row.pop()
+            row.append((j, -weight[a]))
+            pick[i, j] = a
+        found = _hungarian(pairs)
         if found is None:
             return None
         match, u, v = found

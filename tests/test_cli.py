@@ -372,6 +372,17 @@ class Colour(enum.IntEnum):
     RED = 1
 
 
+class Tag(str):
+    """A str key that writes otherwise under str(): it must not take the layout of its equal str."""
+
+    def __str__(self):
+        return "tag " + self
+
+
+ROW = {"detail": {"e2": 1, "sh": 1}, "name": "count.even.i1.n1", "status": "pass"}
+PUNCTUATED = '{"a": [1, 2]}, [",", "\\"]'
+
+
 EDGE_CASES = [
     {}, [], (), set(), frozenset(), "", 0,
     {"a": {}, "b": [], "c": [[], {}, ()], "d": {"e": {}}}, [[[]]],
@@ -384,6 +395,17 @@ EDGE_CASES = [
     [-0.0, float("nan"), float("inf"), float("-inf")],
     -7, 2 ** 70, True, False, None, [True, False, None, 1, 1.0],
     WithAsDict(), WithVars(), StrOnly(), [WithAsDict(), {"v": WithVars(), "s": StrOnly()}],
+    # the layouts of one call: a key tuple at two depths, a key set in two
+    # insertion orders, many rows of one shape, str keys under mixed keys,
+    # keys that collide under str() among str-keyed dicts, and text that
+    # looks like JSON
+    {"a": 1, "b": {"a": [{"a": 2, "b": None}], "b": {"a": {}, "b": 3}}},
+    [{"b": 1, "a": 2}, {"a": 3, "b": 4}, {"b": {"b": 5, "a": 6}, "a": {"a": 7, "b": 8}}],
+    [dict(ROW, detail=dict(ROW["detail"])) for _ in range(1000)],
+    {1: {"b": 1, "a": 2}, "x": {"a": 3, "b": {2: "int", "c": "str"}}, (1, 2): [{"b": 0, "a": 1}]},
+    [{"1": 0, "a": 1}, {1: "int", "1": "str"}, {"1": "str", 1: "int"}, {"1": 2, "a": 3}],
+    [{"a": 1, "b": 2}, {Tag("a"): 3, "b": 4}, {"b": 5, Tag("b"): 6}],
+    {PUNCTUATED: PUNCTUATED, "k": [PUNCTUATED, {PUNCTUATED: [PUNCTUATED]}]},
 ]
 
 
@@ -391,6 +413,46 @@ EDGE_CASES = [
 def test_emit_json_matches_json_dumps_on_edge_cases(case, capsys):
     x = EDGE_CASES[case]
     assert emitted_json(x, capsys) == oracle_json(x)
+
+
+@pytest.mark.parametrize("name,k,l", [("conifold", 4, 1), ("c3", 3, 3)])
+def test_emit_json_matches_json_dumps_on_cover_reports(name, k, l, covers, monkeypatch, capsys, tmp_path):
+    p = tmp_path / f"{name}_{k}x{l}.json"
+    p.write_text(json.dumps(covers.cover(covers.load_base(name), k, l)))
+    (data,) = recorded_emits(monkeypatch, ["report", str(p)])
+    assert emitted_json(data, capsys) == oracle_json(data)
+
+
+def cli_module_state() -> dict:
+    """The size of each container, and of each cache, that cli binds at module level."""
+    sizes = {}
+    for name, obj in vars(cli).items():
+        if name.startswith("__"):
+            continue
+        if isinstance(obj, (dict, list, set, frozenset, tuple)):
+            sizes[name] = len(obj)
+        elif hasattr(obj, "cache_info"):
+            sizes[name] = obj.cache_info().currsize
+    return sizes
+
+
+def test_emit_keeps_no_state_across_calls(covers, tmp_path):
+    # a report keys some of its dicts by vertex ids, which each relabeling
+    # renames, so a layout table kept between calls would grow with every input
+    p = tmp_path / "dimer.json"
+    main_in_process("verify", "conifold")  # builds the parser once
+    before = cli_module_state()
+    reports = set()
+    for name in ("conifold", "spp"):
+        for seed in range(25):
+            p.write_text(json.dumps(covers.relabel(covers.cover(covers.load_base(name), 2, 1), random.Random(seed))))
+            rc, out, err = main_in_process("verify", str(p))
+            assert rc == 0 and json.loads(out)["passed"] and err == ""
+            rc, out, err = main_in_process("report", str(p))
+            assert rc == 0 and err == ""
+            reports.add(out)
+    assert len(reports) == 50  # every relabeling reaches the output
+    assert cli_module_state() == before
 
 
 # -- main called repeatedly in one process --------------------------------------

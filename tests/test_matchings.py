@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from dimermirror import matchings
+from dimermirror import ks, matchings
 from dimermirror.cli import main
 from dimermirror.dimer import (
     Dimer,
@@ -550,6 +550,15 @@ def parent_max_weight_matching(w: list) -> tuple | None:
     return match, [-x for x in u[1:]], [-x for x in v[1:]]
 
 
+def dense(pairs: list) -> list:
+    """The weight matrix of the solver's sparse rows of (column, -weight); None marks a missing pair."""
+    w = [[None] * len(pairs) for _ in pairs]
+    for i, row in enumerate(pairs):
+        for j, c in row:
+            w[i][j] = -c
+    return w
+
+
 def test_max_weight_matching_gives_the_dense_answer():
     # every tie broken alike: equal matchings and equal potentials, not only equal weight
     rng = random.Random(11)
@@ -571,15 +580,18 @@ def test_max_weight_matching_gives_the_dense_answer():
 @pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
 def test_every_oracle_query_gets_the_dense_answer(name, k, l, seed, covers, monkeypatch):
     queries = []
-    original = matchings.max_weight_matching
+    original = matchings._hungarian
 
-    def checked(w):
+    def checked(pairs):
+        # one pair per column a row reaches, in column order
+        assert all([j for j, _ in row] == sorted({j for j, _ in row}) for row in pairs)
+        w = dense(pairs)
         queries.append(w)
-        found = original(w)
+        found = original(pairs)
         assert found == parent_max_weight_matching(w)
         return found
 
-    monkeypatch.setattr(matchings, "max_weight_matching", checked)
+    monkeypatch.setattr(matchings, "_hungarian", checked)
     d = zoo_dimer(covers, name, k, l, seed)
     edges = matching_polytope(d).edges
     basis = matching_basis(d)
@@ -609,6 +621,19 @@ def test_polytope_and_jacobi_never_enumerate(monkeypatch, tmp_path, lattice_cove
     assert spp.points is spp.points and calls == ["spp"]
 
 
+def test_verify_runs_the_exact_cover_search_once(monkeypatch):
+    # the cross-check (mp.points) and the listing share the one enumerated list
+    searches, calls = [], []
+    search, listing = matchings._enumerate_perfect_matchings, matchings.enumerate_perfect_matchings
+    monkeypatch.setattr(matchings, "_enumerate_perfect_matchings", lambda d: searches.append(d.name) or search(d))
+    monkeypatch.setattr(matchings, "enumerate_perfect_matchings", lambda d: calls.append(d.name) or listing(d))
+    monkeypatch.setattr(ks, "enumerate_perfect_matchings", matchings.enumerate_perfect_matchings)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["verify", "conifold"]) == 0
+    assert json.loads(out.getvalue())["passed"]
+    assert calls == ["conifold", "conifold"] and searches == ["conifold"]
+
+
 @pytest.mark.parametrize("name,k,l", [("c3", 6, 6), ("conifold", 5, 5)])
 def test_polytope_of_large_covers(name, k, l, covers, tmp_path):
     # 263,640 matchings on c3 6x6; enumerating conifold 5x5 runs out of memory
@@ -627,12 +652,13 @@ def test_polytope_of_large_covers(name, k, l, covers, tmp_path):
 def test_non_optimal_solver_answer_fails_the_dual_certificate(monkeypatch):
     # after the P0 query come the edge-normal queries; the first of them
     # gets a strictly lighter perfect matching, with the optimal potentials
-    original = matchings.max_weight_matching
+    original = matchings._hungarian
     calls, swapped = [], []
 
-    def lighter(w):
+    def lighter(pairs):
+        w = dense(pairs)
         calls.append(w)
-        match, u, v = original(w)
+        match, u, v = original(pairs)
         if len(calls) > 1 and not swapped:
             n = len(w)
             best = sum(w[i][match[i]] for i in range(n))
@@ -643,7 +669,7 @@ def test_non_optimal_solver_answer_fails_the_dual_certificate(monkeypatch):
                         return list(perm), u, v
         return match, u, v
 
-    monkeypatch.setattr(matchings, "max_weight_matching", lighter)
+    monkeypatch.setattr(matchings, "_hungarian", lighter)
     with pytest.raises(DimerError, match="not certified optimal"):
         matching_polytope(load_bundled("spp"))
     assert swapped == [2]  # on spp, the first edge-normal query
@@ -729,8 +755,8 @@ def test_an_extra_or_short_zigzag_class_fails_the_edge_certificate(name, monkeyp
 def test_polytope_makes_one_solve_per_zigzag_class(name, k, l, solves, covers, monkeypatch):
     d = zoo_dimer(covers, name, k, l)
     calls = []
-    original = matchings.max_weight_matching
-    monkeypatch.setattr(matchings, "max_weight_matching", lambda w: calls.append(w) or original(w))
+    original = matchings._hungarian
+    monkeypatch.setattr(matchings, "_hungarian", lambda pairs: calls.append(pairs) or original(pairs))
     matching_polytope(d)
     assert len(calls) == 1 + len(parallel_classes(d)) == solves  # P0, then one per edge
 
