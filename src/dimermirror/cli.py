@@ -440,7 +440,7 @@ def cmd_sh(args) -> int:
 
 def _verifier(args) -> KSVerifier:
     d = _load(args.file, args.base_vertex)
-    return KSVerifier(d, n_max=args.n_max, i0=args.i0, ab=args.ab)
+    return KSVerifier(d, i0=args.i0, ab=args.ab)
 
 
 def cmd_verify(args) -> int:
@@ -487,8 +487,8 @@ def cmd_report(args) -> int:
             "2I+B-2": 2 * mp.interior_count + mp.boundary_count - 2,
             "2g+N-2": 2 * g + npunct - 2,
         },
-        "ks_even_images": v.ks_even_images(),
-        "ks_odd_images": v.ks_odd_images(),
+        "ks_even_images": v.ks_even_images(args.n_max),
+        "ks_odd_images": v.ks_odd_images(args.n_max),
         "verification": rep.as_dict(),
     }
     _emit(data, args.format, f"full report for {d.name}")
@@ -504,13 +504,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, base=True, nmax=False, caps=False):
+    def common(p, base=True, nmax=False, odd=False, caps=False):
         p.add_argument("file", help=f"dimer JSON file or bundled name {BUNDLED}")
         p.add_argument("--format", choices=("json", "markdown"), default="json")
         if base:
             p.add_argument("--base-vertex", default=None, help="vertex anchoring strip order")
         if nmax:
             p.add_argument("--n-max", type=int, default=10, dest="n_max")
+        if odd:
             p.add_argument("--i0", type=int, default=1, help="distinguished class index")
             p.add_argument("--ab", type=_pair, default=None, help="a,b for the odd combination")
         if caps:
@@ -545,19 +546,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_jacobi)
 
     p = sub.add_parser("hh", help="Hochschild generators and second-page basis")
-    common(p, nmax=True, caps=True)
+    common(p, nmax=True, odd=True, caps=True)
     p.set_defaults(func=cmd_hh)
 
     p = sub.add_parser("sh", help="symplectic cohomology basis and pairings")
-    common(p, nmax=True)
+    common(p, nmax=True, odd=True)
     p.set_defaults(func=cmd_sh)
 
     p = sub.add_parser("verify", help="run every correspondence check")
-    common(p, nmax=True)
+    common(p, odd=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="one document with all module outputs")
-    common(p, nmax=True)
+    common(p, nmax=True, odd=True)
     p.set_defaults(func=cmd_report)
     return ap
 

@@ -45,19 +45,22 @@ def _ids(values: tuple, where: str) -> tuple:
 
 
 def _distinct_keys(values: tuple, where: str) -> None:
-    """Refuse two unequal ids that share an ``idkey``, such as 1.0 and "1.0", or null and "None".
+    """Refuse two unequal ids that share an ``idkey`` or a ``str()``.
 
-    Ids are ordered by ``idkey``; two such ids would be ordered by their
-    place in the file's list, so each listing would follow that list.
+    Ids are ordered by ``idkey``; two ids sharing one, such as 1.0 and "1.0",
+    or null and "None", would be ordered by their place in the file's list,
+    so each listing would follow that list.  Every output keys by ``str(id)``,
+    so two ids sharing a ``str()``, such as 1 and "1", would print as one key.
     Equal ids, such as true and 1, are left to validation as duplicates.
     """
-    first: dict = {}
+    first: dict = {}  # idkeys are tuples, so they never meet a str() here
     for i, value in enumerate(values):
-        j = first.setdefault(idkey(value), i)
-        if values[j] != value:
-            raise DimerFormatError(
-                f"{where.format(i)}: id {value!r} and id {values[j]!r} at {where.format(j)} share a sort key"
-            )
+        for key, clash in ((idkey(value), "share a sort key"), (str(value), "print as the same key")):
+            j = first.setdefault(key, i)
+            if values[j] != value:
+                raise DimerFormatError(
+                    f"{where.format(i)}: id {value!r} and id {values[j]!r} at {where.format(j)} {clash}"
+                )
 
 
 def dimer_from_dict(data: dict) -> Dimer:

@@ -73,10 +73,11 @@ class KSReport(_Record):
 
 
 class KSVerifier:
-    def __init__(self, d: Dimer, n_max: int = 10, i0: int = 1, ab: tuple | None = None):
+    """The correspondence checks of one dimer; only the image listings take a winding bound."""
+
+    def __init__(self, d: Dimer, i0: int = 1, ab: tuple | None = None):
         d.require_valid()
         self.dimer = d
-        self.n_max = n_max
         self.jac = Jacobi(d)
         self.sh = MirrorSH(d)
         self.i0 = i0
@@ -90,11 +91,11 @@ class KSVerifier:
 
     # -- image descriptions -------------------------------------------------
 
-    def ks_even_images(self) -> list:
-        """Even images: winding sums to unit powers, partial sums to Psi lifts."""
+    def ks_even_images(self, n_max: int) -> list:
+        """Even images up to winding n_max: winding sums to unit powers, partial sums to Psi lifts."""
         out = []
         for i in range(1, self.sh.n_classes + 1):
-            for n in range(1, self.n_max + 1):
+            for n in range(1, n_max + 1):
                 alpha = [E(i, j, n) for j in range(1, self.sh.m[i] + 1)]
                 out.append(
                     {
@@ -114,7 +115,8 @@ class KSVerifier:
                     )
         return out
 
-    def ks_odd_images(self) -> list:
+    def ks_odd_images(self, n_max: int) -> list:
+        """Odd images: q, p and xi_v at winding zero, then alpha^n W and alpha^n xi up to n_max."""
         a, b = self.K.ab
         out = [
             {"source": {"kind": "q"}, "image": E2Label("U"), "lift": "canonical"},
@@ -133,7 +135,7 @@ class KSVerifier:
             )
         for i in range(1, self.sh.n_classes + 1):
             paths = self.strip_paths[i]
-            for n in range(1, self.n_max + 1):
+            for n in range(1, n_max + 1):
                 out.append(
                     {
                         "source": {"kind": "alpha_w", "i": i, "n": n, "ab": (a, b)},
@@ -154,6 +156,8 @@ class KSVerifier:
     # -- dimension/determinant verification -----------------------------------
 
     def verify_dimension_match(self, report: KSReport | None = None) -> KSReport:
+        """Counts and determinants at winding zero, then once per zigzag class,
+        since neither side's rank or basis matrix in a class depends on n >= 1."""
         rep = report or KSReport(self.dimer.name)
         sh, K = self.sh, self.K
         g, n_punct = sh.genus, sh.n_punct
@@ -167,19 +171,8 @@ class KSVerifier:
         for i in range(1, sh.n_classes + 1):
             m_orbit = sh.m[i]
             m_strip = len(K.strips[i].strips)
-            for n in range(1, self.n_max + 1):
-                e2_even = 1 + (m_strip - 1)
-                e2_odd = 1 + (m_strip - 1)
-                rep.add(
-                    f"count.even.i{i}.n{n}",
-                    m_orbit == e2_even,
-                    {"sh": m_orbit, "e2": e2_even},
-                )
-                rep.add(
-                    f"count.odd.i{i}.n{n}",
-                    m_orbit == e2_odd,
-                    {"sh": m_orbit, "e2": e2_odd},
-                )
+            rep.add(f"count.even.i{i}", m_orbit == m_strip, {"sh": m_orbit, "e2": m_strip})
+            rep.add(f"count.odd.i{i}", m_orbit == m_strip, {"sh": m_orbit, "e2": m_strip})
         self._verify_determinants(rep)
         return rep
 
@@ -246,19 +239,10 @@ class KSVerifier:
                     if endpoint in sd.strips[jj - 1]:
                         ks_odd[j - 1][jj - 1] = 1
             det_ko = det_int(ks_odd)
-            for n in range(1, self.n_max + 1):
-                rep.add(
-                    f"det.even.sh_basis.i{i}.n{n}",
-                    det_even_sh in (1, -1),
-                    {"det": det_even_sh},
-                )
-                rep.add(
-                    f"det.odd.sh_image.i{i}.n{n}",
-                    det_odd_sh != 0,
-                    {"det": det_odd_sh},
-                )
-                rep.add(f"det.even.ks.i{i}.n{n}", det_ke in (1, -1), {"det": det_ke})
-                rep.add(f"det.odd.ks.i{i}.n{n}", det_ko in (1, -1), {"det": det_ko})
+            rep.add(f"det.even.sh_basis.i{i}", det_even_sh in (1, -1), {"det": det_even_sh})
+            rep.add(f"det.odd.sh_image.i{i}", det_odd_sh != 0, {"det": det_odd_sh})
+            rep.add(f"det.even.ks.i{i}", det_ke in (1, -1), {"det": det_ke})
+            rep.add(f"det.odd.ks.i{i}", det_ko in (1, -1), {"det": det_ko})
         return rep
 
     def _telescoped_theta(self, path) -> dict:

@@ -37,7 +37,7 @@ def sh_models(dimers):
 
 @pytest.fixture(scope="session")
 def verifiers(dimers):
-    return {name: KSVerifier(d, n_max=10) for name, d in dimers.items()}
+    return {name: KSVerifier(d) for name, d in dimers.items()}
 
 
 @pytest.fixture(scope="session")

@@ -174,7 +174,7 @@ def test_criterion_6_ks_dimension_theorem(verifiers):
         for c in rep.checks:
             if c.name.startswith("det.") and "sh_image" not in c.name:
                 ok = ok and c.detail["det"] in (1, -1)
-    verdict(6, ok, "even/odd counts match on every (class, winding <= 10); correspondence matrices unimodular")
+    verdict(6, ok, "even/odd counts match on every class (they do not depend on the winding); correspondence matrices unimodular")
 
 
 def test_criterion_7_singularity_report(verifiers):

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,7 +48,7 @@ def test_parse_spp_shape():
 
 
 def test_verify_exit_codes(tmp_path):
-    rc, out, err = run_cli("verify", str(DATA / "spp.json"), "--n-max", "4")
+    rc, out, err = run_cli("verify", str(DATA / "spp.json"))
     assert rc == 0, err
     data = json.loads(out)
     assert data["passed"] is True
@@ -82,8 +83,54 @@ def test_reports_are_deterministic():
     assert out1 == out2
 
 
-# sha256 of the stdout of `dimermirror report <name> --format json` with default
-# flags.  A change that alters the report on purpose updates these and says why.
+# The pins below were computed when `verify` still repeated each per-class
+# count and determinant row for every winding n = 1..10, as `<row>.n<n>`.
+# The verifier now reports each such group once, so they hash the output in
+# that earlier form (``parent_form``): each group copied back out to .n1 ..
+# .n10, then rendered again.  The copies were exact, so no other byte moves.
+WINDINGS = 10
+PER_CLASS_GROUPS = (
+    ("count.even", "count.odd"),
+    ("det.even.sh_basis", "det.odd.sh_image", "det.even.ks", "det.odd.ks"),
+)
+
+
+def per_winding_rows(checks: list) -> list:
+    """The check rows with each per-class group repeated once per winding n."""
+    out, k = [], 0
+    while k < len(checks):
+        prefix = checks[k]["name"].rsplit(".", 1)[0]
+        group = next((g for g in PER_CLASS_GROUPS if g[0] == prefix), (prefix,))
+        rows = checks[k : k + len(group)]
+        assert tuple(r["name"].rsplit(".", 1)[0] for r in rows) == group, rows
+        if len(group) == 1:
+            out += rows
+        else:
+            out += [dict(r, name=f"{r['name']}.n{n}") for n in range(1, WINDINGS + 1) for r in rows]
+        k += len(group)
+    return out
+
+
+def parent_form(json_out: str, markdown_out: str | None = None) -> str:
+    """The `verify` or `report` output as it read with one row per winding.
+
+    ``json_out`` is the command's JSON output.  With ``markdown_out``, the
+    same command's markdown output, the markdown is rendered, under the title
+    on its first line; otherwise the JSON.
+    """
+    data = json.loads(json_out)
+    rep = data.get("verification", data)
+    if "checks" in rep:
+        rep["checks"] = per_winding_rows(rep["checks"])
+    if markdown_out is None:
+        return oracle_json(data)
+    title = markdown_out.split("\n", 1)[0].removeprefix("# ")
+    return cli._markdown(data, title) + "\n"
+
+
+# sha256 of the parent form of the stdout of `dimermirror report <name> --format
+# json` with default flags.  A change that alters the report on purpose updates
+# these and says why.
 REPORT_SHA256 = {
     "c3": "f8c73018bb1207b9bb33ad7274db27e2021d9ea411a62d88867e4cf215b4280c",
     "conifold": "7cf50c52b67bfafea0b04d823cfdec15582b32dc17e267b0dd13e101d2351231",
@@ -95,7 +142,7 @@ REPORT_SHA256 = {
 def test_report_json_is_byte_identical(name):
     rc, out, err = run_cli("report", name, "--format", "json")
     assert rc == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[name]
+    assert hashlib.sha256(parent_form(out).encode()).hexdigest() == REPORT_SHA256[name]
 
 
 # sha256 of the stdout of `dimermirror hh <name> --format json` with default
@@ -131,7 +178,44 @@ def test_cover_report_json_is_byte_identical(name, k, l, tmp_path, lattice_cover
     p.write_text(json.dumps(lattice_cover(name, k, l)))
     rc, out, err = run_cli("report", str(p), "--format", "json")
     assert rc == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == COVER_REPORT_SHA256[(name, k, l)]
+    assert hashlib.sha256(parent_form(out).encode()).hexdigest() == COVER_REPORT_SHA256[(name, k, l)]
+
+
+# rows of `verify`: each count and determinant row once per zigzag class
+VERIFY_ROWS = {
+    ("c3", 1, 1): 71,
+    ("conifold", 1, 1): 96,
+    ("spp", 1, 1): 104,
+    ("conifold", 4, 1): 144,
+}
+
+
+@pytest.mark.parametrize("name,k,l", sorted(VERIFY_ROWS))
+def test_verify_reports_each_row_once(name, k, l, tmp_path, lattice_cover):
+    p = tmp_path / f"{name}_{k}x{l}.json"
+    p.write_text(json.dumps(lattice_cover(name, k, l)))
+    rc, out, err = main_in_process("verify", str(p))
+    assert rc == 0, err
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert len(names) == len(set(names)) == VERIFY_ROWS[(name, k, l)]
+    assert not [n for n in names if re.search(r"\.n\d+$", n)]
+
+
+def test_verify_has_no_n_max_and_report_images_take_it():
+    rc, _, err = run_cli("verify", "c3", "--n-max", "2")
+    assert rc == EXIT_USAGE and "unrecognized arguments: --n-max" in err
+    rc, out, err = main_in_process("report", "conifold", "--n-max", "3")
+    assert rc == 0, err
+    rc, plain, err = main_in_process("report", "conifold")
+    assert rc == 0, err
+    short, full = json.loads(out), json.loads(plain)
+    assert short["verification"] == full["verification"]
+    for key in ("ks_even_images", "ks_odd_images"):
+        assert short[key] != full[key]
+        assert {img["source"].get("n", 0) for img in short[key]} <= {0, 1, 2, 3}
+    assert {k: v for k, v in short.items() if not k.endswith("_images")} == {
+        k: v for k, v in full.items() if not k.endswith("_images")
+    }
 
 
 # sha256 of `dimermirror polytope <conifold 4x3 cover> --format json`, computed
@@ -206,6 +290,22 @@ def test_vertex_ids_that_share_a_sort_key_are_refused():
         dimer_from_dict(raw)
 
 
+def test_vertex_ids_that_print_as_one_key_are_refused():
+    # every output keys by str(id): 1 and "1" would print as one vertex
+    raw = renamed(json.loads((DATA / "conifold.json").read_text()), {2: "1"})
+    with pytest.raises(DimerFormatError) as err:
+        dimer_from_dict(raw)
+    assert str(err.value) == "vertices[1]: id '1' and id 1 at vertices[0] print as the same key"
+
+
+@pytest.mark.parametrize("ids", [(1, "1"), (True, "True")])
+def test_arrow_ids_that_print_as_one_key_are_refused(ids):
+    raw = renamed(json.loads((DATA / "conifold.json").read_text()), dict(zip(("a1", "a2"), ids)))
+    with pytest.raises(DimerFormatError) as err:
+        dimer_from_dict(raw)
+    assert str(err.value) == f"arrows[1].id: id {ids[1]!r} and id {ids[0]!r} at arrows[0].id print as the same key"
+
+
 def test_equal_ids_of_two_types_stay_duplicates():
     # true == 1: one id twice, which the validator reports, as before
     d = dimer_from_dict(renamed(json.loads((DATA / "c3.json").read_text()), {"x": True, "y": 1}))
@@ -225,7 +325,7 @@ def test_failure_json_names_its_stage(tmp_path, lattice_cover):
         assert data["passed"] is False and "no zigzag path" in data["error"]
         assert data["stage"] == "mirror_sh"
     # a passing run carries no stage
-    rc, out, err = run_cli("verify", "c3", "--n-max", "1")
+    rc, out, err = run_cli("verify", "c3")
     assert rc == 0 and "stage" not in json.loads(out)
 
 
@@ -258,7 +358,7 @@ def test_markdown_report_mentions_pair_of_pants_data():
 
 
 def test_main_in_process_verify():
-    assert main(["verify", "c3", "--n-max", "2"]) == 0
+    assert main(["verify", "c3"]) == 0
 
 
 def test_jacobi_subcommand_equal():
@@ -467,15 +567,15 @@ def main_in_process(*args):
 
 def test_repeated_main_calls_match_fresh_processes():
     # one shared parser: no option may leak from one call into the next
-    for args in (("verify", "c3", "--n-max", "2"), ("verify", "c3"), ("hh", "spp", "--i0", "2")):
+    for args in (("report", "c3", "--n-max", "2"), ("verify", "c3"), ("hh", "spp", "--i0", "2")):
         assert main_in_process(*args) == run_cli(*args), args
     rc, out, err = main_in_process("no-such-command")
     assert rc == EXIT_USAGE and "invalid choice" in err
     rc, out, _ = main_in_process("--help")
     assert rc == EXIT_OK and out.startswith("usage: dimermirror")
     rc, out, _ = main_in_process("verify", "--help")
-    assert rc == EXIT_OK and "--n-max" in out
-    args = ("verify", "c3", "--n-max", "2")
+    assert rc == EXIT_OK and "--i0" in out and "--n-max" not in out
+    args = ("verify", "c3", "--i0", "2")
     assert main_in_process(*args) == run_cli(*args)
 
 
@@ -549,12 +649,16 @@ def test_python_dash_m_package_runs_the_cli(args):
 def zoo_outputs_sha256(raw: dict) -> str:
     """sha256 over (command, format, exit code, stdout, stderr) of every subcommand
     in both formats, run in-process on ``raw`` written to ``dimer.json`` in the
-    working directory."""
+    working directory; the stdout of `verify` and `report` in its parent form."""
     Path("dimer.json").write_text(json.dumps(raw))
     h = hashlib.sha256()
     for cmd in SUBCOMMANDS:
         for fmt in ("json", "markdown"):
             rc, out, err = main_in_process(cmd[0], "dimer.json", *cmd[1:], "--format", fmt)
+            if cmd[0] in ("verify", "report"):
+                if fmt == "json":
+                    json_out = out
+                out = parent_form(json_out, None if fmt == "json" else out)
             h.update(repr((cmd, fmt, rc, out, err)).encode())
     return h.hexdigest()
 

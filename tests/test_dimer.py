@@ -202,7 +202,7 @@ def test_spp_strips_partition_vertices(dimers):
 def test_derived_structures_belong_to_one_dimer():
     d = load_bundled("spp")
     assert parallel_classes(d) is parallel_classes(d)
-    K = KSVerifier(d, n_max=1).K
+    K = KSVerifier(d).K
     for i in range(1, K.n_classes + 1):
         assert K.strips[i] is strips(d, i)
     # same name, arrows and faces, another base vertex: strips must not be shared

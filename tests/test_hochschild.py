@@ -391,7 +391,7 @@ def test_d1_terms_are_left_coefficient_right(oracle_complexes):
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
 def test_flipped_hessian_row_fails_a_d1_check(name, dimers, monkeypatch):
     # every single-row sign flip must surface in the checks that run d1
-    v = KSVerifier(dimers[name], n_max=1)
+    v = KSVerifier(dimers[name])
     K = v.K
     assert v.verify_chain_identities().passed
     for y, rows in K._hessian.items():

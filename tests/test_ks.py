@@ -10,7 +10,7 @@ import pytest
 from dimermirror import Arrow, Dimer, Face, load_bundled
 from dimermirror import ks
 from dimermirror.cli import main
-from dimermirror.dimer import idkey
+from dimermirror.dimer import idkey, strips
 from dimermirror.hochschild import X, XBAR, CochainElement, E2Label, KoszulComplex
 from dimermirror.io import dimer_from_dict
 from dimermirror.jacobi import Jacobi, JElement, PathClass
@@ -53,13 +53,13 @@ def test_determinants_are_unimodular(verifiers):
 
 def test_ks_even_images_c3(verifiers):
     v = verifiers["c3"]
-    images = v.ks_even_images()
+    images = v.ks_even_images(10)
     assert all(img["image"].kind == "x_eta" for img in images)  # no psi on c3
 
 
 def test_ks_even_images_spp(verifiers):
     v = verifiers["spp"]
-    images = v.ks_even_images()
+    images = v.ks_even_images(10)
     psi_imgs = [img for img in images if img["image"].kind == "psi"]
     assert {(img["image"].i, img["image"].j) for img in psi_imgs} == {(3, 2)}
     alpha3 = next(
@@ -72,7 +72,7 @@ def test_ks_even_images_spp(verifiers):
 
 def test_ks_odd_images(verifiers):
     for name, v in verifiers.items():
-        images = v.ks_odd_images()
+        images = v.ks_odd_images(10)
         kinds = [img["source"]["kind"] for img in images]
         assert kinds.count("q") == 1 and kinds.count("p") == 1
         xi0 = [img for img in images if img["source"]["kind"] == "xi"]
@@ -83,7 +83,7 @@ def test_ks_odd_images(verifiers):
 
 def test_c3_odd_positive_winding_has_no_theta(verifiers):
     v = verifiers["c3"]
-    for img in v.ks_odd_images():
+    for img in v.ks_odd_images(10):
         if img["source"]["kind"] == "alpha_xi":
             pytest.fail("single-vertex dimer must have no positive-winding theta")
 
@@ -162,7 +162,7 @@ def arrow_on_W_word(d: Dimer, edges) -> object:
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
 def test_dW_partial_P_fails_on_a_dropped_arrow(name, dimers, monkeypatch):
-    v = KSVerifier(dimers[name], n_max=1)
+    v = KSVerifier(dimers[name])
     K = v.K
     assert not failed_chain_rows(v, "dW.")[0]
     partial_P = K.partial_P
@@ -180,7 +180,7 @@ def test_dW_partial_P_fails_on_a_dropped_arrow(name, dimers, monkeypatch):
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
 def test_dW_partial_alpha_fails_on_a_shifted_coefficient(name, dimers, monkeypatch):
-    v = KSVerifier(dimers[name], n_max=1)
+    v = KSVerifier(dimers[name])
     K = v.K
     partial_alpha = K.partial_alpha
 
@@ -199,7 +199,7 @@ def test_dW_partial_alpha_fails_on_a_shifted_coefficient(name, dimers, monkeypat
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
 def test_cup_partialP_psi_fails_on_a_wrong_degree(name, dimers, monkeypatch):
-    v = KSVerifier(dimers[name], n_max=1)
+    v = KSVerifier(dimers[name])
     class_degree = Jacobi.class_degree
 
     def off_by_one_at_corner_1(self, cls, k):
@@ -272,7 +272,7 @@ def test_chain_identities_compute_each_d1_image_once(k, lattice_cover, monkeypat
     # single-arrow derivation, and on each partial_P and partial_alpha: not
     # once more per cocycle row, nor once per perfect matching
     d = cover_dimer(lattice_cover, "c3", k, k)
-    v = KSVerifier(d, n_max=1)
+    v = KSVerifier(d)
     n = v.K.n_classes
     assert len(v.K.generators()["partial_alpha"]) == n == 3
     calls = []
@@ -289,7 +289,7 @@ def test_chain_identities_compute_each_d1_image_once(k, lattice_cover, monkeypat
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
 def test_a_corrupted_arrow_image_fails_its_matching_rows(name, dimers, monkeypatch):
-    v = KSVerifier(dimers[name], n_max=1)
+    v = KSVerifier(dimers[name])
     K, jac = v.K, v.jac
     basis = matching_basis(v.dimer)
     arrow = sorted(basis.matchings[0].edges, key=idkey)[0]
@@ -338,7 +338,7 @@ def test_an_oracle_stuck_on_one_matching_fails_the_basis_rank(monkeypatch):
             first.append(best(self, weight, label))
         return first[0]
 
-    v = KSVerifier(load_bundled("spp"), n_max=1)
+    v = KSVerifier(load_bundled("spp"))
     monkeypatch.setattr(matchings._MatchingOracle, "best", stuck)
     rank, = rows(v.verify_chain_identities(), "matching_basis.rank")
     assert rank.status == FAIL and rank.detail == {"rank": 1, "dim_W": 5}
@@ -352,7 +352,7 @@ def test_a_flipped_kasteleyn_sign_fails_the_matching_count(name, k, l, lattice_c
     from dimermirror import matchings
 
     d = cover_dimer(lattice_cover, name, k, l)
-    v = KSVerifier(d, n_max=1)
+    v = KSVerifier(d)
     count, = rows(v.verify_matching_count(), "matchings.count")
     assert count.status == PASS and count.detail["kasteleyn"] == count.detail["enumerated"]
     solved = matchings.kasteleyn_signs(d)
@@ -368,7 +368,7 @@ def test_a_flipped_kasteleyn_sign_fails_the_matching_count(name, k, l, lattice_c
 def test_a_kasteleyn_sum_off_a_multiple_of_4_fails_the_matching_count(monkeypatch):
     from dimermirror import matchings
 
-    v = KSVerifier(load_bundled("spp"), n_max=1)
+    v = KSVerifier(load_bundled("spp"))
     dets = iter([1, 0, 0, 0])
     monkeypatch.setattr(matchings, "det_int", lambda _: next(dets))
     count, = rows(v.verify_matching_count(), "matchings.count")
@@ -395,10 +395,11 @@ def test_ks_odd_images_find_each_strip_path_once(lattice_cover, tmp_path, monkey
     v = KSVerifier(dimer_from_dict(lattice_cover("conifold", 4, 1)))
     # the images as listed with one strip-path search per (class, strip, n)
     a, b = v.K.ab
-    expected = [img for img in v.ks_odd_images() if img["source"]["kind"] in ("q", "p", "xi")]
+    n_max = 10
+    expected = [img for img in v.ks_odd_images(n_max) if img["source"]["kind"] in ("q", "p", "xi")]
     for i in range(1, v.sh.n_classes + 1):
         sd = v.K.strips[i]
-        for n in range(1, v.n_max + 1):
+        for n in range(1, n_max + 1):
             expected.append({"source": {"kind": "alpha_w", "i": i, "n": n, "ab": (a, b)},
                              "image": E2Label("xW", i=i, n=n), "lift": "canonical"})
             for j in range(2, len(sd.strips) + 1):
@@ -406,7 +407,7 @@ def test_ks_odd_images_find_each_strip_path_once(lattice_cover, tmp_path, monkey
                 expected.append({"source": {"kind": "alpha_xi", "i": i, "j": j, "n": n, "path": p},
                                  "image": E2Label("theta", i=i, j=j, n=n),
                                  "lift": "canonical" if p else "missing"})
-    assert v.ks_odd_images() == expected
+    assert v.ks_odd_images(n_max) == expected
     calls = []
     xi_for_strip = MirrorSH.xi_for_strip
 
@@ -420,3 +421,17 @@ def test_ks_odd_images_find_each_strip_path_once(lattice_cover, tmp_path, monkey
     # 2 classes with 4 strips: 6 strips past the first, each searched once
     # per verifier and read by both the determinants and the odd images
     assert len(calls) == 6
+
+
+def test_a_xi_path_into_the_wrong_strip_fails_the_odd_determinants(lattice_cover, monkeypatch):
+    # every strip's xi path replaced by the path into strip 2: on conifold 4x1
+    # classes 2 and 4 have four strips each, so their odd rows repeat and the
+    # strip each path ends in repeats; classes 1 and 3 have one strip and no path
+    xi_for_strip = MirrorSH.xi_for_strip
+    monkeypatch.setattr(
+        MirrorSH, "xi_for_strip", lambda self, i, strip: xi_for_strip(self, i, strips(self.dimer, i).strips[1])
+    )
+    rep = KSVerifier(dimer_from_dict(lattice_cover("conifold", 4, 1))).verify_all()
+    failed = {c.name for c in rep.checks if c.status == FAIL}
+    assert failed == {"det.odd.ks.i2", "det.odd.ks.i4", "det.odd.sh_image.i2", "det.odd.sh_image.i4"}
+    assert all(c.status in (PASS, SKIP) for c in rep.checks if c.name not in failed)

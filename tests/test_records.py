@@ -200,7 +200,7 @@ def records_of(raw: dict) -> list:
     out += [mp, *mp.edges, *mp.corners.values(), mp.reference, matching_basis(d)]
     mp.points  # fills _points, which equality leaves out
     try:
-        v = ks.KSVerifier(d, n_max=3)
+        v = ks.KSVerifier(d)
     except SHError:  # xi_v on conifold 2x2 and 3x2 (ROADMAP item 1)
         K = hochschild.KoszulComplex(jacobi.Jacobi(d))
         sh = mirror_sh.MirrorSH(d)
