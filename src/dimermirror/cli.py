@@ -463,6 +463,8 @@ def cmd_report(args) -> int:
     d = v.dimer
     mp = v.jac.poly
     g, npunct, chi = surface_invariants(v.sh.dual)
+    # the image listings refuse an n_max below 1 before the checks run
+    even, odd = v.ks_even_images(args.n_max), v.ks_odd_images(args.n_max)
     rep = v.verify_all()
     data = {
         "dimer": dimer_to_dict(d),
@@ -487,8 +489,8 @@ def cmd_report(args) -> int:
             "2I+B-2": 2 * mp.interior_count + mp.boundary_count - 2,
             "2g+N-2": 2 * g + npunct - 2,
         },
-        "ks_even_images": v.ks_even_images(args.n_max),
-        "ks_odd_images": v.ks_odd_images(args.n_max),
+        "ks_even_images": even,
+        "ks_odd_images": odd,
         "verification": rep.as_dict(),
     }
     _emit(data, args.format, f"full report for {d.name}")

@@ -4,23 +4,21 @@ Cochains carry Jacobi-algebra coefficients on slots indexed by vertices
 (degrees 0 and 3) and arrows (degrees 1 and 2): the unit, X, Xbar and point
 slots.
 
-The differentials d0, d1 and d2 are one sandwich kernel over per-slot row
-tables: each row puts an input coefficient between a left and a right class
-and adds it, signed, on one output slot.  The rows depend on the dimer only
-through the class of each arrow, the arrows at each vertex and the Hessian
-rows of the superpotential, and each ``KoszulComplex`` builds them once.  The
-second differential d_W contracts a derivation with the potential through a
-second table, the splits of the face word of W at each vertex.  The product
-of degrees 1 and 2 pairs X_a with Xbar_a and composes their coefficients.
+The differentials d0, d1 and d2, the second differential d_W and the
+product of degrees 1 and 2 are one sandwich kernel over row tables: each row
+puts an input coefficient between a left and a right class and adds it,
+signed, on one output slot.  The rows of d0, d1, d2 and d_W depend on the
+dimer only through the class of each arrow, the arrows at each vertex, the
+Hessian rows of the superpotential and the splits of the face word of W at
+each vertex, and each ``KoszulComplex`` builds them once.  The product reads
+its rows off its degree-2 factor: X_a is paired with Xbar_a, whose
+coefficient is the right class of a row at tail(a).
 
-d0, d1, d2, d_W and the product add their terms on plain keys: each output
-slot sums coefficients in a dict keyed by the tuple (tail, head, h1, w0) of
-the composed class, and keeps beside each key the witness parts of the first
-term added under it.  Most of these sums cancel, so a ``PathClass`` is built
-only for each nonzero total, with the first term's witness (the parts
-joined, or None when one of them is None), even when the running total
-passed through 0 on the way.  Composability is checked term by term, as
-``Jacobi.compose`` would.
+The kernel adds its terms on plain keys: each output slot sums integer
+coefficients in a dict keyed by the tuple (tail, head, h1, w0) of the
+composed class.  Most of these sums cancel, so a ``PathClass``, with no
+witness, is built only for each nonzero total.  Composability is checked
+term by term, as ``Jacobi.compose`` would.
 """
 
 from __future__ import annotations
@@ -68,11 +66,19 @@ class CochainElement:
 
     @staticmethod
     def from_terms(degree: int, terms) -> "CochainElement":
-        """The sum of (slot, class, coefficient) terms, added up in one pass."""
+        """The sum of (slot, class, coefficient) terms, added up in one pass.
+
+        A class is dropped when its running total reaches 0, as ``JElement``
+        addition drops it, so a later term adds it again with its own witness.
+        """
         sums: dict = {}
         for slot, cls, k in terms:
             out = sums.setdefault(slot, {})
-            out[cls] = out.get(cls, 0) + k
+            total = out.get(cls, 0) + k
+            if total:
+                out[cls] = total
+            else:
+                out.pop(cls, None)
         return CochainElement(degree, {slot: JElement(t) for slot, t in sums.items()})
 
     @staticmethod
@@ -126,18 +132,13 @@ class CochainElement:
 
 
 def _cochain(degree: int, sums: dict) -> CochainElement:
-    """The element of ``sums``: slot -> {(tail, head, h1, w0): [coefficient, witness parts]}.
+    """The element of ``sums``: slot -> {(tail, head, h1, w0): coefficient}.
 
-    A class is built only for a nonzero total.  Its witness is that of the
-    first term added under its key: the parts joined, or None when one is None.
+    A class, with no witness, is built only for a nonzero total.
     """
     terms = {}
     for slot, acc in sums.items():
-        elem = {
-            PathClass(*key, None if None in parts else sum(parts, ())): k
-            for key, (k, parts) in acc.items()
-            if k
-        }
+        elem = {PathClass(*key): k for key, k in acc.items() if k}
         if elem:
             if _SLOT_DEGREE[slot[0]] != degree:
                 raise HochschildError(f"slot {slot} has wrong degree for {degree}")
@@ -146,7 +147,7 @@ def _cochain(degree: int, sums: dict) -> CochainElement:
 
 
 def _row(sign: int, out, left: PathClass, right: PathClass) -> tuple:
-    """A row (sign, out, outer, (left, right)) of d0, d1 or d2.
+    """A row (sign, out, outer, (left, right)) of the sandwich kernel.
 
     A coefficient c on the row's input slot lands on output slot ``out`` as
     sign times the class of left c right; ``outer`` is (tail, head, h1, w0) of
@@ -170,11 +171,7 @@ def _sandwich(c: CochainElement, in_kind: str, rows: dict, out_kind: str, degree
                     raise JacobiError("paths do not compose")
                 h = cls.h1
                 key = (tail, head, (o0 + h[0], o1 + h[1]), w0 + cls.w0)
-                entry = out.get(key)
-                if entry is None:
-                    out[key] = [sign * k, (left.witness, cls.witness, right.witness)]
-                else:
-                    entry[0] += sign * k
+                out[key] = out.get(key, 0) + sign * k
     return _cochain(degree, sums)
 
 
@@ -216,10 +213,11 @@ class KoszulComplex:
         self.ab = ab if ab is not None else self._choose_ab()
         if any(self.w_odd_eval(eta) == 0 for eta, _ in self.classes):
             raise HochschildError(f"(a, b) = {self.ab} degenerates on some eta_i")
-        # The dimer-only data of the differentials: the class of each arrow,
-        # the arrows leaving and entering each vertex, and per input slot the
-        # rows (see ``_row``) of d0 (e_v m a for a out of v, -a m e_v for a
-        # into v), d1 (the Hessian rows of W) and d2 (e c y, -y c e on Xbar_y).
+        # The dimer-only data of the kernels: the class of each arrow, the
+        # arrows leaving and entering each vertex, and per input slot the rows
+        # (see ``_row``) of d0 (e_v m a for a out of v, -a m e_v for a into
+        # v), d1 (the Hessian rows of W), d2 (e c y, -y c e on Xbar_y) and
+        # d_W (minus the face word of W at v split around each position of a).
         d = self.dimer
         arrows = d.arrow_ids
         # each face arc is the left of one Hessian row and the right of its
@@ -228,7 +226,8 @@ class KoszulComplex:
         cls_of = self._class_of
         self._arrow_cls = {a: cls_of((a,)) for a in arrows}
         self._leaving, self._entering = d.leaving, d.entering
-        unit, cls = {v: jac.idempotent(v) for v in d.vertices}, self._arrow_cls
+        self._unit = unit = {v: jac.idempotent(v) for v in d.vertices}
+        cls = self._arrow_cls
         self._d0_rows = {
             v: [_row(1, a, unit[v], cls[a]) for a in self._leaving[v]]
             + [_row(-1, a, cls[a], unit[v]) for a in self._entering[v]]
@@ -247,19 +246,13 @@ class KoszulComplex:
             ]
             for y in arrows
         }
-        # For each vertex v, the splits (arrow, left class, right class) of the
-        # face word of W at v, one per position of the word.
-        self._W_splits = {}
+        self._W_rows = {a: [] for a in arrows}
         for v in d.vertices:
             word = face_word_at(d, v)
-            self._W_splits[v] = [
-                (
-                    a,
-                    cls_of(word[:p]) if p else unit[v],
-                    cls_of(word[p + 1 :]) if p + 1 < len(word) else unit[v],
-                )
-                for p, a in enumerate(word)
-            ]
+            for p, a in enumerate(word):
+                left = cls_of(word[:p]) if p else unit[v]
+                right = cls_of(word[p + 1 :]) if p + 1 < len(word) else unit[v]
+                self._W_rows[a].append(_row(-1, v, left, right))
 
     def eta(self, i: int) -> Vec:
         return self.classes[i - 1][0]
@@ -456,29 +449,14 @@ class KoszulComplex:
 
     def d_W(self, c: CochainElement) -> CochainElement:
         """Minus the derivation c applied to W: each X_a coefficient spliced into
-        the face word of W at each vertex, landing on unit slots."""
+        the face word of W at each vertex, landing on unit slots.
+
+        Each position of a in the face word at v is one row of ``_W_rows``:
+        the word before a on the left, the word after it on the right.
+        """
         if c.degree != 1:
             raise HochschildError(f"d_W is computed on degree 1, not degree {c.degree}")
-        sums: dict = {}
-        for v, splits in self._W_splits.items():
-            out = sums.setdefault((UNIT, v), {})
-            for a, left, right in splits:
-                elem = c.terms.get((X, a))
-                if elem is None:
-                    continue
-                tail, head, w0 = left.tail, right.head, left.w0 + right.w0
-                o0, o1 = vec_add(left.h1, right.h1)
-                for cls, k in elem.terms.items():
-                    if left.head != cls.tail or cls.head != right.tail:
-                        raise JacobiError("paths do not compose")
-                    h = cls.h1
-                    key = (tail, head, (o0 + h[0], o1 + h[1]), w0 + cls.w0)
-                    entry = out.get(key)
-                    if entry is None:
-                        out[key] = [-k, (left.witness, cls.witness, right.witness)]
-                    else:
-                        entry[0] -= k
-        return _cochain(0, sums)
+        return _sandwich(c, X, self._W_rows, UNIT, 0)
 
     def d_W_theta(self, v) -> CochainElement:
         """Delta(W theta_v): BV of the face word of W at v."""
@@ -494,29 +472,19 @@ class KoszulComplex:
     def cup(self, a: CochainElement, b: CochainElement) -> CochainElement:
         """Degree 1 times degree 2: X_e paired with Xbar_e.
 
-        The two coefficients compose to a closed path at tail(e), which is
-        added on the point slot there.
+        The X_e coefficient, which must start at tail(e), and the Xbar_e
+        coefficient compose to a closed path at tail(e), which is added on the
+        point slot there: each term k c2 of Xbar_e is a row with the unit at
+        tail(e) on the left and c2 on the right, weighted by k.
         """
         if (a.degree, b.degree) != (1, 2):
             raise HochschildError(f"cup is computed on degrees 1 x 2, not {a.degree} x {b.degree}")
-        sums: dict = {}
-        for (_, e), x in a.terms.items():
-            y = b.terms.get((XBAR, e))
-            if y is None:
-                continue
-            out = sums.setdefault((PT, self.dimer.tail(e)), {})
-            for c1, k1 in x.terms.items():
-                for c2, k2 in y.terms.items():
-                    if c1.head != c2.tail:
-                        raise JacobiError("paths do not compose")
-                    h1, h2 = c1.h1, c2.h1
-                    key = (c1.tail, c2.head, (h1[0] + h2[0], h1[1] + h2[1]), c1.w0 + c2.w0)
-                    entry = out.get(key)
-                    if entry is None:
-                        out[key] = [k1 * k2, (c1.witness, c2.witness)]
-                    else:
-                        entry[0] += k1 * k2
-        return _cochain(3, sums)
+        rows = {e: () for _, e in a.terms}
+        for (_, e), y in b.terms.items():
+            if e in rows:
+                v = self.dimer.tail(e)
+                rows[e] = [_row(k, v, self._unit[v], cls) for cls, k in y.terms.items()]
+        return _sandwich(a, X, rows, PT, 3)
 
     # -- second page -----------------------------------------------------------
 

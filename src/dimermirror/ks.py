@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .dimer import Dimer, DimerError, _Record, word_key
-from .hochschild import CochainElement, E2Label, KoszulComplex, X
+from .hochschild import CochainElement, E2Label, HochschildError, KoszulComplex, X
 from .jacobi import Jacobi, JElement, PathClass
 from .matchings import (
     _orientation,
@@ -93,6 +93,8 @@ class KSVerifier:
 
     def ks_even_images(self, n_max: int) -> list:
         """Even images up to winding n_max: winding sums to unit powers, partial sums to Psi lifts."""
+        if n_max < 1:
+            raise HochschildError("n_max must be >= 1")
         out = []
         for i in range(1, self.sh.n_classes + 1):
             for n in range(1, n_max + 1):
@@ -117,6 +119,8 @@ class KSVerifier:
 
     def ks_odd_images(self, n_max: int) -> list:
         """Odd images: q, p and xi_v at winding zero, then alpha^n W and alpha^n xi up to n_max."""
+        if n_max < 1:
+            raise HochschildError("n_max must be >= 1")
         a, b = self.K.ab
         out = [
             {"source": {"kind": "q"}, "image": E2Label("U"), "lift": "canonical"},

@@ -17,6 +17,7 @@ import pytest
 from dimermirror import cli
 from dimermirror.cli import EXIT_OK, EXIT_USAGE, main
 from dimermirror.io import DimerFormatError, dimer_from_dict, dimer_to_dict, load_bundled
+from dimermirror.ks import KSVerifier
 from test_matchings import ORACLE_ZOO, mirrored
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -216,6 +217,16 @@ def test_verify_has_no_n_max_and_report_images_take_it():
     assert {k: v for k, v in short.items() if not k.endswith("_images")} == {
         k: v for k, v in full.items() if not k.endswith("_images")
     }
+
+
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_report_refuses_n_max_below_one_like_hh(n_max, monkeypatch):
+    # refused before the verifier's checks run
+    monkeypatch.setattr(KSVerifier, "verify_all", lambda self: pytest.fail("verify_all ran"))
+    rc, out, err = main_in_process("report", "c3", "--n-max", n_max)
+    assert (rc, out) == (1, "")
+    assert main_in_process("hh", "c3", "--n-max", n_max) == (rc, out, err)
+    assert err == "error: n_max must be >= 1\n"
 
 
 # sha256 of `dimermirror polytope <conifold 4x3 cover> --format json`, computed

@@ -358,27 +358,14 @@ def test_differentials_match_per_call_formulas(oracle_complexes):
     assert min(nonzero.values()) > 0, nonzero
 
 
-def with_witnesses(c: CochainElement) -> dict:
-    """slot -> {(class, witness): coefficient}; class equality ignores witnesses."""
-    return {slot: {(cls, cls.witness): k for cls, k in e.terms.items()} for slot, e in c.terms.items()}
-
-
 def test_d1_terms_are_left_coefficient_right(oracle_complexes):
     # the table composes each Hessian row's left and right parts once; every
-    # term of d1 must still be compose(compose(left, c), right), witness included
+    # term of d1 must still be compose(compose(left, c), right)
     for name, K in oracle_complexes.items():
         jac, d = K.jac, K.dimer
         for a in sorted(d.arrow_by_id, key=idkey):
-            arrow = jac.canonical_form((a,))
-            for coeff in (arrow, PathClass(arrow.tail, arrow.head, arrow.h1, arrow.w0, None)):
-                c = CochainElement(1, {(X, a): JElement.of(coeff)})
-                got, want = K.d1(c), reference_d1(K, c)
-                assert with_witnesses(got) == with_witnesses(want), (name, a, coeff.witness)
-                assert all(
-                    (cls.witness is None) == (coeff.witness is None)
-                    for e in got.terms.values()
-                    for cls in e.terms
-                ), (name, a)
+            c = CochainElement(1, {(X, a): JElement.of(jac.canonical_form((a,)))})
+            assert K.d1(c) == reference_d1(K, c), (name, a)
             if d.tail(a) != d.head(a):
                 # a coefficient that does not run from tail(a) to head(a)
                 stray = CochainElement(1, {(X, a): JElement.of(jac.idempotent(d.tail(a)))})
@@ -405,6 +392,23 @@ def test_flipped_hessian_row_fails_a_d1_check(name, dimers, monkeypatch):
             assert "complex.d2d1" in failed or any(
                 f.startswith("cocycle.partial_P.") for f in failed
             ), (y, i)
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_flipped_W_row_fails_a_dW_check(name, dimers, monkeypatch):
+    # every single-row sign flip of d_W must surface in the dW rows of the verifier
+    v = KSVerifier(dimers[name])
+    K = v.K
+    assert v.verify_chain_identities().passed
+    for a, rows in K._W_rows.items():
+        for i, (sign, x, outer, parts) in enumerate(rows):
+            flipped = rows[:i] + [(-sign, x, outer, parts)] + rows[i + 1 :]
+            with monkeypatch.context() as mp:
+                mp.setitem(K._W_rows, a, flipped)
+                failed = {
+                    c.name for c in v.verify_chain_identities().checks if c.status == FAIL
+                }
+            assert any(f.startswith("dW.") for f in failed), (a, i)
 
 
 def test_differentials_and_W_reuse_their_classes(dimers, monkeypatch):
@@ -439,10 +443,8 @@ def test_differentials_and_W_reuse_their_classes(dimers, monkeypatch):
 #
 # The parent_* functions are d0, d1, d2, d_W, cup and bv_delta_deg3 as they were
 # when every term was built as a PathClass and summed in a dict keyed by it.
-# That dict keeps the key object of the first term added under a class, even
-# after its running total has passed through 0, so each output class carries
-# the witness of its first term.  The plain-key kernels must give the same
-# terms, coefficients and witnesses.
+# The plain-key kernels must give the same classes and coefficients; class
+# equality ignores witnesses, which the kernels no longer carry.
 
 
 def _from_sums(degree, sums):
@@ -534,14 +536,18 @@ def parent_d_W(K, c: CochainElement):
     the face word of W at each vertex, landing on unit slots."""
     if c.degree != 1:
         raise HochschildError(f"d_W is computed on degree 1, not degree {c.degree}")
-    compose = K.jac.compose
+    jac = K.jac
+    compose = jac.compose
     sums: dict = {}
-    for v, splits in K._W_splits.items():
+    for v in K.dimer.vertices:
+        word = face_word_at(K.dimer, v)
         out = sums.setdefault((UNIT, v), {})
-        for a, left, right in splits:
+        for p, a in enumerate(word):
             elem = c.terms.get((X, a))
             if elem is None:
                 continue
+            left = jac.canonical_form(word[:p]) if p else jac.idempotent(v)
+            right = jac.canonical_form(word[p + 1 :]) if p + 1 < len(word) else jac.idempotent(v)
             for cls, k in elem.terms.items():
                 total = compose(compose(left, cls), right)
                 out[total] = out.get(total, 0) - k
@@ -599,8 +605,7 @@ def random_cochain(K, rng, degree, arrows=None) -> CochainElement:
 
     Coefficients are drawn from small pools, so a class repeats across slots
     and under different witnesses; about a quarter have their witness dropped,
-    and some classes cancel and then reappear within their slot (the sum keeps
-    the first term's witness).
+    and some classes cancel and then reappear within their slot.
     """
     d = K.dimer
     if degree == 0:
@@ -634,25 +639,22 @@ def random_closed_word(K, rng):
 
 
 def assert_kernels_match_parent(K, rng, label) -> Counter:
-    """Every kernel against its parent implementation, witnesses included.
+    """Every kernel against its parent implementation.
 
-    Returns counts of the nonzero outputs and of the output classes with and
-    without a witness, so a caller can tell what was exercised.
+    Returns the count of nonzero outputs per kernel, so a caller can tell
+    what was exercised.
     """
     seen = Counter()
 
     def same(got, want, what):
-        assert with_witnesses(got) == with_witnesses(want), (label, what)
-        seen["nonzero"] += not got.is_zero()
-        for e in got.terms.values():
-            for cls in e.terms:
-                seen["witness" if cls.witness is not None else "no_witness"] += 1
+        assert got == want, (label, what)
+        seen[f"nonzero.{what[0]}"] += not got.is_zero()
 
     inputs = oracle_inputs(K) + [random_cochain(K, rng, deg) for deg in (0, 1, 2) for _ in range(6)]
     diffs = {0: (K.d0, parent_d0), 1: (K.d1, parent_d1), 2: (K.d2, parent_d2)}
     for c in inputs:
         new, parent = diffs[c.degree]
-        same(new(c), parent(K, c), c)
+        same(new(c), parent(K, c), (new.__name__, c))
         if c.degree == 1:
             same(K.d_W(c), parent_d_W(K, c), ("d_W", c))
     gens = K.generators()
@@ -697,7 +699,7 @@ def stray_inputs(K):
 
 def outcome(kernel, *args):
     try:
-        return with_witnesses(kernel(*args))
+        return kernel(*args)
     except JacobiError as exc:
         return ("JacobiError", str(exc))
 
@@ -715,7 +717,7 @@ def assert_stray_inputs_match_parent(K, label) -> Counter:
 
 
 KERNEL_COVERAGE = [
-    "nonzero", "witness", "no_witness",
+    "nonzero.d0", "nonzero.d1", "nonzero.d2", "nonzero.d_W", "nonzero.cup", "nonzero.bv",
     "raised.d0", "raised.d1", "raised.d2", "raised.d_W", "raised.cup",
 ]
 
@@ -741,10 +743,22 @@ def test_kernels_match_parent_on_the_relabeled_zoo(seed, covers):
     assert all(seen[key] > 0 for key in KERNEL_COVERAGE), seen
 
 
-def test_cancelled_class_keeps_its_first_witness(complexes):
+def test_cup_refuses_a_coefficient_away_from_the_tail(oracle_complexes):
+    # X_a's coefficient must start at tail(a); the parent composed any two
+    # coefficients that meet, and put the product on the point slot at tail(a)
+    K = oracle_complexes["conifold"]
+    jac, d = K.jac, K.dimer
+    a = next(a for a in d.arrow_ids if d.tail(a) != d.head(a))
+    x = CochainElement(1, {(X, a): JElement.of(jac.idempotent(d.head(a)))})
+    xbar = CochainElement(2, {(XBAR, a): JElement.of(jac.idempotent(d.head(a)))})
+    assert not parent_cup(K, x, xbar).is_zero()
+    with pytest.raises(JacobiError, match="paths do not compose"):
+        K.cup(x, xbar)
+
+
+def test_cancelled_class_is_added_again(complexes):
     # at the point slot of vertex 1 of the conifold, three Xbar slots each add
-    # W^2: +1 from b1, -1 from a1 (the running total is 0), +1 from b2.  The
-    # class that survives must carry the first term's witness, built from b1.
+    # W^2: +1 from b1, -1 from a1 (the running total is 0), +1 from b2
     K = complexes["conifold"]
     jac, d = K.jac, K.dimer
     w2 = jac.compose(jac.central_W()[1], jac.central_W()[1])
@@ -757,9 +771,27 @@ def test_cancelled_class_keeps_its_first_witness(complexes):
         sign = 1 if d.head(y) == 1 else -1
         terms[(XBAR, y)] = JElement.of(jac.canonical_form(word), sign * k)
     c = CochainElement(2, terms)
-    (b1_coefficient,) = terms[(XBAR, "b1")].terms
-    got = K.d2(c).terms[(PT, 1)].terms
-    assert with_witnesses(K.d2(c)) == with_witnesses(parent_d2(K, c))
-    assert {(cls.witness, n) for cls, n in got.items() if cls == w2} == {
-        (b1_coefficient.witness + ("b1",), 1)
+    assert K.d2(c) == parent_d2(K, c)
+    assert K.d2(c).terms[(PT, 1)].terms[w2] == 1
+
+
+def test_one_witness_rule_for_a_cancelled_class(complexes):
+    # A + (-A) + A' with A == A' as classes but under different words: every
+    # way of writing the sum drops A when its total reaches 0 and keeps A'
+    K = complexes["c3"]
+    jac = K.jac
+    A, A2 = jac.canonical_form(("x", "y", "z")), jac.canonical_form(("x", "z", "y"))
+    assert A == A2 and A.witness != A2.witness
+    slot = (UNIT, K.base_vertex)
+    parts = [JElement.of(A), JElement.of(A, -1), JElement.of(A2)]
+    singles = [CochainElement(0, {slot: p}) for p in parts]
+    sums = {
+        "from_terms": CochainElement.from_terms(0, [(slot, A, 1), (slot, A, -1), (slot, A2, 1)]),
+        "sum_of": CochainElement.sum_of(0, singles),
+        "+": singles[0] + singles[1] + singles[2],
+        "add_term": CochainElement.zero(0).add_term(slot, parts[0]).add_term(slot, parts[1]).add_term(slot, parts[2]),
+        "JElement +": CochainElement(0, {slot: parts[0] + parts[1] + parts[2]}),
     }
+    for how, c in sums.items():
+        assert c == CochainElement(0, {slot: JElement.of(A2)}), how
+        assert [cls.witness for cls in c.terms[slot].terms] == [A2.witness], how
