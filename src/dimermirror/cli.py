@@ -354,8 +354,9 @@ def cmd_jacobi(args) -> int:
         data["equal"] = jac.path_equal(p, q)
     if args.alpha:
         xa = jac.central_x_alpha(args.alpha)
+        words = jac.x_alpha_witnesses(args.alpha)
         data["x_alpha"] = {
-            str(v): {"h1": c.h1, "w0": c.w0, "witness": c.witness} for v, c in xa.items()
+            str(v): {"h1": c.h1, "w0": c.w0, "witness": words[v]} for v, c in xa.items()
         }
     if not data or args.w_report:
         data["W"] = {
@@ -380,13 +381,10 @@ def cmd_hh(args) -> int:
         "partial_alpha": {str(k): K.d1(c).is_zero() for k, c in gens["partial_alpha"].items()},
         "psi": {str(k): K.d2(c).is_zero() for k, (c, v, w) in gens["psi"].items()},
     }
-    x_witness = {}
-    for i in range(1, K.n_classes + 1):
-        eta = K.eta(i)
-        x_witness[str(eta)] = {
-            str(v): cls.witness
-            for v, cls in K.jac.central_x_alpha(eta).items()
-        }
+    x_witness = {
+        str(K.eta(i)): {str(v): word for v, word in K.jac.x_alpha_witnesses(K.eta(i)).items()}
+        for i in range(1, K.n_classes + 1)
+    }
     data = {
         "classes": {
             str(i): {"eta": K.eta(i), "parallel_count": K.m(i)}

@@ -295,23 +295,6 @@ def cyclic_equal(a: Iterable, b: Iterable) -> bool:
     return len(a) == len(b) and (len(a) == 0 or a in cyclic_rotations(b))
 
 
-def canonical_rotation(word: tuple) -> tuple:
-    if not word:
-        return word
-    return min(cyclic_rotations(word), key=word_key)
-
-
-def cyclic_arc(word: tuple, start: int, stop: int) -> tuple:
-    """Entries strictly between positions start and stop, walking forward cyclically."""
-    n = len(word)
-    out = []
-    pos = (start + 1) % n
-    while pos != stop:
-        out.append(word[pos])
-        pos = (pos + 1) % n
-    return tuple(out)
-
-
 class Dimer:
     """Immutable dimer model; derived combinatorial structure built lazily.
 

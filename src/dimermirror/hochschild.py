@@ -8,11 +8,11 @@ The differentials d0, d1 and d2, the second differential d_W and the
 product of degrees 1 and 2 are one sandwich kernel over row tables: each row
 puts an input coefficient between a left and a right class and adds it,
 signed, on one output slot.  The rows of d0, d1, d2 and d_W depend on the
-dimer only through the class of each arrow, the arrows at each vertex, the
-Hessian rows of the superpotential and the splits of the face word of W at
-each vertex, and each ``KoszulComplex`` builds them once.  The product reads
-its rows off its degree-2 factor: X_a is paired with Xbar_a, whose
-coefficient is the right class of a row at tail(a).
+dimer only through the class of each arrow, the arrows at each vertex and
+the face words, and each ``KoszulComplex`` builds them once.  W is the signed
+sum of the face boundaries, so d1 (the Hessian of W) and d_W read one split
+of face words.  The product reads its rows off its degree-2 factor: X_a is
+paired with Xbar_a, whose coefficient is the right class of a row at tail(a).
 
 The kernel adds its terms on plain keys: each output slot sums integer
 coefficients in a dict keyed by the tuple (tail, head, h1, w0) of the
@@ -26,7 +26,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .dimer import Vec, _Frozen, _set, dot, face_word_at, idkey, parallel_classes, strips, vec_add, vec_sub
-from .jacobi import Jacobi, JacobiError, JElement, PathClass, hessian_rows
+from .jacobi import Jacobi, JacobiError, JElement, PathClass
 
 UNIT, X, XBAR, PT = "unit", "X", "Xbar", "pt"
 _SLOT_DEGREE = {UNIT: 0, X: 1, XBAR: 2, PT: 3}
@@ -216,8 +216,9 @@ class KoszulComplex:
         # The dimer-only data of the kernels: the class of each arrow, the
         # arrows leaving and entering each vertex, and per input slot the rows
         # (see ``_row``) of d0 (e_v m a for a out of v, -a m e_v for a into
-        # v), d1 (the Hessian rows of W), d2 (e c y, -y c e on Xbar_y) and
-        # d_W (minus the face word of W at v split around each position of a).
+        # v), d1 (the cyclic derivative of each face at y split around each
+        # x), d2 (e c y, -y c e on Xbar_y) and d_W (minus the face word at v
+        # split around each position of a); d1 and d_W split with ``_splits``.
         d = self.dimer
         arrows = d.arrow_ids
         # each face arc is the left of one Hessian row and the right of its
@@ -234,11 +235,12 @@ class KoszulComplex:
             for v in d.vertices
         }
         self._hessian = {y: [] for y in arrows}
-        for y in arrows:
-            for sign, x, left, right in hessian_rows(jac.superpotential, y):
-                left = cls_of(left) if left else unit[d.head(x)]
-                right = cls_of(right) if right else unit[d.tail(x)]
-                self._hessian[y].append(_row(sign, x, left, right))
+        for f in d.faces:
+            b = f.boundary
+            for j, y in enumerate(b):
+                self._hessian[y] += [
+                    _row(f.sign, x, after, before) for x, before, after in self._splits(b[j + 1 :] + b[:j])
+                ]
         self._d2_rows = {
             y: [
                 _row(1, d.head(y), unit[d.head(y)], cls[y]),
@@ -248,11 +250,22 @@ class KoszulComplex:
         }
         self._W_rows = {a: [] for a in arrows}
         for v in d.vertices:
-            word = face_word_at(d, v)
-            for p, a in enumerate(word):
-                left = cls_of(word[:p]) if p else unit[v]
-                right = cls_of(word[p + 1 :]) if p + 1 < len(word) else unit[v]
-                self._W_rows[a].append(_row(-1, v, left, right))
+            for a, before, after in self._splits(face_word_at(d, v)):
+                self._W_rows[a].append(_row(-1, v, before, after))
+
+    def _splits(self, word: tuple) -> list:
+        """(x, before, after) for each position of ``word``: x the arrow there,
+        before and after the classes of the words on either side of it, the
+        unit at tail(x) or head(x) when that side is empty."""
+        cls_of, unit, d = self._class_of, self._unit, self.dimer
+        return [
+            (
+                x,
+                cls_of(word[:p]) if p else unit[d.tail(x)],
+                cls_of(word[p + 1 :]) if p + 1 < len(word) else unit[d.head(x)],
+            )
+            for p, x in enumerate(word)
+        ]
 
     def eta(self, i: int) -> Vec:
         return self.classes[i - 1][0]
@@ -347,7 +360,7 @@ class KoszulComplex:
         return self.unit_cochain(self.jac.central_W())
 
     def x_alpha_cochain(self, alpha: Vec) -> CochainElement:
-        return self.unit_cochain(self.jac.central_x_alpha(alpha, want_witness=False))
+        return self.unit_cochain(self.jac.central_x_alpha(alpha))
 
     def partial_P(self, i: int) -> CochainElement:
         """The corner-matching derivation: sum of e X_e over e in P_i."""

@@ -1,9 +1,12 @@
-"""Jacobi-algebra calculus: superpotential, rewrites, canonical path classes.
+"""Jacobi-algebra calculus: canonical path classes, relations, rewrites.
 
-Paths are traversal tuples of arrow ids (first arrow first).  Equality in the
-Jacobi algebra of a consistent dimer is decided by the invariant data
-(endpoints, homology class, degree under a fixed reference corner matching);
-a brute-force rewrite oracle guards the decision procedure at small scale.
+Paths are traversal tuples of arrow ids (first arrow first).  The
+superpotential W is the signed sum of the dimer's face boundaries, read
+straight from ``Dimer.faces``; each arrow's relation equates its complements
+on its two faces.  Equality in the Jacobi algebra of a consistent dimer is
+decided by the invariant data (endpoints, homology class, degree under a
+fixed reference corner matching); a brute-force rewrite oracle guards the
+decision procedure at small scale.
 """
 
 from __future__ import annotations
@@ -17,15 +20,12 @@ from .dimer import (
     _Combination,
     _Frozen,
     _set,
-    canonical_rotation,
-    cyclic_arc,
     dot,
     face_word_at,
     idkey,
     tree_paths,
     vec_add,
     vec_sub,
-    word_key,
 )
 from .matchings import (
     MatchingPolytope,
@@ -39,78 +39,6 @@ Word = tuple
 
 class JacobiError(Exception):
     pass
-
-
-# -- cyclic polynomials ------------------------------------------------------
-
-
-class CyclicPoly(_Frozen):
-    """Integer combination of cyclic words, each stored as a canonical traversal."""
-
-    _fields = ("terms",)
-
-    def __init__(self, terms: tuple):
-        _set(self, "terms", terms)  # ((coeff, word), ...) sorted
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.terms,))
-
-    @staticmethod
-    def from_terms(terms: Iterable) -> "CyclicPoly":
-        acc: dict = {}
-        for coeff, word in terms:
-            key = canonical_rotation(tuple(word))
-            acc[key] = acc.get(key, 0) + coeff
-        cleaned = tuple(
-            sorted(((c, w) for w, c in acc.items() if c), key=lambda t: word_key(t[1]))
-        )
-        return CyclicPoly(cleaned)
-
-
-def superpotential(d: Dimer) -> CyclicPoly:
-    """One +1 term per positive face boundary, one -1 term per negative face."""
-    d.require_valid()
-    return CyclicPoly.from_terms(
-        (f.sign, f.boundary) for f in d.faces
-    )
-
-
-def cyclic_derivative(poly: CyclicPoly, e) -> list:
-    """All (coefficient, path) contributions of the cyclic derivative at arrow e.
-
-    For each occurrence of e in a cyclic word, the emitted path continues
-    around the cycle from just after e back to just before it.
-    """
-    out = []
-    for coeff, word in poly.terms:
-        for i, a in enumerate(word):
-            if a == e:
-                out.append((coeff, word[i + 1 :] + word[:i]))
-    return out
-
-
-def hessian_rows(poly: CyclicPoly, y) -> list:
-    """Every split of a term at an occurrence of y: (coeff, x, left, right).
-
-    Each other position of the term gives one row, with x the arrow there.
-    ``left`` runs from the head of x to the tail of y and ``right`` from the
-    head of y to the tail of x; the x and y occurrences themselves are
-    discarded (distinct positions, even when x == y).
-    """
-    out = []
-    for coeff, word in poly.terms:
-        for j, a in enumerate(word):
-            if a != y:
-                continue
-            for l, x in enumerate(word):
-                if l != j:
-                    out.append((coeff, x, cyclic_arc(word, l, j), cyclic_arc(word, j, l)))
-    return out
 
 
 # -- path classes ------------------------------------------------------------
@@ -171,7 +99,6 @@ class Jacobi:
         self.corner_offsets = [
             vec_sub(p.height, self.ref.height) for p in self.corners
         ]
-        self.superpotential = superpotential(d)
         self.realize_cap = realize_cap if realize_cap is not None else 4 * len(d.arrows)
         # tree paths from the base vertex, for the open-path degree correction
         self._tree_paths = tree_paths(d)
@@ -281,7 +208,7 @@ class Jacobi:
 
         The two arcs are the complements of the arrow on its positive and
         negative faces; equating them is the relation from the cyclic
-        derivative of the superpotential at the arrow.
+        derivative of W at the arrow.
         """
         d = self.dimer
         out = []
@@ -340,7 +267,7 @@ class Jacobi:
     def x_alpha_w0(self, alpha: Vec) -> int:
         return max(-dot(off, alpha) for off in self.corner_offsets)
 
-    def central_x_alpha(self, alpha: Vec, want_witness: bool = True) -> dict:
+    def central_x_alpha(self, alpha: Vec) -> dict:
         """The central element of homology class alpha that is not a multiple of W.
 
         Its degree under some corner matching is exactly zero, which pins the
@@ -350,16 +277,18 @@ class Jacobi:
         if alpha == (0, 0):
             raise JacobiError("alpha must be nonzero")
         w0 = self.x_alpha_w0(alpha)
+        return {v: PathClass(v, v, alpha, w0) for v in self.dimer.vertices}
+
+    def x_alpha_witnesses(self, alpha: Vec) -> dict:
+        """A shortest word in each class of ``central_x_alpha``: {v: word}."""
         out = {}
-        for v in self.dimer.vertices:
-            witness = None
-            if want_witness:
-                witness = self.realize_path(v, v, alpha, w0)
-                if witness is None:
-                    raise JacobiError(
-                        f"no witness found for x_alpha at {v!r} within cap {self.realize_cap}"
-                    )
-            out[v] = PathClass(v, v, alpha, w0, witness=witness)
+        for v, cls in self.central_x_alpha(alpha).items():
+            word = self.realize_path(v, v, cls.h1, cls.w0)
+            if word is None:
+                raise JacobiError(
+                    f"no witness found for x_alpha at {v!r} within cap {self.realize_cap}"
+                )
+            out[v] = word
         return out
 
     # -- witness search ------------------------------------------------------

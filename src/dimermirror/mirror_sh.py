@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .dimer import Dimer, _Combination, _Record, dual_dimer, surface_invariants, zigzag_cycles
+from .dimer import Dimer, _Combination, _Record, dual_dimer, parallel_classes, surface_invariants
 
 
 class SHError(Exception):
@@ -63,17 +63,13 @@ class MirrorSH:
     def __init__(self, d: Dimer):
         d.require_valid()
         self.dimer = d
+        # raises DimerError, before the dual is built, unless d is zigzag consistent
+        classes = parallel_classes(d)
         self.dual = dual_dimer(d)
         self.genus, self.n_punct, _ = surface_invariants(self.dual)
-        cycles = zigzag_cycles(d)
-        self.cycles = {(z.class_index, z.parallel_index): z for z in cycles}
-        if len(self.cycles) != len(cycles):
-            raise SHError("zigzag cycles are not uniquely indexed")
-        self.n_classes = max(z.class_index for z in cycles)
-        self.m = {
-            i: max(z.parallel_index for z in cycles if z.class_index == i)
-            for i in range(1, self.n_classes + 1)
-        }
+        self.n_classes = len(classes)
+        self.m = {i: len(members) for i, (_, members) in enumerate(classes, start=1)}
+        self.cycles = {(z.class_index, z.parallel_index): z for _, members in classes for z in members}
         # (i, j) -> the index of Z_{i,j} among the orbits that d.zigzag_of names
         self._zigzag_of = d.zigzag_of
         self._orbit = {key: self._zigzag_of[z.zigs[0]][0] for key, z in self.cycles.items()}

@@ -415,6 +415,60 @@ def test_realize_cap_is_an_option_of_jacobi_and_hh_only():
     assert rc == 0 and json.loads(out)["cocycle_checks"]
 
 
+# stdout of `jacobi <name> --alpha <alpha>`: x_alpha's classes and a shortest
+# witness word at each vertex, taken before the witness search moved out of
+# `Jacobi.central_x_alpha`
+JACOBI_ALPHA_SHA256 = {
+    ("c3", "1,0"): "61cd98e7e59ee69c738bbea093f99b22ea5974169fc3f203530f7d46ec6081ad",
+    ("c3", "1,1"): "6fb01b88fdb6901d7a66f238c1cf17dba8dc0137911ed5f1fe4f7980c2f1bcea",
+    ("c3", "-1,2"): "51fe82979ede88b0cf9be9e0064ad5e7d6cbb8a6929cd5604b255de81988543e",
+    ("conifold", "1,0"): "6ba9cb96b7e6f74edf1da14697240448a6281533583b0496f211d6777d2b9895",
+    ("conifold", "1,1"): "6754b479045743bce172385eeaa73021fd9f0d65d9229008a95977d0c5e9f4ba",
+    ("conifold", "-1,2"): "36ed41e5339d1919ad6b2cabed82681a1c6fd22fe0e8ebf44bc891b5e078368c",
+    ("spp", "1,0"): "ee2616cefde8b9246399e06d0e9b1adf200e5db7c37df6ca22ce54fa886bddee",
+    ("spp", "1,1"): "34da9fa74a2d247d2456df13f605e8898d8d8edf2a5ef530d7fc68114bd91895",
+    ("spp", "-1,2"): "192bcd98cda9022d4772a434e9a43bdf59bf035cabfbb1efb6bafd8b315133fe",
+}
+
+
+@pytest.mark.parametrize("name,alpha", list(JACOBI_ALPHA_SHA256))
+def test_jacobi_alpha_is_byte_identical(name, alpha):
+    rc, out, err = main_in_process("jacobi", name, f"--alpha={alpha}")
+    assert (rc, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == JACOBI_ALPHA_SHA256[(name, alpha)]
+
+
+def test_hh_names_the_vertex_without_an_x_alpha_witness():
+    assert main_in_process("hh", "c3", "--realize-cap", "0") == (
+        1, "", "error: no witness found for x_alpha at 'v' within cap 0\n"
+    )
+
+
+# canonical_form calls in one `verify`: the Koszul complex normalises each face
+# arc once and later reads share it
+CANONICAL_FORM_WORDS = {("c3", 1, 1): 7, ("conifold", 1, 1): 18, ("spp", 1, 1): 30, ("conifold", 4, 1): 90}
+
+
+@pytest.mark.parametrize("name,k,l", list(CANONICAL_FORM_WORDS))
+def test_verify_normalises_each_word_once(name, k, l, covers, tmp_path, monkeypatch):
+    from dimermirror.jacobi import Jacobi
+
+    calls = []
+    canonical_form = Jacobi.canonical_form
+
+    def counted(self, word):
+        calls.append(tuple(word))
+        return canonical_form(self, word)
+
+    monkeypatch.setattr(Jacobi, "canonical_form", counted)
+    raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+    p = tmp_path / "dimer.json"
+    p.write_text(json.dumps(raw))
+    rc, _, err = main_in_process("verify", str(p))
+    assert rc == EXIT_OK, err
+    assert len(calls) == len(set(calls)) == CANONICAL_FORM_WORDS[(name, k, l)]
+
+
 # -- the one-pass JSON encoder against json.dumps ------------------------------
 
 
@@ -899,3 +953,17 @@ def test_error_paths_are_byte_identical_on_inconsistent_dimers(name, k, l, cover
             rc, out, err = main_in_process(cmd, "dimer.json")
             h.update(repr((data["name"], cmd, rc, out, err)).encode())
     assert h.hexdigest() == INCONSISTENT_OUTPUT_SHA256[(name, k, l)]
+
+
+@pytest.mark.parametrize("name,k,l", list(INCONSISTENT_OUTPUT_SHA256))
+def test_sh_refuses_inconsistent_dimers_like_hh(name, k, l, covers, tmp_path, monkeypatch):
+    from test_dimer import subdivisions
+
+    raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+    monkeypatch.chdir(tmp_path)
+    for data in subdivisions(raw):
+        Path("dimer.json").write_text(json.dumps(data))
+        rc, out, err = main_in_process("sh", "dimer.json")
+        assert (rc, out) == (1, ""), data["name"]
+        assert err.startswith("error: dimer is not zigzag consistent: "), data["name"]
+        assert err == main_in_process("hh", "dimer.json")[2], data["name"]

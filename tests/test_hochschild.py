@@ -18,7 +18,7 @@ from dimermirror.hochschild import (
 from dimermirror.io import dimer_from_dict
 from dimermirror.jacobi import Jacobi, JacobiError, JElement, PathClass
 from dimermirror.ks import FAIL, KSVerifier
-from test_jacobi import hessian
+from test_jacobi import hessian, parent_hessian_rows
 from test_matchings import ORACLE_ZOO
 
 
@@ -177,7 +177,7 @@ def test_bracket_oracle(complexes):
         for i in range(1, K.n_classes + 1):
             eta = K.eta(i)
             xe = JElement()
-            for v, cls in jac.central_x_alpha(eta, want_witness=False).items():
+            for v, cls in jac.central_x_alpha(eta).items():
                 xe = xe + JElement.of(cls)
             for k in range(1, K.n_classes + 1):
                 got = K.bracket_partialP_central(k, xe)
@@ -292,7 +292,7 @@ def reference_d1(K, c):
     out = CochainElement.zero(2)
     for (kind, y), elem in c.terms.items():
         for x in d.arrow_by_id:
-            for sign, left, right in hessian(jac.superpotential, x, y):
+            for sign, left, right in hessian(d, x, y):
                 lcls = jac.canonical_form(left) if left else jac.idempotent(d.head(x))
                 rcls = jac.canonical_form(right) if right else jac.idempotent(d.tail(x))
                 for cls, k in elem.terms.items():
@@ -375,12 +375,38 @@ def test_d1_terms_are_left_coefficient_right(oracle_complexes):
                     K.d1(stray)
 
 
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_hessian_rows_match_the_parent_split_on_the_zoo(seed, covers):
+    # the complex's rows are the reference's splits of each face boundary at
+    # y, as a multiset of (sign, x, left class, right class)
+    for name, k, l in ORACLE_ZOO:
+        raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+        d = dimer_from_dict(raw if seed is None else covers.relabel(raw, random.Random(seed)))
+        K = KoszulComplex(Jacobi(d))
+        jac = K.jac
+        for y in d.arrow_ids:
+            want = Counter(
+                (
+                    sign,
+                    x,
+                    jac.canonical_form(left) if left else jac.idempotent(d.head(x)),
+                    jac.canonical_form(right) if right else jac.idempotent(d.tail(x)),
+                )
+                for sign, x, left, right in parent_hessian_rows(d, y)
+            )
+            got = Counter((sign, x, left, right) for sign, x, _, (left, right) in K._hessian[y])
+            assert got == want, (name, k, l, seed, y)
+
+
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
 def test_flipped_hessian_row_fails_a_d1_check(name, dimers, monkeypatch):
     # every single-row sign flip must surface in the checks that run d1
     v = KSVerifier(dimers[name])
     K = v.K
     assert v.verify_chain_identities().passed
+    # one row per ordered pair of distinct positions on a face
+    rows = sum(len(f.boundary) * (len(f.boundary) - 1) for f in K.dimer.faces)
+    assert sum(map(len, K._hessian.values())) == rows
     for y, rows in K._hessian.items():
         for i, (sign, x, left, right) in enumerate(rows):
             flipped = rows[:i] + [(-sign, x, left, right)] + rows[i + 1 :]

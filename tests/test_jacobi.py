@@ -1,31 +1,57 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from dimermirror.dimer import Arrow, Dimer, DimerError, cyclic_equal, dot, idkey, vec_sub
-from dimermirror.jacobi import (
-    CyclicPoly,
-    Jacobi,
-    JacobiError,
-    PathClass,
-    cyclic_derivative,
-    hessian_rows,
-    superpotential,
-)
+from dimermirror.dimer import Arrow, Dimer, DimerError, dot, idkey, vec_sub
+from dimermirror.jacobi import Jacobi, JacobiError, PathClass
 from dimermirror.matchings import PerfectMatching, enumerate_perfect_matchings
 
 
 # -- references the package no longer carries ----------------------------------
 
 
-def hessian(poly: CyclicPoly, x, y) -> list:
-    """Second cyclic derivative: the (coeff, left, right) rows of ``hessian_rows`` at x.
+def cyclic_arc(word: tuple, start: int, stop: int) -> tuple:
+    """Entries strictly between positions start and stop, walking forward cyclically."""
+    n = len(word)
+    out = []
+    pos = (start + 1) % n
+    while pos != stop:
+        out.append(word[pos])
+        pos = (pos + 1) % n
+    return tuple(out)
+
+
+def parent_hessian_rows(d: Dimer, y) -> list:
+    """Every split of a face boundary at an occurrence of y: (sign, x, left, right).
+
+    Each other position of the face gives one row, with x the arrow there.
+    ``left`` runs from the head of x to the tail of y and ``right`` from the
+    head of y to the tail of x; the x and y occurrences themselves are
+    discarded (distinct positions, even when x == y).  The index arithmetic
+    of the package's Hessian before the Koszul complex built its rows from
+    the face words itself.
+    """
+    out = []
+    for f in d.faces:
+        word = f.boundary
+        for j, a in enumerate(word):
+            if a != y:
+                continue
+            for l, x in enumerate(word):
+                if l != j:
+                    out.append((f.sign, x, cyclic_arc(word, l, j), cyclic_arc(word, j, l)))
+    return out
+
+
+def hessian(d: Dimer, x, y) -> list:
+    """Second cyclic derivative: the (sign, left, right) rows of ``parent_hessian_rows`` at x.
 
     A reference that tests compare the Koszul differentials against.
     """
-    return [(coeff, left, right) for coeff, b, left, right in hessian_rows(poly, y) if b == x]
+    return [(sign, left, right) for sign, b, left, right in parent_hessian_rows(d, y) if b == x]
 
 
 def divide_by_W(jac: Jacobi, cls: PathClass) -> PathClass:
@@ -77,69 +103,41 @@ def words_spelled(s: str) -> tuple:
     return tuple(reversed(tuple(s)))
 
 
-def test_c3_superpotential(dimers):
-    phi = superpotential(dimers["c3"])
-    terms = dict((w, c) for c, w in phi.terms)
-    # spelled words: + x y z and - x z y
-    plus = words_spelled("xyz")
-    minus = words_spelled("xzy")
-    assert any(cyclic_equal(w, plus) and c == 1 for w, c in terms.items())
-    assert any(cyclic_equal(w, minus) and c == -1 for w, c in terms.items())
-    assert len(phi.terms) == len(dimers["c3"].faces)
+def test_relations_have_two_terms(complexes):
+    # each arrow's Hessian rows split its two faces, one of each sign, around
+    # every other position
+    for name, K in complexes.items():
+        d = K.dimer
+        for y, rows in K._hessian.items():
+            want = Counter()
+            for fi in (d.pos_face_of(y), d.neg_face_of(y)):
+                f = d.faces[fi]
+                j = f.boundary.index(y)
+                want.update((f.sign, x) for x in f.boundary[j + 1 :] + f.boundary[:j])
+            assert Counter((sign, x) for sign, x, _, _ in rows) == want, (name, y)
 
 
-def test_conifold_superpotential(dimers):
-    phi = superpotential(dimers["conifold"])
-    plus = tuple(reversed(("a1", "b1", "a2", "b2")))
-    minus = tuple(reversed(("a1", "b2", "a2", "b1")))
-    got = {c: w for c, w in phi.terms}
-    assert cyclic_equal(got[1], plus)
-    assert cyclic_equal(got[-1], minus)
+def test_c3_hessian(complexes):
+    K = complexes["c3"]
+    jac = K.jac
+    z, e = jac.canonical_form(("z",)), jac.idempotent("v")
+    got = Counter((sign, left, right) for sign, x, _, (left, right) in K._hessian["y"] if x == "x")
+    assert got == Counter([(-1, e, z), (1, z, e)])
 
 
-def test_term_count_equals_face_count(dimers):
-    for d in dimers.values():
-        assert len(superpotential(d).terms) == len(d.faces)
-
-
-def test_c3_cyclic_derivative(dimers):
-    phi = superpotential(dimers["c3"])
-    got = sorted(cyclic_derivative(phi, "x"))
-    # the relation says the two paths (traverse z then y) and (y then z) agree
-    assert got == [(-1, ("y", "z")), (1, ("z", "y"))]
-    assert cyclic_derivative(phi, "missing") == []
-
-
-def test_relations_have_two_terms(dimers):
-    for d in dimers.values():
-        phi = superpotential(d)
-        for e in d.arrow_by_id:
-            assert len(cyclic_derivative(phi, e)) == 2
-
-
-def test_c3_hessian(dimers):
-    phi = superpotential(dimers["c3"])
-    got = sorted(hessian(phi, "x", "y"))
-    assert got == [(-1, (), ("z",)), (1, ("z",), ())]
-
-
-def test_hessian_c_compose_j_is_zero(jacobis):
+def test_hessian_c_compose_j_is_zero(complexes):
     # the Koszul maps satisfy c(j(sum of idempotent pairs)) = 0; slotwise the
     # commutator of each arrow with the Hessian columns cancels in J (x) J
-    for name, jac in jacobis.items():
-        d = jac.dimer
-        phi = jac.superpotential
-        for y in sorted(d.arrow_by_id, key=idkey):
+    for name, K in complexes.items():
+        jac = K.jac
+        for y, rows in K._hessian.items():
             acc: dict = {}
-            for x in sorted(d.arrow_by_id, key=idkey):
+            for sign, x, _, (lcls, rcls) in rows:
                 xcls = jac.canonical_form((x,))
-                for coeff, left, right in hessian(phi, x, y):
-                    lcls = jac.canonical_form(left) if left else jac.idempotent(d.head(x))
-                    rcls = jac.canonical_form(right) if right else jac.idempotent(d.tail(x))
-                    k1 = (jac.compose(xcls, lcls), rcls)
-                    acc[k1] = acc.get(k1, 0) + coeff
-                    k2 = (lcls, jac.compose(rcls, xcls))
-                    acc[k2] = acc.get(k2, 0) - coeff
+                k1 = (jac.compose(xcls, lcls), rcls)
+                acc[k1] = acc.get(k1, 0) + sign
+                k2 = (lcls, jac.compose(rcls, xcls))
+                acc[k2] = acc.get(k2, 0) - sign
             assert all(v == 0 for v in acc.values()), (name, y)
 
 
@@ -301,11 +299,12 @@ def test_x_alpha(jacobis):
         etas = [(1, 0), (0, 1)]
         for alpha in etas:
             xa = jac.central_x_alpha(alpha)
+            words = jac.x_alpha_witnesses(alpha)
+            assert words.keys() == xa.keys()
             for v, cls in xa.items():
                 degs = jac.corner_degrees(cls)
                 assert min(degs) == 0
-                assert cls.witness is not None
-                assert jac.canonical_form(cls.witness) == cls
+                assert jac.canonical_form(words[v]) == cls
             with pytest.raises(JacobiError):
                 divide_by_W(jac, next(iter(xa.values())))
 
@@ -322,7 +321,7 @@ def test_x_eta_vanishes_on_adjacent_corners(jacobis, complexes):
         K = complexes[name]
         n = K.n_classes
         for i in range(1, n + 1):
-            cls = next(iter(jac.central_x_alpha(K.eta(i), want_witness=False).values()))
+            cls = next(iter(jac.central_x_alpha(K.eta(i)).values()))
             degs = jac.corner_degrees(cls)
             zero_at = {k + 1 for k, deg in enumerate(degs) if deg == 0}
             assert zero_at == {i, i % n + 1}, (name, i, degs)
@@ -341,7 +340,7 @@ def test_division_consistency(jacobis):
         W = next(iter(jac.central_W().values()))
         for alpha in ((1, 0), (0, 1), (1, 1)):
             try:
-                xa = next(iter(jac.central_x_alpha(alpha, want_witness=False).values()))
+                xa = next(iter(jac.central_x_alpha(alpha).values()))
             except JacobiError:
                 continue
             prod = type(xa)(xa.tail, xa.head, xa.h1, xa.w0 + W.w0)

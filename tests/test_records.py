@@ -74,11 +74,6 @@ class StripDecomposition:
 
 
 @dataclass(frozen=True)
-class CyclicPoly:
-    terms: tuple
-
-
-@dataclass(frozen=True)
 class PathClass:
     tail: object
     head: object
@@ -163,7 +158,6 @@ REFERENCES = {
     dimer_mod.ValidationReport: ValidationReport,
     dimer_mod.ZigzagCycle: ZigzagCycle,
     dimer_mod.StripDecomposition: StripDecomposition,
-    jacobi.CyclicPoly: CyclicPoly,
     jacobi.PathClass: PathClass,
     hochschild.E2Label: E2Label,
     ks.Check: Check,
@@ -209,7 +203,7 @@ def records_of(raw: dict) -> list:
         report = v.verify_all()
         out += [report, *report.checks]
     jac = K.jac
-    out += [jac.superpotential, sh.sh_basis(3)]
+    out += [sh.sh_basis(3)]
     out += [*K._arrow_cls.values(), *jac.central_W().values(), jac.idempotent(d.vertices[0])]
     out += K.e2_basis("even", 3) + K.e2_basis("odd", 3)
     broken = broken_dimer(raw).validate()
