@@ -24,6 +24,7 @@ from .dimer import (
     anti_zigzag,
     dimer_isomorphic,
     dual_dimer,
+    face_word_at,
     is_zigzag_consistent,
     surface_invariants,
     word_key,
@@ -43,7 +44,7 @@ PIPELINE_ERRORS = (DimerError, DimerFormatError, JacobiError, HochschildError, S
 
 
 def _load(path: str, base_vertex=None) -> Dimer:
-    if Path(path).exists():
+    if Path(path).is_file():
         d = parse_dimer(path)
     elif path in BUNDLED:
         d = load_bundled(path)
@@ -360,7 +361,7 @@ def cmd_jacobi(args) -> int:
         }
     if not data or args.w_report:
         data["W"] = {
-            str(v): {"h1": c.h1, "w0": c.w0, "witness": c.witness}
+            str(v): {"h1": c.h1, "w0": c.w0, "witness": face_word_at(d, v)}
             for v, c in jac.central_W().items()
         }
         data["relations"] = [

@@ -227,9 +227,6 @@ class ValidationReport(_Record):
         self.ok = ok
         self.issues = [] if issues is None else issues
 
-    def codes(self) -> set[str]:
-        return {i.code for i in self.issues}
-
 
 class ZigzagCycle(_Frozen):
     """A zigzag cycle, stored as its traversal (zig1, zag1, zig2, zag2, ...).

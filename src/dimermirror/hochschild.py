@@ -16,9 +16,10 @@ paired with Xbar_a, whose coefficient is the right class of a row at tail(a).
 
 The kernel adds its terms on plain keys: each output slot sums integer
 coefficients in a dict keyed by the tuple (tail, head, h1, w0) of the
-composed class.  Most of these sums cancel, so a ``PathClass``, with no
-witness, is built only for each nonzero total.  Composability is checked
-term by term, as ``Jacobi.compose`` would.
+composed class.  Most of these sums cancel, so a ``PathClass`` is built only
+for each nonzero total.  Composability is checked term by term, as
+``Jacobi.compose`` would.  Every other sum of cochains runs through
+``CochainElement.from_terms``.
 """
 
 from __future__ import annotations
@@ -61,16 +62,8 @@ class CochainElement:
         return out
 
     @staticmethod
-    def zero(degree: int) -> "CochainElement":
-        return CochainElement(degree, {})
-
-    @staticmethod
     def from_terms(degree: int, terms) -> "CochainElement":
-        """The sum of (slot, class, coefficient) terms, added up in one pass.
-
-        A class is dropped when its running total reaches 0, as ``JElement``
-        addition drops it, so a later term adds it again with its own witness.
-        """
+        """The sum of (slot, class, coefficient) terms, added up in one pass."""
         sums: dict = {}
         for slot, cls, k in terms:
             out = sums.setdefault(slot, {})
@@ -97,18 +90,10 @@ class CochainElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def add_term(self, slot, elem: JElement) -> "CochainElement":
-        out = dict(self.terms)
-        out[slot] = out.get(slot, JElement()) + elem
-        return CochainElement(self.degree, out)
-
     def __add__(self, other: "CochainElement") -> "CochainElement":
         if self.degree != other.degree:
             raise HochschildError("degree mismatch")
-        out = dict(self.terms)
-        for slot, elem in other.terms.items():
-            out[slot] = out.get(slot, JElement()) + elem
-        return CochainElement(self.degree, out)
+        return CochainElement.sum_of(self.degree, (self, other))
 
     def __sub__(self, other: "CochainElement") -> "CochainElement":
         return self + other.scale(-1)
@@ -134,7 +119,7 @@ class CochainElement:
 def _cochain(degree: int, sums: dict) -> CochainElement:
     """The element of ``sums``: slot -> {(tail, head, h1, w0): coefficient}.
 
-    A class, with no witness, is built only for a nonzero total.
+    A class is built only for a nonzero total.
     """
     terms = {}
     for slot, acc in sums.items():

@@ -131,7 +131,10 @@ def dimer_to_dict(d: Dimer) -> dict:
 
 def parse_dimer(path) -> Dimer:
     """Parse and validate a dimer file; invariant failures raise with witnesses."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DimerFormatError(f"{path}: cannot read: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

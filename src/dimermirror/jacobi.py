@@ -1,12 +1,13 @@
-"""Jacobi-algebra calculus: canonical path classes, relations, rewrites.
+"""Jacobi-algebra calculus: canonical path classes and central elements.
 
 Paths are traversal tuples of arrow ids (first arrow first).  The
 superpotential W is the signed sum of the dimer's face boundaries, read
 straight from ``Dimer.faces``; each arrow's relation equates its complements
-on its two faces.  Equality in the Jacobi algebra of a consistent dimer is
-decided by the invariant data (endpoints, homology class, degree under a
-fixed reference corner matching); a brute-force rewrite oracle guards the
-decision procedure at small scale.
+on its two faces.  In the Jacobi algebra of a consistent dimer a path's class
+is its four invariants (endpoints, homology class, degree under a fixed
+reference corner matching), and a ``PathClass`` is exactly that record; the
+tests guard this decision procedure with a brute-force rewrite oracle at
+small scale.  Words are searched for only on request, by ``realize_path``.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ from .matchings import (
     matching_polytope,
 )
 
-Word = tuple
-
-
 class JacobiError(Exception):
     pass
 
@@ -45,20 +43,15 @@ class JacobiError(Exception):
 
 
 class PathClass(_Frozen):
-    """A class of paths: endpoints, homology class and reference degree.
+    """A class of paths: endpoints, homology class and reference degree."""
 
-    ``witness``, a word in the class, is carried along but is not part of
-    the class: equality and hashing leave it out.
-    """
+    __slots__ = _fields = ("tail", "head", "h1", "w0")
 
-    __slots__ = _fields = ("tail", "head", "h1", "w0", "witness")
-
-    def __init__(self, tail: object, head: object, h1: Vec, w0: int, witness: Word | None = None):
+    def __init__(self, tail: object, head: object, h1: Vec, w0: int):
         _set(self, "tail", tail)
         _set(self, "head", head)
         _set(self, "h1", h1)
         _set(self, "w0", w0)
-        _set(self, "witness", witness)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -170,38 +163,28 @@ class Jacobi:
             raise JacobiError(f"word {word!r} is not a composable path")
         if unshifted is not None:
             d.shift(unshifted)  # raises DimerError naming the arrow
-        return PathClass(
-            tail=arrow_by_id[word[0]].tail,
-            head=prev.head,
-            h1=(x, y),
-            w0=w0,
-            witness=word,
-        )
+        return PathClass(arrow_by_id[word[0]].tail, prev.head, (x, y), w0)
 
     def idempotent(self, v) -> PathClass:
         if v not in self.dimer.vertices:
             raise JacobiError(f"unknown vertex {v!r}")
-        return PathClass(v, v, (0, 0), 0, witness=())
+        return PathClass(v, v, (0, 0), 0)
 
     def compose(self, first: PathClass, second: PathClass) -> PathClass:
         """Class of (first path, then second path)."""
         if first.head != second.tail:
             raise JacobiError("paths do not compose")
-        witness = None
-        if first.witness is not None and second.witness is not None:
-            witness = first.witness + second.witness
         return PathClass(
             first.tail,
             second.head,
             vec_add(first.h1, second.h1),
             first.w0 + second.w0,
-            witness=witness,
         )
 
     def path_equal(self, p: Iterable, q: Iterable) -> bool:
         return self.canonical_form(p) == self.canonical_form(q)
 
-    # -- rewrite oracle ----------------------------------------------------
+    # -- relations ---------------------------------------------------------
 
     def jacobi_relations(self) -> list:
         """(arrow, positive arc, negative arc) for every arrow.
@@ -221,43 +204,14 @@ class Jacobi:
             out.append((aid, arcs[0], arcs[1]))
         return out
 
-    def rewrite_neighbors(self, word: Word, cap: int) -> list:
-        """Words reachable by one relation rewrite, length-capped."""
-        word = tuple(word)
-        out = []
-        for _, lhs, rhs in self.jacobi_relations():
-            for src, dst in ((lhs, rhs), (rhs, lhs)):
-                if len(word) - len(src) + len(dst) > cap:
-                    continue
-                n = len(src)
-                for i in range(len(word) - n + 1):
-                    if word[i : i + n] == src:
-                        out.append(word[:i] + dst + word[i + n :])
-        return out
-
-    def reduce_oracle(self, word: Iterable, cap: int) -> set:
-        """Breadth-first closure of a word under single rewrites (length <= cap)."""
-        word = tuple(word)
-        if not self.dimer.is_composable(word):
-            raise JacobiError(f"word {word!r} is not a composable path")
-        if cap < len(word):
-            raise JacobiError("cap shorter than the starting word")
-        seen = {word}
-        frontier = deque([word])
-        while frontier:
-            w = frontier.popleft()
-            for nb in self.rewrite_neighbors(w, cap):
-                if nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        return seen
-
     # -- central elements ---------------------------------------------------
 
     def central_W(self) -> dict:
-        """The potential: at each vertex, the class of any adjacent face boundary.
+        """The potential: at each vertex v, the class of the face boundary
+        ``face_word_at(d, v)``, which is every adjacent face's class.
 
-        Computed on first use and shared by every later call.
+        Computed on first use and shared by every later call.  A class holds
+        no word; ``face_word_at`` reads one from the dimer's face table.
         """
         if self._central_W is None:
             d = self.dimer

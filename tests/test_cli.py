@@ -16,7 +16,8 @@ import pytest
 
 from dimermirror import cli
 from dimermirror.cli import EXIT_OK, EXIT_USAGE, main
-from dimermirror.io import DimerFormatError, dimer_from_dict, dimer_to_dict, load_bundled
+from dimermirror.io import DimerFormatError, dimer_from_dict, dimer_to_dict, load_bundled, parse_dimer
+from dimermirror.jacobi import Jacobi
 from dimermirror.ks import KSVerifier
 from test_matchings import ORACLE_ZOO, mirrored
 
@@ -320,7 +321,7 @@ def test_arrow_ids_that_print_as_one_key_are_refused(ids):
 def test_equal_ids_of_two_types_stay_duplicates():
     # true == 1: one id twice, which the validator reports, as before
     d = dimer_from_dict(renamed(json.loads((DATA / "c3.json").read_text()), {"x": True, "y": 1}))
-    assert "duplicate_arrow" in d.validate().codes()
+    assert "duplicate_arrow" in {i.code for i in d.validate().issues}
 
 
 def test_failure_json_names_its_stage(tmp_path, lattice_cover):
@@ -630,6 +631,34 @@ def main_in_process(*args):
     return rc, out.getvalue(), err.getvalue()
 
 
+def test_a_directory_does_not_shadow_the_bundled_dimer_of_its_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    want = main_in_process("verify", "c3")
+    (tmp_path / "c3").mkdir()
+    assert main_in_process("verify", "c3") == want
+    assert want[0] == EXIT_OK
+
+
+def test_a_directory_path_is_a_named_error(tmp_path):
+    rc, out, err = main_in_process("hh", str(tmp_path))
+    assert (rc, out, err) == (EXIT_USAGE, "", f"error: no such file or bundled dimer: {tmp_path}\n")
+    with pytest.raises(DimerFormatError, match=re.escape(f"{tmp_path}: cannot read: ")):
+        parse_dimer(tmp_path)
+
+
+def test_a_file_that_is_not_utf8_is_a_named_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    rc, out, err = main_in_process("validate", str(bad), "--format", "json")
+    assert (rc, err) == (1, "")
+    assert json.loads(out) == {
+        "valid": False,
+        "error": f"{bad}: cannot read: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    }
+    with pytest.raises(DimerFormatError, match=re.escape(f"{bad}: cannot read: ")):
+        parse_dimer(bad)
+
+
 def test_repeated_main_calls_match_fresh_processes():
     # one shared parser: no option may leak from one call into the next
     for args in (("report", "c3", "--n-max", "2"), ("verify", "c3"), ("hh", "spp", "--i0", "2")):
@@ -774,6 +803,33 @@ def test_every_subcommand_is_byte_identical_on_the_zoo(name, k, l, seed, covers,
         raw = covers.relabel(raw, random.Random(seed))
     monkeypatch.chdir(tmp_path)
     assert zoo_outputs_sha256(raw) == ZOO_OUTPUT_SHA256[(name, k, l, seed)]
+
+
+@pytest.mark.parametrize("seed", [None, 0])
+@pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
+def test_every_w_report_word_is_a_face_boundary_in_the_class_of_W(name, k, l, seed, covers, tmp_path, monkeypatch):
+    # each printed W word is a face boundary rotated to start at its vertex,
+    # closed there, with the class of W at that vertex
+    raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+    if seed is not None:
+        raw = covers.relabel(raw, random.Random(seed))
+    monkeypatch.chdir(tmp_path)
+    Path("dimer.json").write_text(json.dumps(raw))
+    rc, out, err = main_in_process("jacobi", "dimer.json", "--w-report")
+    assert (rc, err) == (EXIT_OK, "")
+    printed = json.loads(out)["W"]
+    d = parse_dimer("dimer.json")
+    jac = Jacobi(d)
+    W = jac.central_W()
+    rotations = {f.boundary[i:] + f.boundary[:i] for f in d.faces for i in range(len(f.boundary))}
+    assert sorted(printed) == sorted(str(v) for v in d.vertices)
+    for v in d.vertices:
+        row = printed[str(v)]
+        word = tuple(row["witness"])
+        assert d.is_closed(word) and d.tail(word[0]) == v, (v, word)
+        assert word in rotations, (v, word)
+        assert jac.canonical_form(word) == W[v], (v, word)
+        assert (tuple(row["h1"]), row["w0"]) == (W[v].h1, W[v].w0)
 
 
 # -- mirrored inputs and torus markings -------------------------------------------

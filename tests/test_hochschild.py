@@ -275,21 +275,21 @@ def test_ab_choice_nonzero(complexes):
 
 def reference_d0(K, c):
     jac, d = K.jac, K.dimer
-    out = CochainElement.zero(1)
+    out = CochainElement(1)
     for (kind, v), elem in c.terms.items():
         for a in d.arrow_by_id:
             acls = jac.canonical_form((a,))
             for cls, k in elem.terms.items():
                 if d.tail(a) == v:
-                    out = out.add_term((X, a), JElement.of(jac.compose(cls, acls), k))
+                    out = out + CochainElement(1, {(X, a): JElement.of(jac.compose(cls, acls), k)})
                 if d.head(a) == v:
-                    out = out.add_term((X, a), JElement.of(jac.compose(acls, cls), -k))
+                    out = out + CochainElement(1, {(X, a): JElement.of(jac.compose(acls, cls), -k)})
     return out
 
 
 def reference_d1(K, c):
     jac, d = K.jac, K.dimer
-    out = CochainElement.zero(2)
+    out = CochainElement(2)
     for (kind, y), elem in c.terms.items():
         for x in d.arrow_by_id:
             for sign, left, right in hessian(d, x, y):
@@ -297,18 +297,18 @@ def reference_d1(K, c):
                 rcls = jac.canonical_form(right) if right else jac.idempotent(d.tail(x))
                 for cls, k in elem.terms.items():
                     total = jac.compose(jac.compose(lcls, cls), rcls)
-                    out = out.add_term((XBAR, x), JElement.of(total, sign * k))
+                    out = out + CochainElement(2, {(XBAR, x): JElement.of(total, sign * k)})
     return out
 
 
 def reference_d2(K, c):
     jac, d = K.jac, K.dimer
-    out = CochainElement.zero(3)
+    out = CochainElement(3)
     for (kind, y), elem in c.terms.items():
         ycls = jac.canonical_form((y,))
         for cls, k in elem.terms.items():
-            out = out.add_term((PT, d.head(y)), JElement.of(jac.compose(cls, ycls), k))
-            out = out.add_term((PT, d.tail(y)), JElement.of(jac.compose(ycls, cls), -k))
+            out = out + CochainElement(3, {(PT, d.head(y)): JElement.of(jac.compose(cls, ycls), k)})
+            out = out + CochainElement(3, {(PT, d.tail(y)): JElement.of(jac.compose(ycls, cls), -k)})
     return out
 
 
@@ -469,8 +469,7 @@ def test_differentials_and_W_reuse_their_classes(dimers, monkeypatch):
 #
 # The parent_* functions are d0, d1, d2, d_W, cup and bv_delta_deg3 as they were
 # when every term was built as a PathClass and summed in a dict keyed by it.
-# The plain-key kernels must give the same classes and coefficients; class
-# equality ignores witnesses, which the kernels no longer carry.
+# The plain-key kernels must give the same classes and coefficients.
 
 
 def _from_sums(degree, sums):
@@ -508,10 +507,7 @@ def parent_d1(K, c: CochainElement):
             for cls, k in elem.terms.items():
                 if left.head != cls.tail or cls.head != right.tail:
                     raise JacobiError("paths do not compose")
-                witness = None
-                if None not in (left.witness, cls.witness, right.witness):
-                    witness = left.witness + cls.witness + right.witness
-                total = PathClass(tail, head, vec_add(h1, cls.h1), w0 + cls.w0, witness)
+                total = PathClass(tail, head, vec_add(h1, cls.h1), w0 + cls.w0)
                 out[total] = out.get(total, 0) + sign * k
     return _from_sums(2, sums)
 
@@ -542,7 +538,7 @@ def parent_bv_delta_deg3(K, word):
     d = K.dimer
     if word and not d.is_closed(word):
         raise HochschildError(f"{word!r} is not a closed path")
-    out = CochainElement.zero(2)
+    out = CochainElement(2)
     if not word:
         return out
     n = len(word)
@@ -553,7 +549,7 @@ def parent_bv_delta_deg3(K, word):
             if rest
             else jac.idempotent(d.head(word[i]))
         )
-        out = out.add_term((XBAR, word[i]), JElement.of(cls))
+        out = out + CochainElement(2, {(XBAR, word[i]): JElement.of(cls)})
     return out
 
 
@@ -616,7 +612,7 @@ def random_word(K, rng, u, w, tries=400):
 
 
 def random_class_pool(K, rng, u, w, size=3) -> list:
-    """Classes of random words from u to w; equal classes may carry different witnesses."""
+    """Classes of random words from u to w; the pool may repeat a class."""
     jac = K.jac
     pool = []
     for _ in range(size):
@@ -629,8 +625,7 @@ def random_class_pool(K, rng, u, w, size=3) -> list:
 def random_cochain(K, rng, degree, arrows=None) -> CochainElement:
     """A seeded multi-term cochain on up to five slots.
 
-    Coefficients are drawn from small pools, so a class repeats across slots
-    and under different witnesses; about a quarter have their witness dropped,
+    Coefficients are drawn from small pools, so a class repeats across slots,
     and some classes cancel and then reappear within their slot.
     """
     d = K.dimer
@@ -648,12 +643,10 @@ def random_cochain(K, rng, degree, arrows=None) -> CochainElement:
         pool = random_class_pool(K, rng, u, w)
         for _ in range(rng.randint(1, 4) if pool else 0):
             cls = rng.choice(pool)
-            if rng.random() < 0.25:
-                cls = PathClass(cls.tail, cls.head, cls.h1, cls.w0, None)
             k = rng.choice((-2, -1, 1, 2))
             terms.append((slot, cls, k))
-            if rng.random() < 0.3:  # cancel it, then add it again under any witness
-                terms += [(slot, cls, -k), (slot, rng.choice([p for p in pool if p == cls]), k)]
+            if rng.random() < 0.3:  # cancel it, then add it again
+                terms += [(slot, cls, -k), (slot, cls, k)]
     return CochainElement.from_terms(degree, terms)
 
 
@@ -801,13 +794,13 @@ def test_cancelled_class_is_added_again(complexes):
     assert K.d2(c).terms[(PT, 1)].terms[w2] == 1
 
 
-def test_one_witness_rule_for_a_cancelled_class(complexes):
-    # A + (-A) + A' with A == A' as classes but under different words: every
-    # way of writing the sum drops A when its total reaches 0 and keeps A'
+def test_every_cochain_sum_agrees_on_a_cancelled_class(complexes):
+    # A + (-A) + A' with A == A' the classes of two different words: every
+    # way of writing the sum gives the one term A' with coefficient 1
     K = complexes["c3"]
     jac = K.jac
     A, A2 = jac.canonical_form(("x", "y", "z")), jac.canonical_form(("x", "z", "y"))
-    assert A == A2 and A.witness != A2.witness
+    assert A == A2
     slot = (UNIT, K.base_vertex)
     parts = [JElement.of(A), JElement.of(A, -1), JElement.of(A2)]
     singles = [CochainElement(0, {slot: p}) for p in parts]
@@ -815,9 +808,8 @@ def test_one_witness_rule_for_a_cancelled_class(complexes):
         "from_terms": CochainElement.from_terms(0, [(slot, A, 1), (slot, A, -1), (slot, A2, 1)]),
         "sum_of": CochainElement.sum_of(0, singles),
         "+": singles[0] + singles[1] + singles[2],
-        "add_term": CochainElement.zero(0).add_term(slot, parts[0]).add_term(slot, parts[1]).add_term(slot, parts[2]),
         "JElement +": CochainElement(0, {slot: parts[0] + parts[1] + parts[2]}),
     }
     for how, c in sums.items():
         assert c == CochainElement(0, {slot: JElement.of(A2)}), how
-        assert [cls.witness for cls in c.terms[slot].terms] == [A2.witness], how
+        assert c.terms[slot].terms == {A2: 1}, how

@@ -79,7 +79,6 @@ class PathClass:
     head: object
     h1: Vec
     w0: int
-    witness: Optional[tuple] = field(default=None, compare=False, hash=False)
 
 
 @dataclass(frozen=True)
@@ -260,13 +259,6 @@ def test_equality_matches_the_reference(zoo_records):
                 if want and record in FROZEN:
                     assert hash(obj) == hash(other)
             assert obj != field_values(ref, obj) and obj != "a string"
-
-
-def test_a_path_class_leaves_its_witness_out():
-    a = jacobi.PathClass("v", "w", (1, 0), 2, ("x",))
-    b = jacobi.PathClass("v", "w", (1, 0), 2)
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert repr(a) == "PathClass(tail='v', head='w', h1=(1, 0), w0=2, witness=('x',))"
 
 
 def test_frozen_records_refuse_assignment(zoo_records):
