@@ -16,10 +16,13 @@ paired with Xbar_a, whose coefficient is the right class of a row at tail(a).
 
 The kernel adds its terms on plain keys: each output slot sums integer
 coefficients in a dict keyed by the tuple (tail, head, h1, w0) of the
-composed class.  Most of these sums cancel, so a ``PathClass`` is built only
-for each nonzero total.  Composability is checked term by term, as
-``Jacobi.compose`` would.  Every other sum of cochains runs through
-``CochainElement.from_terms``.
+composed class.  A ``PathClass`` is that tuple with its fields named, so the
+key of each nonzero total becomes its class through ``tuple.__new__``; most
+sums cancel and build nothing.  Composability is checked term by term, as
+``Jacobi.compose`` would, and the degree of the output slots once per call.
+Every other sum of cochains runs through ``CochainElement.from_terms`` or
+``CochainElement.sum_of``, which add in one pass and check the degree of each
+slot they keep.
 """
 
 from __future__ import annotations
@@ -63,29 +66,52 @@ class CochainElement:
 
     @staticmethod
     def from_terms(degree: int, terms) -> "CochainElement":
-        """The sum of (slot, class, coefficient) terms, added up in one pass."""
+        """The sum of (slot, class, coefficient) terms, added up in one pass.
+
+        Each slot is checked against ``degree`` once, in ``_of_sums``; the
+        coefficients are built without checking them again.
+        """
         sums: dict = {}
         for slot, cls, k in terms:
-            out = sums.setdefault(slot, {})
+            out = sums.get(slot)
+            if out is None:
+                out = sums[slot] = {}
             total = out.get(cls, 0) + k
             if total:
                 out[cls] = total
             else:
                 out.pop(cls, None)
-        return CochainElement(degree, {slot: JElement(t) for slot, t in sums.items()})
+        return CochainElement._of_sums(degree, sums)
 
     @staticmethod
     def sum_of(degree: int, elements) -> "CochainElement":
-        """The sum of elements of one degree, added up in one pass."""
-        return CochainElement.from_terms(
-            degree,
-            (
-                (slot, cls, k)
-                for c in elements
-                for slot, elem in c.terms.items()
-                for cls, k in elem.terms.items()
-            ),
-        )
+        """The sum of elements of one degree, added up in one pass, checked as in
+        ``from_terms``."""
+        sums: dict = {}
+        for c in elements:
+            for slot, elem in c.terms.items():
+                out = sums.get(slot)
+                if out is None:
+                    out = sums[slot] = {}
+                for cls, k in elem.terms.items():
+                    total = out.get(cls, 0) + k
+                    if total:
+                        out[cls] = total
+                    else:
+                        del out[cls]
+        return CochainElement._of_sums(degree, sums)
+
+    @staticmethod
+    def _of_sums(degree: int, sums: dict) -> "CochainElement":
+        """The element on ``sums``, slot -> {class: nonzero coefficient}: each
+        nonempty slot checked against ``degree`` and kept."""
+        terms = {}
+        for slot, elem in sums.items():
+            if elem:
+                if _SLOT_DEGREE[slot[0]] != degree:
+                    raise HochschildError(f"slot {slot} has wrong degree for {degree}")
+                terms[slot] = JElement._nonzero(elem)
+        return CochainElement._nonzero(degree, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -99,7 +125,9 @@ class CochainElement:
         return self + other.scale(-1)
 
     def scale(self, k: int) -> "CochainElement":
-        return CochainElement(self.degree, {s: e.scale(k) for s, e in self.terms.items()})
+        return CochainElement._nonzero(
+            self.degree, {s: e.scale(k) for s, e in self.terms.items()} if k else {}
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -116,21 +144,6 @@ class CochainElement:
         return f"Cochain(deg={self.degree}, " + "; ".join(bits) + ")"
 
 
-def _cochain(degree: int, sums: dict) -> CochainElement:
-    """The element of ``sums``: slot -> {(tail, head, h1, w0): coefficient}.
-
-    A class is built only for a nonzero total.
-    """
-    terms = {}
-    for slot, acc in sums.items():
-        elem = {PathClass(*key): k for key, k in acc.items() if k}
-        if elem:
-            if _SLOT_DEGREE[slot[0]] != degree:
-                raise HochschildError(f"slot {slot} has wrong degree for {degree}")
-            terms[slot] = JElement._nonzero(elem)
-    return CochainElement._nonzero(degree, terms)
-
-
 def _row(sign: int, out, left: PathClass, right: PathClass) -> tuple:
     """A row (sign, out, outer, (left, right)) of the sandwich kernel.
 
@@ -142,22 +155,46 @@ def _row(sign: int, out, left: PathClass, right: PathClass) -> tuple:
     return (sign, out, outer, (left, right))
 
 
+def _ab_order(n: int):
+    """The pairs (a, b) != (0, 0) with |a|, |b| <= n, by |a| + |b|, then a,
+    then b, generated in that order rather than sorted."""
+    for s in range(1, 2 * n + 1):
+        for a in range(max(-s, -n), min(s, n) + 1):
+            r = s - abs(a)
+            if r <= n:
+                yield from ((a, -r), (a, r)) if r else ((a, 0),)
+
+
 def _sandwich(c: CochainElement, in_kind: str, rows: dict, out_kind: str, degree: int):
     """The cochain of degree ``degree``: each coefficient on an ``in_kind`` slot
-    put between the left and right of every row of that slot's index."""
+    put between the left and right of every row of that slot's index.
+
+    Each output slot sums its terms on plain (tail, head, h1, w0) keys; the
+    key of a nonzero total becomes its ``PathClass`` through ``tuple.__new__``.
+    """
+    if _SLOT_DEGREE[out_kind] != degree:
+        raise HochschildError(f"{out_kind} slots have wrong degree for {degree}")
     sums: dict = {}
+    get = sums.get
     for (kind, s), elem in c.terms.items():
         if kind != in_kind:
             raise HochschildError(f"degree-{degree - 1} terms must sit on {in_kind} slots")
         for sign, x, (tail, head, (o0, o1), w0), (left, right) in rows[s]:
-            out = sums.setdefault((out_kind, x), {})
-            for cls, k in elem.terms.items():
-                if left.head != cls.tail or cls.head != right.tail:
+            out = get(x)
+            if out is None:
+                out = sums[x] = {}
+            lh, rt = left.head, right.tail
+            for (ct, ch, (h0, h1), cw), k in elem.terms.items():
+                if lh != ct or ch != rt:
                     raise JacobiError("paths do not compose")
-                h = cls.h1
-                key = (tail, head, (o0 + h[0], o1 + h[1]), w0 + cls.w0)
+                key = (tail, head, (o0 + h0, o1 + h1), w0 + cw)
                 out[key] = out.get(key, 0) + sign * k
-    return _cochain(degree, sums)
+    new, terms = tuple.__new__, {}
+    for x, acc in sums.items():
+        elem = {new(PathClass, key): k for key, k in acc.items() if k}
+        if elem:
+            terms[(out_kind, x)] = JElement._nonzero(elem)
+    return CochainElement._nonzero(degree, terms)
 
 
 class E2Label(_Frozen):
@@ -274,20 +311,9 @@ class KoszulComplex:
     def _choose_ab(self) -> tuple:
         N = self.n_classes
         m0, m_prev = self.m(self.i0), self.m((self.i0 - 2) % N + 1)
-        cands = [
-            (a, b)
-            for a in range(-(N + 1), N + 2)
-            for b in range(-(N + 1), N + 2)
-        ]
-        cands.sort(key=lambda t: (abs(t[0]) + abs(t[1]), t))
-        for a, b in cands:
-            if (a, b) == (0, 0):
-                continue
-            if all(
-                a * self.U_eval(eta) + b * self.V_eval(eta) != 0
-                and a * m_prev * self.U_eval(eta) + b * m0 * self.V_eval(eta) != 0
-                for eta, _ in self.classes
-            ):
+        uv = [(self.U_eval(eta), self.V_eval(eta)) for eta, _ in self.classes]
+        for a, b in _ab_order(N + 1):
+            if all(a * u + b * v != 0 and a * m_prev * u + b * m0 * v != 0 for u, v in uv):
                 return (a, b)
         raise HochschildError("no (a, b) valid on both sides for every eta_i")
 

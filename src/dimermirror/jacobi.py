@@ -5,22 +5,22 @@ superpotential W is the signed sum of the dimer's face boundaries, read
 straight from ``Dimer.faces``; each arrow's relation equates its complements
 on its two faces.  In the Jacobi algebra of a consistent dimer a path's class
 is its four invariants (endpoints, homology class, degree under a fixed
-reference corner matching), and a ``PathClass`` is exactly that record; the
-tests guard this decision procedure with a brute-force rewrite oracle at
-small scale.  Words are searched for only on request, by ``realize_path``.
+reference corner matching), and a ``PathClass`` is exactly that 4-tuple, a
+``tuple`` subclass with named fields, so the Koszul kernels hash and compare
+classes in C.  The tests guard this decision procedure with a brute-force
+rewrite oracle at small scale.  Words are searched for only on request, by
+``realize_path``.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import _tuplegetter, deque
 from collections.abc import Iterable
 
 from .dimer import (
     Dimer,
     Vec,
     _Combination,
-    _Frozen,
-    _set,
     dot,
     face_word_at,
     idkey,
@@ -35,6 +35,9 @@ from .matchings import (
     matching_polytope,
 )
 
+_tuple_new = tuple.__new__
+
+
 class JacobiError(Exception):
     pass
 
@@ -42,26 +45,29 @@ class JacobiError(Exception):
 # -- path classes ------------------------------------------------------------
 
 
-class PathClass(_Frozen):
-    """A class of paths: endpoints, homology class and reference degree."""
+class PathClass(tuple):
+    """A class of paths: endpoints, homology class and reference degree.
 
-    __slots__ = _fields = ("tail", "head", "h1", "w0")
+    The tuple ``(tail, head, h1, w0)`` with its fields named: hashing,
+    equality and field reads run in C, and ``tuple.__new__(PathClass, fields)``
+    builds one with no Python call.  A class equals the plain 4-tuple of its
+    fields and ``isinstance(cls, tuple)`` holds, so ``cli._write`` would print
+    one as a JSON list.
+    """
 
-    def __init__(self, tail: object, head: object, h1: Vec, w0: int):
-        _set(self, "tail", tail)
-        _set(self, "head", head)
-        _set(self, "h1", h1)
-        _set(self, "w0", w0)
+    __slots__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.tail, self.head, self.h1, self.w0) == (
-                other.tail, other.head, other.h1, other.w0
-            )
-        return NotImplemented
+    def __new__(cls, tail: object, head: object, h1: Vec, w0: int):
+        return _tuple_new(cls, (tail, head, h1, w0))
 
-    def __hash__(self):
-        return hash((self.tail, self.head, self.h1, self.w0))
+    tail = _tuplegetter(0, "the vertex the paths start at")
+    head = _tuplegetter(1, "the vertex the paths end at")
+    h1 = _tuplegetter(2, "the homology class of the paths")
+    w0 = _tuplegetter(3, "the degree under the reference corner matching")
+
+    def __repr__(self):
+        tail, head, h1, w0 = self
+        return f"PathClass(tail={tail!r}, head={head!r}, h1={h1!r}, w0={w0!r})"
 
 
 class JElement(_Combination):

@@ -19,9 +19,9 @@ from dimermirror import (
     surface_invariants,
     zigzag_cycles,
 )
-from dimermirror.dimer import cyclic_equal, idkey
+from dimermirror.dimer import cyclic_equal
 from dimermirror.matchings import enumerate_perfect_matchings, matching_polytope
-from test_jacobi import pm_degree
+from test_jacobi import oracle_partitions_agree, pm_degree
 from test_matchings import corner_structure
 
 NAMES = ("c3", "conifold", "spp")
@@ -88,37 +88,6 @@ def test_criterion_3_matching_structure(dimers):
     verdict(3, ok, "corner/boundary matching structure exact; boundary matchings {a,e}, {c,g}")
 
 
-def _composable_words(d, max_len):
-    out = []
-    frontier = [(a.id,) for a in sorted(d.arrows, key=lambda x: idkey(x.id))]
-    while frontier:
-        w = frontier.pop()
-        out.append(w)
-        if len(w) < max_len:
-            for a in sorted(d.arrows, key=lambda x: idkey(x.id)):
-                if a.tail == d.head(w[-1]):
-                    frontier.append(w + (a.id,))
-    return out
-
-
-class _UF:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def test_criterion_4_jacobi_calculus(dimers, jacobis):
     ok = True
     for name, jac in jacobis.items():
@@ -130,30 +99,7 @@ def test_criterion_4_jacobi_calculus(dimers, jacobis):
     # canonical-form partition on all composable words of length <= 6
     max_len, cap = 6, 10
     for name, jac in jacobis.items():
-        words = _composable_words(jac.dimer, cap)
-        relations = jac.jacobi_relations()
-        rules = []
-        for _, lhs, rhs in relations:
-            rules.append((lhs, rhs))
-        uf = _UF()
-        for w in words:
-            uf.find(w)
-            for src, dst in rules:
-                n = len(src)
-                if len(w) - n + len(dst) > cap:
-                    continue
-                for i in range(len(w) - n + 1):
-                    if w[i : i + n] == src:
-                        uf.union(w, w[:i] + dst + w[i + n :])
-        short = [w for w in words if len(w) <= max_len]
-        canon_to_root, root_to_canon = {}, {}
-        agree = True
-        for w in short:
-            c = jac.canonical_form(w)
-            r = uf.find(w)
-            if canon_to_root.setdefault(c, r) != r or root_to_canon.setdefault(r, c) != c:
-                agree = False
-                break
+        agree, _ = oracle_partitions_agree(jac, max_len=max_len, cap=cap)
         ok = ok and agree
     verdict(4, ok, f"degree invariance under rewrites; oracle agreement on words <= {max_len} (cap {cap})")
 

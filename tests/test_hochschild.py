@@ -14,6 +14,7 @@ from dimermirror.hochschild import (
     CochainElement,
     HochschildError,
     KoszulComplex,
+    _ab_order,
 )
 from dimermirror.io import dimer_from_dict
 from dimermirror.jacobi import Jacobi, JacobiError, JElement, PathClass
@@ -268,6 +269,41 @@ def test_ab_choice_nonzero(complexes):
     for K in complexes.values():
         for i in range(1, K.n_classes + 1):
             assert K.w_odd_eval(K.eta(i)) != 0
+
+
+def sorted_ab_scan(K) -> tuple:
+    """The (a, b) choice by the parent's scan: every pair with |a|, |b| <= N + 1
+    built, sorted by |a| + |b| and then (a, b), and the first valid one taken."""
+    N = K.n_classes
+    m0, m_prev = K.m(K.i0), K.m((K.i0 - 2) % N + 1)
+    cands = [(a, b) for a in range(-(N + 1), N + 2) for b in range(-(N + 1), N + 2)]
+    cands.sort(key=lambda t: (abs(t[0]) + abs(t[1]), t))
+    for a, b in cands:
+        if (a, b) != (0, 0) and all(
+            a * K.U_eval(eta) + b * K.V_eval(eta) != 0
+            and a * m_prev * K.U_eval(eta) + b * m0 * K.V_eval(eta) != 0
+            for eta, _ in K.classes
+        ):
+            return (a, b)
+    return None
+
+
+def test_ab_order_is_the_sorted_order():
+    for n in range(1, 9):
+        pairs = [(a, b) for a in range(-n, n + 1) for b in range(-n, n + 1) if (a, b) != (0, 0)]
+        assert list(_ab_order(n)) == sorted(pairs, key=lambda t: (abs(t[0]) + abs(t[1]), t)), n
+
+
+def test_choose_ab_matches_the_sorted_scan_on_the_zoo(covers):
+    chosen = Counter()
+    for name, k, l in ORACLE_ZOO:
+        raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+        jac = Jacobi(dimer_from_dict(raw))
+        for i0 in range(1, len(jac.corners) + 1):
+            K = KoszulComplex(jac, i0)
+            assert K._choose_ab() == sorted_ab_scan(K) == K.ab, (name, k, l, i0)
+            chosen[K.ab] += 1
+    assert len(chosen) > 1, chosen
 
 
 # -- the differentials against their per-call formulas --------------------------

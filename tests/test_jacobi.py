@@ -6,8 +6,10 @@ from collections import Counter, deque
 import pytest
 
 from dimermirror.dimer import Arrow, Dimer, DimerError, dot, idkey, vec_sub
+from dimermirror.io import dimer_from_dict
 from dimermirror.jacobi import Jacobi, JacobiError, PathClass
 from dimermirror.matchings import PerfectMatching, enumerate_perfect_matchings
+from test_matchings import ORACLE_ZOO
 
 
 # -- references the package no longer carries ----------------------------------
@@ -316,6 +318,27 @@ def test_reduce_oracle_builds_the_relations_once_per_search(dimers):
     closure = reduce_oracle(jac, ("a1", "b1", "a2", "b2", "a1", "b1"), 8)
     assert len(closure) == 9 and len(calls) == 1
     assert len({jac.canonical_form(w) for w in closure}) == 1
+
+
+def test_a_path_class_hashes_and_compares_as_its_tuple(covers):
+    # hashing and equality are the tuple's own, so they run in C; the hash of
+    # a class is still the hash of its four fields, so dict orders do not move
+    assert PathClass.__hash__ is tuple.__hash__
+    assert PathClass.__eq__ is tuple.__eq__
+    seen = 0
+    for name, k, l in ORACLE_ZOO:
+        raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+        jac = Jacobi(dimer_from_dict(raw))
+        d = jac.dimer
+        classes = [jac.canonical_form((a,)) for a in d.arrow_ids]
+        classes += [*jac.central_W().values(), *map(jac.idempotent, d.vertices)]
+        for cls in classes:
+            t = (cls.tail, cls.head, cls.h1, cls.w0)
+            assert isinstance(cls, tuple) and tuple(cls) == t
+            assert hash(PathClass(*t)) == hash(t) == hash(cls)
+            assert PathClass(*t) == cls == t
+            seen += 1
+    assert seen > 300
 
 
 def test_central_W(dimers, jacobis):
