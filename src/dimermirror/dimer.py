@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from functools import cmp_to_key
+from functools import cmp_to_key, wraps
 from math import gcd
 from operator import attrgetter
 
@@ -118,6 +118,10 @@ class _Frozen(_Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which takes the fields in order
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 _set = object.__setattr__
@@ -292,12 +296,32 @@ def cyclic_equal(a: Iterable, b: Iterable) -> bool:
     return len(a) == len(b) and (len(a) == 0 or a in cyclic_rotations(b))
 
 
+def per_dimer(build):
+    """Decorator: ``build(d, *args)`` computed once per dimer and arguments.
+
+    The result is kept in ``d._derived`` under (the decorated function,
+    args), so every caller shares it and must not mutate it; a build that
+    raises keeps nothing.  The build is called as ``__wrapped__``, so a test
+    can count or fake the builds by replacing that attribute.
+    """
+
+    @wraps(build)
+    def cached(d, *args):
+        key = (cached, args)
+        if key not in d._derived:
+            d._derived[key] = cached.__wrapped__(d, *args)
+        return d._derived[key]
+
+    return cached
+
+
 class Dimer:
     """Immutable dimer model; derived combinatorial structure built lazily.
 
-    Each derived structure is computed at most once per instance, most of them
-    in one cache (``_memo``), and shared by every caller, so callers must not
-    mutate what they get back.  The lookup tables that every module reads:
+    Each derived structure is computed at most once per instance, by a
+    function decorated with ``per_dimer``, and shared by every caller, so
+    callers must not mutate what they get back.  The lookup tables that
+    every module reads:
 
     * ``arrow_ids`` (sorted by ``idkey``) and ``arrow_rank`` (id -> position
       there), set on construction, like ``has_shifts``;
@@ -305,8 +329,8 @@ class Dimer:
     * ``pos_face_of``, ``neg_face_of``, ``next_pos``, ``next_neg``: an arrow's
       two faces and its successor on each, and ``face_words``: vertex -> the
       first face through it, rotated to start there (``face_word_at``);
-    * ``zigzag_of``: arrow -> (k, l), the arrow being a zig of ``_orbits(d)[k]``
-      and a zag of ``_orbits(d)[l]``.
+    * ``zigzag_of``: arrow -> (k, l), the arrow being a zig of orbit k and a
+      zag of orbit l of ``_zigzag_orbits``.
     """
 
     def __init__(self, name: str, vertices, arrows, faces):
@@ -320,12 +344,6 @@ class Dimer:
         self.arrow_ids, self.arrow_rank = _arrow_order(self)
         self.has_shifts = all(a.shift is not None for a in self.arrows)
         self._derived: dict = {}
-
-    def _memo(self, key, build):
-        """build() on first use of key; the same object on every later call."""
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
 
     # -- basic accessors -------------------------------------------------
 
@@ -371,7 +389,7 @@ class Dimer:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        return self._memo("report", lambda: _validate(self))
+        return validate_dimer(self)
 
     def require_valid(self):
         rep = self.validate()
@@ -385,35 +403,31 @@ class Dimer:
 
     @property
     def leaving(self) -> dict:
-        return self._memo("incidence", lambda: _vertex_incidence(self))[0]
+        return _vertex_incidence(self)[0]
 
     @property
     def entering(self) -> dict:
-        return self._memo("incidence", lambda: _vertex_incidence(self))[1]
+        return _vertex_incidence(self)[1]
 
     @property
     def face_words(self) -> dict:
-        return self._struct()[4]
+        return _face_structure(self)[4]
 
     @property
     def zigzag_of(self) -> dict:
-        _orbits(self)  # the orbit walk fills the table
-        return self._derived["zigzag_of"]
-
-    def _struct(self):
-        return self._memo("face_structure", lambda: _face_structure(self))
+        return _zigzag_orbits(self)[1]
 
     def pos_face_of(self, aid) -> int:
-        return self._struct()[0][aid]
+        return _face_structure(self)[0][aid]
 
     def neg_face_of(self, aid) -> int:
-        return self._struct()[1][aid]
+        return _face_structure(self)[1][aid]
 
     def next_pos(self, aid):
-        return self._struct()[2][aid]
+        return _face_structure(self)[2][aid]
 
     def next_neg(self, aid):
-        return self._struct()[3][aid]
+        return _face_structure(self)[3][aid]
 
 
 def _arrow_order(d: Dimer) -> tuple:
@@ -422,6 +436,7 @@ def _arrow_order(d: Dimer) -> tuple:
     return ids, {a: r for r, a in enumerate(ids)}
 
 
+@per_dimer
 def _vertex_incidence(d: Dimer) -> tuple:
     """(vertex -> arrow ids out of it, vertex -> arrow ids into it), each in id order."""
     d.require_valid()
@@ -434,6 +449,7 @@ def _vertex_incidence(d: Dimer) -> tuple:
     return leaving, entering
 
 
+@per_dimer
 def _face_structure(d: Dimer) -> tuple:
     """One pass over the faces: arrow -> its positive face, its negative face, its
     successor on each, and vertex -> the first face through it, rotated to start there."""
@@ -451,7 +467,8 @@ def _face_structure(d: Dimer) -> tuple:
     return pos_face, neg_face, next_pos, next_neg, words
 
 
-def _validate(d: Dimer) -> ValidationReport:
+@per_dimer
+def validate_dimer(d: Dimer) -> ValidationReport:
     issues: list[Issue] = []
 
     vertices = set(d.vertices)
@@ -581,22 +598,15 @@ def _is_connected(d: Dimer) -> bool:
     return bool(d.vertices) and set(_strip_components(d, ()).values()) == {0}
 
 
-def validate_dimer(d: Dimer) -> ValidationReport:
-    return d.validate()
-
-
 # -- zigzag cycles ---------------------------------------------------------
 
 
-def _orbits(d: Dimer) -> list[ZigzagCycle]:
-    """The unindexed zigzag cycles, walked once per dimer and shared."""
-    return d._memo("zigzag_orbits", lambda: _zigzag_orbits(d))
-
-
-def _zigzag_orbits(d: Dimer) -> list[ZigzagCycle]:
-    """Unindexed zigzag cycles: orbits of the alternating successor maps; the walk fills ``d.zigzag_of``."""
+@per_dimer
+def _zigzag_orbits(d: Dimer) -> tuple[list[ZigzagCycle], dict]:
+    """(the unindexed zigzag cycles, ``d.zigzag_of``): orbits of the alternating
+    successor maps, and the orbits through each arrow as a zig and as a zag."""
     d.require_valid()
-    next_pos, next_neg = d._struct()[2:4]
+    next_pos, next_neg = _face_structure(d)[2:4]
     cycles = []
     zig_of, zag_of = {}, {}  # arrow -> index of the orbit through it as a zig, as a zag
     for a in d.arrow_ids:
@@ -620,10 +630,10 @@ def _zigzag_orbits(d: Dimer) -> list[ZigzagCycle]:
     n = len(d.arrow_ids)
     if len(zig_of) != n or len(zag_of) != n or sum(len(z.zigs) for z in cycles) != n:
         raise DimerError("zigzag orbits do not cover every arrow once as zig and once as zag")
-    d._derived["zigzag_of"] = {a: (zig_of[a], zag_of[a]) for a in d.arrow_ids}
-    return cycles
+    return cycles, {a: (zig_of[a], zag_of[a]) for a in d.arrow_ids}
 
 
+@per_dimer
 def zigzag_cycles(d: Dimer) -> list[ZigzagCycle]:
     """All zigzag cycles; arrows alternate zig, zag, zig, zag along the traversal.
 
@@ -633,16 +643,12 @@ def zigzag_cycles(d: Dimer) -> list[ZigzagCycle]:
     numbered within a class by the strip ordering (base vertex's strip first).
     Computed once per dimer; the list is shared, so do not mutate it.
     """
-    return d._memo("zigzag_cycles", lambda: _indexed_cycles(d))
-
-
-def _indexed_cycles(d: Dimer) -> list[ZigzagCycle]:
-    cycles = _orbits(d)
+    cycles = _zigzag_orbits(d)[0]
     if not d.has_shifts:
         return cycles
     indexed: list[ZigzagCycle] = []
     for i, (_, members) in enumerate(_homology_classes(d), start=1):
-        order = _parallel_order(d, _class_components(d, i, members), members)
+        order = _parallel_order(d, _class_components(d, i), members)
         for j, z in enumerate(order, start=1):
             indexed.append(
                 ZigzagCycle(z.arrows, z.zigs, z.zags, z.homology, class_index=i, parallel_index=j)
@@ -653,18 +659,15 @@ def _indexed_cycles(d: Dimer) -> list[ZigzagCycle]:
     return indexed
 
 
+@per_dimer
 def _homology_classes(d: Dimer) -> list:
     """[(eta_i, members)]: the cycles of class -eta_i, the eta_i sorted counterclockwise by angle.
 
-    Members are unindexed cycles in ``_orbits`` order; null-homologous
+    Members are unindexed cycles in ``_zigzag_orbits`` order; null-homologous
     cycles are in no class.  No check is made.  Computed once per dimer.
     """
-    return d._memo("homology_classes", lambda: _group_by_homology(d))
-
-
-def _group_by_homology(d: Dimer) -> list:
     members: dict = {}
-    for z in _orbits(d):
+    for z in _zigzag_orbits(d)[0]:
         if z.homology != (0, 0):
             members.setdefault(vec_neg(z.homology), []).append(z)
     return [(eta, members[eta]) for eta in sorted(members, key=ccw_angle_key)]
@@ -719,9 +722,10 @@ def _strip_components(d: Dimer, members) -> dict:
     return comp
 
 
-def _class_components(d: Dimer, class_index: int, members) -> dict:
+@per_dimer
+def _class_components(d: Dimer, class_index: int) -> dict:
     """The strip components of one class, computed once per dimer and class."""
-    return d._memo(("strip_components", class_index), lambda: _strip_components(d, members))
+    return _strip_components(d, _homology_classes(d)[class_index - 1][1])
 
 
 def _side(d: Dimer, comp: dict, word: tuple) -> int:
@@ -742,19 +746,22 @@ def anti_zigzag(d: Dimer, z: ZigzagCycle, sign: int) -> tuple:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    return d._memo(("anti_zigzag", z.arrows, sign), lambda: _anti_zigzag(d, z, sign))
+    return _anti_zigzag(d, z.arrows, sign)
 
 
-def _anti_zigzag(d: Dimer, z: ZigzagCycle, sign: int) -> tuple:
-    pos_face, neg_face = d._struct()[:2]
-    L = len(z.zigs)
+@per_dimer
+def _anti_zigzag(d: Dimer, word: tuple, sign: int) -> tuple:
+    """The anti-zigzag of the cycle with traversal ``word``: one entry per word and sign."""
+    pos_face, neg_face = _face_structure(d)[:2]
+    zigs, zags = word[0::2], word[1::2]
+    L = len(zigs)
     arcs = []
     for k in range(L):
         if sign > 0:
-            u, w = z.zags[k], z.zigs[(k + 1) % L]  # (zag, zig) on a positive face
+            u, w = zags[k], zigs[(k + 1) % L]  # (zag, zig) on a positive face
             b = d.faces[pos_face[u]].boundary
         else:
-            u, w = z.zigs[k], z.zags[k]  # (zig, zag) on a negative face
+            u, w = zigs[k], zags[k]  # (zig, zag) on a negative face
             b = d.faces[neg_face[u]].boundary
         iu, n = b.index(u), len(b)
         if b[(iu + 1) % n] != w:
@@ -801,7 +808,7 @@ def _orbit_tables(d: Dimer) -> tuple[dict, dict]:
     """
     zig_at: dict = {}
     zag_at: dict = {}
-    for z in _orbits(d):
+    for z in _zigzag_orbits(d)[0]:
         word = z.arrows
         x = y = 0
         prefix = [(0, 0)]
@@ -906,7 +913,7 @@ def is_zigzag_consistent(d: Dimer):
     d.require_valid()
     if not d.has_shifts:
         raise DimerError("consistency requires torus shift data")
-    for z in _orbits(d):
+    for z in _zigzag_orbits(d)[0]:
         if z.homology == (0, 0):
             return False, ("null_homologous_cycle", z.arrows)
     zig_at, zag_at = _orbit_tables(d)
@@ -932,6 +939,7 @@ def is_zigzag_consistent(d: Dimer):
     return True, None
 
 
+@per_dimer
 def zigzag_classes(d: Dimer) -> list:
     """The zigzag classes of a consistent dimer: [(eta_i, [cycles of class -eta_i])] in class order.
 
@@ -943,10 +951,6 @@ def zigzag_classes(d: Dimer) -> list:
     polygon, whose edges need only eta_i and m_i.  Computed once per dimer;
     the lists are shared, so do not mutate them.
     """
-    return d._memo("zigzag_classes", lambda: _zigzag_classes(d))
-
-
-def _zigzag_classes(d: Dimer) -> list:
     ok, witness = is_zigzag_consistent(d)
     if not ok:
         raise DimerError(f"dimer is not zigzag consistent: {witness}")
@@ -969,6 +973,7 @@ def _zigzag_classes(d: Dimer) -> list:
     return classes
 
 
+@per_dimer
 def parallel_classes(d: Dimer) -> list:
     """``zigzag_classes`` with each class's members in parallel order: [(eta_i, [Z_{i,1..m_i}])].
 
@@ -979,10 +984,6 @@ def parallel_classes(d: Dimer) -> list:
     ``zigzag_cycles``; the matching polygon reads ``zigzag_classes``.
     Computed once per dimer; the lists are shared, so do not mutate them.
     """
-    return d._memo("parallel_classes", lambda: _parallel_classes(d))
-
-
-def _parallel_classes(d: Dimer) -> list:
     classes = zigzag_classes(d)
     members: dict = {}
     for z in zigzag_cycles(d):
@@ -990,6 +991,7 @@ def _parallel_classes(d: Dimer) -> list:
     return [(eta, members[i]) for i, (eta, _) in enumerate(classes, start=1)]
 
 
+@per_dimer
 def strips(d: Dimer, class_index: int) -> StripDecomposition:
     """Closed strips between consecutive parallel cycles of one class.
 
@@ -998,15 +1000,11 @@ def strips(d: Dimer, class_index: int) -> StripDecomposition:
     which must also hold O-(Z_{i,j+1}).  Computed once per dimer and class
     index; the result is shared.
     """
-    return d._memo(("strips", class_index), lambda: _strips(d, class_index))
-
-
-def _strips(d: Dimer, class_index: int) -> StripDecomposition:
     classes = parallel_classes(d)
     if not 1 <= class_index <= len(classes):
         raise DimerError(f"no zigzag class {class_index}")
     members = classes[class_index - 1][1]  # already in parallel order
-    comp = _class_components(d, class_index, members)
+    comp = _class_components(d, class_index)
     m = len(members)
     n_comp = len(set(comp.values()))
     if n_comp != m:
@@ -1033,6 +1031,7 @@ def _strips(d: Dimer, class_index: int) -> StripDecomposition:
     )
 
 
+@per_dimer
 def tree_paths(d: Dimer) -> dict:
     """Signed arrow paths [(arrow id, +1 or -1)] from the base vertex to every vertex.
 
@@ -1040,10 +1039,6 @@ def tree_paths(d: Dimer) -> dict:
     order from d.vertices[0].  Computed once per dimer; the result is shared,
     so do not mutate it.
     """
-    return d._memo("tree_paths", lambda: _tree_paths(d))
-
-
-def _tree_paths(d: Dimer) -> dict:
     d.require_valid()  # a valid dimer is connected, so every vertex is reached
     arrows = [d.arrow_by_id[aid] for aid in d.arrow_ids]
     paths = {d.vertices[0]: []}

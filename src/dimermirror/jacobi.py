@@ -69,6 +69,9 @@ class PathClass(tuple):
         tail, head, h1, w0 = self
         return f"PathClass(tail={tail!r}, head={head!r}, h1={h1!r}, w0={w0!r})"
 
+    def __getnewargs__(self):
+        return tuple(self)  # copy and pickle call __new__ with the four fields
+
 
 class JElement(_Combination):
     """Finite integer combination of path classes (no zero coefficients stored)."""
@@ -253,13 +256,12 @@ class Jacobi:
 
     # -- witness search ------------------------------------------------------
 
-    def realize_path(self, tail, head, h1: Vec, w0: int, cap: int | None = None):
-        """Shortest composable word with the given class data, or None within the cap.
+    def realize_path(self, tail, head, h1: Vec, w0: int):
+        """Shortest composable word with the given class data, or None within ``realize_cap``.
 
         Search states are (vertex, shift, reference degree); a partial path is
         pruned when its degree under any corner matching exceeds the target.
         """
-        cap = cap if cap is not None else self.realize_cap
         h1 = tuple(h1)
         target = PathClass(tail, head, h1, w0)
         targets = self.corner_degrees(target)
@@ -273,7 +275,7 @@ class Jacobi:
         frontier = deque([(start, 0)])
         while frontier:
             (v, sh, deg), length = frontier.popleft()
-            if length >= cap:
+            if length >= self.realize_cap:
                 continue
             for aid in leaving[v]:
                 a = d.arrow_by_id[aid]

@@ -159,10 +159,10 @@ class KSVerifier:
 
     # -- dimension/determinant verification -----------------------------------
 
-    def verify_dimension_match(self, report: KSReport | None = None) -> KSReport:
+    def verify_dimension_match(self) -> KSReport:
         """Counts and determinants at winding zero, then once per zigzag class,
         since neither side's rank or basis matrix in a class depends on n >= 1."""
-        rep = report or KSReport(self.dimer.name)
+        rep = KSReport(self.dimer.name)
         sh, K = self.sh, self.K
         g, n_punct = sh.genus, sh.n_punct
         q0 = len(self.dimer.vertices)
@@ -259,8 +259,8 @@ class KSVerifier:
 
     # -- chain identities ------------------------------------------------------
 
-    def verify_chain_identities(self, report: KSReport | None = None) -> KSReport:
-        rep = report or KSReport(self.dimer.name)
+    def verify_chain_identities(self) -> KSReport:
+        rep = KSReport(self.dimer.name)
         K, jac, d = self.K, self.jac, self.dimer
         gens = K.generators()
 
@@ -375,8 +375,8 @@ class KSVerifier:
 
     # -- singularity bookkeeping -------------------------------------------------
 
-    def singularity_report(self, report: KSReport | None = None) -> KSReport:
-        rep = report or KSReport(self.dimer.name)
+    def singularity_report(self) -> KSReport:
+        rep = KSReport(self.dimer.name)
         mp = self.jac.poly
         e2_even = self.K.e2_basis("even", 1)
         e2_odd = self.K.e2_basis("odd", 1)
@@ -402,14 +402,14 @@ class KSVerifier:
 
     # -- the enumeration oracles ------------------------------------------------
 
-    def verify_matching_count(self, report: KSReport | None = None) -> KSReport:
+    def verify_matching_count(self) -> KSReport:
         """``matchings.count``: enumeration against the Kasteleyn count and the basis rank.
 
         Runs only up to ``ENUMERATION_GATE`` matchings; above it the row is
         skipped and gives the count.  Below it, the certified polygon is also
         cross-checked against enumeration (``check_against_enumeration``).
         """
-        rep = report or KSReport(self.dimer.name)
+        rep = KSReport(self.dimer.name)
         d = self.dimer
         try:
             count = kasteleyn_count(d)
@@ -431,10 +431,14 @@ class KSVerifier:
         return rep
 
     def verify_all(self) -> KSReport:
+        """Every phase's checks, in phase order, and the refused ``dW.psi`` row."""
         rep = KSReport(self.dimer.name)
-        self.verify_dimension_match(rep)
-        self.verify_chain_identities(rep)
-        self.verify_matching_count(rep)
-        self.singularity_report(rep)
+        for phase in (
+            self.verify_dimension_match,
+            self.verify_chain_identities,
+            self.verify_matching_count,
+            self.singularity_report,
+        ):
+            rep.checks += phase().checks
         rep.skip("dW.psi", "no closed form is available; evaluation refused by design")
         return rep

@@ -76,13 +76,14 @@ from .dimer import (
     Vec,
     _ext_gcd,
     _Frozen,
-    _orbits,
     _Record,
     _set,
+    _zigzag_orbits,
     ccw_angle_key,
     cross,
     dot,
     idkey,
+    per_dimer,
     tree_paths,
     vec_add,
     vec_neg,
@@ -163,6 +164,7 @@ class MatchingPolytope(_Record):
         return vec_sub(_class_sum(matching.edges, self.arrow_class), self.reference_class)
 
 
+@per_dimer
 def enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
     """Every perfect matching, by exact-cover search: each face boundary contains exactly one chosen arrow.
 
@@ -170,10 +172,6 @@ def enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
     in the dimer's cache and shared by ``MatchingPolytope.points`` and
     ``ks.KSVerifier``, so callers must not mutate it.
     """
-    return d._memo("perfect_matchings", lambda: _enumerate_perfect_matchings(d))
-
-
-def _enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
     d.require_valid()
     face_sets = [frozenset(f.boundary) for f in d.faces]
     rank = d.arrow_rank
@@ -215,6 +213,7 @@ def _enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
     return [PerfectMatching(edges=s) for s in uniq]
 
 
+@per_dimer
 def arrow_classes(d: Dimer) -> dict:
     """arrow -> its entry in the height table: the class of P - P0 is the sum over P minus that over P0.
 
@@ -228,10 +227,6 @@ def arrow_classes(d: Dimer) -> dict:
     the orientation of the embedding (``_orientation``).  Computed once per
     dimer, after ``_check_marking``; the table is shared, so do not mutate it.
     """
-    return d._memo("arrow_classes", lambda: _arrow_classes(d))
-
-
-def _arrow_classes(d: Dimer) -> dict:
     _check_marking(d)
     s: dict = {}
     for f in d.faces:
@@ -282,7 +277,7 @@ def _orientation(d: Dimer) -> int:
     polygon, and ``matching_polytope`` refuses the dimer before it reads a
     height; the sign is then +1.
     """
-    orbits, orbit_of = _orbits(d), d.zigzag_of
+    orbits, orbit_of = _zigzag_orbits(d)
     for a in d.arrow_ids:
         zig, zag = orbit_of[a]
         c = cross(orbits[zig].homology, orbits[zag].homology)
@@ -396,9 +391,10 @@ def _hungarian(pairs: list) -> tuple | None:
     return match, [-x for x in u], [-x for x in v]
 
 
+@per_dimer
 def _oracle(d: Dimer) -> "_MatchingOracle":
     """The dimer's matching oracle, built once per dimer and shared."""
-    return d._memo("matching_oracle", lambda: _MatchingOracle(d))
+    return _MatchingOracle(d)
 
 
 class _MatchingOracle:
@@ -732,6 +728,7 @@ class MatchingBasis(_Record):
         return len(self.matchings)
 
 
+@per_dimer
 def matching_basis(d: Dimer) -> MatchingBasis:
     """Perfect matchings whose indicators span those of every perfect matching.
 
@@ -742,10 +739,6 @@ def matching_basis(d: Dimer) -> MatchingBasis:
     the matchings do not span W, and the rank stays below dim W.  The rank is
     exact, since ``_Span`` keeps only independent rows.
     """
-    return d._memo("matching_basis", lambda: _matching_basis(d))
-
-
-def _matching_basis(d: Dimer) -> MatchingBasis:
     free = _free_arrows(d)
     oracle = _oracle(d)
     span = _Span(len(free) + 1)

@@ -204,6 +204,33 @@ def test_spp_strips_partition_vertices(dimers):
     assert d.vertices[0] in v1
 
 
+def test_per_dimer_builds_once_per_dimer_and_arguments():
+    builds = []
+
+    @dimer_module.per_dimer
+    def named(d, k):
+        """Doc of the build."""
+        builds.append((d, k))
+        if k < 0:
+            raise ValueError("negative")
+        return [d.name, k]
+
+    d = load_bundled("spp")
+    first = named(d, 1)
+    assert named(d, 1) is first and named(d, 2) == ["spp", 2]
+    assert builds == [(d, 1), (d, 2)]
+    # the same vertices, arrows and faces in another dimer get their own entry
+    other = with_base_vertex(d, d.vertices[0])
+    assert named(other, 1) == first and named(other, 1) is not first
+    assert builds[-1] == (other, 1) and len(builds) == 3
+    for _ in range(2):  # a build that raises keeps nothing, so it runs again
+        with pytest.raises(ValueError, match="negative"):
+            named(d, -1)
+    assert len(builds) == 5
+    assert named(d, 1) is first and len(builds) == 5
+    assert named.__name__ == "named" and named.__doc__ == "Doc of the build."
+
+
 def test_derived_structures_belong_to_one_dimer():
     d = load_bundled("spp")
     assert parallel_classes(d) is parallel_classes(d)
@@ -253,7 +280,12 @@ def test_cover_zoo_strips_and_verify(name, k, l, lattice_cover, tmp_path):
 def test_merged_strip_components_fail_naming_the_class(monkeypatch):
     d = load_bundled("spp")
     parallel_classes(d)  # order the cycles with the true components first
-    monkeypatch.setitem(d._derived, ("strip_components", 3), {v: 0 for v in d.vertices})
+    true_components = dimer_module._class_components
+    monkeypatch.setattr(
+        dimer_module,
+        "_class_components",
+        lambda dd, i: {v: 0 for v in dd.vertices} if i == 3 else true_components(dd, i),
+    )
     with pytest.raises(DimerError, match="class 3: 1 strips for 2 parallel cycles"):
         strips(d, 3)
 
@@ -406,7 +438,7 @@ def _ray_occurrences(d, e, as_zig):
 
 def reference_consistency(d):
     """The ray criterion by walking both rays from every arrow and comparing all occurrence pairs."""
-    for z in dimer_module._zigzag_orbits(d):
+    for z in dimer_module._zigzag_orbits(d)[0]:
         if z.homology == (0, 0):
             return False, ("null_homologous_cycle", z.arrows)
     for e in sorted(d.arrow_by_id, key=idkey):
@@ -504,13 +536,13 @@ def test_zigzag_orbits_are_built_once_per_dimer(monkeypatch):
     from dimermirror import cli
 
     built = []
-    original = dimer_module._zigzag_orbits
+    original = dimer_module._zigzag_orbits.__wrapped__
 
     def counted(d):
         built.append(d)
         return original(d)
 
-    monkeypatch.setattr(dimer_module, "_zigzag_orbits", counted)
+    monkeypatch.setattr(dimer_module._zigzag_orbits, "__wrapped__", counted)
     assert cli.main(["verify", "conifold"]) == 0
     assert cli.main(["polytope", "conifold"]) == 0
     assert len(built) == 2  # one dimer per command, and one walk each
@@ -518,8 +550,9 @@ def test_zigzag_orbits_are_built_once_per_dimer(monkeypatch):
 
 
 # The builders of the per-dimer lookup tables (see the Dimer docstring):
-# _zigzag_orbits also fills zigzag_of, and _face_structure the face words.
-TABLE_BUILDERS = ("_arrow_order", "_validate", "_face_structure", "_vertex_incidence", "_zigzag_orbits")
+# _zigzag_orbits also builds zigzag_of, and _face_structure the face words.
+# _arrow_order runs in the constructor; the others are counted under per_dimer.
+TABLE_BUILDERS = ("_arrow_order", "validate_dimer", "_face_structure", "_vertex_incidence", "_zigzag_orbits")
 
 
 def test_each_lookup_table_is_built_once_per_dimer(monkeypatch):
@@ -527,13 +560,17 @@ def test_each_lookup_table_is_built_once_per_dimer(monkeypatch):
 
     built = {name: [] for name in TABLE_BUILDERS}
     for name in TABLE_BUILDERS:
-        original = getattr(dimer_module, name)
+        cached = getattr(dimer_module, name)
+        original = getattr(cached, "__wrapped__", cached)
 
         def counted(d, name=name, original=original):
             built[name].append(d)
             return original(d)
 
-        monkeypatch.setattr(dimer_module, name, counted)
+        if original is cached:
+            monkeypatch.setattr(dimer_module, name, counted)
+        else:
+            monkeypatch.setattr(cached, "__wrapped__", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "conifold"]) == 0
         verified = [d for d in built["_arrow_order"] if d.name == "conifold"]
@@ -571,12 +608,16 @@ def test_verify_checks_consistency_and_groups_the_classes_once(monkeypatch):
     from dimermirror import cli
 
     calls = []
-    for name in ("is_zigzag_consistent", "_zigzag_classes"):
-        original = getattr(dimer_module, name)
-        monkeypatch.setattr(dimer_module, name, lambda d, name=name, original=original: calls.append(name) or original(d))
+
+    def counted(name, original):
+        return lambda d: calls.append(name) or original(d)
+
+    consistent, classes = dimer_module.is_zigzag_consistent, dimer_module.zigzag_classes
+    monkeypatch.setattr(dimer_module, "is_zigzag_consistent", counted("is_zigzag_consistent", consistent))
+    monkeypatch.setattr(classes, "__wrapped__", counted("zigzag_classes", classes.__wrapped__))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "conifold"]) == 0
-    assert sorted(calls) == ["_zigzag_classes", "is_zigzag_consistent"]
+    assert sorted(calls) == ["is_zigzag_consistent", "zigzag_classes"]
 
 
 def test_zigzag_classes_are_the_parallel_classes_unordered(covers):
@@ -596,7 +637,7 @@ def test_lookup_tables_follow_the_arrow_order(covers):
     for v in d.vertices:
         assert d.leaving[v] == [a for a in d.arrow_ids if d.tail(a) == v]
         assert d.entering[v] == [a for a in d.arrow_ids if d.head(a) == v]
-    orbits = dimer_module._orbits(d)
+    orbits = dimer_module._zigzag_orbits(d)[0]
     assert list(d.zigzag_of) == list(d.arrow_ids)
     for a, (k, l) in d.zigzag_of.items():
         assert a in orbits[k].zigs and a in orbits[l].zags

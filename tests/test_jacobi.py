@@ -26,31 +26,32 @@ def cyclic_arc(word: tuple, start: int, stop: int) -> tuple:
     return tuple(out)
 
 
-def rewrite_neighbors(word: tuple, relations: list, cap: int) -> list:
-    """Words reachable by one rewrite with ``relations``, length-capped.
+def both_ways(relations: list) -> list:
+    """The (source, target) rules lhs -> rhs and rhs -> lhs of ``Jacobi.jacobi_relations()``."""
+    return [rule for _, lhs, rhs in relations for rule in ((lhs, rhs), (rhs, lhs))]
 
-    ``relations`` is ``Jacobi.jacobi_relations()``, built once per search.
-    """
+
+def rewrite_neighbors(word: tuple, rules: list, cap: int) -> list:
+    """Words reachable by one rewrite with a (source, target) rule of ``rules``, length-capped."""
     out = []
-    for _, lhs, rhs in relations:
-        for src, dst in ((lhs, rhs), (rhs, lhs)):
-            if len(word) - len(src) + len(dst) > cap:
-                continue
-            n = len(src)
-            for i in range(len(word) - n + 1):
-                if word[i : i + n] == src:
-                    out.append(word[:i] + dst + word[i + n :])
+    for src, dst in rules:
+        if len(word) - len(src) + len(dst) > cap:
+            continue
+        n = len(src)
+        for i in range(len(word) - n + 1):
+            if word[i : i + n] == src:
+                out.append(word[:i] + dst + word[i + n :])
     return out
 
 
 def reduce_oracle(jac: Jacobi, word: tuple, cap: int) -> set:
     """Breadth-first closure of a composable word under single rewrites (length <= cap)."""
     assert jac.dimer.is_composable(word) and len(word) <= cap
-    relations = jac.jacobi_relations()
+    rules = both_ways(jac.jacobi_relations())
     seen = {word}
     frontier = deque([word])
     while frontier:
-        for nb in rewrite_neighbors(frontier.popleft(), relations, cap):
+        for nb in rewrite_neighbors(frontier.popleft(), rules, cap):
             if nb not in seen:
                 seen.add(nb)
                 frontier.append(nb)
@@ -231,9 +232,9 @@ def test_canonical_form_rejects_noncomposable(jacobis):
 def test_canonical_form_rewrite_invariance(jacobis):
     for name, jac in jacobis.items():
         words = _composable_words(jac.dimer, 4)
-        relations = jac.jacobi_relations()
+        rules = both_ways(jac.jacobi_relations())
         for w in words:
-            for nb in rewrite_neighbors(w, relations, cap=9):
+            for nb in rewrite_neighbors(w, rules, cap=9):
                 assert jac.canonical_form(nb) == jac.canonical_form(w), (name, w, nb)
 
 
@@ -275,13 +276,17 @@ class _UnionFind:
 
 
 def oracle_partitions_agree(jac, max_len, cap):
-    """Canonical-form classes equal rewrite-closure classes on short words."""
+    """Canonical-form classes equal rewrite-closure classes on short words.
+
+    Every word up to the cap is listed, so a rewrite and its reverse join
+    the same pair: one direction of each relation gives the same partition.
+    """
     words = _composable_words(jac.dimer, cap)
-    relations = jac.jacobi_relations()
+    rules = [(lhs, rhs) for _, lhs, rhs in jac.jacobi_relations()]
     uf = _UnionFind()
     for w in words:
         uf.find(w)
-        for nb in rewrite_neighbors(w, relations, cap):
+        for nb in rewrite_neighbors(w, rules, cap):
             uf.union(w, nb)
     short = [w for w in words if len(w) <= max_len]
     canon_to_root = {}
@@ -423,11 +428,11 @@ def test_realize_path(jacobis):
             jac.realize_path(d.vertices[0], d.vertices[0], (0, 0), -1)
 
 
-def test_realize_path_not_found_is_none(jacobis):
-    jac = jacobis["c3"]
+def test_realize_path_not_found_is_none(dimers):
+    jac = Jacobi(dimers["c3"], realize_cap=1)
     # h1 = (3, 0) with reference degree 0 requires corner degrees that the cap
     # 1 cannot reach; the search reports None rather than claiming nonexistence
-    out = jac.realize_path("v", "v", (3, 0), jac.x_alpha_w0((3, 0)), cap=1)
+    out = jac.realize_path("v", "v", (3, 0), jac.x_alpha_w0((3, 0)))
     assert out is None
 
 

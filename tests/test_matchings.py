@@ -21,6 +21,7 @@ from dimermirror.dimer import (
     dot,
     idkey,
     parallel_classes,
+    per_dimer,
     tree_paths,
     vec_add,
     vec_sub,
@@ -51,6 +52,7 @@ from dimermirror.matchings import (
 # displacements that ``arrow_classes`` reads them off.
 
 
+@per_dimer
 def generating_cycles(d: Dimer):
     """Two integer 1-chains with homology classes (1,0) and (0,1).
 
@@ -59,10 +61,6 @@ def generating_cycles(d: Dimer):
     behind ``tree_paths``.  Computed once per dimer; the chains are shared,
     so do not mutate them.
     """
-    return d._memo("generating_cycles", lambda: _generating_cycles(d))
-
-
-def _generating_cycles(d: Dimer):
     paths = tree_paths(d)
     pot = {v: d.path_shift(path) for v, path in paths.items()}
     tree_ids = {path[-1][0] for path in paths.values() if path}
@@ -624,8 +622,9 @@ def test_polytope_and_jacobi_never_enumerate(monkeypatch, tmp_path, lattice_cove
 def test_verify_runs_the_exact_cover_search_once(monkeypatch):
     # the cross-check (mp.points) and the listing share the one enumerated list
     searches, calls = [], []
-    search, listing = matchings._enumerate_perfect_matchings, matchings.enumerate_perfect_matchings
-    monkeypatch.setattr(matchings, "_enumerate_perfect_matchings", lambda d: searches.append(d.name) or search(d))
+    listing = matchings.enumerate_perfect_matchings
+    search = listing.__wrapped__
+    monkeypatch.setattr(listing, "__wrapped__", lambda d: searches.append(d.name) or search(d))
     monkeypatch.setattr(matchings, "enumerate_perfect_matchings", lambda d: calls.append(d.name) or listing(d))
     monkeypatch.setattr(ks, "enumerate_perfect_matchings", matchings.enumerate_perfect_matchings)
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -766,14 +765,14 @@ def test_verify_builds_the_oracle_and_the_chains_once(name, monkeypatch):
     from dimermirror.ks import KSVerifier
 
     built = []
-    oracle_init, table = matchings._MatchingOracle.__init__, matchings._arrow_classes
+    oracle_init, table = matchings._MatchingOracle.__init__, matchings.arrow_classes.__wrapped__
 
     def counted_init(self, d):
         built.append("oracle")
         oracle_init(self, d)
 
     monkeypatch.setattr(matchings._MatchingOracle, "__init__", counted_init)
-    monkeypatch.setattr(matchings, "_arrow_classes", lambda d: built.append("table") or table(d))
+    monkeypatch.setattr(matchings.arrow_classes, "__wrapped__", lambda d: built.append("table") or table(d))
     assert KSVerifier(load_bundled(name)).verify_all().passed
     assert sorted(built) == ["oracle", "table"]
 

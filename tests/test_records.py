@@ -5,12 +5,14 @@ records were written out as plain classes, with the same fields and
 ``field(...)`` options.  On the real objects built from the oracle zoo, each
 record must agree with its reference on ``repr``, equality, hashing and, where
 the record keeps a ``__dict__``, ``vars()``.  The frozen records must refuse
-assignment.
+assignment, and every record must survive ``copy``, ``deepcopy`` and pickle.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -20,7 +22,7 @@ import pytest
 from dimermirror import dimer as dimer_mod
 from dimermirror import hochschild, jacobi, ks, matchings, mirror_sh
 from dimermirror.dimer import Dimer, Vec, parallel_classes, strips, zigzag_cycles
-from dimermirror.io import dimer_from_dict
+from dimermirror.io import dimer_from_dict, dimer_to_dict, load_bundled
 from dimermirror.matchings import matching_basis, matching_polytope
 from dimermirror.mirror_sh import SHError
 from test_matchings import ORACLE_ZOO
@@ -296,3 +298,32 @@ def test_list_defaults_are_fresh():
     assert a.issues == [] and a.issues is not b.issues
     r, s = ks.KSReport("x"), ks.KSReport("x")
     assert r.checks == [] and r.checks is not s.checks
+
+
+def same_fields(a, b) -> bool:
+    """Equal field by field, a held dimer compared by its dict form (a Dimer equals only itself)."""
+    ref = REFERENCES[type(a)]
+    return type(a) is type(b) and all(
+        dimer_to_dict(x) == dimer_to_dict(y) if isinstance(x, Dimer) else x == y
+        for x, y in zip(field_values(ref, a).values(), field_values(ref, b).values())
+    )
+
+
+def test_records_survive_copy_deepcopy_and_pickle(zoo_records):
+    seen = set()
+    for obj in zoo_records:
+        seen.add(type(obj))
+        for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert same_fields(clone, obj), type(obj)  # a frozenset's repr order may change
+            if type(obj) in FROZEN:
+                assert clone == obj and hash(clone) == hash(obj)
+    assert seen == set(REFERENCES)
+
+
+def test_a_dimer_with_its_derived_structures_survives_deepcopy_and_pickle():
+    d = load_bundled("spp")
+    ks.KSVerifier(d).verify_all()  # fills the per-dimer cache
+    for clone in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert dimer_to_dict(clone) == dimer_to_dict(d)
+        assert zigzag_cycles(clone) == zigzag_cycles(d) and zigzag_cycles(clone) is not zigzag_cycles(d)
+        assert ks.KSVerifier(clone).verify_all().as_dict() == ks.KSVerifier(d).verify_all().as_dict()
