@@ -222,9 +222,12 @@ def _word(text: str) -> tuple:
 
 def _pair(text: str) -> tuple:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated integers")
-    return (int(parts[0]), int(parts[1]))
+    try:
+        if len(parts) == 2:
+            return (int(parts[0]), int(parts[1]))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected two comma-separated integers")
 
 
 def cmd_validate(args) -> int:

@@ -14,15 +14,19 @@ sum of the face boundaries, so d1 (the Hessian of W) and d_W read one split
 of face words.  The product reads its rows off its degree-2 factor: X_a is
 paired with Xbar_a, whose coefficient is the right class of a row at tail(a).
 
-The kernel adds its terms on plain keys: each output slot sums integer
-coefficients in a dict keyed by the tuple (tail, head, h1, w0) of the
-composed class.  A ``PathClass`` is that tuple with its fields named, so the
-key of each nonzero total becomes its class through ``tuple.__new__``; most
-sums cancel and build nothing.  Composability is checked term by term, as
+Each input slot's table is (lh, rt, rows), each row a flat tuple (sign,
+out, tail, head, o0, o1, w0, left, right).  Every row of a slot puts its
+coefficient between the same two vertices, its left ending at lh and its
+right starting at rt; the constructor checks that and names the slot when a
+row disagrees.  So the kernel checks composability once per coefficient, as
 ``Jacobi.compose`` would, and the degree of the output slots once per call.
-Every other sum of cochains runs through ``CochainElement.from_terms`` or
-``CochainElement.sum_of``, which add in one pass and check the degree of each
-slot they keep.
+It adds every term in one dict keyed by the flat tuple (out, tail, head, h0,
+h1, w0) and builds a ``PathClass``, the key's last five fields with h1
+paired, through ``tuple.__new__`` only for a nonzero total; most sums cancel
+and build nothing.  An input slot the complex does not have is a named
+``HochschildError``.  Every other sum of cochains runs through
+``CochainElement.from_terms`` or ``CochainElement.sum_of``, which add in one
+pass and check the degree of each slot they keep.
 """
 
 from __future__ import annotations
@@ -145,14 +149,31 @@ class CochainElement:
 
 
 def _row(sign: int, out, left: PathClass, right: PathClass) -> tuple:
-    """A row (sign, out, outer, (left, right)) of the sandwich kernel.
+    """A flat row (sign, out, tail, head, o0, o1, w0, left, right) of the
+    sandwich kernel.
 
     A coefficient c on the row's input slot lands on output slot ``out`` as
-    sign times the class of left c right; ``outer`` is (tail, head, h1, w0) of
-    left and right composed once, so each term builds one key.
+    sign times the class of left c right, (tail, head, (o0, o1) + h1(c),
+    w0 + w0(c)): the endpoints and offsets of left and right are composed
+    once, so each term adds three integers.
     """
-    outer = (left.tail, right.head, vec_add(left.h1, right.h1), left.w0 + right.w0)
-    return (sign, out, outer, (left, right))
+    (l0, l1), (r0, r1) = left.h1, right.h1
+    return (sign, out, left.tail, right.head, l0 + r0, l1 + r1, left.w0 + right.w0, left, right)
+
+
+def _table(slot: tuple, lh, rt, rows: list) -> tuple:
+    """The kernel's entry (lh, rt, rows) of one input slot.
+
+    A coefficient composes with every row of the slot exactly when it runs
+    from lh to rt, so the kernel checks it once; a row whose left does not
+    end at lh or whose right does not start at rt is refused here.
+    """
+    for *_, left, right in rows:
+        if left.head != lh or right.tail != rt:
+            raise HochschildError(
+                f"a row of slot {slot} does not put its coefficient between {lh!r} and {rt!r}"
+            )
+    return (lh, rt, rows)
 
 
 def _ab_order(n: int):
@@ -169,8 +190,11 @@ def _sandwich(c: CochainElement, in_kind: str, rows: dict, out_kind: str, degree
     """The cochain of degree ``degree``: each coefficient on an ``in_kind`` slot
     put between the left and right of every row of that slot's index.
 
-    Each output slot sums its terms on plain (tail, head, h1, w0) keys; the
-    key of a nonzero total becomes its ``PathClass`` through ``tuple.__new__``.
+    ``rows`` maps each index to its ``_table`` entry (lh, rt, rows).  Each
+    coefficient is checked once against (lh, rt), as ``Jacobi.compose``
+    would, and then added through every row into one dict keyed by the flat
+    tuple (out, tail, head, h0, h1, w0); only a nonzero total becomes a
+    ``PathClass``, through ``tuple.__new__``.
     """
     if _SLOT_DEGREE[out_kind] != degree:
         raise HochschildError(f"{out_kind} slots have wrong degree for {degree}")
@@ -179,22 +203,28 @@ def _sandwich(c: CochainElement, in_kind: str, rows: dict, out_kind: str, degree
     for (kind, s), elem in c.terms.items():
         if kind != in_kind:
             raise HochschildError(f"degree-{degree - 1} terms must sit on {in_kind} slots")
-        for sign, x, (tail, head, (o0, o1), w0), (left, right) in rows[s]:
-            out = get(x)
-            if out is None:
-                out = sums[x] = {}
-            lh, rt = left.head, right.tail
-            for (ct, ch, (h0, h1), cw), k in elem.terms.items():
-                if lh != ct or ch != rt:
-                    raise JacobiError("paths do not compose")
-                key = (tail, head, (o0 + h0, o1 + h1), w0 + cw)
-                out[key] = out.get(key, 0) + sign * k
+        entry = rows.get(s)
+        if entry is None:
+            raise HochschildError(f"no {kind} slot {s!r} in this complex")
+        lh, rt, slot_rows = entry
+        if not slot_rows:  # nothing to add, so nothing to check
+            continue
+        for (ct, ch, (h0, h1), cw), k in elem.terms.items():
+            if ct != lh or ch != rt:
+                raise JacobiError("paths do not compose")
+            for sign, x, tail, head, o0, o1, w0, _, _ in slot_rows:
+                key = (x, tail, head, o0 + h0, o1 + h1, w0 + cw)
+                sums[key] = get(key, 0) + sign * k
     new, terms = tuple.__new__, {}
-    for x, acc in sums.items():
-        elem = {new(PathClass, key): k for key, k in acc.items() if k}
-        if elem:
-            terms[(out_kind, x)] = JElement._nonzero(elem)
-    return CochainElement._nonzero(degree, terms)
+    for (x, tail, head, h0, h1, w0), k in sums.items():
+        if k:
+            out = terms.get(x)
+            if out is None:
+                out = terms[x] = {}
+            out[new(PathClass, (tail, head, (h0, h1), w0))] = k
+    return CochainElement._nonzero(
+        degree, {(out_kind, x): JElement._nonzero(out) for x, out in terms.items()}
+    )
 
 
 class E2Label(_Frozen):
@@ -236,13 +266,16 @@ class KoszulComplex:
         if any(self.w_odd_eval(eta) == 0 for eta, _ in self.classes):
             raise HochschildError(f"(a, b) = {self.ab} degenerates on some eta_i")
         # The dimer-only data of the kernels: the class of each arrow, the
-        # arrows leaving and entering each vertex, and per input slot the rows
-        # (see ``_row``) of d0 (e_v m a for a out of v, -a m e_v for a into
-        # v), d1 (the cyclic derivative of each face at y split around each
-        # x), d2 (e c y, -y c e on Xbar_y) and d_W (minus the face word at v
-        # split around each position of a); d1 and d_W split with ``_splits``.
+        # arrows leaving and entering each vertex, and per input slot the
+        # ``_table`` entry (lh, rt, flat rows, see ``_row``) of d0 (e_v m a
+        # for a out of v, -a m e_v for a into v; lh = rt = v), d1 (the cyclic
+        # derivative of each face at y split around each x; tail(y), head(y)),
+        # d2 (e c y, -y c e on Xbar_y; head(y), tail(y)) and d_W (minus the
+        # face word at v split around each position of a; tail(a), head(a)).
+        # d1 and d_W split with ``_splits``.
         d = self.dimer
         arrows = d.arrow_ids
+        tail, head = d.tail, d.head
         # each face arc is the left of one Hessian row and the right of its
         # mirror row, and the W splits and BV deletions repeat them
         self._canon: dict = {}  # word -> its class, normalised once
@@ -252,28 +285,37 @@ class KoszulComplex:
         self._unit = unit = {v: jac.idempotent(v) for v in d.vertices}
         cls = self._arrow_cls
         self._d0_rows = {
-            v: [_row(1, a, unit[v], cls[a]) for a in self._leaving[v]]
-            + [_row(-1, a, cls[a], unit[v]) for a in self._entering[v]]
+            v: _table(
+                (UNIT, v),
+                v,
+                v,
+                [_row(1, a, unit[v], cls[a]) for a in self._leaving[v]]
+                + [_row(-1, a, cls[a], unit[v]) for a in self._entering[v]],
+            )
             for v in d.vertices
         }
-        self._hessian = {y: [] for y in arrows}
+        hessian: dict = {y: [] for y in arrows}
         for f in d.faces:
             b = f.boundary
             for j, y in enumerate(b):
-                self._hessian[y] += [
+                hessian[y] += [
                     _row(f.sign, x, after, before) for x, before, after in self._splits(b[j + 1 :] + b[:j])
                 ]
+        self._hessian = {y: _table((X, y), tail(y), head(y), rows) for y, rows in hessian.items()}
         self._d2_rows = {
-            y: [
-                _row(1, d.head(y), unit[d.head(y)], cls[y]),
-                _row(-1, d.tail(y), cls[y], unit[d.tail(y)]),
-            ]
+            y: _table(
+                (XBAR, y),
+                head(y),
+                tail(y),
+                [_row(1, head(y), unit[head(y)], cls[y]), _row(-1, tail(y), cls[y], unit[tail(y)])],
+            )
             for y in arrows
         }
-        self._W_rows = {a: [] for a in arrows}
+        W_rows: dict = {a: [] for a in arrows}
         for v in d.vertices:
             for a, before, after in self._splits(face_word_at(d, v)):
-                self._W_rows[a].append(_row(-1, v, before, after))
+                W_rows[a].append(_row(-1, v, before, after))
+        self._W_rows = {a: _table((X, a), tail(a), head(a), rows) for a, rows in W_rows.items()}
 
     def _splits(self, word: tuple) -> list:
         """(x, before, after) for each position of ``word``: x the arrow there,
@@ -498,16 +540,32 @@ class KoszulComplex:
 
         The X_e coefficient, which must start at tail(e), and the Xbar_e
         coefficient compose to a closed path at tail(e), which is added on the
-        point slot there: each term k c2 of Xbar_e is a row with the unit at
-        tail(e) on the left and c2 on the right, weighted by k.
+        point slot there: each term k c2 of Xbar_e is a flat row weighted by
+        k, with the unit at tail(e) on the left, so its offsets are c2's own,
+        and c2 on the right.  The terms of Xbar_e must share their tail, the
+        rt that each X_e coefficient is checked against once; when they do
+        not, no coefficient composes with all of them.
         """
         if (a.degree, b.degree) != (1, 2):
             raise HochschildError(f"cup is computed on degrees 1 x 2, not {a.degree} x {b.degree}")
-        rows = {e: () for _, e in a.terms}
-        for (_, e), y in b.terms.items():
-            if e in rows:
-                v = self.dimer.tail(e)
-                rows[e] = [_row(k, v, self._unit[v], cls) for cls, k in y.terms.items()]
+        d, unit = self.dimer, self._unit
+        rows = {}
+        for _, e in a.terms:
+            if e not in self._arrow_cls:
+                continue  # left out of rows, so the kernel names the slot
+            v = d.tail(e)
+            y = b.terms.get((XBAR, e))
+            if y is None:
+                rows[e] = (v, v, ())
+                continue
+            rts = {ct for ct, _, _, _ in y.terms}
+            if len(rts) > 1:
+                raise JacobiError("paths do not compose")
+            flat = []
+            for c2, k in y.terms.items():
+                _, ch, (o0, o1), w0 = c2
+                flat.append((k, v, v, ch, o0, o1, w0, unit[v], c2))
+            rows[e] = (v, rts.pop(), flat)
         return _sandwich(a, X, rows, PT, 3)
 
     # -- second page -----------------------------------------------------------

@@ -78,6 +78,24 @@ def test_usage_error_exit_code():
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "conifold", "--ab", "x,y"),
+        ("verify", "conifold", "--ab", "1"),
+        ("jacobi", "c3", "--alpha", "x,1"),
+        ("jacobi", "c3", "--alpha", "1,2,3"),
+    ],
+)
+def test_a_malformed_pair_is_a_usage_error(argv):
+    # argparse names the type function when it raises ValueError; every bad
+    # pair gets the one message instead
+    rc, out, err = main_in_process(*argv)
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert f"argument {argv[2]}: expected two comma-separated integers" in err
+    assert "_pair" not in err
+
+
 def test_reports_are_deterministic():
     rc1, out1, _ = run_cli("report", str(DATA / "conifold.json"), "--n-max", "3")
     rc2, out2, _ = run_cli("report", str(DATA / "conifold.json"), "--n-max", "3")

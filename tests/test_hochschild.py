@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
 
+from dimermirror import hochschild
 from dimermirror.dimer import face_word_at, idkey, vec_add, vec_sub
 from dimermirror.hochschild import (
     UNIT,
     X,
     XBAR,
     PT,
+    _SLOT_DEGREE,
     CochainElement,
     HochschildError,
     KoszulComplex,
@@ -430,7 +433,9 @@ def test_hessian_rows_match_the_parent_split_on_the_zoo(seed, covers):
                 )
                 for sign, x, left, right in parent_hessian_rows(d, y)
             )
-            got = Counter((sign, x, left, right) for sign, x, _, (left, right) in K._hessian[y])
+            lh, rt, rows = K._hessian[y]
+            assert (lh, rt) == (d.tail(y), d.head(y)), (name, k, l, seed, y)
+            got = Counter((sign, x, left, right) for sign, x, *_, left, right in rows)
             assert got == want, (name, k, l, seed, y)
 
 
@@ -442,12 +447,12 @@ def test_flipped_hessian_row_fails_a_d1_check(name, dimers, monkeypatch):
     assert v.verify_chain_identities().passed
     # one row per ordered pair of distinct positions on a face
     rows = sum(len(f.boundary) * (len(f.boundary) - 1) for f in K.dimer.faces)
-    assert sum(map(len, K._hessian.values())) == rows
-    for y, rows in K._hessian.items():
-        for i, (sign, x, left, right) in enumerate(rows):
-            flipped = rows[:i] + [(-sign, x, left, right)] + rows[i + 1 :]
+    assert sum(len(rows) for _, _, rows in K._hessian.values()) == rows
+    for y, (lh, rt, rows) in K._hessian.items():
+        for i, (sign, *rest) in enumerate(rows):
+            flipped = rows[:i] + [(-sign, *rest)] + rows[i + 1 :]
             with monkeypatch.context() as mp:
-                mp.setitem(K._hessian, y, flipped)
+                mp.setitem(K._hessian, y, (lh, rt, flipped))
                 failed = {
                     c.name for c in v.verify_chain_identities().checks if c.status == FAIL
                 }
@@ -462,11 +467,11 @@ def test_flipped_W_row_fails_a_dW_check(name, dimers, monkeypatch):
     v = KSVerifier(dimers[name])
     K = v.K
     assert v.verify_chain_identities().passed
-    for a, rows in K._W_rows.items():
-        for i, (sign, x, outer, parts) in enumerate(rows):
-            flipped = rows[:i] + [(-sign, x, outer, parts)] + rows[i + 1 :]
+    for a, (lh, rt, rows) in K._W_rows.items():
+        for i, (sign, *rest) in enumerate(rows):
+            flipped = rows[:i] + [(-sign, *rest)] + rows[i + 1 :]
             with monkeypatch.context() as mp:
-                mp.setitem(K._W_rows, a, flipped)
+                mp.setitem(K._W_rows, a, (lh, rt, flipped))
                 failed = {
                     c.name for c in v.verify_chain_identities().checks if c.status == FAIL
                 }
@@ -533,17 +538,29 @@ def parent_d0(K, c: CochainElement):
 
 
 def parent_d1(K, c: CochainElement):
-    """Hessian sandwich: polygons with one marked corner and the coefficient inserted."""
+    """Hessian sandwich: polygons with one marked corner and the coefficient inserted.
+
+    The rows are ``parent_hessian_rows``, split from the face words here, not
+    the complex's table under test.
+    """
+    jac, d = K.jac, K.dimer
     sums: dict = {}
     for (kind, y), elem in c.terms.items():
         if kind != X:
             raise HochschildError("degree-1 terms must sit on X slots")
-        for sign, x, (tail, head, h1, w0), (left, right) in K._hessian[y]:
+        for sign, x, left, right in parent_hessian_rows(d, y):
+            left = jac.canonical_form(left) if left else jac.idempotent(d.head(x))
+            right = jac.canonical_form(right) if right else jac.idempotent(d.tail(x))
             out = sums.setdefault((XBAR, x), {})
             for cls, k in elem.terms.items():
                 if left.head != cls.tail or cls.head != right.tail:
                     raise JacobiError("paths do not compose")
-                total = PathClass(tail, head, vec_add(h1, cls.h1), w0 + cls.w0)
+                total = PathClass(
+                    left.tail,
+                    right.head,
+                    vec_add(vec_add(left.h1, cls.h1), right.h1),
+                    left.w0 + cls.w0 + right.w0,
+                )
                 out[total] = out.get(total, 0) + sign * k
     return _from_sums(2, sums)
 
@@ -743,6 +760,14 @@ def stray_inputs(K):
         x = CochainElement(1, {(X, a): JElement.of(jac.idempotent(tail))})
         xbar = CochainElement(2, {(XBAR, a): JElement.of(jac.idempotent(head))})
         out.append((K.cup, parent_cup, (x, xbar)))
+        # Xbar_a with two classes of different tails: one runs back from
+        # head(a) to tail(a) around a face, the other starts at tail(a)
+        f = d.faces[d.pos_face_of(a)].boundary
+        j = f.index(a)
+        back = jac.canonical_form(f[j + 1 :] + f[:j])
+        mixed = CochainElement(2, {(XBAR, a): JElement({back: 1, jac.idempotent(tail): 1})})
+        x = CochainElement(1, {(X, a): JElement.of(K._arrow_cls[a])})
+        out.append((K.cup, parent_cup, (x, mixed)))
         # on the unit slot at tail, a path from tail to head (m x does not
         # compose) and one from head to tail (m x composes, x m does not)
         for u, w in ((tail, head), (head, tail)):
@@ -796,6 +821,63 @@ def test_kernels_match_parent_on_the_relabeled_zoo(seed, covers):
         seen += assert_kernels_match_parent(K, rng, (name, k, l, seed))
         seen += assert_stray_inputs_match_parent(K, (name, k, l, seed))
     assert all(seen[key] > 0 for key in KERNEL_COVERAGE), seen
+
+
+@pytest.mark.parametrize("name", ["conifold", "spp"])
+def test_a_row_that_disagrees_with_its_slot_is_refused_at_build(name, jacobis, monkeypatch):
+    # negative control of the constructor's check: the first row of one slot
+    # gets a left class that ends at another vertex, so the slot's rows
+    # disagree, and building the table must raise and name that slot; every
+    # slot of every table is corrupted in turn
+    jac = jacobis[name]
+    d = jac.dimer
+    table = hochschild._table
+    slots = []
+
+    def record(slot, lh, rt, rows):
+        slots.append((slot, bool(rows)))
+        return table(slot, lh, rt, rows)
+
+    monkeypatch.setattr(hochschild, "_table", record)
+    KoszulComplex(jac)
+    assert len(slots) == len(d.vertices) + 3 * len(d.arrow_ids)
+    corrupted = 0
+    for n, (slot, has_rows) in enumerate(slots):
+        if not has_rows:
+            continue
+        calls = iter(range(len(slots)))
+
+        def corrupt(slot, lh, rt, rows):
+            if next(calls) == n:
+                sign, out, *_, left, right = rows[0]
+                wrong = next(v for v in d.vertices if v != left.head)
+                rows = [hochschild._row(sign, out, PathClass(left.tail, wrong, left.h1, left.w0), right), *rows[1:]]
+            return table(slot, lh, rt, rows)
+
+        monkeypatch.setattr(hochschild, "_table", corrupt)
+        with pytest.raises(HochschildError, match=re.escape(f"a row of slot {slot} does not put")):
+            KoszulComplex(jac)
+        corrupted += 1
+    assert corrupted >= len(d.vertices) + 2 * len(d.arrow_ids)
+
+
+@pytest.mark.parametrize("kind", [UNIT, X, XBAR])
+def test_an_unknown_slot_is_a_named_error(kind, complexes):
+    # d0, d1, d2, d_W and cup name the slot they do not know, rather than
+    # raising KeyError or adding nothing
+    K = complexes["conifold"]
+    jac = K.jac
+    v = K.base_vertex
+    c = CochainElement(_SLOT_DEGREE[kind], {(kind, "nope"): JElement.of(jac.idempotent(v))})
+    kernels = {UNIT: [K.d0], X: [K.d1, K.d_W], XBAR: [K.d2]}[kind]
+    if kind == X:
+        a = next(iter(K.dimer.arrow_ids))
+        xbar = CochainElement(2, {(XBAR, a): JElement.of(jac.idempotent(K.dimer.head(a)))})
+        kernels.append(lambda c: K.cup(c, xbar))
+        kernels.append(lambda c: K.cup(c, CochainElement(2)))
+    for kernel in kernels:
+        with pytest.raises(HochschildError, match=re.escape(f"no {kind} slot 'nope' in this complex")):
+            kernel(c)
 
 
 def test_cup_refuses_a_coefficient_away_from_the_tail(oracle_complexes):

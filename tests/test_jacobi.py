@@ -142,20 +142,20 @@ def test_relations_have_two_terms(complexes):
     # every other position
     for name, K in complexes.items():
         d = K.dimer
-        for y, rows in K._hessian.items():
+        for y, (_, _, rows) in K._hessian.items():
             want = Counter()
             for fi in (d.pos_face_of(y), d.neg_face_of(y)):
                 f = d.faces[fi]
                 j = f.boundary.index(y)
                 want.update((f.sign, x) for x in f.boundary[j + 1 :] + f.boundary[:j])
-            assert Counter((sign, x) for sign, x, _, _ in rows) == want, (name, y)
+            assert Counter((sign, x) for sign, x, *_ in rows) == want, (name, y)
 
 
 def test_c3_hessian(complexes):
     K = complexes["c3"]
     jac = K.jac
     z, e = jac.canonical_form(("z",)), jac.idempotent("v")
-    got = Counter((sign, left, right) for sign, x, _, (left, right) in K._hessian["y"] if x == "x")
+    got = Counter((sign, left, right) for sign, x, *_, left, right in K._hessian["y"][2] if x == "x")
     assert got == Counter([(-1, e, z), (1, z, e)])
 
 
@@ -164,9 +164,9 @@ def test_hessian_c_compose_j_is_zero(complexes):
     # commutator of each arrow with the Hessian columns cancels in J (x) J
     for name, K in complexes.items():
         jac = K.jac
-        for y, rows in K._hessian.items():
+        for y, (_, _, rows) in K._hessian.items():
             acc: dict = {}
-            for sign, x, _, (lcls, rcls) in rows:
+            for sign, x, *_, lcls, rcls in rows:
                 xcls = jac.canonical_form((x,))
                 k1 = (jac.compose(xcls, lcls), rcls)
                 acc[k1] = acc.get(k1, 0) + sign
