@@ -56,8 +56,8 @@ class CochainElement:
             if not isinstance(elem, JElement):
                 raise HochschildError("coefficients must be JElements")
             if not elem.is_zero():
-                if _SLOT_DEGREE[slot[0]] != degree:
-                    raise HochschildError(f"slot {slot} has wrong degree for {degree}")
+                if _SLOT_DEGREE.get(slot[0]) != degree:
+                    raise HochschildError(f"slot {slot!r} is not a degree-{degree} slot")
                 self.terms[slot] = elem
 
     @staticmethod
@@ -112,8 +112,8 @@ class CochainElement:
         terms = {}
         for slot, elem in sums.items():
             if elem:
-                if _SLOT_DEGREE[slot[0]] != degree:
-                    raise HochschildError(f"slot {slot} has wrong degree for {degree}")
+                if _SLOT_DEGREE.get(slot[0]) != degree:
+                    raise HochschildError(f"slot {slot!r} is not a degree-{degree} slot")
                 terms[slot] = JElement._nonzero(elem)
         return CochainElement._nonzero(degree, terms)
 
@@ -544,10 +544,13 @@ class KoszulComplex:
         k, with the unit at tail(e) on the left, so its offsets are c2's own,
         and c2 on the right.  The terms of Xbar_e must share their tail, the
         rt that each X_e coefficient is checked against once; when they do
-        not, no coefficient composes with all of them.
+        not, no coefficient composes with all of them.  Unknown slots are named.
         """
         if (a.degree, b.degree) != (1, 2):
             raise HochschildError(f"cup is computed on degrees 1 x 2, not {a.degree} x {b.degree}")
+        for _, e in b.terms:
+            if e not in self._arrow_cls:
+                raise HochschildError(f"no {XBAR} slot {e!r} in this complex")
         d, unit = self.dimer, self._unit
         rows = {}
         for _, e in a.terms:

@@ -26,10 +26,10 @@ matching of greatest weight <nu, height>:
   certify it for the sum of the two normals, and the absence of an
   alternating cycle among the doubly tight arrows proves it the only
   matching at its height.
-* Each pair of consecutive corners must span an edge of the queried normal
-  and of lattice length m_i.  The corners are then realized heights at
-  every vertex of the intersection of {<-eta_i, h> <= b_i}, so that
-  polygon is the hull.
+* Each pair of consecutive corners spans an edge of the queried normal (both
+  are optimal for it), which must have lattice length m_i.  The corners are
+  then realized heights at every vertex of the intersection of
+  {<-eta_i, h> <= b_i}, so that polygon is the hull.
 
 Every answer is checked against its potentials (LP duality), so a wrong
 answer raises ``DimerError`` instead of shrinking the hull; so does a wrong
@@ -62,7 +62,8 @@ Enumeration (``enumerate_perfect_matchings``, once per dimer) still runs for
 ``MatchingPolytope.points``, read on first use by the ``matchings`` listing
 (which refuses dimers above ``ks.ENUMERATION_GATE``) and by
 ``check_against_enumeration``.  ``ks.KSVerifier`` runs it only as an oracle,
-on dimers whose Kasteleyn count is at most its ``ENUMERATION_GATE``.
+on dimers whose Kasteleyn count is at most its ``ENUMERATION_GATE``.  It reads
+only the face tables, none of the structures above.
 """
 
 from __future__ import annotations
@@ -166,51 +167,46 @@ class MatchingPolytope(_Record):
 
 @per_dimer
 def enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
-    """Every perfect matching, by exact-cover search: each face boundary contains exactly one chosen arrow.
+    """Every perfect matching: one arrow per positive face, no negative face twice.
+
+    A row-by-row search: each positive face is a row of arrows, one allowed
+    while its negative face is free, and the open row with the fewest allowed
+    arrows is filled next, so each matching is reached once.  Sorted by the
+    matchings' sorted arrow ranks; [] when the face counts differ.
 
     The search runs once per dimer: every call returns the same list, kept
     in the dimer's cache and shared by ``MatchingPolytope.points`` and
     ``ks.KSVerifier``, so callers must not mutate it.
     """
     d.require_valid()
-    face_sets = [frozenset(f.boundary) for f in d.faces]
-    rank = d.arrow_rank
-    faces_of = {a: (d.pos_face_of(a), d.neg_face_of(a)) for a in d.arrow_ids}
-    results = []
+    rows = [[(a, d.neg_face_of(a)) for a in f.boundary] for f in d.faces if f.sign > 0]
+    if 2 * len(rows) != len(d.faces):
+        return []
+    taken = [False] * len(d.faces)  # by face index: the negative faces used so far
+    chosen, found = [], []
 
-    def search(chosen: list, covered: int, forbidden: frozenset):
-        if covered == (1 << len(face_sets)) - 1:
-            results.append(frozenset(chosen))
+    def search(open_rows: list) -> None:
+        if not open_rows:
+            found.append(frozenset(chosen))
             return
-        # most constrained uncovered face
-        best, best_cands = None, None
-        for i, fs in enumerate(face_sets):
-            if covered >> i & 1:
-                continue
-            cands = [a for a in fs if a not in forbidden]
-            if best_cands is None or len(cands) < len(best_cands):
-                best, best_cands = i, cands
-            if not cands:
-                return
-        for a in sorted(best_cands, key=rank.__getitem__):
-            mask = covered
-            ok = True
-            for i in faces_of[a]:
-                if mask >> i & 1:
-                    ok = False
-                    break
-                mask |= 1 << i
-            if not ok:
-                continue
-            # arrows sharing a face with `a` can no longer be used
-            newly = frozenset(
-                b for i in faces_of[a] for b in face_sets[i] if b not in forbidden
-            )
-            search(chosen + [a], mask, forbidden | newly)
+        best = None
+        for i, row in enumerate(open_rows):
+            allowed = [(a, f) for a, f in row if not taken[f]]
+            if best is None or len(allowed) < len(best):
+                best, at = allowed, i
+                if not allowed:
+                    return
+        rest = open_rows[:at] + open_rows[at + 1 :]
+        for a, f in best:
+            taken[f] = True
+            chosen.append(a)
+            search(rest)
+            chosen.pop()
+            taken[f] = False
 
-    search([], 0, frozenset())
-    uniq = sorted(set(results), key=lambda s: sorted(map(rank.__getitem__, s)))
-    return [PerfectMatching(edges=s) for s in uniq]
+    search(rows)
+    found.sort(key=lambda s: sorted(map(d.arrow_rank.__getitem__, s)))
+    return [PerfectMatching(edges=s) for s in found]
 
 
 @per_dimer
@@ -579,9 +575,9 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
         ci = order[k] + 1
         if a == b:
             raise DimerError(f"the edge normal to -eta_{ci} collapses to the corner {a}")
-        normal, length = _outward_normal(a, b)
-        if normal != nu:
-            raise DimerError(f"hull edge {a} -> {b} has normal {normal}, not -eta_{ci} = {nu}")
+        # the outward normal is nu: both corners are optimal for nu, a also for
+        # the normal before, and nu is primitive, so only the length can differ
+        length = _outward_normal(a, b)[1]
         members = classes[order[k]][1]
         if length != len(members):
             raise DimerError(

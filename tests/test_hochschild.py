@@ -875,9 +875,27 @@ def test_an_unknown_slot_is_a_named_error(kind, complexes):
         xbar = CochainElement(2, {(XBAR, a): JElement.of(jac.idempotent(K.dimer.head(a)))})
         kernels.append(lambda c: K.cup(c, xbar))
         kernels.append(lambda c: K.cup(c, CochainElement(2)))
+    if kind == XBAR:
+        # b's unknown slot is named although no X slot of a pairs with it
+        kernels.append(lambda c: K.cup(K.partial_P(1), c))
     for kernel in kernels:
         with pytest.raises(HochschildError, match=re.escape(f"no {kind} slot 'nope' in this complex")):
             kernel(c)
+
+
+def test_an_unknown_slot_kind_is_a_named_error(jacobis):
+    # the constructor, from_terms and sum_of name the slot, whether its kind is
+    # unknown or of another degree
+    e = JElement.of(jacobis["c3"].idempotent("v"))
+    cls = next(iter(e.terms))
+    for slot, degree in ((("Y", "a"), 1), ((X, "x"), 2)):
+        message = re.escape(f"slot {slot!r} is not a degree-{degree} slot")
+        with pytest.raises(HochschildError, match=message):
+            CochainElement(degree, {slot: e})
+        with pytest.raises(HochschildError, match=message):
+            CochainElement.from_terms(degree, [(slot, cls, 1)])
+        with pytest.raises(HochschildError, match=message):
+            CochainElement.sum_of(degree, [CochainElement._nonzero(degree, {slot: e})])
 
 
 def test_cup_refuses_a_coefficient_away_from_the_tail(oracle_complexes):

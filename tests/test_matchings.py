@@ -285,6 +285,66 @@ def test_every_face_matched_once(dimers):
                 assert sum(1 for e in f.boundary if e in p.edges) == 1
 
 
+def brute_force_matchings(d: Dimer) -> list:
+    """Every choice of one arrow per positive face that uses each negative face
+    exactly once, as sorted keys: a check of the search by plain product.
+
+    The negative face of each arrow is read off ``d.faces`` here, not from the
+    dimer's face tables.
+    """
+    neg = {a: i for i, f in enumerate(d.faces) if f.sign < 0 for a in f.boundary}
+    negatives = sorted(i for i, f in enumerate(d.faces) if f.sign < 0)
+    rows = [f.boundary for f in d.faces if f.sign > 0]
+    return sorted(
+        (tuple(sorted(choice, key=idkey)) for choice in itertools.product(*rows)
+         if sorted(neg[a] for a in choice) == negatives),
+        key=word_key,
+    )
+
+
+# (name, k, l): 1 x 1 is the bundled dimer; at most 20,736 choices each
+BRUTE_ZOO = [
+    ("c3", 1, 1), ("conifold", 1, 1), ("spp", 1, 1),
+    ("c3", 2, 2), ("c3", 3, 2), ("conifold", 2, 2), ("conifold", 4, 1), ("conifold", 3, 2),
+    ("spp", 2, 1), ("spp", 1, 2), ("spp", 3, 1), ("spp", 2, 2),
+]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+@pytest.mark.parametrize("name,k,l", BRUTE_ZOO)
+def test_enumeration_is_the_brute_force_product(name, k, l, seed, covers):
+    d = zoo_dimer(covers, name, k, l, seed)
+    keys = [p.key() for p in enumerate_perfect_matchings(d)]
+    assert len(set(keys)) == len(keys), "a matching is listed twice"
+    assert sorted(keys, key=word_key) == brute_force_matchings(d)
+
+
+def uneven_dimer(pos: str, neg: str) -> Dimer:
+    """Two triangles of sign ``pos`` and one hexagon of sign ``neg`` on three
+    vertices: a valid dimer with unequal face counts, so no perfect matching."""
+    ends = {"a": (0, 1), "b": (1, 2), "c": (2, 0), "d": (0, 1), "e": (1, 2), "f": (2, 0)}
+    return dimer_from_dict({
+        "name": "uneven",
+        "vertices": [0, 1, 2],
+        "arrows": [{"id": a, "tail": t, "head": h} for a, (t, h) in ends.items()],
+        "faces": [
+            {"sign": pos, "boundary": ["a", "b", "c"]},
+            {"sign": pos, "boundary": ["d", "e", "f"]},
+            {"sign": neg, "boundary": ["a", "e", "c", "d", "b", "f"]},
+        ],
+    })
+
+
+@pytest.mark.parametrize("pos,neg", [("+", "-"), ("-", "+")])
+def test_unequal_face_counts_have_no_perfect_matching(pos, neg):
+    # validation lets the dimer through; with one positive hexagon, each of
+    # its six arrows alone would use no negative face twice, yet leave one
+    # negative triangle unmatched
+    d = uneven_dimer(pos, neg)
+    assert d.validate().ok
+    assert enumerate_perfect_matchings(d) == [] == brute_force_matchings(d)
+
+
 def test_height_of_reference_is_zero(dimers):
     for d in dimers.values():
         pms = enumerate_perfect_matchings(d)
