@@ -2,7 +2,13 @@
 
 Cochains carry Jacobi-algebra coefficients on slots indexed by vertices
 (degrees 0 and 3) and arrows (degrees 1 and 2): the unit, X, Xbar and point
-slots.
+slots, one kind per degree.  A ``CochainElement`` is one flat dict keyed by
+(slot, tail, head, h0, h1, w0), a slot index and the fields of a
+``PathClass`` with h1 split, with a nonzero integer on each key; so
+``len(terms)`` counts (slot, class) terms, not slots.  ``JElement`` and
+``PathClass`` stay the Jacobi-level types: the constructor takes a JElement
+per slot and flattens it, and ``from_terms`` takes (slot, class,
+coefficient) terms.  No kernel builds either type.
 
 The differentials d0, d1 and d2, the second differential d_W and the
 product of degrees 1 and 2 are one sandwich kernel over row tables: each row
@@ -12,21 +18,19 @@ dimer only through the class of each arrow, the arrows at each vertex and
 the face words, and each ``KoszulComplex`` builds them once.  W is the signed
 sum of the face boundaries, so d1 (the Hessian of W) and d_W read one split
 of face words.  The product reads its rows off its degree-2 factor: X_a is
-paired with Xbar_a, whose coefficient is the right class of a row at tail(a).
+paired with Xbar_a, whose terms are the rows at tail(a).
 
 Each input slot's table is (lh, rt, rows), each row a flat tuple (sign,
 out, tail, head, o0, o1, w0, left, right).  Every row of a slot puts its
 coefficient between the same two vertices, its left ending at lh and its
 right starting at rt; the constructor checks that and names the slot when a
-row disagrees.  So the kernel checks composability once per coefficient, as
+row disagrees.  So the kernel checks composability once per term, as
 ``Jacobi.compose`` would, and the degree of the output slots once per call.
-It adds every term in one dict keyed by the flat tuple (out, tail, head, h0,
-h1, w0) and builds a ``PathClass``, the key's last five fields with h1
-paired, through ``tuple.__new__`` only for a nonzero total; most sums cancel
-and build nothing.  An input slot the complex does not have is a named
-``HochschildError``.  Every other sum of cochains runs through
-``CochainElement.from_terms`` or ``CochainElement.sum_of``, which add in one
-pass and check the degree of each slot they keep.
+It adds every term through every row of its slot into one dict keyed by the
+output's flat key, and the nonzero totals are the output's terms.  An input
+slot the complex does not have is a named ``HochschildError``.  Every other
+sum of cochains runs through ``CochainElement.from_terms`` or
+``CochainElement.sum_of``, which add in one pass over the same keys.
 """
 
 from __future__ import annotations
@@ -37,32 +41,46 @@ from .dimer import Vec, _Frozen, _set, dot, face_word_at, idkey, parallel_classe
 from .jacobi import Jacobi, JacobiError, JElement, PathClass
 
 UNIT, X, XBAR, PT = "unit", "X", "Xbar", "pt"
-_SLOT_DEGREE = {UNIT: 0, X: 1, XBAR: 2, PT: 3}
+_KINDS = (UNIT, X, XBAR, PT)  # the slot kind of each degree
+_SLOT_DEGREE = {kind: degree for degree, kind in enumerate(_KINDS)}
 
 
 class HochschildError(Exception):
     pass
 
 
+def _key(s, cls: PathClass) -> tuple:
+    """The flat key (s, tail, head, h0, h1, w0) of ``cls`` on slot index ``s``."""
+    tail, head, (h0, h1), w0 = cls
+    return (s, tail, head, h0, h1, w0)
+
+
 class CochainElement:
-    """Homogeneous element of the complex: JElement coefficients per slot."""
+    """Homogeneous element of the complex: one flat dict of coefficients.
+
+    ``terms`` maps (slot, tail, head, h0, h1, w0), a slot index and the
+    fields of a ``PathClass`` with h1 split, to a nonzero integer; the slot
+    kind is the degree's (0 unit, 1 X, 2 Xbar, 3 pt).
+    """
 
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree: int, terms: dict | None = None):
+        """The element with JElement coefficients on slots (kind, index), each
+        nonzero one on a slot of this degree's kind."""
         self.degree = degree
-        self.terms = {}
+        self.terms = flat = {}
         for slot, elem in (terms or {}).items():
             if not isinstance(elem, JElement):
                 raise HochschildError("coefficients must be JElements")
-            if not elem.is_zero():
-                if _SLOT_DEGREE.get(slot[0]) != degree:
-                    raise HochschildError(f"slot {slot!r} is not a degree-{degree} slot")
-                self.terms[slot] = elem
+            if elem.terms and _SLOT_DEGREE.get(slot[0]) != degree:
+                raise HochschildError(f"slot {slot!r} is not a degree-{degree} slot")
+            for cls, k in elem.terms.items():
+                flat[_key(slot[1], cls)] = k
 
     @staticmethod
     def _nonzero(degree: int, terms: dict) -> "CochainElement":
-        """The element on ``terms``: nonzero coefficients on slots of this degree."""
+        """The element on ``terms``: flat keys with nonzero coefficients."""
         out = CochainElement.__new__(CochainElement)
         out.degree = degree
         out.terms = terms
@@ -70,52 +88,30 @@ class CochainElement:
 
     @staticmethod
     def from_terms(degree: int, terms) -> "CochainElement":
-        """The sum of (slot, class, coefficient) terms, added up in one pass.
-
-        Each slot is checked against ``degree`` once, in ``_of_sums``; the
-        coefficients are built without checking them again.
-        """
+        """The sum of (slot, class, coefficient) terms, added up in one pass;
+        the slot of each term is checked against ``degree``."""
         sums: dict = {}
+        get = sums.get
         for slot, cls, k in terms:
-            out = sums.get(slot)
-            if out is None:
-                out = sums[slot] = {}
-            total = out.get(cls, 0) + k
-            if total:
-                out[cls] = total
-            else:
-                out.pop(cls, None)
-        return CochainElement._of_sums(degree, sums)
+            if _SLOT_DEGREE.get(slot[0]) != degree:
+                raise HochschildError(f"slot {slot!r} is not a degree-{degree} slot")
+            key = _key(slot[1], cls)
+            sums[key] = get(key, 0) + k
+        return CochainElement._nonzero(degree, {key: k for key, k in sums.items() if k})
 
     @staticmethod
     def sum_of(degree: int, elements) -> "CochainElement":
-        """The sum of elements of one degree, added up in one pass, checked as in
-        ``from_terms``."""
+        """The sum of elements of degree ``degree``, added up in one pass; a
+        nonzero element of another degree names its first slot."""
         sums: dict = {}
+        get = sums.get
         for c in elements:
-            for slot, elem in c.terms.items():
-                out = sums.get(slot)
-                if out is None:
-                    out = sums[slot] = {}
-                for cls, k in elem.terms.items():
-                    total = out.get(cls, 0) + k
-                    if total:
-                        out[cls] = total
-                    else:
-                        del out[cls]
-        return CochainElement._of_sums(degree, sums)
-
-    @staticmethod
-    def _of_sums(degree: int, sums: dict) -> "CochainElement":
-        """The element on ``sums``, slot -> {class: nonzero coefficient}: each
-        nonempty slot checked against ``degree`` and kept."""
-        terms = {}
-        for slot, elem in sums.items():
-            if elem:
-                if _SLOT_DEGREE.get(slot[0]) != degree:
-                    raise HochschildError(f"slot {slot!r} is not a degree-{degree} slot")
-                terms[slot] = JElement._nonzero(elem)
-        return CochainElement._nonzero(degree, terms)
+            if c.degree != degree and c.terms:
+                slot = (_KINDS[c.degree], next(iter(c.terms))[0])
+                raise HochschildError(f"slot {slot!r} is not a degree-{degree} slot")
+            for key, k in c.terms.items():
+                sums[key] = get(key, 0) + k
+        return CochainElement._nonzero(degree, {key: k for key, k in sums.items() if k})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -130,7 +126,7 @@ class CochainElement:
 
     def scale(self, k: int) -> "CochainElement":
         return CochainElement._nonzero(
-            self.degree, {s: e.scale(k) for s, e in self.terms.items()} if k else {}
+            self.degree, {key: k * n for key, n in self.terms.items()} if k else {}
         )
 
     def __eq__(self, other) -> bool:
@@ -141,11 +137,11 @@ class CochainElement:
         )
 
     def __hash__(self):
-        return hash((self.degree, frozenset((s, e) for s, e in self.terms.items())))
+        return hash((self.degree, frozenset(self.terms.items())))
 
     def __repr__(self):
-        bits = [f"{slot}: {elem}" for slot, elem in sorted(self.terms.items(), key=str)]
-        return f"Cochain(deg={self.degree}, " + "; ".join(bits) + ")"
+        bits = [f"{k}*{key}" for key, k in sorted(self.terms.items(), key=str)]
+        return f"Cochain(deg={self.degree}, " + " + ".join(bits) + ")"
 
 
 def _row(sign: int, out, left: PathClass, right: PathClass) -> tuple:
@@ -191,40 +187,29 @@ def _sandwich(c: CochainElement, in_kind: str, rows: dict, out_kind: str, degree
     put between the left and right of every row of that slot's index.
 
     ``rows`` maps each index to its ``_table`` entry (lh, rt, rows).  Each
-    coefficient is checked once against (lh, rt), as ``Jacobi.compose``
-    would, and then added through every row into one dict keyed by the flat
-    tuple (out, tail, head, h0, h1, w0); only a nonzero total becomes a
-    ``PathClass``, through ``tuple.__new__``.
+    term is checked against (lh, rt), as ``Jacobi.compose`` would, and then
+    added through every row into one dict keyed by the flat tuple (out, tail,
+    head, h0, h1, w0), which is the output's ``terms`` once zeros are dropped.
     """
     if _SLOT_DEGREE[out_kind] != degree:
         raise HochschildError(f"{out_kind} slots have wrong degree for {degree}")
+    if c.degree != _SLOT_DEGREE[in_kind] and c.terms:
+        raise HochschildError(f"degree-{degree - 1} terms must sit on {in_kind} slots")
     sums: dict = {}
     get = sums.get
-    for (kind, s), elem in c.terms.items():
-        if kind != in_kind:
-            raise HochschildError(f"degree-{degree - 1} terms must sit on {in_kind} slots")
+    for (s, ct, ch, h0, h1, cw), k in c.terms.items():
         entry = rows.get(s)
         if entry is None:
-            raise HochschildError(f"no {kind} slot {s!r} in this complex")
+            raise HochschildError(f"no {in_kind} slot {s!r} in this complex")
         lh, rt, slot_rows = entry
         if not slot_rows:  # nothing to add, so nothing to check
             continue
-        for (ct, ch, (h0, h1), cw), k in elem.terms.items():
-            if ct != lh or ch != rt:
-                raise JacobiError("paths do not compose")
-            for sign, x, tail, head, o0, o1, w0, _, _ in slot_rows:
-                key = (x, tail, head, o0 + h0, o1 + h1, w0 + cw)
-                sums[key] = get(key, 0) + sign * k
-    new, terms = tuple.__new__, {}
-    for (x, tail, head, h0, h1, w0), k in sums.items():
-        if k:
-            out = terms.get(x)
-            if out is None:
-                out = terms[x] = {}
-            out[new(PathClass, (tail, head, (h0, h1), w0))] = k
-    return CochainElement._nonzero(
-        degree, {(out_kind, x): JElement._nonzero(out) for x, out in terms.items()}
-    )
+        if ct != lh or ch != rt:
+            raise JacobiError("paths do not compose")
+        for sign, x, tail, head, o0, o1, w0, _, _ in slot_rows:
+            key = (x, tail, head, o0 + h0, o1 + h1, w0 + cw)
+            sums[key] = get(key, 0) + sign * k
+    return CochainElement._nonzero(degree, {key: k for key, k in sums.items() if k})
 
 
 class E2Label(_Frozen):
@@ -281,6 +266,7 @@ class KoszulComplex:
         self._canon: dict = {}  # word -> its class, normalised once
         cls_of = self._class_of
         self._arrow_cls = {a: cls_of((a,)) for a in arrows}
+        self._no_rows = dict.fromkeys(arrows, (None, None, ()))  # each arrow's slot, adding nothing
         self._leaving, self._entering = d.leaving, d.entering
         self._unit = unit = {v: jac.idempotent(v) for v in d.vertices}
         cls = self._arrow_cls
@@ -407,7 +393,7 @@ class KoszulComplex:
     # -- distinguished cochains ----------------------------------------------
 
     def unit_cochain(self, per_vertex: dict) -> CochainElement:
-        return CochainElement(0, {(UNIT, v): JElement.of(cls) for v, cls in per_vertex.items()})
+        return CochainElement._nonzero(0, {_key(v, cls): 1 for v, cls in per_vertex.items()})
 
     def W_cochain(self) -> CochainElement:
         return self.unit_cochain(self.jac.central_W())
@@ -422,9 +408,8 @@ class KoszulComplex:
 
     def partial_of_matching(self, edges) -> CochainElement:
         rank = self.dimer.arrow_rank
-        return CochainElement(
-            1, {(X, e): JElement.of(self._arrow_cls[e]) for e in sorted(edges, key=rank.__getitem__)}
-        )
+        cls = self._arrow_cls
+        return CochainElement._nonzero(1, {_key(e, cls[e]): 1 for e in sorted(edges, key=rank.__getitem__)})
 
     def zero_corner_of(self, alpha: Vec) -> int:
         """The unique corner matching with vanishing x_alpha degree."""
@@ -461,7 +446,7 @@ class KoszulComplex:
         return CochainElement.from_terms(1, terms)
 
     def theta(self, v) -> CochainElement:
-        return CochainElement(3, {(PT, v): JElement.of(self.jac.idempotent(v))})
+        return CochainElement._nonzero(3, {_key(v, self.jac.idempotent(v)): 1})
 
     def psi(self, i: int, j: int):
         """BV image of the positive anti-zigzag of Z_{i,j}, with its chosen vertex.
@@ -541,35 +526,26 @@ class KoszulComplex:
         The X_e coefficient, which must start at tail(e), and the Xbar_e
         coefficient compose to a closed path at tail(e), which is added on the
         point slot there: each term k c2 of Xbar_e is a flat row weighted by
-        k, with the unit at tail(e) on the left, so its offsets are c2's own,
-        and c2 on the right.  The terms of Xbar_e must share their tail, the
-        rt that each X_e coefficient is checked against once; when they do
-        not, no coefficient composes with all of them.  Unknown slots are named.
+        k, with the unit at tail(e) on the left, so its offsets are c2's own.
+        The kernel reads no class of these rows, so they carry none.  The
+        terms of Xbar_e must share their tail, the rt that each X_e
+        coefficient is checked against; when they do not, rt is None and no
+        coefficient composes.  Unknown slots are named.
         """
         if (a.degree, b.degree) != (1, 2):
             raise HochschildError(f"cup is computed on degrees 1 x 2, not {a.degree} x {b.degree}")
-        for _, e in b.terms:
-            if e not in self._arrow_cls:
+        no_rows, tail = self._no_rows, self.dimer.tail
+        xbar: dict = {}  # e -> (lh, rt, rows) of Xbar_e's terms
+        for (e, ct, ch, h0, h1, w0), k in b.terms.items():
+            if e not in no_rows:
                 raise HochschildError(f"no {XBAR} slot {e!r} in this complex")
-        d, unit = self.dimer, self._unit
-        rows = {}
-        for _, e in a.terms:
-            if e not in self._arrow_cls:
-                continue  # left out of rows, so the kernel names the slot
-            v = d.tail(e)
-            y = b.terms.get((XBAR, e))
-            if y is None:
-                rows[e] = (v, v, ())
-                continue
-            rts = {ct for ct, _, _, _ in y.terms}
-            if len(rts) > 1:
-                raise JacobiError("paths do not compose")
-            flat = []
-            for c2, k in y.terms.items():
-                _, ch, (o0, o1), w0 = c2
-                flat.append((k, v, v, ch, o0, o1, w0, unit[v], c2))
-            rows[e] = (v, rts.pop(), flat)
-        return _sandwich(a, X, rows, PT, 3)
+            v = tail(e)
+            _, rt, flat = xbar.get(e) or (v, ct, [])
+            xbar[e] = (v, rt if rt == ct else None, flat)
+            flat.append((k, v, v, ch, h0, h1, w0, None, None))
+        # an X slot with nothing on its Xbar slot adds nothing; one the complex
+        # does not have is in no table, so the kernel names it
+        return _sandwich(a, X, {**no_rows, **xbar}, PT, 3)
 
     # -- second page -----------------------------------------------------------
 

@@ -296,11 +296,12 @@ class KSVerifier:
             )
         for v in d.vertices:
             out = K.d_W_theta(v)
-            support = {slot[1] for slot in out.terms}
+            # a face through v has an arrow leaving v, so only those faces are tried
+            support = {s for s, *_ in out.terms}
             face_ok = any(
-                support == set(f.boundary)
-                and any(d.tail(aid) == v for aid in f.boundary)
-                for f in d.faces
+                support == set(d.faces[f].boundary)
+                for a in d.leaving[v]
+                for f in (d.pos_face_of(a), d.neg_face_of(a))
             )
             rep.add(f"dW.theta.{v}.support", face_ok, sorted(support, key=d.arrow_rank.__getitem__))
             rep.add(f"dW.theta.{v}.closed", K.d2(out).is_zero())
@@ -323,11 +324,10 @@ class KSVerifier:
                 cup = K.cup(partial, psi_c)
                 deg = jac.class_degree(PathClass(v, v, eta, w0), k)
                 at_own_vertex = all(
-                    cls == PathClass(u, u, eta, w0)
-                    for (_, u), e in cup.terms.items()
-                    for cls in e.terms
+                    u == tail == head and (h0, h1) == eta and cw == w0
+                    for u, tail, head, h0, h1, cw in cup.terms
                 )
-                total = sum(n for e in cup.terms.values() for n in e.terms.values())
+                total = sum(cup.terms.values())
                 rep.add(
                     f"cup.partialP{k}.psi.{i}.{j}",
                     at_own_vertex and total == deg,

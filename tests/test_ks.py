@@ -17,6 +17,7 @@ from dimermirror.jacobi import Jacobi, JElement, PathClass
 from dimermirror.ks import ENUMERATION_GATE, FAIL, PASS, SKIP, KSVerifier, det_int
 from dimermirror.matchings import matching_basis
 from dimermirror.mirror_sh import MirrorSH
+from test_hochschild import per_slot
 from test_matchings import mirrored
 
 
@@ -172,7 +173,7 @@ def test_dW_partial_P_fails_on_a_dropped_arrow(name, dimers, monkeypatch):
         c = partial_P(i)
         if i != 1:
             return c
-        return CochainElement(1, {s: e for s, e in c.terms.items() if s != (X, dropped)})
+        return CochainElement(1, {s: e for s, e in per_slot(c).items() if s != (X, dropped)})
 
     monkeypatch.setattr(K, "partial_P", without_one_arrow)
     assert "dW.partial_P.1" in failed_chain_rows(v, "dW.partial_P.")[0]
@@ -186,9 +187,9 @@ def test_dW_partial_alpha_fails_on_a_shifted_coefficient(name, dimers, monkeypat
 
     def shifted(alpha):
         c = partial_alpha(alpha)
-        e = arrow_on_W_word(v.dimer, {a for _, a in c.terms})
-        (cls, k), = c.terms[(X, e)].terms.items()
-        terms = dict(c.terms)
+        terms = per_slot(c)
+        e = arrow_on_W_word(v.dimer, {a for _, a in terms})
+        (cls, k), = terms[(X, e)].terms.items()
         terms[(X, e)] = JElement.of(PathClass(cls.tail, cls.head, cls.h1, cls.w0 + 1), k)
         return CochainElement(1, terms)
 
@@ -300,7 +301,7 @@ def test_a_corrupted_arrow_image_fails_its_matching_rows(name, dimers, monkeypat
 
     def corrupted(c):
         image = d1(c)
-        return image + extra if set(c.terms) == {(X, arrow)} else image
+        return image + extra if set(per_slot(c)) == {(X, arrow)} else image
 
     monkeypatch.setattr(K, "d1", corrupted)
     rep = v.verify_chain_identities()
