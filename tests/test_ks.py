@@ -179,6 +179,40 @@ def test_dW_partial_P_fails_on_a_dropped_arrow(name, dimers, monkeypatch):
     assert "dW.partial_P.1" in failed_chain_rows(v, "dW.partial_P.")[0]
 
 
+SUPPORT_ZOO = [("c3", 1, 1), ("conifold", 1, 1), ("spp", 1, 1), ("c3", 2, 2), ("spp", 2, 1), ("conifold", 4, 1)]
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("name, k, l", SUPPORT_ZOO)
+def test_dW_theta_support_rows_match_a_scan_of_every_face(
+    name, k, l, corrupt, lattice_cover, monkeypatch
+):
+    # the rows try only the faces of the arrows leaving v; a scan of every face
+    # with an arrow leaving v gives the same status, also when one arrow's
+    # slot is dropped from Delta(W theta_v) and no face matches
+    v = KSVerifier(dimer_from_dict(lattice_cover(name, k, l)))
+    d, K = v.dimer, v.K
+    d_W_theta = K.d_W_theta
+
+    def dropped(u):
+        terms = per_slot(d_W_theta(u))
+        first = next(iter(terms))
+        return CochainElement(2, {s: e for s, e in terms.items() if s != first})
+
+    if corrupt:
+        monkeypatch.setattr(K, "d_W_theta", dropped)
+    rows = {c.name: c for c in v.verify_chain_identities().checks}
+    for u in d.vertices:
+        support = {s for s, *_ in K.d_W_theta(u).terms}
+        on_a_face = any(
+            support == set(f.boundary) and any(d.tail(a) == u for a in f.boundary) for f in d.faces
+        )
+        assert on_a_face is not corrupt, (name, k, l, u)
+        row = rows[f"dW.theta.{u}.support"]
+        assert row.status == (PASS if on_a_face else FAIL), (name, k, l, u)
+        assert row.detail == sorted(support, key=d.arrow_rank.__getitem__), (name, k, l, u)
+
+
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
 def test_dW_partial_alpha_fails_on_a_shifted_coefficient(name, dimers, monkeypatch):
     v = KSVerifier(dimers[name])
