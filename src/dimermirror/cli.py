@@ -16,11 +16,13 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _escape
-from pathlib import Path
 
 from .dimer import (
     Dimer,
     DimerError,
+    HochschildError,
+    JacobiError,
+    SHError,
     anti_zigzag,
     dimer_isomorphic,
     dual_dimer,
@@ -30,12 +32,11 @@ from .dimer import (
     word_key,
     zigzag_cycles,
 )
-from .hochschild import HochschildError, KoszulComplex
 from .io import BUNDLED, DimerFormatError, dimer_to_dict, load_bundled, parse_dimer
-from .jacobi import Jacobi, JacobiError
-from .ks import ENUMERATION_GATE, KSVerifier
-from .matchings import corner_matchings_in_order, kasteleyn_count, matching_polytope
-from .mirror_sh import MirrorSH, SHError
+from .matchings import ENUMERATION_GATE, corner_matchings_in_order, kasteleyn_count, matching_polytope
+
+# The Jacobi, Koszul, SH and verifier layers are imported inside the commands
+# that run them, so the inspection commands never load them.
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE = 0, 1, 2
 
@@ -44,7 +45,7 @@ PIPELINE_ERRORS = (DimerError, DimerFormatError, JacobiError, HochschildError, S
 
 
 def _load(path: str, base_vertex=None) -> Dimer:
-    if Path(path).is_file():
+    if os.path.isfile(path):
         d = parse_dimer(path)
     elif path in BUNDLED:
         d = load_bundled(path)
@@ -87,7 +88,8 @@ def _failure(exc: Exception) -> dict:
     tb = exc.__traceback__
     while tb.tb_next is not None:
         tb = tb.tb_next
-    return {"passed": False, "error": str(exc), "stage": Path(tb.tb_frame.f_code.co_filename).stem}
+    stage = os.path.splitext(os.path.basename(tb.tb_frame.f_code.co_filename))[0]
+    return {"passed": False, "error": str(exc), "stage": stage}
 
 
 def _emit(data, fmt: str, title: str) -> None:
@@ -341,6 +343,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
+    from .jacobi import Jacobi
+
     d = _load(args.file)
     jac = Jacobi(d, realize_cap=args.realize_cap)
     data = {}
@@ -376,6 +380,9 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_hh(args) -> int:
+    from .hochschild import KoszulComplex
+    from .jacobi import Jacobi
+
     d = _load(args.file, args.base_vertex)
     K = KoszulComplex(Jacobi(d, realize_cap=args.realize_cap), i0=args.i0, ab=args.ab)
     gens = K.generators()
@@ -408,7 +415,7 @@ def cmd_hh(args) -> int:
 
 
 def cmd_sh(args) -> int:
-    from .mirror_sh import E as E_label, F as F_label, SHElement
+    from .mirror_sh import E as E_label, F as F_label, MirrorSH, SHElement
 
     d = _load(args.file, args.base_vertex)
     sh = MirrorSH(d)
@@ -440,7 +447,10 @@ def cmd_sh(args) -> int:
     return EXIT_OK
 
 
-def _verifier(args) -> KSVerifier:
+def _verifier(args):
+    """The ``ks.KSVerifier`` of the dimer and options of ``verify`` or ``report``."""
+    from .ks import KSVerifier
+
     d = _load(args.file, args.base_vertex)
     return KSVerifier(d, i0=args.i0, ab=args.ab)
 

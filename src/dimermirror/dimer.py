@@ -22,6 +22,20 @@ class DimerError(Exception):
     """Raised for structurally unusable input or internal consistency failures."""
 
 
+# The errors of the later layers live here, beside DimerError, so the CLI can
+# catch them without importing the layers; each layer re-exports its own.
+class JacobiError(Exception):
+    pass
+
+
+class HochschildError(Exception):
+    pass
+
+
+class SHError(Exception):
+    pass
+
+
 def vec_add(u: Vec, v: Vec) -> Vec:
     return (u[0] + v[0], u[1] + v[1])
 

@@ -37,16 +37,25 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .dimer import Vec, _Frozen, _set, dot, face_word_at, idkey, parallel_classes, strips, vec_add, vec_sub
-from .jacobi import Jacobi, JacobiError, JElement, PathClass
+from .dimer import (
+    HochschildError,
+    JacobiError,
+    Vec,
+    _Frozen,
+    _set,
+    dot,
+    face_word_at,
+    idkey,
+    parallel_classes,
+    strips,
+    vec_add,
+    vec_sub,
+)
+from .jacobi import Jacobi, JElement, PathClass
 
 UNIT, X, XBAR, PT = "unit", "X", "Xbar", "pt"
 _KINDS = (UNIT, X, XBAR, PT)  # the slot kind of each degree
 _SLOT_DEGREE = {kind: degree for degree, kind in enumerate(_KINDS)}
-
-
-class HochschildError(Exception):
-    pass
 
 
 def _key(s, cls: PathClass) -> tuple:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 
 from .dimer import Arrow, Dimer, Face, idkey
 
@@ -132,7 +132,8 @@ def dimer_to_dict(d: Dimer) -> dict:
 def parse_dimer(path) -> Dimer:
     """Parse and validate a dimer file; invariant failures raise with witnesses."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DimerFormatError(f"{path}: cannot read: {exc}") from exc
     try:
@@ -151,7 +152,8 @@ def parse_dimer(path) -> Dimer:
 def load_bundled(name: str) -> Dimer:
     if name not in BUNDLED:
         raise DimerFormatError(f"unknown bundled dimer {name!r}; have {BUNDLED}")
-    text = (Path(__file__).with_name("data") / f"{name}.json").read_text(encoding="utf-8")
+    with open(os.path.join(os.path.dirname(__file__), "data", f"{name}.json"), encoding="utf-8") as fh:
+        text = fh.read()
     d = dimer_from_dict(json.loads(text))
     d.require_valid()
     return d

@@ -19,6 +19,7 @@ from collections.abc import Iterable
 
 from .dimer import (
     Dimer,
+    JacobiError,
     Vec,
     _Combination,
     dot,
@@ -36,10 +37,6 @@ from .matchings import (
 )
 
 _tuple_new = tuple.__new__
-
-
-class JacobiError(Exception):
-    pass
 
 
 # -- path classes ------------------------------------------------------------

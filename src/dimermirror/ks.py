@@ -14,6 +14,7 @@ from .dimer import Dimer, DimerError, _Record, word_key
 from .hochschild import CochainElement, E2Label, HochschildError, KoszulComplex, X
 from .jacobi import Jacobi, JElement, PathClass
 from .matchings import (
+    ENUMERATION_GATE,
     _orientation,
     check_against_enumeration,
     det_int,
@@ -26,11 +27,6 @@ from .mirror_sh import E, MirrorSH
 
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
-
-# ``verify_all`` enumerates every perfect matching, as an oracle, only on
-# dimers with at most this many (by the Kasteleyn count): the c3 4x4 cover
-# (417 matchings) runs it, the c3 5x5 cover (7,623) does not.
-ENUMERATION_GATE = 1000
 
 
 class Check(_Record):

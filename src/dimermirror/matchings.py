@@ -60,9 +60,9 @@ The oracle is built once per dimer and shared by all three, and the table by
 the polygon and the count.
 Enumeration (``enumerate_perfect_matchings``, once per dimer) still runs for
 ``MatchingPolytope.points``, read on first use by the ``matchings`` listing
-(which refuses dimers above ``ks.ENUMERATION_GATE``) and by
+(which refuses dimers above ``ENUMERATION_GATE``) and by
 ``check_against_enumeration``.  ``ks.KSVerifier`` runs it only as an oracle,
-on dimers whose Kasteleyn count is at most its ``ENUMERATION_GATE``.  It reads
+on dimers whose Kasteleyn count is at most ``ENUMERATION_GATE``.  It reads
 only the face tables, none of the structures above.
 """
 
@@ -163,6 +163,13 @@ class MatchingPolytope(_Record):
     def height(self, matching: PerfectMatching) -> Vec:
         """Class of (matching - P0), read from the table the polytope was built with."""
         return vec_sub(_class_sum(matching.edges, self.arrow_class), self.reference_class)
+
+
+# The ``matchings`` listing and the verifier's ``matchings.count`` row
+# enumerate every perfect matching only on dimers with at most this many (by
+# the Kasteleyn count): the c3 4x4 cover (417 matchings) passes the gate, the
+# c3 5x5 cover (7,623) does not.
+ENUMERATION_GATE = 1000
 
 
 @per_dimer

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .dimer import Dimer, _Combination, _Record, dual_dimer, parallel_classes, surface_invariants
-
-
-class SHError(Exception):
-    pass
+from .dimer import Dimer, SHError, _Combination, _Record, dual_dimer, parallel_classes, surface_invariants
 
 
 # Labels: ("unit",) | ("p", edge) | ("E", i, j, n) | ("F", i, j, n)

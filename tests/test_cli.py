@@ -705,16 +705,23 @@ def test_import_builds_no_parser():
 # Modules a cold start must not load: the dataclass and Fraction machinery
 # (inspect, ast and dis come with dataclasses; decimal with fractions), the
 # package-resource machinery (importlib.resources, which brings tempfile,
-# shutil, random, bz2 and lzma) and typing.
+# shutil, random, bz2 and lzma), typing and pathlib.
 IMPORT_BUDGET_ABSENT = (
     "dataclasses", "inspect", "fractions", "decimal", "ast", "dis",
     "importlib.resources", "tempfile", "shutil", "random", "bz2", "lzma", "typing",
+    "pathlib",
 )
+
+# The package modules that ``import dimermirror.cli`` loads, and the layers
+# that only the commands running them import.
+COLD_MODULES = ("cli", "dimer", "io", "matchings")
+LAYERS = ("jacobi", "hochschild", "mirror_sh", "ks")
 
 
 def test_cold_start_stays_within_the_import_budget():
     # -I ignores the environment; -S skips site, whose .pth files can preload
     # modules on their own
+    absent = IMPORT_BUDGET_ABSENT + tuple(f"dimermirror.{m}" for m in LAYERS)
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
@@ -722,11 +729,57 @@ def test_cold_start_stays_within_the_import_budget():
         f"d = dimermirror.io.parse_dimer({str(DATA / 'c3.json')!r})\n"
         "assert d.validate().ok\n"
         "assert dimermirror.io.load_bundled('c3').validate().ok\n"
-        f"print(sorted(set({IMPORT_BUDGET_ABSENT!r}) & set(sys.modules)))\n"
+        f"print(sorted(set({absent!r}) & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+COMMAND_MODULES = {
+    **{cmd: COLD_MODULES for cmd in ("validate", "zigzags", "matchings", "polytope", "dual")},
+    "jacobi": COLD_MODULES + ("jacobi",),
+    "hh": COLD_MODULES + ("jacobi", "hochschild"),
+    "sh": COLD_MODULES + ("mirror_sh",),
+    "verify": COLD_MODULES + LAYERS,
+    "report": COLD_MODULES + LAYERS,
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_the_layers_it_runs(command):
+    code = (
+        "import contextlib, io, json, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "from dimermirror.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main([{command!r}, 'c3'])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('dimermirror.'))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout)
+    assert rc == EXIT_OK
+    assert modules == sorted(f"dimermirror.{m}" for m in COMMAND_MODULES[command])
+
+
+def test_layer_errors_are_the_classes_the_cli_catches():
+    from dimermirror import dimer, hochschild, jacobi, mirror_sh
+
+    assert jacobi.JacobiError is hochschild.JacobiError is dimer.JacobiError
+    assert hochschild.HochschildError is dimer.HochschildError
+    assert mirror_sh.SHError is dimer.SHError
+    assert {dimer.JacobiError, dimer.HochschildError, dimer.SHError} <= set(cli.PIPELINE_ERRORS)
+
+
+@pytest.mark.parametrize("args,message", [
+    (("jacobi", "c3", "--alpha", "0,0"), "alpha must be nonzero"),
+    (("hh", "c3", "--ab", "0,0"), "(a, b) = (0, 0) degenerates on some eta_i"),
+    (("sh", "conifold", "--i0", "5"), "i0 must be in 1..4"),
+], ids=["JacobiError", "HochschildError", "SHError"])
+def test_errors_of_late_imported_layers_exit_1(args, message):
+    # a fresh process, so the layer is first imported inside the command
+    assert run_cli(*args) == (1, "", f"error: {message}\n")
 
 
 def test_closed_output_pipe_exits_without_traceback():
