@@ -518,15 +518,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, base=True, nmax=False, odd=False, caps=False):
+    def common(p, base=True, nmax=False, i0=False, ab=False, caps=False):
         p.add_argument("file", help=f"dimer JSON file or bundled name {BUNDLED}")
         p.add_argument("--format", choices=("json", "markdown"), default="json")
         if base:
             p.add_argument("--base-vertex", default=None, help="vertex anchoring strip order")
         if nmax:
             p.add_argument("--n-max", type=int, default=10, dest="n_max")
-        if odd:
+        if i0:
             p.add_argument("--i0", type=int, default=1, help="distinguished class index")
+        if ab:
             p.add_argument("--ab", type=_pair, default=None, help="a,b for the odd combination")
         if caps:
             p.add_argument("--realize-cap", type=int, default=None, dest="realize_cap")
@@ -560,19 +561,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_jacobi)
 
     p = sub.add_parser("hh", help="Hochschild generators and second-page basis")
-    common(p, nmax=True, odd=True, caps=True)
+    common(p, nmax=True, i0=True, ab=True, caps=True)
     p.set_defaults(func=cmd_hh)
 
     p = sub.add_parser("sh", help="symplectic cohomology basis and pairings")
-    common(p, nmax=True, odd=True)
+    common(p, nmax=True, i0=True)
     p.set_defaults(func=cmd_sh)
 
     p = sub.add_parser("verify", help="run every correspondence check")
-    common(p, odd=True)
+    common(p, i0=True, ab=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="one document with all module outputs")
-    common(p, nmax=True, odd=True)
+    common(p, nmax=True, i0=True, ab=True)
     p.set_defaults(func=cmd_report)
     return ap
 

@@ -151,15 +151,12 @@ class _Combination:
     def __init__(self, terms: dict | None = None):
         self.terms = {c: k for c, k in (terms or {}).items() if k}
 
-    def __init_subclass__(cls):
-        # a plain function per class is the cheapest call for the Koszul kernels
-        def _nonzero(terms: dict):
-            """The element on ``terms``, whose coefficients are all nonzero already."""
-            out = _new(cls)
-            out.terms = terms
-            return out
-
-        cls._nonzero = staticmethod(_nonzero)
+    @classmethod
+    def _nonzero(cls, terms: dict):
+        """The element on ``terms``, whose coefficients are all nonzero already."""
+        out = _new(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def of(cls, key, coeff: int = 1):
@@ -275,12 +272,6 @@ class ZigzagCycle(_Frozen):
         _set(self, "class_index", class_index)
         _set(self, "parallel_index", parallel_index)
 
-    def __len__(self) -> int:
-        return len(self.arrows)
-
-    def word(self) -> tuple:
-        return self.arrows
-
 
 class StripDecomposition(_Frozen):
     """The strips E_{i,1..m_i} of one zigzag class: the components of the
@@ -340,9 +331,9 @@ class Dimer:
     * ``arrow_ids`` (sorted by ``idkey``) and ``arrow_rank`` (id -> position
       there), set on construction, like ``has_shifts``;
     * ``leaving``, ``entering``: vertex -> arrow ids out of, into it, in id order;
-    * ``pos_face_of``, ``neg_face_of``, ``next_pos``, ``next_neg``: an arrow's
-      two faces and its successor on each, and ``face_words``: vertex -> the
-      first face through it, rotated to start there (``face_word_at``);
+    * ``pos_face_of``, ``neg_face_of``: an arrow's two faces, and
+      ``face_words``: vertex -> the first face through it, rotated to start
+      there (``face_word_at``);
     * ``zigzag_of``: arrow -> (k, l), the arrow being a zig of orbit k and a
       zag of orbit l of ``_zigzag_orbits``.
     """
@@ -436,12 +427,6 @@ class Dimer:
 
     def neg_face_of(self, aid) -> int:
         return _face_structure(self)[1][aid]
-
-    def next_pos(self, aid):
-        return _face_structure(self)[2][aid]
-
-    def next_neg(self, aid):
-        return _face_structure(self)[3][aid]
 
 
 def _arrow_order(d: Dimer) -> tuple:

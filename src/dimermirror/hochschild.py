@@ -5,10 +5,10 @@ Cochains carry Jacobi-algebra coefficients on slots indexed by vertices
 slots, one kind per degree.  A ``CochainElement`` is one flat dict keyed by
 (slot, tail, head, h0, h1, w0), a slot index and the fields of a
 ``PathClass`` with h1 split, with a nonzero integer on each key; so
-``len(terms)`` counts (slot, class) terms, not slots.  ``JElement`` and
-``PathClass`` stay the Jacobi-level types: the constructor takes a JElement
-per slot and flattens it, and ``from_terms`` takes (slot, class,
-coefficient) terms.  No kernel builds either type.
+``len(terms)`` counts (slot, class) terms, not slots.
+``CochainElement(degree)`` is the zero, and ``from_terms`` builds every
+other cochain from (slot, ``PathClass``, coefficient) terms; no kernel
+builds a ``PathClass`` or a ``JElement``.
 
 The differentials d0, d1 and d2, the second differential d_W and the
 product of degrees 1 and 2 are one sandwich kernel over row tables: each row
@@ -74,18 +74,10 @@ class CochainElement:
 
     __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: dict | None = None):
-        """The element with JElement coefficients on slots (kind, index), each
-        nonzero one on a slot of this degree's kind."""
+    def __init__(self, degree: int):
+        """The zero element of degree ``degree``; ``from_terms`` builds every other."""
         self.degree = degree
-        self.terms = flat = {}
-        for slot, elem in (terms or {}).items():
-            if not isinstance(elem, JElement):
-                raise HochschildError("coefficients must be JElements")
-            if elem.terms and _SLOT_DEGREE.get(slot[0]) != degree:
-                raise HochschildError(f"slot {slot!r} is not a degree-{degree} slot")
-            for cls, k in elem.terms.items():
-                flat[_key(slot[1], cls)] = k
+        self.terms = {}
 
     @staticmethod
     def _nonzero(degree: int, terms: dict) -> "CochainElement":
@@ -355,15 +347,6 @@ class KoszulComplex:
         raise HochschildError("no (a, b) valid on both sides for every eta_i")
 
     # -- differentials -----------------------------------------------------
-
-    def d(self, c: CochainElement) -> CochainElement:
-        if c.degree == 0:
-            return self.d0(c)
-        if c.degree == 1:
-            return self.d1(c)
-        if c.degree == 2:
-            return self.d2(c)
-        raise HochschildError(f"no differential out of degree {c.degree}")
 
     def d0(self, c: CochainElement) -> CochainElement:
         """m |-> sum over arrows of (x m - m x) on the arrow slots."""

@@ -140,15 +140,12 @@ class Jacobi:
     def canonical_form(self, word: Iterable) -> PathClass:
         """The class of a composable word: endpoints, total shift and P* degree.
 
-        One pass over the word reads each arrow once.  Composability is
-        decided for the whole word before a missing shift raises
-        ``DimerError``, as ``is_composable`` and then ``word_shift`` would.
+        One pass over the word reads each arrow once.
         """
         word = tuple(word)
         d = self.dimer
         arrow_by_id, ref = d.arrow_by_id, self.ref.edges
         x = y = w0 = 0
-        unshifted = None  # the first arrow without shift data
         prev = None
         for aid in word:
             a = arrow_by_id.get(aid)
@@ -156,19 +153,13 @@ class Jacobi:
                 # is_composable raises the same TypeError on an unhashable id further on
                 d.is_composable(word)
                 raise JacobiError(f"word {word!r} is not a composable path")
-            if a.shift is None:
-                if unshifted is None:
-                    unshifted = aid
-            else:
-                x += a.shift[0]
-                y += a.shift[1]
+            x += a.shift[0]
+            y += a.shift[1]
             if aid in ref:
                 w0 += 1
             prev = a
         if prev is None:
             raise JacobiError(f"word {word!r} is not a composable path")
-        if unshifted is not None:
-            d.shift(unshifted)  # raises DimerError naming the arrow
         return PathClass(arrow_by_id[word[0]].tail, prev.head, (x, y), w0)
 
     def idempotent(self, v) -> PathClass:

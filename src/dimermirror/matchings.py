@@ -317,20 +317,13 @@ def _convex_hull(points: list[Vec]) -> list[Vec]:
     return lower[:-1] + upper[:-1]
 
 
-def max_weight_matching(w: list) -> tuple | None:
-    """Hungarian method on a square matrix of integer weights; None marks a missing pair.
+def _hungarian(pairs: list) -> tuple | None:
+    """Hungarian method on the present pairs alone: pairs[i] lists row i's (column, -weight).
 
     Returns ``(match, u, v)``: row i is matched to column ``match[i]`` in a
     perfect matching of greatest total weight, and the integer potentials
-    satisfy u[i] + v[j] >= w[i][j] on every present pair, with equality on
-    the matching.  Returns None when no perfect matching exists.  The dense
-    form of ``_hungarian``, which reads only the present pairs.
-    """
-    return _hungarian([[(j, -x) for j, x in enumerate(row) if x is not None] for row in w])
-
-
-def _hungarian(pairs: list) -> tuple | None:
-    """``max_weight_matching`` on the present pairs alone: pairs[i] lists row i's (column, -weight).
+    satisfy u[i] + v[j] >= weight on every present pair (i, j), with
+    equality on the matching.  Returns None when no perfect matching exists.
 
     Works in the cost form (cost = -weight) of the shortest-augmenting-path
     algorithm, with exact integers throughout: each row is added by Dijkstra

@@ -187,18 +187,20 @@ class MirrorSH:
             first.setdefault(d.head(path[-1]), path)
         return list(first.values())
 
-    def xi_from_path(self, path: tuple) -> SHElement:
-        out = SHElement()
+    def xi_from_path(self, path) -> SHElement:
+        """The sum of p_e over the arrows e of ``path``, counted in one pass."""
+        counts: dict = {}
         for a in path:
-            out = out + SHElement.of(P_EDGE(a))
-        return out
+            label = P_EDGE(a)
+            counts[label] = counts.get(label, 0) + 1
+        return SHElement._nonzero(counts)
 
     def distinguished_odd(self, i0: int = 1) -> dict:
-        """p, q and the telescoping classes xi_v, as odd Morse combinations.
+        """p and q, as odd Morse combinations, and the path of each xi_v.
 
         p sums the puncture-loop generators of the class-i0 parallel family,
         q those of class i0-1; xi_v follows a shortest zigzag path from the
-        base vertex to v.
+        base vertex to v, and ``xi_from_path`` gives its class.
         """
         if not 1 <= i0 <= self.n_classes:
             raise SHError(f"i0 must be in 1..{self.n_classes}")
@@ -206,11 +208,9 @@ class MirrorSH:
         v0 = d.vertices[0]
 
         def family_sum(i: int) -> SHElement:
-            out = SHElement()
-            for (ci, j), z in sorted(self.cycles.items()):
-                if ci == i:
-                    out = out + self.xi_from_path(z.arrows)
-            return out
+            return self.xi_from_path(
+                a for (ci, _), z in sorted(self.cycles.items()) if ci == i for a in z.arrows
+            )
 
         i_prev = (i0 - 2) % self.n_classes + 1
         p = family_sum(i0)
@@ -218,11 +218,10 @@ class MirrorSH:
         xi_path = {v0: ()}
         for path in self.base_paths:
             xi_path.setdefault(d.head(path[-1]), path)
-        xi = {v: self.xi_from_path(path) for v, path in xi_path.items()}
-        missing = [v for v in d.vertices if v not in xi]
+        missing = [v for v in d.vertices if v not in xi_path]
         if missing:
             raise SHError(f"no zigzag path from {v0!r} reaches {missing}")
-        return {"p": p, "q": q, "xi": xi, "xi_path": xi_path, "i0": i0}
+        return {"p": p, "q": q, "xi_path": xi_path}
 
     def xi_for_strip(self, class_index: int, strip_vertices):
         """A shortest zigzag path from the base vertex ending in the given strip, or None."""

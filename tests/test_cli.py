@@ -96,6 +96,13 @@ def test_a_malformed_pair_is_a_usage_error(argv):
     assert "_pair" not in err
 
 
+def test_sh_takes_no_ab():
+    # only hh, verify and report choose the odd combination (a, b)
+    rc, out, err = main_in_process("sh", "c3", "--ab", "1,2")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --ab 1,2" in err
+
+
 def test_reports_are_deterministic():
     rc1, out1, _ = run_cli("report", str(DATA / "conifold.json"), "--n-max", "3")
     rc2, out2, _ = run_cli("report", str(DATA / "conifold.json"), "--n-max", "3")
@@ -987,7 +994,8 @@ def test_a_torus_marking_of_index_above_one_is_refused(name, matrix, target, tmp
 @pytest.mark.parametrize("arrow", ["a1", "a2", "b1", "b2"])
 def test_an_arrow_without_a_shift_is_named(arrow, tmp_path, monkeypatch):
     # the file validates without shifts; the torus marking check reads every
-    # arrow's shift and names the one that has none, on or off the spanning tree
+    # arrow's shift and names the one that has none, on or off the spanning tree,
+    # before Jacobi (and so jacobi and hh) reads a word's shift
     raw = json.loads((DATA / "conifold.json").read_text())
     for a in raw["arrows"]:
         if a["id"] == arrow:
@@ -995,7 +1003,8 @@ def test_an_arrow_without_a_shift_is_named(arrow, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("dimer.json").write_text(json.dumps(raw))
     error = f"arrow {arrow!r} carries no shift data"
-    assert main_in_process("polytope", "dimer.json") == (1, "", f"error: {error}\n")
+    for cmd in ("polytope", "jacobi", "hh"):
+        assert main_in_process(cmd, "dimer.json") == (1, "", f"error: {error}\n"), cmd
     for cmd in ("matchings", "verify"):
         rc, out, err = main_in_process(cmd, "dimer.json", "--format", "json")
         assert json.loads(out) == {"passed": False, "error": error, "stage": "dimer"}

@@ -28,7 +28,7 @@ from dimermirror import (
     zigzag_cycles,
 )
 from dimermirror.cli import with_base_vertex
-from dimermirror.dimer import _solve_parallel, ccw_angle_key, cyclic_equal, cross, idkey, vec_add, vec_sub
+from dimermirror.dimer import _face_structure, _solve_parallel, ccw_angle_key, cyclic_equal, cross, idkey, vec_add, vec_sub
 from dimermirror.io import dimer_from_dict, dimer_to_dict
 from dimermirror.ks import KSVerifier
 from dimermirror.matchings import matching_polytope
@@ -98,7 +98,7 @@ def test_unknown_arrow_in_boundary_is_reported():
 def test_c3_zigzag_cycles(dimers):
     cycles = zigzag_cycles(dimers["c3"])
     assert len(cycles) == 3
-    assert all(len(z) == 2 for z in cycles)
+    assert all(len(z.arrows) == 2 for z in cycles)
     total = tuple(sum(c) for c in zip(*(z.homology for z in cycles)))
     assert total == (0, 0)
     # pairwise independent classes
@@ -128,14 +128,14 @@ def test_spp_zigzag_cycles_match_known_words(dimers):
 def test_conifold_zigzag_cycles(dimers):
     cycles = zigzag_cycles(dimers["conifold"])
     assert len(cycles) == 4
-    assert all(len(z) == 2 for z in cycles)
+    assert all(len(z.arrows) == 2 for z in cycles)
     assert len({z.homology for z in cycles}) == 4
 
 
 def test_zig_zag_completeness(dimers):
     for d in dimers.values():
         cycles = zigzag_cycles(d)
-        assert sum(len(z) for z in cycles) == 2 * len(d.arrows)
+        assert sum(len(z.arrows) for z in cycles) == 2 * len(d.arrows)
         zigs = sorted((a for z in cycles for a in z.zigs), key=str)
         zags = sorted((a for z in cycles for a in z.zags), key=str)
         allarrows = sorted(d.arrow_by_id, key=str)
@@ -421,16 +421,17 @@ def test_ray_intersection_witness():
 
 def _ray_occurrences(d, e, as_zig):
     """One period of the zig (or zag) ray at e: [(arrow, translate)] and the period shift."""
+    next_pos, next_neg = _face_structure(d)[2:4]
     occ = []
     cum = (0, 0)
     cur = e
     while True:
         occ.append((cur, cum))
         cum = vec_add(cum, d.shift(cur))
-        nxt = d.next_neg(cur) if as_zig else d.next_pos(cur)
+        nxt = next_neg[cur] if as_zig else next_pos[cur]
         occ.append((nxt, cum))
         cum = vec_add(cum, d.shift(nxt))
-        cur = d.next_pos(nxt) if as_zig else d.next_neg(nxt)
+        cur = next_pos[nxt] if as_zig else next_neg[nxt]
         if cur == e:
             break
     return occ, cum
@@ -657,7 +658,7 @@ def test_anti_zigzag_that_does_not_close_fails_on_the_first_check(monkeypatch):
     # every rotation of a word has the same cyclic adjacent pairs, so one
     # is_closed call decides; no rotation is tried
     d = load_bundled("spp")
-    z = max(zigzag_cycles(d), key=len)
+    z = max(zigzag_cycles(d), key=lambda c: len(c.arrows))
     calls = []
     monkeypatch.setattr(d, "is_closed", lambda word: calls.append(word) or False)
     with pytest.raises(DimerError, match="anti-zigzag does not close up"):

@@ -37,6 +37,13 @@ def per_slot(c: CochainElement) -> dict:
     return {slot: JElement(t) for slot, t in sums.items()}
 
 
+def cochain(degree: int, slots: dict) -> CochainElement:
+    """The cochain with JElement coefficient ``slots[slot]`` on each slot; ``per_slot`` inverts it."""
+    return CochainElement.from_terms(
+        degree, [(slot, cls, k) for slot, e in slots.items() for cls, k in e.terms.items()]
+    )
+
+
 def unit_idempotent(K, v):
     return K.unit_cochain({v: K.jac.idempotent(v)})
 
@@ -69,7 +76,7 @@ def test_complex_property(complexes):
         for c in deg0:
             assert K.d1(K.d0(c)).is_zero()
         deg1 = [
-            CochainElement(1, {(X, a.id): JElement.of(K.jac.canonical_form((a.id,)))})
+            cochain(1, {(X, a.id): JElement.of(K.jac.canonical_form((a.id,)))})
             for a in d.arrows
         ]
         deg1 += [K.partial_P(i) for i in range(1, K.n_classes + 1)]
@@ -95,7 +102,7 @@ def test_d1_nonzero_sanity(complexes):
     # a random-ish degree-1 element on the suspended pinch point is not closed
     K = complexes["spp"]
     jac = K.jac
-    c = CochainElement(1, {(X, "c"): JElement.of(jac.canonical_form(("d", "c")))})
+    c = cochain(1, {(X, "c"): JElement.of(jac.canonical_form(("d", "c")))})
     assert not K.d1(c).is_zero()
 
 
@@ -103,7 +110,7 @@ def test_d2_nonzero_sanity(complexes):
     K = complexes["spp"]
     jac = K.jac
     # coefficient from head(g)=3 to tail(g)=1 on the Xbar slot of g
-    c = CochainElement(2, {(XBAR, "g"): JElement.of(jac.canonical_form(("a",)))})
+    c = cochain(2, {(XBAR, "g"): JElement.of(jac.canonical_form(("a",)))})
     assert not K.d2(c).is_zero()
 
 
@@ -219,8 +226,8 @@ def test_cup_oracle_partialP_psi(complexes):
                         assert kind == PT and set(e.terms) == {xcls_at(u)}
                         total += e.terms[xcls_at(u)]
                     deg = jac.class_degree(xcls_at(v), k)
-                    closed_form = CochainElement(3, {(PT, v): JElement.of(xcls_at(v), deg)})
-                    assert CochainElement(3, {(PT, v): JElement.of(xcls_at(v), total)}) == closed_form
+                    closed_form = cochain(3, {(PT, v): JElement.of(xcls_at(v), deg)})
+                    assert cochain(3, {(PT, v): JElement.of(xcls_at(v), total)}) == closed_form
 
 
 def test_cup_oracle_unit_and_unsupported(complexes):
@@ -330,9 +337,9 @@ def reference_d0(K, c):
             acls = jac.canonical_form((a,))
             for cls, k in elem.terms.items():
                 if d.tail(a) == v:
-                    out = out + CochainElement(1, {(X, a): JElement.of(jac.compose(cls, acls), k)})
+                    out = out + cochain(1, {(X, a): JElement.of(jac.compose(cls, acls), k)})
                 if d.head(a) == v:
-                    out = out + CochainElement(1, {(X, a): JElement.of(jac.compose(acls, cls), -k)})
+                    out = out + cochain(1, {(X, a): JElement.of(jac.compose(acls, cls), -k)})
     return out
 
 
@@ -346,7 +353,7 @@ def reference_d1(K, c):
                 rcls = jac.canonical_form(right) if right else jac.idempotent(d.tail(x))
                 for cls, k in elem.terms.items():
                     total = jac.compose(jac.compose(lcls, cls), rcls)
-                    out = out + CochainElement(2, {(XBAR, x): JElement.of(total, sign * k)})
+                    out = out + cochain(2, {(XBAR, x): JElement.of(total, sign * k)})
     return out
 
 
@@ -356,8 +363,8 @@ def reference_d2(K, c):
     for (kind, y), elem in per_slot(c).items():
         ycls = jac.canonical_form((y,))
         for cls, k in elem.terms.items():
-            out = out + CochainElement(3, {(PT, d.head(y)): JElement.of(jac.compose(cls, ycls), k)})
-            out = out + CochainElement(3, {(PT, d.tail(y)): JElement.of(jac.compose(ycls, cls), -k)})
+            out = out + cochain(3, {(PT, d.head(y)): JElement.of(jac.compose(cls, ycls), k)})
+            out = out + cochain(3, {(PT, d.tail(y)): JElement.of(jac.compose(ycls, cls), -k)})
     return out
 
 
@@ -367,12 +374,12 @@ def oracle_inputs(K):
     jac, d = K.jac, K.dimer
     units = [unit_idempotent(K, v) for v in d.vertices]
     xs = [
-        CochainElement(1, {(X, a): JElement.of(jac.canonical_form((a,)))})
+        cochain(1, {(X, a): JElement.of(jac.canonical_form((a,)))})
         for a in sorted(d.arrow_by_id, key=idkey)
     ]
     # the coefficient of Xbar_y runs from head(y) to tail(y): the rest of a face
     xbars = [
-        CochainElement(2, {(XBAR, a): JElement.of(jac.canonical_form(arc))})
+        cochain(2, {(XBAR, a): JElement.of(jac.canonical_form(arc))})
         for a, arc, _ in jac.jacobi_relations()
     ]
     out = units + xs + xbars
@@ -413,11 +420,11 @@ def test_d1_terms_are_left_coefficient_right(oracle_complexes):
     for name, K in oracle_complexes.items():
         jac, d = K.jac, K.dimer
         for a in sorted(d.arrow_by_id, key=idkey):
-            c = CochainElement(1, {(X, a): JElement.of(jac.canonical_form((a,)))})
+            c = cochain(1, {(X, a): JElement.of(jac.canonical_form((a,)))})
             assert K.d1(c) == reference_d1(K, c), (name, a)
             if d.tail(a) != d.head(a):
                 # a coefficient that does not run from tail(a) to head(a)
-                stray = CochainElement(1, {(X, a): JElement.of(jac.idempotent(d.tail(a)))})
+                stray = cochain(1, {(X, a): JElement.of(jac.idempotent(d.tail(a)))})
                 with pytest.raises(JacobiError, match="paths do not compose"):
                     reference_d1(K, stray)
                 with pytest.raises(JacobiError, match="paths do not compose"):
@@ -508,7 +515,7 @@ def test_differentials_and_W_reuse_their_classes(dimers, monkeypatch):
         calls.clear()
         K.jac.central_W()
         for c in inputs:
-            K.d(c)
+            (K.d0, K.d1, K.d2)[c.degree](c)
             if c.degree == 1:
                 K.d_W(c)
         for p, c in pairs:
@@ -524,7 +531,7 @@ def test_differentials_and_W_reuse_their_classes(dimers, monkeypatch):
 
 
 def _from_sums(degree, sums):
-    return CochainElement(degree, {slot: JElement(t) for slot, t in sums.items()})
+    return cochain(degree, {slot: JElement(t) for slot, t in sums.items()})
 
 
 def parent_d0(K, c: CochainElement):
@@ -612,7 +619,7 @@ def parent_bv_delta_deg3(K, word):
             if rest
             else jac.idempotent(d.head(word[i]))
         )
-        out = out + CochainElement(2, {(XBAR, word[i]): JElement.of(cls)})
+        out = out + cochain(2, {(XBAR, word[i]): JElement.of(cls)})
     return out
 
 
@@ -766,25 +773,25 @@ def stray_inputs(K):
         if tail == head:
             continue
         for v in (tail, head):
-            x = CochainElement(1, {(X, a): JElement.of(jac.idempotent(v))})
-            xbar = CochainElement(2, {(XBAR, a): JElement.of(jac.idempotent(v))})
+            x = cochain(1, {(X, a): JElement.of(jac.idempotent(v))})
+            xbar = cochain(2, {(XBAR, a): JElement.of(jac.idempotent(v))})
             out += [(K.d1, parent_d1, (x,)), (K.d_W, parent_d_W, (x,)), (K.d2, parent_d2, (xbar,))]
-        x = CochainElement(1, {(X, a): JElement.of(jac.idempotent(tail))})
-        xbar = CochainElement(2, {(XBAR, a): JElement.of(jac.idempotent(head))})
+        x = cochain(1, {(X, a): JElement.of(jac.idempotent(tail))})
+        xbar = cochain(2, {(XBAR, a): JElement.of(jac.idempotent(head))})
         out.append((K.cup, parent_cup, (x, xbar)))
         # Xbar_a with two classes of different tails: one runs back from
         # head(a) to tail(a) around a face, the other starts at tail(a)
         f = d.faces[d.pos_face_of(a)].boundary
         j = f.index(a)
         back = jac.canonical_form(f[j + 1 :] + f[:j])
-        mixed = CochainElement(2, {(XBAR, a): JElement({back: 1, jac.idempotent(tail): 1})})
-        x = CochainElement(1, {(X, a): JElement.of(K._arrow_cls[a])})
+        mixed = cochain(2, {(XBAR, a): JElement({back: 1, jac.idempotent(tail): 1})})
+        x = cochain(1, {(X, a): JElement.of(K._arrow_cls[a])})
         out.append((K.cup, parent_cup, (x, mixed)))
         # on the unit slot at tail, a path from tail to head (m x does not
         # compose) and one from head to tail (m x composes, x m does not)
         for u, w in ((tail, head), (head, tail)):
             word = random_word(K, random.Random(0), u, w)
-            m = CochainElement(0, {(UNIT, tail): JElement.of(jac.canonical_form(word))})
+            m = cochain(0, {(UNIT, tail): JElement.of(jac.canonical_form(word))})
             out.append((K.d0, parent_d0, (m,)))
     return out
 
@@ -880,11 +887,11 @@ def test_an_unknown_slot_is_a_named_error(kind, complexes):
     K = complexes["conifold"]
     jac = K.jac
     v = K.base_vertex
-    c = CochainElement(_SLOT_DEGREE[kind], {(kind, "nope"): JElement.of(jac.idempotent(v))})
+    c = cochain(_SLOT_DEGREE[kind], {(kind, "nope"): JElement.of(jac.idempotent(v))})
     kernels = {UNIT: [K.d0], X: [K.d1, K.d_W], XBAR: [K.d2]}[kind]
     if kind == X:
         a = next(iter(K.dimer.arrow_ids))
-        xbar = CochainElement(2, {(XBAR, a): JElement.of(jac.idempotent(K.dimer.head(a)))})
+        xbar = cochain(2, {(XBAR, a): JElement.of(jac.idempotent(K.dimer.head(a)))})
         kernels.append(lambda c: K.cup(c, xbar))
         kernels.append(lambda c: K.cup(c, CochainElement(2)))
     if kind == XBAR:
@@ -896,14 +903,14 @@ def test_an_unknown_slot_is_a_named_error(kind, complexes):
 
 
 def test_an_unknown_slot_kind_is_a_named_error(jacobis):
-    # the constructor and from_terms name the slot, whether its kind is
-    # unknown or of another degree
+    # from_terms names the slot, whether its kind is unknown or of another
+    # degree, for a JElement per slot as for a list of terms
     e = JElement.of(jacobis["c3"].idempotent("v"))
     cls = next(iter(e.terms))
     for slot, degree in ((("Y", "a"), 1), ((X, "x"), 2)):
         message = re.escape(f"slot {slot!r} is not a degree-{degree} slot")
         with pytest.raises(HochschildError, match=message):
-            CochainElement(degree, {slot: e})
+            cochain(degree, {slot: e})
         with pytest.raises(HochschildError, match=message):
             CochainElement.from_terms(degree, [(slot, cls, 1)])
 
@@ -914,8 +921,8 @@ def test_cup_refuses_a_coefficient_away_from_the_tail(oracle_complexes):
     K = oracle_complexes["conifold"]
     jac, d = K.jac, K.dimer
     a = next(a for a in d.arrow_ids if d.tail(a) != d.head(a))
-    x = CochainElement(1, {(X, a): JElement.of(jac.idempotent(d.head(a)))})
-    xbar = CochainElement(2, {(XBAR, a): JElement.of(jac.idempotent(d.head(a)))})
+    x = cochain(1, {(X, a): JElement.of(jac.idempotent(d.head(a)))})
+    xbar = cochain(2, {(XBAR, a): JElement.of(jac.idempotent(d.head(a)))})
     assert not parent_cup(K, x, xbar).is_zero()
     with pytest.raises(JacobiError, match="paths do not compose"):
         K.cup(x, xbar)
@@ -935,7 +942,7 @@ def test_cancelled_class_is_added_again(complexes):
         word = jac.realize_path(d.head(y), d.tail(y), vec_sub(w2.h1, ycls.h1), w2.w0 - ycls.w0)
         sign = 1 if d.head(y) == 1 else -1
         terms[(XBAR, y)] = JElement.of(jac.canonical_form(word), sign * k)
-    c = CochainElement(2, terms)
+    c = cochain(2, terms)
     assert K.d2(c) == parent_d2(K, c)
     assert per_slot(K.d2(c))[(PT, 1)].terms[w2] == 1
 
@@ -949,15 +956,15 @@ def test_every_cochain_sum_agrees_on_a_cancelled_class(complexes):
     assert A == A2
     slot = (UNIT, K.base_vertex)
     parts = [JElement.of(A), JElement.of(A, -1), JElement.of(A2)]
-    singles = [CochainElement(0, {slot: p}) for p in parts]
+    singles = [cochain(0, {slot: p}) for p in parts]
     sums = {
         "from_terms": CochainElement.from_terms(0, [(slot, A, 1), (slot, A, -1), (slot, A2, 1)]),
         "sum_of": CochainElement.sum_of(0, singles),
         "+": singles[0] + singles[1] + singles[2],
-        "JElement +": CochainElement(0, {slot: parts[0] + parts[1] + parts[2]}),
+        "JElement +": cochain(0, {slot: parts[0] + parts[1] + parts[2]}),
     }
     for how, c in sums.items():
-        assert c == CochainElement(0, {slot: JElement.of(A2)}), how
+        assert c == cochain(0, {slot: JElement.of(A2)}), how
         assert per_slot(c)[slot].terms == {A2: 1}, how
 
 
@@ -992,7 +999,7 @@ def test_cochains_survive_copy_deepcopy_and_pickle(complexes):
 
 
 def test_one_class_is_one_cochain_however_it_is_reached(complexes):
-    # W at tail(a) on the point slot there, from the constructor, from_terms,
+    # W at tail(a) on the point slot there, from a JElement per slot, from_terms,
     # sum_of (2 W, nothing and -W) and the cup of a X_a with the rest of a face
     # on Xbar_a: equal cochains with equal hashes
     for name, K in complexes.items():
@@ -1002,15 +1009,15 @@ def test_one_class_is_one_cochain_however_it_is_reached(complexes):
             w = jac.central_W()[v]
             slot = (PT, v)
             twice = CochainElement.from_terms(3, [(slot, w, 2)])
-            minus_one = CochainElement(3, {slot: JElement.of(w, -1)})
-            xbar = CochainElement(2, {(XBAR, a): JElement.of(jac.canonical_form(arc))})
+            minus_one = cochain(3, {slot: JElement.of(w, -1)})
+            xbar = cochain(2, {(XBAR, a): JElement.of(jac.canonical_form(arc))})
             ways = {
-                "constructor": CochainElement(3, {slot: JElement.of(w)}),
+                "per_slot": cochain(3, {slot: JElement.of(w)}),
                 "from_terms": CochainElement.from_terms(3, [(slot, w, 1)]),
                 "sum_of": CochainElement.sum_of(3, [twice, CochainElement(3), minus_one]),
                 "cup": K.cup(K.partial_of_matching((a,)), xbar),
             }
-            first = ways["constructor"]
+            first = ways["per_slot"]
             assert per_slot(first) == {slot: JElement.of(w)}, (name, a)
             for how, c in ways.items():
                 assert c == first and hash(c) == hash(first), (name, a, how)

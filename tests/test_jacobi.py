@@ -5,7 +5,7 @@ from collections import Counter, deque
 
 import pytest
 
-from dimermirror.dimer import Arrow, Dimer, DimerError, dot, idkey, vec_sub
+from dimermirror.dimer import Dimer, dot, idkey, vec_sub
 from dimermirror.io import dimer_from_dict
 from dimermirror.jacobi import Jacobi, JacobiError, PathClass
 from dimermirror.matchings import PerfectMatching, enumerate_perfect_matchings
@@ -475,26 +475,3 @@ def test_one_pass_canonical_form_matches_three_passes(dimers, jacobis):
             assert _outcome(jac.canonical_form, word) == _outcome(
                 lambda w: _three_pass_canonical_form(jac, w), word
             ), word
-
-
-def test_canonical_form_decides_composability_before_a_missing_shift(dimers):
-    d = dimers["conifold"]
-    jac = Jacobi(d)
-    jac.dimer = Dimer(
-        d.name,
-        d.vertices,
-        [Arrow(a.id, a.tail, a.head, None if a.id == "a1" else a.shift) for a in d.arrows],
-        d.faces,
-    )
-    with pytest.raises(JacobiError, match="not a composable path"):
-        jac.canonical_form(("a1", "a2", "nope", [1]))
-    with pytest.raises(TypeError):
-        jac.canonical_form(("a1", "b1", "b2", [1]))
-    with pytest.raises(JacobiError, match="not a composable path"):
-        jac.canonical_form(("a1", "a2"))
-    with pytest.raises(DimerError, match="arrow 'a1' carries no shift data"):
-        jac.canonical_form(("b2", "a1", "b1"))
-    for word in (("a1", "a2"), ("b2", "a1", "b1"), ("a1", "b1", "a2")):
-        assert _outcome(jac.canonical_form, word) == _outcome(
-            lambda w: _three_pass_canonical_form(jac, w), word
-        )

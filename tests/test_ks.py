@@ -11,13 +11,13 @@ from dimermirror import Arrow, Dimer, Face, load_bundled
 from dimermirror import ks
 from dimermirror.cli import main
 from dimermirror.dimer import idkey, strips
-from dimermirror.hochschild import X, XBAR, CochainElement, E2Label, KoszulComplex
+from dimermirror.hochschild import X, XBAR, E2Label, KoszulComplex
 from dimermirror.io import dimer_from_dict
 from dimermirror.jacobi import Jacobi, JElement, PathClass
 from dimermirror.ks import ENUMERATION_GATE, FAIL, PASS, SKIP, KSVerifier, det_int
 from dimermirror.matchings import matching_basis
 from dimermirror.mirror_sh import MirrorSH
-from test_hochschild import per_slot
+from test_hochschild import cochain, per_slot
 from test_matchings import mirrored
 
 
@@ -173,7 +173,7 @@ def test_dW_partial_P_fails_on_a_dropped_arrow(name, dimers, monkeypatch):
         c = partial_P(i)
         if i != 1:
             return c
-        return CochainElement(1, {s: e for s, e in per_slot(c).items() if s != (X, dropped)})
+        return cochain(1, {s: e for s, e in per_slot(c).items() if s != (X, dropped)})
 
     monkeypatch.setattr(K, "partial_P", without_one_arrow)
     assert "dW.partial_P.1" in failed_chain_rows(v, "dW.partial_P.")[0]
@@ -197,7 +197,7 @@ def test_dW_theta_support_rows_match_a_scan_of_every_face(
     def dropped(u):
         terms = per_slot(d_W_theta(u))
         first = next(iter(terms))
-        return CochainElement(2, {s: e for s, e in terms.items() if s != first})
+        return cochain(2, {s: e for s, e in terms.items() if s != first})
 
     if corrupt:
         monkeypatch.setattr(K, "d_W_theta", dropped)
@@ -225,7 +225,7 @@ def test_dW_partial_alpha_fails_on_a_shifted_coefficient(name, dimers, monkeypat
         e = arrow_on_W_word(v.dimer, {a for _, a in terms})
         (cls, k), = terms[(X, e)].terms.items()
         terms[(X, e)] = JElement.of(PathClass(cls.tail, cls.head, cls.h1, cls.w0 + 1), k)
-        return CochainElement(1, terms)
+        return cochain(1, terms)
 
     monkeypatch.setattr(K, "partial_alpha", shifted)
     failed, rows = failed_chain_rows(v, "dW.partial_alpha.")
@@ -330,7 +330,7 @@ def test_a_corrupted_arrow_image_fails_its_matching_rows(name, dimers, monkeypat
     arrow = sorted(basis.matchings[0].edges, key=idkey)[0]
     # an Xbar coefficient runs from head to tail: the rest of a face
     arc = next(pos for a, pos, _ in jac.jacobi_relations() if a == arrow)
-    extra = CochainElement(2, {(XBAR, arrow): JElement.of(jac.canonical_form(arc))})
+    extra = cochain(2, {(XBAR, arrow): JElement.of(jac.canonical_form(arc))})
     d1 = K.d1
 
     def corrupted(c):

@@ -535,6 +535,11 @@ def check_hull_of_every_matching(d):
     assert sum(len(ps) for ps in mp.points.values()) == len(every)
 
 
+def sparse(w: list) -> list:
+    """The solver's rows of (column, -weight) of a weight matrix; None marks a missing pair."""
+    return [[(j, -x) for j, x in enumerate(row) if x is not None] for row in w]
+
+
 def test_max_weight_matching_against_brute_force():
     rng = random.Random(5)
     for _ in range(300):
@@ -545,7 +550,7 @@ def test_max_weight_matching_against_brute_force():
             for perm in itertools.permutations(range(n))
             if all(w[i][perm[i]] is not None for i in range(n))
         ]
-        found = matchings.max_weight_matching(w)
+        found = matchings._hungarian(sparse(w))
         if not totals:
             assert found is None
             continue
@@ -628,7 +633,7 @@ def test_max_weight_matching_gives_the_dense_answer():
         w = [[rng.randint(-scale, scale) if rng.random() < density else None for _ in range(n)] for _ in range(n)]
         if rng.random() < 0.1:
             w[rng.randrange(n)] = [None] * n  # a row with no pair
-        found = matchings.max_weight_matching(w)
+        found = matchings._hungarian(sparse(w))
         assert found == parent_max_weight_matching(w), w
         solved += found is not None
     assert 1000 < solved < 4000  # both outcomes are well represented

@@ -6,7 +6,7 @@ from collections import deque
 
 import pytest
 
-from dimermirror.dimer import idkey
+from dimermirror.dimer import _face_structure, idkey
 from dimermirror.io import dimer_from_dict
 from dimermirror.mirror_sh import E, F, P_EDGE, MirrorSH, SHElement, UNIT_LABEL
 from test_matchings import ORACLE_ZOO
@@ -84,9 +84,9 @@ def test_p_pairing_against_corner_differences(sh_models, complexes):
 def test_xi_base_vertex_is_zero(sh_models):
     for sh in sh_models.values():
         od = sh.distinguished_odd(1)
-        assert od["xi"][sh.dimer.vertices[0]].is_zero()
+        assert sh.xi_from_path(od["xi_path"][sh.dimer.vertices[0]]).is_zero()
         for v in sh.dimer.vertices:
-            assert v in od["xi"]
+            assert v in od["xi_path"]
 
 
 def test_c3_p_q_rank_two(sh_models):
@@ -140,6 +140,7 @@ def test_zigzag_paths_are_deterministic(sh_models):
 def reference_zigzag_paths(d, v0) -> list:
     """Every zigzag path by breadth-first search, then one sort on the whole rank tuple."""
     cap = 4 * len(d.arrows)
+    next_pos, next_neg = _face_structure(d)[2:4]
     paths = []
     frontier = deque()
     for a in d.arrow_by_id:
@@ -150,7 +151,7 @@ def reference_zigzag_paths(d, v0) -> list:
     while frontier:
         path, phase = frontier.popleft()
         if len(path) < cap:
-            nxt = d.next_pos(path[-1]) if phase == 0 else d.next_neg(path[-1])
+            nxt = next_pos[path[-1]] if phase == 0 else next_neg[path[-1]]
             paths.append(path + (nxt,))
             frontier.append((path + (nxt,), 1 - phase))
     rank = {a: r for r, a in enumerate(sorted(d.arrow_by_id, key=idkey))}
