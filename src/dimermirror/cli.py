@@ -330,7 +330,7 @@ def cmd_polytope(args) -> int:
 def cmd_dual(args) -> int:
     d = _load(args.file)
     dd = dual_dimer(d)
-    g, npunct, chi = surface_invariants(dd)
+    g, npunct, chi = surface_invariants(d)
     data = {
         "dual": dimer_to_dict(dd),
         "genus": g,
@@ -474,7 +474,7 @@ def cmd_report(args) -> int:
         return EXIT_CHECK_FAILED
     d = v.dimer
     mp = v.jac.poly
-    g, npunct, chi = surface_invariants(v.sh.dual)
+    g, npunct, chi = surface_invariants(d)
     # the image listings refuse an n_max below 1 before the checks run
     even, odd = v.ks_even_images(args.n_max), v.ks_odd_images(args.n_max)
     rep = v.verify_all()

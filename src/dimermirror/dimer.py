@@ -1089,30 +1089,23 @@ def dual_dimer(d: Dimer) -> Dimer:
             word = min(rots, key=word_key)
             name = "Z_" + "_".join(str(a) for a in word)
         names[orbit_of[z.zigs[0]][0]] = name
-    arrows = [
-        Arrow(a.id, names[orbit_of[a.id][0]], names[orbit_of[a.id][1]], None) for a in d.arrows
-    ]
-    faces = []
-    for f in d.faces:
-        boundary = f.boundary if f.sign > 0 else tuple(reversed(f.boundary))
-        faces.append(Face(f.sign, boundary))
-    out = Dimer(
-        name=f"{d.name}_dual",
-        vertices=tuple(names.values()),
-        arrows=tuple(arrows),
-        faces=tuple(faces),
-    )
+    arrows = [Arrow(a.id, names[orbit_of[a.id][0]], names[orbit_of[a.id][1]], None) for a in d.arrows]
+    faces = [Face(f.sign, f.boundary if f.sign > 0 else f.boundary[::-1]) for f in d.faces]
+    out = Dimer(f"{d.name}_dual", names.values(), arrows, faces)
     out.require_valid()
     return out
 
 
-def surface_invariants(d_dual: Dimer):
-    """(genus, punctures, euler) of the dual surface; punctures = dual vertices."""
-    d_dual.require_valid()
-    chi = len(d_dual.vertices) - len(d_dual.arrows) + len(d_dual.faces)
+def surface_invariants(d: Dimer):
+    """(genus, punctures, euler) of the mirror curve: the dual dimer's surface, read off d.
+
+    The punctures are d's N zigzag orbits, so chi = N - |Q1| + |Q2|.
+    """
+    punctures = len(_zigzag_orbits(d)[0])
+    chi = punctures - len(d.arrows) + len(d.faces)
     if chi % 2:
         raise DimerError(f"odd Euler characteristic {chi}")
-    return ((2 - chi) // 2, len(d_dual.vertices), chi)
+    return ((2 - chi) // 2, punctures, chi)
 
 
 def dimer_isomorphic(d1: Dimer, d2: Dimer) -> bool:

@@ -81,7 +81,7 @@ class KSVerifier:
         self.odd = self.sh.distinguished_odd(i0)
         # per class i, strip j >= 2 -> the zigzag path xi_{i,j} into it, or None
         self.strip_paths = {
-            i: {j: self.sh.xi_for_strip(i, strip) for j, strip in enumerate(sd.strips[1:], start=2)}
+            i: {j: self.sh.xi_for_strip(strip) for j, strip in enumerate(sd.strips[1:], start=2)}
             for i, sd in self.K.strips.items()
         }
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .dimer import Dimer, SHError, _Combination, _Record, dual_dimer, parallel_classes, surface_invariants
+from .dimer import Dimer, SHError, _Combination, _Record, parallel_classes, surface_invariants
 
 
 # Labels: ("unit",) | ("p", edge) | ("E", i, j, n) | ("F", i, j, n)
@@ -59,10 +59,13 @@ class MirrorSH:
     def __init__(self, d: Dimer):
         d.require_valid()
         self.dimer = d
-        # raises DimerError, before the dual is built, unless d is zigzag consistent
+        # raises DimerError unless d is zigzag consistent
         classes = parallel_classes(d)
-        self.dual = dual_dimer(d)
-        self.genus, self.n_punct, _ = surface_invariants(self.dual)
+        # The dual dimer, whose surface this is, would validate, so it is not
+        # built: its faces compose (zag_of[a] == zig_of[next_pos(a)], zig_of[a]
+        # == zag_of[next_neg(a)]), each vertex's link is the cycle zig1 zag1
+        # zig2 ... of its orbit, and its face graph is d's, so it is connected.
+        self.genus, self.n_punct, _ = surface_invariants(d)
         self.n_classes = len(classes)
         self.m = {i: len(members) for i, (_, members) in enumerate(classes, start=1)}
         self.cycles = {(z.class_index, z.parallel_index): z for _, members in classes for z in members}
@@ -223,7 +226,7 @@ class MirrorSH:
             raise SHError(f"no zigzag path from {v0!r} reaches {missing}")
         return {"p": p, "q": q, "xi_path": xi_path}
 
-    def xi_for_strip(self, class_index: int, strip_vertices):
+    def xi_for_strip(self, strip_vertices):
         """A shortest zigzag path from the base vertex ending in the given strip, or None."""
         d = self.dimer
         for path in self.base_paths:

@@ -57,7 +57,7 @@ def test_criterion_2_topology_pick(dimers):
     got = {}
     for name, d in dimers.items():
         mp = matching_polytope(d)
-        g, n, _ = surface_invariants(dual_dimer(d))
+        g, n, _ = surface_invariants(d)
         got[name] = (g, n)
         ok = ok and g == mp.interior_count
         ok = ok and n == mp.boundary_count

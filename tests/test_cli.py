@@ -495,6 +495,36 @@ def test_verify_normalises_each_word_once(name, k, l, covers, tmp_path, monkeypa
     assert len(calls) == len(set(calls)) == CANONICAL_FORM_WORDS[(name, k, l)]
 
 
+# dual_dimer calls per command: the surface is read off the dimer's own zigzag
+# orbits, so only `dual` builds the dual, and then its double dual
+DUAL_CALLS = {"verify": 0, "report": 0, "dual": 2}
+
+
+@pytest.mark.parametrize("name,k,l", [("c3", 1, 1), ("conifold", 1, 1), ("spp", 1, 1), ("conifold", 4, 1)])
+def test_only_the_dual_command_builds_the_dual(name, k, l, covers, tmp_path, monkeypatch):
+    import dimermirror.ks  # noqa: F401  loads every layer, so each binding is patched
+    from dimermirror import dimer
+
+    calls = []
+    dual_dimer = dimer.dual_dimer
+
+    def counted(d):
+        calls.append(d.name)
+        return dual_dimer(d)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "dimermirror" and getattr(module, "dual_dimer", None) is dual_dimer:
+            monkeypatch.setattr(module, "dual_dimer", counted)
+    raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+    p = tmp_path / "dimer.json"
+    p.write_text(json.dumps(raw))
+    for cmd, want in DUAL_CALLS.items():
+        calls.clear()
+        rc, _, err = main_in_process(cmd, str(p))
+        assert rc == EXIT_OK, err
+        assert len(calls) == want, cmd
+
+
 # -- the one-pass JSON encoder against json.dumps ------------------------------
 
 

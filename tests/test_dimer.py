@@ -306,8 +306,7 @@ def test_swapped_anti_zigzag_sides_fail_the_boundary_check(monkeypatch):
 def test_dual_surfaces(dimers):
     expected = {"c3": (0, 3), "conifold": (0, 4), "spp": (0, 5)}
     for name, d in dimers.items():
-        dd = dual_dimer(d)
-        g, n, chi = surface_invariants(dd)
+        g, n, chi = surface_invariants(d)
         assert (g, n) == expected[name]
         assert chi == 2 - 2 * g
 
@@ -320,7 +319,7 @@ def test_double_duality(dimers):
 def test_pick_identity(dimers):
     for d in dimers.values():
         mp = matching_polytope(d)
-        g, n, _ = surface_invariants(dual_dimer(d))
+        g, n, _ = surface_invariants(d)
         assert g == mp.interior_count
         assert n == mp.boundary_count
         assert len(d.vertices) == 2 * mp.interior_count + mp.boundary_count - 2
@@ -504,6 +503,33 @@ def subdivisions(raw):
                 "arrows": raw["arrows"][:i] + halves + raw["arrows"][i + 1:],
                 "faces": faces,
             }
+
+
+def assert_surface_is_the_duals(d):
+    """surface_invariants(d) is (g, N, chi) counted on the dual dimer, which validates."""
+    dd = dual_dimer(d)
+    assert dd.validate().ok
+    chi = len(dd.vertices) - len(dd.arrows) + len(dd.faces)
+    assert chi % 2 == 0
+    assert surface_invariants(d) == ((2 - chi) // 2, len(dd.vertices), chi)
+
+
+@pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
+def test_surface_invariants_count_the_dual_dimer(name, k, l, covers):
+    raw = _raw(covers, name, k, l)
+    for seed in (None, 0, 1, 2):
+        assert_surface_is_the_duals(dimer_from_dict(raw if seed is None else covers.relabel(raw, random.Random(seed))))
+    checked = 0
+    for data in subdivisions(raw):
+        d = dimer_from_dict(data)
+        try:
+            assert_surface_is_the_duals(d)
+        except DimerError as exc:
+            # an inconsistent dimer whose parallel cycles zigzag_cycles cannot order
+            assert str(exc) == "parallel cycle touches several strips on one side", data["name"]
+            continue
+        checked += 1
+    assert checked > 0
 
 
 @pytest.mark.parametrize("name,k,l", ORACLE_ZOO)

@@ -438,7 +438,7 @@ def test_ks_odd_images_find_each_strip_path_once(lattice_cover, tmp_path, monkey
             expected.append({"source": {"kind": "alpha_w", "i": i, "n": n, "ab": (a, b)},
                              "image": E2Label("xW", i=i, n=n), "lift": "canonical"})
             for j in range(2, len(sd.strips) + 1):
-                p = v.sh.xi_for_strip(i, sd.strips[j - 1])
+                p = v.sh.xi_for_strip(sd.strips[j - 1])
                 expected.append({"source": {"kind": "alpha_xi", "i": i, "j": j, "n": n, "path": p},
                                  "image": E2Label("theta", i=i, j=j, n=n),
                                  "lift": "canonical" if p else "missing"})
@@ -446,9 +446,9 @@ def test_ks_odd_images_find_each_strip_path_once(lattice_cover, tmp_path, monkey
     calls = []
     xi_for_strip = MirrorSH.xi_for_strip
 
-    def counted(self, i, strip):
-        calls.append((i, strip))
-        return xi_for_strip(self, i, strip)
+    def counted(self, strip):
+        calls.append(strip)
+        return xi_for_strip(self, strip)
 
     monkeypatch.setattr(MirrorSH, "xi_for_strip", counted)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -459,13 +459,17 @@ def test_ks_odd_images_find_each_strip_path_once(lattice_cover, tmp_path, monkey
 
 
 def test_a_xi_path_into_the_wrong_strip_fails_the_odd_determinants(lattice_cover, monkeypatch):
-    # every strip's xi path replaced by the path into strip 2: on conifold 4x1
-    # classes 2 and 4 have four strips each, so their odd rows repeat and the
-    # strip each path ends in repeats; classes 1 and 3 have one strip and no path
+    # every strip's xi path replaced by the path into strip 2 of the strip's
+    # own class: on conifold 4x1 classes 2 and 4 have four strips each, so
+    # their odd rows repeat and the strip each path ends in repeats; classes 1
+    # and 3 have one strip and no path
     xi_for_strip = MirrorSH.xi_for_strip
-    monkeypatch.setattr(
-        MirrorSH, "xi_for_strip", lambda self, i, strip: xi_for_strip(self, i, strips(self.dimer, i).strips[1])
-    )
+
+    def strip_two(self, strip):
+        i = next(i for i in range(1, self.n_classes + 1) if strip in strips(self.dimer, i).strips)
+        return xi_for_strip(self, strips(self.dimer, i).strips[1])
+
+    monkeypatch.setattr(MirrorSH, "xi_for_strip", strip_two)
     rep = KSVerifier(dimer_from_dict(lattice_cover("conifold", 4, 1))).verify_all()
     failed = {c.name for c in rep.checks if c.status == FAIL}
     assert failed == {"det.odd.ks.i2", "det.odd.ks.i4", "det.odd.sh_image.i2", "det.odd.sh_image.i4"}

@@ -111,7 +111,7 @@ def test_c3_p_q_rank_two(sh_models):
 def test_alpha_xi_product_structure(sh_models):
     # alpha_{i,j'} . xi equals the pairing multiple of the odd winding class
     sh = sh_models["spp"]
-    path = sh.xi_for_strip(3, [2, 3])
+    path = sh.xi_for_strip([2, 3])
     assert path is not None
     xi = sh.xi_from_path(path)
     for j in (1, 2):
