@@ -13,7 +13,7 @@ pairs an arrow joins, O(n (n + E log E)) for n rows and E such pairs), for a
 matching of greatest weight <nu, height>:
 
 * P0 is the least matching in sorted-id order, the maximiser of
-  sum 2^(|Q1| - 1 - rank(a)).
+  sum 2^(|Q1| - 1 - rank(a)), found once per dimer (``_reference``).
 * The polygon's edges are the zigzag classes (``zigzag_classes``, which
   leaves each class's cycles unordered): edge i has outward normal -eta_i
   and lattice length m_i (Gulotta, arXiv:0807.3012).  The normals are
@@ -47,17 +47,17 @@ class (1, 0) or (0, 1) of the torus.
 
 Two more polynomial computations stand in for the list of all matchings:
 
-* ``matching_basis`` asks the same oracle for matchings whose indicator
-  vectors span those of every matching.  They all lie in
-  W = {x in Z^Q1 : every face sum equal}, of dimension |Q0| + 2; each query
-  maximises a direction orthogonal to the span so far, and exact integer
-  elimination certifies the rank.  A linear identity that holds on the basis
-  holds on every matching.
+* ``matching_basis`` returns matchings whose indicator vectors span those of
+  every matching, which all lie in W = {x in Z^Q1 : every face sum equal}, of
+  dimension |Q0| + 2: P0, and P0 Δ C for one directed cycle C of P0's
+  alternating digraph per ear of its ear decomposition.  It solves nothing
+  beyond P0, and its rank is exact by construction.  A linear identity that
+  holds on the basis holds on every matching.
 * ``kasteleyn_count`` counts the matchings from four determinants of a
   Kasteleyn-signed matrix (Kenyon, Okounkov and Sheffield).
 
-The oracle is built once per dimer and shared by all three, and the table by
-the polygon and the count.
+The oracle is built once per dimer and shared by the polygon and the count,
+and so is the table; P0 is shared by the polygon and the basis.
 Enumeration (``enumerate_perfect_matchings``, once per dimer) still runs for
 ``MatchingPolytope.points``, read on first use by the ``matchings`` listing
 (which refuses dimers above ``ENUMERATION_GATE``) and by
@@ -68,7 +68,7 @@ only the face tables, none of the structures above.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from operator import attrgetter
 
 from .dimer import (
@@ -393,6 +393,22 @@ def _oracle(d: Dimer) -> "_MatchingOracle":
     return _MatchingOracle(d)
 
 
+@per_dimer
+def _reference(d: Dimer) -> frozenset:
+    """The arrows of P0, the least matching in sorted-id order, read by the polygon and the basis.
+
+    P0 outweighs every other matching under the weights 2^(|Q1| - 1 - rank(a)),
+    so one certified query finds it.  Raises DimerError when the dimer has no
+    perfect matching.
+    """
+    oracle = _oracle(d)
+    top = len(oracle.arrows) - 1
+    found = oracle.best({a: 1 << (top - r) for r, a in enumerate(oracle.arrows)}, "P0")
+    if found is None:
+        raise DimerError("dimer has no perfect matching")
+    return found[0]
+
+
 class _MatchingOracle:
     """Certified max-weight perfect matchings of one dimer.
 
@@ -533,13 +549,8 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
     """
     d.require_valid()
     oracle = _oracle(d)
-    # P0, the least matching in sorted-id order, outweighs every other one
-    top = len(oracle.arrows) - 1
-    found = oracle.best({a: 1 << (top - r) for r, a in enumerate(oracle.arrows)}, "P0")
-    if found is None:
-        raise DimerError("dimer has no perfect matching")
+    p0 = PerfectMatching(_reference(d), (0, 0))
     arrow_class = arrow_classes(d)
-    p0 = PerfectMatching(found[0], (0, 0))
     p0_class = _class_sum(p0.edges, arrow_class)
 
     classes = zigzag_classes(d)
@@ -664,18 +675,6 @@ class _Span:
         self.rows[c] = v
         return True
 
-    def normal(self) -> list | None:
-        """A nonzero integer vector orthogonal to every row, or None if the rows span everything."""
-        free = next((i for i in range(self.width) if i not in self.rows), None)
-        if free is None:
-            return None
-        scale = lcm(*(row[c] for c, row in self.rows.items()))
-        w = [0] * self.width
-        w[free] = scale
-        for c, row in self.rows.items():
-            w[c] = -row[free] * scale // row[c]
-        return w
-
 
 def _free_arrows(d: Dimer) -> list:
     """The arrows outside a spanning tree of the face graph, in id order.
@@ -711,6 +710,13 @@ def _coordinates(edges: frozenset, free: list) -> list:
 
 
 class MatchingBasis(_Record):
+    """P0 and its ear-cycle flips P0 Δ C (``matching_basis``), with independent indicators.
+
+    The rank is their number, which equals ``dim_W`` exactly when they span
+    every perfect matching's indicator; ``free`` gives the coordinates on W
+    that ``indicator_rank`` reads.
+    """
+
     _fields = ("matchings", "dim_W")
     _key = attrgetter(*_fields, "free")
 
@@ -724,35 +730,151 @@ class MatchingBasis(_Record):
         return len(self.matchings)
 
 
+def _alternating_arcs(d: Dimer, p0: frozenset) -> list:
+    """P0's alternating digraph on the face indices: (arrow, tail face, head face), in id order.
+
+    P0's arrows run from their positive to their negative face, every other
+    arrow back.  A directed cycle C alternates between P0 and the rest, so
+    P0 minus C plus the rest of C is again a perfect matching, P0 Δ C.
+    """
+    arcs = []
+    for a in d.arrow_ids:
+        pos, neg = d.pos_face_of(a), d.neg_face_of(a)
+        arcs.append((a, pos, neg) if a in p0 else (a, neg, pos))
+    return arcs
+
+
+def _strong_components(out: list, arcs: list) -> list:
+    """node -> a label shared exactly by the nodes of its strongly connected component.
+
+    Kosaraju: nodes by finishing time of a depth-first search along the arcs
+    (``out[v]`` lists the indices of the arcs out of v), then one flood per
+    label against the arcs, latest finish first.
+    """
+    n = len(out)
+    into: list = [[] for _ in range(n)]
+    for _, t, h in arcs:
+        into[h].append(t)
+    order, seen = [], [False] * n
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack = [(s, iter(out[s]))]
+        while stack:
+            v, later = stack[-1]
+            for k in later:
+                w = arcs[k][2]
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(out[w])))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
+    label = [-1] * n
+    for s in reversed(order):
+        if label[s] < 0:
+            label[s], flood = s, [s]
+            for v in flood:  # grows while it is read
+                for t in into[v]:
+                    if label[t] < 0:
+                        label[t] = s
+                        flood.append(t)
+    return label
+
+
+def _bfs_path(arcs: list, out: list, source: int, reached) -> list:
+    """The arc indices of a shortest path along ``out`` from source to the first node where reached(node) holds.
+
+    Only nodes where it fails are left, so the path's inner nodes all fail it;
+    [] when it holds at source.  The target must be reachable.
+    """
+    via, queue = {source: None}, [source]
+    for x in queue:  # grows while it is read
+        if reached(x):
+            break
+        for k in out[x]:
+            w = arcs[k][2]
+            if w not in via:
+                via[w] = k
+                queue.append(w)
+    path = []
+    while via[x] is not None:
+        path.append(via[x])
+        x = arcs[via[x]][1]
+    return path[::-1]
+
+
+def _ear_cycles(n: int, arcs: list) -> list:
+    """One simple directed cycle, as a list of arrows, per ear of each strongly connected component.
+
+    ``arcs`` lists (arrow, tail, head) on the nodes 0..n-1.  Each component
+    is grown from the tail of its first arc: the first unused arc leaving the
+    grown part, in list order, starts an ear, which a breadth-first path
+    through new nodes returns to the grown part; a breadth-first path along
+    the grown arcs closes it into a cycle, and the ear's arcs and nodes join
+    the grown part.  A component ends when every arc out of it is used, after
+    (arcs - nodes + 1) ears: its cyclomatic number.  Cycle k holds the first
+    arc of ear k, which no earlier cycle holds, so the cycles are
+    independent, and together they span the cycle space of the components.
+    """
+    from heapq import heappop, heappush  # imported here: a cold start builds no basis
+
+    out: list = [[] for _ in range(n)]
+    for k, (_, t, _) in enumerate(arcs):
+        out[t].append(k)
+    label = _strong_components(out, arcs)
+    inner = [label[t] == label[h] for _, t, h in arcs]
+    out = [[k for k in ks if inner[k]] for ks in out]
+    grown = [False] * n
+    used = [False] * len(arcs)
+    grown_out: list = [[] for _ in range(n)]  # the used arcs out of each node
+    cycles = []
+    for first, (_, start, _) in enumerate(arcs):
+        if grown[start] or not inner[first]:
+            continue
+        grown[start] = True
+        heap = list(out[start])  # in list order, so already a heap
+        while heap:
+            k = heappop(heap)
+            if used[k]:
+                continue
+            _, u, v = arcs[k]
+            ear = [k, *_bfs_path(arcs, out, v, grown.__getitem__)]
+            closing = _bfs_path(arcs, grown_out, arcs[ear[-1]][2], lambda x: x == u)
+            for j in ear:
+                used[j] = True
+                grown_out[arcs[j][1]].append(j)
+                w = arcs[j][2]
+                if not grown[w]:
+                    grown[w] = True
+                    for i in out[w]:
+                        heappush(heap, i)
+            cycles.append([arcs[j][0] for j in ear + closing])
+    return cycles
+
+
 @per_dimer
 def matching_basis(d: Dimer) -> MatchingBasis:
-    """Perfect matchings whose indicators span those of every perfect matching.
+    """Perfect matchings whose indicators span those of every perfect matching: P0, and P0 Δ C per ear cycle C.
 
-    Points of W are read in the coordinates of ``_free_arrows``.  Each step
-    takes a direction w orthogonal to the span so far and asks the oracle for
-    a matching of greatest, then of least, <w, x>.  If neither answer extends
-    the span, both give <w, x> = 0, so every matching lies on that hyperplane:
-    the matchings do not span W, and the rank stays below dim W.  The rank is
-    exact, since ``_Span`` keeps only independent rows.
+    P Δ P0 is a union of directed cycles of P0's alternating digraph
+    (``_alternating_arcs``) for every matching P, and P0 Δ C is a matching
+    for every such cycle C, so the indicators of P0 and of the P0 Δ C span
+    those of every matching (Lovász and Plummer, *Matching Theory*).  The
+    cycles of ``_ear_cycles`` span the cycle space and are independent, and
+    so are P0 (face sum 1) and the differences P0 Δ C - P0 (face sum 0), so
+    the rank is exact with no solve beyond P0's: it falls below dim W exactly
+    when some arrow lies on no alternating cycle.  Points of W are read in
+    the coordinates of ``_free_arrows``.
     """
     free = _free_arrows(d)
-    oracle = _oracle(d)
-    span = _Span(len(free) + 1)
-    found: list = []
-    while span.rank < span.width:
-        direction = span.normal()[1:]  # the face sum is 1 on every matching
-        for sign in (1, -1):
-            weight = dict.fromkeys(oracle.arrows, 0)
-            weight.update((a, sign * w) for a, w in zip(free, direction))
-            answer = oracle.best(weight, f"basis step {len(found) + 1}")
-            if answer is None:
-                raise DimerError("dimer has no perfect matching")
-            if span.add(_coordinates(answer[0], free)):
-                found.append(PerfectMatching(answer[0]))
-                break
-        else:
-            break
-    return MatchingBasis(found, span.width, free)
+    p0 = _reference(d)
+    arcs = _alternating_arcs(d, p0)
+    found = [PerfectMatching(p0)]
+    found += (PerfectMatching(p0.symmetric_difference(c)) for c in _ear_cycles(len(d.faces), arcs))
+    return MatchingBasis(found, len(free) + 1, free)
 
 
 def indicator_rank(basis: MatchingBasis, matchings) -> int:

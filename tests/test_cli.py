@@ -191,11 +191,13 @@ def test_hh_json_is_byte_identical(name):
 # The same for k x l lattice covers: the conifold ones, where two zigzag
 # classes have parallel multiplicity 4, and a c3 and an spp cover, whose strips
 # need the vertex-component construction; the hashes do not depend on the path.
+# The spp entry changed when the matching basis became P0 and its ear-cycle
+# flips: only the names of its `matching_unit` rows differ.
 COVER_REPORT_SHA256 = {
     ("conifold", 4, 1): "4ea9e94d3dff6696d3c3b7892e7fdd0629e3f0880afe1595b3ec63f94e5f3d61",
     ("conifold", 1, 4): "0d0ceeb41e0169dbaa42205b68cd0bde0bea37fa208f70c1b14e360bba73968b",
     ("c3", 2, 2): "1782f99504b17120eff15b932ef4b49be573bf77788d1c387d7b36a5e1454f2b",
-    ("spp", 2, 1): "4a787ccb0aad031a4a985b542b4f4b1b507dd0234125d897110db68019ef3752",
+    ("spp", 2, 1): "50ac1c91e69a085583829b525ee6620fca7740e38e3368505d2cc65915c81c40",
 }
 
 
@@ -866,7 +868,10 @@ def zoo_outputs_sha256(raw: dict) -> str:
 
 
 # Computed before the Koszul differentials moved to plain class keys; a change
-# that alters any output on purpose updates these and says why.
+# that alters any output on purpose updates these and says why.  Ten entries
+# (c3 1x2, 2x2 and 3x3, spp 2x1, 1x2 and 2x2, conifold 1x4) changed when the
+# matching basis became P0 and its ear-cycle flips: `verify` and `report` name
+# other basis matchings in their `matching_unit` rows, and nothing else moved.
 ZOO_OUTPUT_SHA256 = {
     ("c3", 1, 1, None): "ae3707625fc8a647b890d729f7ca5904bdc1b3abc188bc198103df1855a5be37",
     ("c3", 1, 1, 0): "2167747d708d2083b1087381106d992758d16a946babaf009f7daeef75dd1142",
@@ -879,23 +884,23 @@ ZOO_OUTPUT_SHA256 = {
     ("c3", 3, 1, None): "10d78149c87896ebf3034d4fb1ffc00ff0179a1fe045a222a6ae317b9c3b7f4f",
     ("c3", 3, 1, 0): "06497ed3c185d844e06f6eb7e1d3fccc77f1094fe5df57e695ddbb92bd16fdd5",
     ("c3", 1, 2, None): "5de8796acbe896487b3c03e9aec681aa30d1b48ce49848ad1bf4695af5247bb8",
-    ("c3", 1, 2, 0): "bc3bc38783ad6854349351c66c554c4a277c919008d6501e105710908bf0f97c",
+    ("c3", 1, 2, 0): "4b9d5d52d7ac8d010264db7e8136647efbe5966aac1da3cb463790bf00a1453d",
     ("c3", 2, 2, None): "fbed8dafb6417d999c85ea6f7cd2490c98a949fa153d070cff0dea4b39a51319",
-    ("c3", 2, 2, 0): "22e1d731808f0c3faa069e3464f8df1cbc8e7b742a3fda589d0f181f37b738e9",
-    ("c3", 3, 3, None): "851c83b0e7f63efb98efc6b7a7bf405264ab1f402033e7d321729108255ae949",
-    ("c3", 3, 3, 0): "cb33750ddfebe3a7d4690e3e1636b7320c61d48c18dccf6bb6e850c06a212c63",
-    ("spp", 2, 1, None): "43879f2e550fdb8d8fc56db69d7c06c90cfd19d0a4a0ad65a9c56d3a57144117",
-    ("spp", 2, 1, 0): "2862b0f8d63f4a58969f074f3dd369274e68f187fb150b7b055e41f939f9eae3",
-    ("spp", 1, 2, None): "903012f1fb759e39d33218a131f463fa59509525c3208b52acbb6be14599a26d",
-    ("spp", 1, 2, 0): "a5e77599daee208c0181a334ff61f04d76e09fcf84ecdb2eeafb8cdfc394e75d",
-    ("spp", 2, 2, None): "c6e75a1a958d7aa448aaff6852132310a86791dedaa7200ad8c752f0708030c6",
+    ("c3", 2, 2, 0): "0ed3631030f1a37a99c84be8b57b505dee5a70d3bcc5039dea1c4ae7a8690ae6",
+    ("c3", 3, 3, None): "f8bc49ed13ab1d710954ade136e6a5d9f11f20951109c0c2bf0364369df2ea4a",
+    ("c3", 3, 3, 0): "a260b8444775348db98420ddaddfeae4dcb2b12dcf0d65c1dc074ee634e8d6c3",
+    ("spp", 2, 1, None): "0f791f20dc14e5631e3768c30653b9d54de94245f40395a34b1b99945c980224",
+    ("spp", 2, 1, 0): "2b827ed3ba340202239e1db7185392f16d1b370fcc6af6840b1da24a747eab4f",
+    ("spp", 1, 2, None): "5e9b656782e81204c3d63dc3f08e3451be4f483169425c7ac5cb6644370f0649",
+    ("spp", 1, 2, 0): "86ae25a2b9b3d5c1129aa4283c4038ca986ba10cd8fb8296f6ba6f48d8efb612",
+    ("spp", 2, 2, None): "9839251f2273071d2b4e6e8e2fc14ac920efaddb7940e7ff960502b9973b3bfc",
     ("spp", 2, 2, 0): "0d653c353bda0b77100089c57d462520b222e6b5e459b8e464a7d90f54dac50f",
     ("conifold", 2, 1, None): "a2f8aee4bb13b85d292431984395c2e75907a580bfa45494d743a6a7672da8a3",
     ("conifold", 2, 1, 0): "bd46530170435ac5d15e97e09d407cb4668270a0ee0f862c63641e951caebc73",
     ("conifold", 4, 1, None): "9b31667bbe49dd890ecd55e6238148b07bc75d55c389ac2984ee00e02c5ba477",
     ("conifold", 4, 1, 0): "babb746bad4b9214fab9f2a7e6ec3a39e6d2e7bba349d4c83c0b9f4354b84d7b",
     ("conifold", 1, 4, None): "8940ae189b780da9dff61392b972add7965691e860bced5cb9344a259f4c6da3",
-    ("conifold", 1, 4, 0): "c9f7a7b6415b0866a5b6bb616f55ce542c3fe1d83f7c5b30187b4c87177b88d7",
+    ("conifold", 1, 4, 0): "779130a7a2902ca082a7692f690e731190fac72f88db14832fd22226bb2f01da",
     ("conifold", 2, 2, None): "dc37209140e0938f69172d3076e69da4f3db6534df1273623277e30b68f2ab1f",
     ("conifold", 2, 2, 0): "85c155b3282184825aa9573558fea34dd1be4ace6065ff316c6355aa16f22f01",
     ("conifold", 3, 2, None): "22c33618ae8ee6b4cb903f7b290c7a321a9f980fcb142e1e76c8ed1555e17bc5",
@@ -1075,6 +1080,59 @@ def test_validate_names_a_malformed_id_or_list(case, tmp_path):
     assert rc == 1 and "Traceback" not in err, err
     data = json.loads(out)
     assert data["valid"] is False and data["error"].startswith(f"{field}: expected"), data
+
+
+def c3_twice(raw: dict) -> None:
+    """c3 and a renamed copy at a second vertex: two tori, no arrow between them."""
+    copy = json.loads((DATA / "c3.json").read_text())
+    raw["vertices"].append("w")
+    raw["arrows"] += [{**a, "id": a["id"] + "2", "tail": "w", "head": "w"} for a in copy["arrows"]]
+    raw["faces"] += [{**f, "boundary": [x + "2" for x in f["boundary"]]} for f in copy["faces"]]
+
+
+# (issue code, its message, the bundled dimer, one edit of it): one validator
+# family each, besides those that name an unknown id or a short face
+INVALID = [
+    ("duplicate_vertex", "duplicate vertex id", "conifold", lambda r: r["vertices"].append(2)),
+    (
+        "repeated_arrow_in_face", "face 0 repeats an arrow id",
+        "c3", lambda r: r["faces"][0]["boundary"].append("z"),
+    ),
+    (
+        "face_cover", "arrow 'x' lies on 2 positive and 0 negative faces (want 1 and 1)",
+        "c3", lambda r: r["faces"][1].update(sign="+"),
+    ),
+    (
+        "face_not_composable", "face 0: arrows 'a1' -> 'a2' do not compose",
+        "conifold", lambda r: r["faces"][0].update(boundary=["a1", "a2", "b2", "b1"]),
+    ),
+    (
+        "euler", "Euler characteristic -1 != 0 (not a torus)",
+        "c3", lambda r: r["arrows"].append({"id": "w", "tail": "v", "head": "v", "shift": [0, 0]}),
+    ),
+    ("isolated_vertex", "vertex 'w' lies on no face corner", "c3", lambda r: r["vertices"].append("w")),
+    ("bad_link", "vertex 'v' has a non-circular link", "c3", lambda r: r["faces"].pop()),
+    (
+        "bad_link", "vertex 1 has a disconnected link",
+        "conifold", lambda r: r["faces"][0].update(boundary=["a1", "b1", "a2", "b2"]),
+    ),
+    ("disconnected", "underlying quiver is not connected", "c3", c3_twice),
+]
+
+
+@pytest.mark.parametrize("case", range(len(INVALID)))
+def test_each_validator_family_refuses_its_edit(case, tmp_path):
+    code, message, name, edit = INVALID[case]
+    raw = json.loads((DATA / f"{name}.json").read_text())
+    edit(raw)
+    rep = dimer_from_dict(raw).validate()
+    assert not rep.ok and (code, message) in {(i.code, i.message) for i in rep.issues}, rep.issues
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    rc, out, err = main_in_process("validate", str(p), "--format", "json")
+    data = json.loads(out)
+    assert (rc, err, data["valid"]) == (1, "", False)
+    assert data["error"] == f"{p}: invalid dimer: " + "; ".join(i.message for i in rep.issues)
 
 
 def test_unhashable_arrow_endpoint_stays_a_validation_issue(tmp_path):

@@ -362,22 +362,16 @@ def test_verify_normalises_each_word_once(lattice_cover, monkeypatch):
         assert calls and len(calls) == len(set(calls)), d.name
 
 
-def test_an_oracle_stuck_on_one_matching_fails_the_basis_rank(monkeypatch):
+def test_a_dropped_alternating_arc_fails_the_basis_rank(monkeypatch):
     from dimermirror import matchings
 
-    first = []
-    best = matchings._MatchingOracle.best
-
-    def stuck(self, weight, label):
-        if not first:
-            first.append(best(self, weight, label))
-        return first[0]
-
+    # without its first arc, P0's alternating digraph keeps one ear of four
+    arcs = matchings._alternating_arcs
     v = KSVerifier(load_bundled("spp"))
-    monkeypatch.setattr(matchings._MatchingOracle, "best", stuck)
+    monkeypatch.setattr(matchings, "_alternating_arcs", lambda d, p0: arcs(d, p0)[1:])
     rank, = rows(v.verify_chain_identities(), "matching_basis.rank")
-    assert rank.status == FAIL and rank.detail == {"rank": 1, "dim_W": 5}
-    # enumeration finds the four dimensions that the basis misses
+    assert rank.status == FAIL and rank.detail == {"rank": 2, "dim_W": 5}
+    # enumeration finds the three dimensions that the basis misses
     count, = rows(v.verify_matching_count(), "matchings.count")
     assert count.status == FAIL and count.detail == {"kasteleyn": 6, "enumerated": 6, "rank": 5}
 

@@ -657,9 +657,9 @@ def test_every_oracle_query_gets_the_dense_answer(name, k, l, seed, covers, monk
     monkeypatch.setattr(matchings, "_hungarian", checked)
     d = zoo_dimer(covers, name, k, l, seed)
     edges = matching_polytope(d).edges
-    basis = matching_basis(d)
-    # P0, one query per normal, and one or two per basis step
-    assert len(queries) >= 1 + len(edges) + basis.rank
+    matching_basis(d)
+    # P0 and one query per normal; the basis reuses P0 and asks none
+    assert len(queries) == 1 + len(edges)
 
 
 def test_polytope_and_jacobi_never_enumerate(monkeypatch, tmp_path, lattice_cover):
@@ -936,7 +936,7 @@ def test_kasteleyn_count_and_matching_basis_against_enumeration(name, k, l, seed
         assert not any(full.add(indicator(d, p)) for p in every)
 
 
-def test_span_rank_and_normal_against_gram_determinants():
+def test_span_rank_against_gram_determinants():
     rng = random.Random(0)
 
     def gram(vs):
@@ -949,26 +949,35 @@ def test_span_rank_and_normal_against_gram_determinants():
         kept = [v for v in vecs if span.add(v)]
         assert span.rank == len(kept) and gram(kept) != 0
         assert all(gram(kept + [v]) == 0 for v in vecs)
-        w = span.normal()
-        if len(kept) == width:
-            assert w is None
-        else:
-            assert any(w) and all(sum(x * y for x, y in zip(w, v)) == 0 for v in vecs)
 
 
-def test_matching_basis_stops_short_when_the_oracle_repeats_itself(monkeypatch):
-    # an oracle that always returns its first answer spans one dimension only
-    first = []
-    best = matchings._MatchingOracle.best
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
+def test_matching_basis_is_p0_and_its_ear_cycle_flips(name, k, l, seed, covers, monkeypatch):
+    solves = []
+    original = matchings._hungarian
+    monkeypatch.setattr(matchings, "_hungarian", lambda pairs: solves.append(1) or original(pairs))
+    d = zoo_dimer(covers, name, k, l, seed)
+    basis = matching_basis(d)
+    # the one solve is the P0 query, which the polygon then reads from the cache
+    assert len(solves) == 1
+    mp = matching_polytope(d)
+    assert len(solves) == 1 + len(mp.edges)
+    # P0 first: the least matching in sorted-id order, the first one enumerated
+    assert basis.matchings[0].edges == mp.reference.edges == enumerate_perfect_matchings(d)[0].edges
+    for p in basis.matchings:
+        assert all(sum(1 for a in f.boundary if a in p.edges) == 1 for f in d.faces), p.key()
+    # independent by construction, and full: the exact span agrees
+    assert indicator_rank(basis, basis.matchings) == basis.rank == basis.dim_W
 
-    def stuck(self, weight, label):
-        if not first:
-            first.append(best(self, weight, label))
-        return first[0]
 
-    monkeypatch.setattr(matchings._MatchingOracle, "best", stuck)
+def test_matching_basis_stops_short_without_an_alternating_arc(monkeypatch):
+    # with one arc gone from P0's alternating digraph, the cycles through it are lost
+    arcs = matchings._alternating_arcs
+    monkeypatch.setattr(matchings, "_alternating_arcs", lambda d, p0: arcs(d, p0)[1:])
     basis = matching_basis(load_bundled("spp"))
-    assert (basis.rank, basis.dim_W) == (1, 5)
+    assert (basis.rank, basis.dim_W) == (2, 5)
+    assert indicator_rank(basis, enumerate_perfect_matchings(load_bundled("spp"))) == 5
 
 
 @pytest.mark.parametrize("seed", [None, 1])
