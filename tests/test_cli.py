@@ -1084,10 +1084,10 @@ def test_validate_names_a_malformed_id_or_list(case, tmp_path):
 
 def c3_twice(raw: dict) -> None:
     """c3 and a renamed copy at a second vertex: two tori, no arrow between them."""
-    copy = json.loads((DATA / "c3.json").read_text())
+    c3 = json.loads((DATA / "c3.json").read_text())
     raw["vertices"].append("w")
-    raw["arrows"] += [{**a, "id": a["id"] + "2", "tail": "w", "head": "w"} for a in copy["arrows"]]
-    raw["faces"] += [{**f, "boundary": [x + "2" for x in f["boundary"]]} for f in copy["faces"]]
+    raw["arrows"] += [{**a, "id": a["id"] + "2", "tail": "w", "head": "w"} for a in c3["arrows"]]
+    raw["faces"] += [{**f, "boundary": [x + "2" for x in f["boundary"]]} for f in c3["faces"]]
 
 
 # (issue code, its message, the bundled dimer, one edit of it): one validator

@@ -376,6 +376,27 @@ def test_a_dropped_alternating_arc_fails_the_basis_rank(monkeypatch):
     assert count.status == FAIL and count.detail == {"kasteleyn": 6, "enumerated": 6, "rank": 5}
 
 
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_a_walk_through_two_ear_cycles_fails_its_matching_row(name, monkeypatch):
+    from dimermirror import matchings
+
+    # the second ear closes through the first cycle, so the two share a face,
+    # where they leave or enter by different arrows besides P0's one arrow:
+    # P0 flipped along the walk through both takes two arrows on that face
+    ears = matchings._ear_cycles
+
+    def merged(n, arcs):
+        first, second, *rest = ears(n, arcs)
+        return [first, first + second, *rest]
+
+    monkeypatch.setattr(matchings, "_ear_cycles", merged)
+    rep = KSVerifier(load_bundled(name)).verify_chain_identities()
+    failed = [c.name for c in rows(rep, "matching_unit.") if c.status == FAIL]
+    assert len(failed) == 1, failed
+    rank, = rows(rep, "matching_basis.rank")
+    assert rank.status == PASS
+
+
 @pytest.mark.parametrize("name,k,l", [("c3", 2, 2), ("spp", 2, 1), ("conifold", 4, 1)])
 def test_a_flipped_kasteleyn_sign_fails_the_matching_count(name, k, l, lattice_cover, monkeypatch):
     from dimermirror import matchings
