@@ -32,7 +32,7 @@ from .dimer import (
     word_key,
     zigzag_cycles,
 )
-from .io import BUNDLED, DimerFormatError, dimer_to_dict, load_bundled, parse_dimer
+from .io import BUNDLED, DimerFormatError, dimer_to_dict, load_bundled, parse_dimer, read_dimer
 from .matchings import ENUMERATION_GATE, corner_matchings_in_order, kasteleyn_count, matching_polytope
 
 # The Jacobi, Koszul, SH and verifier layers are imported inside the commands
@@ -233,13 +233,14 @@ def _pair(text: str) -> tuple:
 
 
 def cmd_validate(args) -> int:
+    # a file is read unvalidated, so that its issues are listed one by one
     try:
-        d = _load(args.file)
+        d = read_dimer(args.file) if os.path.isfile(args.file) else _load(args.file)
     except (DimerFormatError, DimerError) as exc:
         _emit({"valid": False, "error": str(exc)}, args.format, "validation")
         return EXIT_CHECK_FAILED
     rep = d.validate()
-    ok, witness = (True, None)
+    ok = witness = None  # consistency is not asked of an invalid dimer
     if rep.ok:
         try:
             ok, witness = is_zigzag_consistent(d)

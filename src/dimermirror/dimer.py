@@ -486,7 +486,8 @@ def validate_dimer(d: Dimer) -> ValidationReport:
                     Issue("unknown_vertex", f"arrow {a.id!r} references unknown vertex {v!r}", a.id)
                 )
     if len(vertices) != len(d.vertices):
-        issues.append(Issue("duplicate_vertex", "duplicate vertex id", None))
+        repeated = next(v for i, v in enumerate(d.vertices) if v in d.vertices[:i])
+        issues.append(Issue("duplicate_vertex", "duplicate vertex id", repeated))
 
     pos_count = {a.id: 0 for a in d.arrows}
     neg_count = {a.id: 0 for a in d.arrows}
@@ -536,8 +537,9 @@ def validate_dimer(d: Dimer) -> ValidationReport:
                 )
                 break
 
-    # Euler characteristic |V| - |E| + |F| and single-disk vertex links.
-    chi = len(d.vertices) - len(d.arrows) + len(d.faces)
+    # Euler characteristic |V| - |E| + |F|, a repeated vertex id counted once
+    # (it is its own issue), and single-disk vertex links.
+    chi = len(vertices) - len(d.arrows) + len(d.faces)
     if d.has_shifts and chi != 0:
         issues.append(Issue("euler", f"Euler characteristic {chi} != 0 (not a torus)", chi))
 

@@ -129,8 +129,8 @@ def dimer_to_dict(d: Dimer) -> dict:
     }
 
 
-def parse_dimer(path) -> Dimer:
-    """Parse and validate a dimer file; invariant failures raise with witnesses."""
+def read_dimer(path) -> Dimer:
+    """Read a dimer file without validating it; an unreadable file, bad JSON or a malformed field raises."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -140,7 +140,12 @@ def parse_dimer(path) -> Dimer:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DimerFormatError(f"{path}: invalid JSON: {exc}") from exc
-    d = dimer_from_dict(data)
+    return dimer_from_dict(data)
+
+
+def parse_dimer(path) -> Dimer:
+    """Read and validate a dimer file; invariant failures raise with witnesses."""
+    d = read_dimer(path)
     report = d.validate()
     if not report.ok:
         raise DimerFormatError(

@@ -6,38 +6,41 @@ faces and whose edges are the arrows.  Its height is its class in H^1
 relative to the reference matching P0: the dual of the homology class of
 the bipartite cycle P - P0.
 
-``matching_polytope`` never lists the matchings.  It asks one exact-integer
-oracle, ``_MatchingOracle.best`` (the Hungarian method with integer
-potentials, ``_hungarian``: one heap-based Dijkstra per row over the face
-pairs an arrow joins, O(n (n + E log E)) for n rows and E such pairs), for a
-matching of greatest weight <nu, height>:
+``matching_polytope`` never lists the matchings, and it makes one solve:
 
 * P0 is the least matching in sorted-id order, the maximiser of
-  sum 2^(|Q1| - 1 - rank(a)), found once per dimer (``_reference``).
+  sum 2^(|Q1| - 1 - rank(a)), found once per dimer (``_reference``) by one
+  exact-integer query, ``_MatchingOracle.best``: the Hungarian method with
+  integer potentials (``_hungarian``, one heap-based Dijkstra per row over
+  the face pairs an arrow joins, O(n (n + E log E)) for n rows and E pairs).
 * The polygon's edges are the zigzag classes (``zigzag_classes``, which
   leaves each class's cycles unordered): edge i has outward normal -eta_i
-  and lattice length m_i (Gulotta, arXiv:0807.3012).  The normals are
-  sorted counterclockwise and each is queried once; its potentials bound
-  every height by b_i = max <-eta_i, h>.
-* A corner is a matching optimal for two consecutive normals.  Such a
-  matching uses only arrows tight under both sets of potentials, and every
-  perfect matching on those arrows is optimal for both, so augmenting paths
-  on that sparse set find it without another solve.  The summed potentials
-  certify it for the sum of the two normals, and the absence of an
-  alternating cycle among the doubly tight arrows proves it the only
-  matching at its height.
-* Each pair of consecutive corners spans an edge of the queried normal (both
-  are optimal for it), which must have lattice length m_i.  The corners are
-  then realized heights at every vertex of the intersection of
-  {<-eta_i, h> <= b_i}, so that polygon is the hull.
+  and lattice length m_i (Gulotta, arXiv:0807.3012).  The normals nu_k are
+  sorted counterclockwise.
+* Corner k, between nu_{k-1} and nu_k, is read off the zigzag directions
+  (``_zigzag_corners``): every arrow whose zig and zag homologies enclose
+  theta = nu_{k-1} + nu_k, on the arc that the orientation of the embedding
+  picks (Broomhead, arXiv:0901.4662).
+* Nothing is taken on trust.  Each corner must be a perfect matching.
+  Normal k is certified from corner k alone (``_MatchingOracle.certify``):
+  Bellman-Ford on the corner's exchange graph gives integer potentials, and
+  LP duality checks them as it checks P0's.  Corner k must then be tight
+  for normal k - 1 too, so it is optimal for both of its normals, and the
+  absence of an alternating cycle among the arrows tight for both proves
+  it the only matching at its height.
+* Each pair of consecutive corners spans an edge of the normal between them
+  (both are optimal for it), which must have lattice length m_i.  The
+  corners are then realized heights at every vertex of the intersection of
+  the half-planes <nu_k, h> <= <nu_k, h_k>, h_k being corner k's height, so
+  that polygon is the hull.
 
-Every answer is checked against its potentials (LP duality), so a wrong
-answer raises ``DimerError`` instead of shrinking the hull; so does a wrong
-normal, which leaves two consecutive normals with no common optimum or a
-corner where an edge should be.
+A wrong normal or a wrong corner raises ``DimerError`` instead of shrinking
+the hull: a rule set that is no perfect matching, a certificate that fails,
+two consecutive normals with no common optimum, or a corner where an edge
+should be.
 
 Heights come from one table per dimer, ``arrow_classes``, whose entries
-are also the weights of the queries.  Each arrow's entry is read off the
+are also the weights of the certificates.  Each arrow's entry is read off the
 shift prefixes of the arrow in the stored boundaries of its two faces, one
 pass over the faces (Kenyon, Okounkov and Sheffield, math-ph/0311005).  A
 matching's height is the sum of its arrows' entries minus that of P0, which
@@ -57,7 +60,8 @@ Two more polynomial computations stand in for the list of all matchings:
   Kasteleyn-signed matrix (Kenyon, Okounkov and Sheffield).
 
 The oracle is built once per dimer and shared by the polygon and the count,
-and so is the table; P0 is shared by the polygon and the basis.
+and so is the table; P0, the one solve, is shared by the polygon and the
+basis.
 Enumeration (``enumerate_perfect_matchings``, once per dimer) still runs for
 ``MatchingPolytope.points``, read on first use by the ``matchings`` listing
 (which refuses dimers above ``ENUMERATION_GATE``) and by
@@ -68,8 +72,9 @@ only the face tables, none of the structures above.
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .dimer import (
     Dimer,
@@ -406,7 +411,7 @@ def _reference(d: Dimer) -> frozenset:
     found = oracle.best({a: 1 << (top - r) for r, a in enumerate(oracle.arrows)}, "P0")
     if found is None:
         raise DimerError("dimer has no perfect matching")
-    return found[0]
+    return found
 
 
 class _MatchingOracle:
@@ -428,16 +433,13 @@ class _MatchingOracle:
         # by (row, column), and in id order among parallel arrows
         self.by_pair = sorted(self.arrows, key=self.ends.__getitem__)
 
-    def best(self, weight: dict, label) -> tuple | None:
-        """(matched arrows, tight arrows) of greatest total weight, or None if there is no matching.
+    def best(self, weight: dict, label) -> frozenset | None:
+        """The matched arrows of greatest total weight, or None if there is no matching.
 
         Each row's (column, -weight) pairs come straight from its arrows, in
         column order, so the solver (``_hungarian``) reads about four pairs a
         row rather than a dense n x n matrix.  Raises DimerError unless the
-        solver's potentials prove the answer optimal: u[i] + v[j] >= weight[a]
-        on every arrow a from row i to column j, and the matching's weight
-        equals sum(u) + sum(v).  The tight arrows are those with
-        u[i] + v[j] == weight[a]; every optimal matching uses only them.
+        solver's potentials prove the answer optimal (``_check``).
         """
         if self.n is None:
             return None
@@ -459,7 +461,56 @@ class _MatchingOracle:
         if sorted(match) != list(range(self.n)) or any((i, j) not in pick for i, j in enumerate(match)):
             raise DimerError(f"query {label}: the solver returned no perfect matching")
         edges = frozenset(pick[i, j] for i, j in enumerate(match))
-        bound = {a: u[self.ends[a][0]] + v[self.ends[a][1]] for a in self.arrows}
+        self._check(edges, u, v, weight, label)
+        return edges
+
+    def certify(self, edges: frozenset, weight: dict, label) -> set | None:
+        """The arrows tight under potentials that prove ``edges`` a perfect matching of greatest weight.
+
+        None when ``edges`` is no perfect matching.  The row potentials u are
+        longest-path lengths, from 0 at every row, in the matching's exchange
+        graph (Bellman-Ford, at most n rounds): an arrow a off the matching,
+        from row i to the column of row k's matched arrow m_k, is an arc
+        k -> i of gain weight[a] - weight[m_k].  The column of m_k takes
+        weight[m_k] - u[k], so every matched arrow is tight.  The potentials
+        are then checked as ``best`` checks the solver's (``_check``); a
+        heavier matching is a cycle of positive gain, which leaves some arrow
+        violated however the rounds end.
+        """
+        col = {}  # column -> (its matched row, the matched arrow's weight)
+        for a in edges:
+            i, j = self.ends[a]
+            col[j] = (i, weight[a])
+        if len(col) != self.n or len({i for i, _ in col.values()}) != self.n or len(edges) != self.n:
+            return None
+        arcs = []
+        for a in self.arrows:
+            if a not in edges:
+                i, j = self.ends[a]
+                k, wk = col[j]
+                arcs.append((k, i, weight[a] - wk))
+        u = [0] * self.n
+        for _ in range(self.n):
+            changed = False
+            for k, i, gain in arcs:
+                if u[k] + gain > u[i]:
+                    u[i] = u[k] + gain
+                    changed = True
+            if not changed:
+                break
+        v = [0] * self.n
+        for j, (k, wk) in col.items():
+            v[j] = wk - u[k]
+        return self._check(edges, u, v, weight, label)
+
+    def _check(self, edges: frozenset, u: list, v: list, weight: dict, label) -> set:
+        """The tight arrows, u[i] + v[j] == weight[a]; DimerError unless (u, v) proves ``edges`` optimal.
+
+        The proof is LP duality: u[i] + v[j] >= weight[a] on every arrow a
+        from row i to column j, and the matching's weight equals
+        sum(u) + sum(v).  Every optimal matching then uses only tight arrows.
+        """
+        bound = {a: u[i] + v[j] for a, (i, j) in self.ends.items()}
         violated = sum(1 for a in self.arrows if bound[a] < weight[a])
         total = sum(weight[a] for a in edges)
         if violated or total != sum(u) + sum(v):
@@ -467,46 +518,9 @@ class _MatchingOracle:
                 f"query {label}: matching of weight {total} is not certified optimal "
                 f"(dual bound {sum(u) + sum(v)}, violated on {violated} arrows)"
             )
-        return edges, [a for a in self.arrows if bound[a] == weight[a]]
+        return {a for a, b in bound.items() if b == weight[a]}
 
-    def perfect_on(self, arrows: list) -> frozenset | None:
-        """A perfect matching that uses only the given arrows, or None if there is none.
-
-        Augmenting paths, one breadth-first search per row: O(n |arrows|)
-        with no weights, for the sparse sets of tight arrows.
-        """
-        out: dict = {i: [] for i in range(self.n)}
-        for a in arrows:
-            out[self.ends[a][0]].append(a)
-        owner: dict = {}  # column -> the matched arrow into it
-        matched: dict = {}  # row -> its matched column
-        for r in range(self.n):
-            via: dict = {}  # column -> the arrow the search reached it by
-            rows, free = [r], None
-            for i in rows:  # grows while it is read
-                for a in out[i]:
-                    j = self.ends[a][1]
-                    if j in via:
-                        continue
-                    via[j] = a
-                    if j not in owner:
-                        free = j
-                        break
-                    rows.append(self.ends[owner[j]][0])
-                if free is not None:
-                    break
-            if free is None:
-                return None
-            # flip the path: each column on it takes the arrow that reached it
-            j = free
-            while j is not None:
-                a = via[j]
-                i = self.ends[a][0]
-                owner[j], j = a, matched.get(i)
-                matched[i] = self.ends[a][1]
-        return frozenset(owner.values())
-
-    def is_unique(self, edges: frozenset, tight: list) -> bool:
+    def is_unique(self, edges: frozenset, tight: set) -> bool:
         """True when no other matching is optimal: the tight arrows admit no alternating cycle.
 
         On rows, i -> k for each tight arrow outside the matching that joins
@@ -541,11 +555,41 @@ def _outward_normal(a: Vec, b: Vec) -> tuple[Vec, int]:
     return (delta[1] // g, -delta[0] // g), g
 
 
+def _zigzag_corners(d: Dimer, normals: list) -> list:
+    """Corner k's arrows by the zigzag rule, for each k: the corner between normals k - 1 and k.
+
+    Every arrow a is the zig of one zigzag orbit and the zag of another
+    (``d.zigzag_of``), of homologies h_zig(a) and h_zag(a).  Corner k is
+    every arrow a for which theta = nu_{k-1} + nu_k lies strictly inside the
+    counterclockwise arc from h_zag(a) to h_zig(a), when the embedding's
+    orientation (``_orientation``) is -1, and from h_zig(a) to h_zag(a) when
+    it is +1 (Gulotta, arXiv:0807.3012; Broomhead, arXiv:0901.4662).
+    Directions are compared by their rank under ``ccw_angle_key``, exactly.
+    The sets are not checked here: ``matching_polytope`` certifies them.
+    """
+    orbits, orbit_of = _zigzag_orbits(d)
+    thetas = [vec_add(normals[k - 1], normals[k]) for k in range(len(normals))]
+    keyed = sorted((ccw_angle_key(h), h) for h in {*(z.homology for z in orbits), *thetas})
+    rank = {h: r for r, (_, same) in enumerate(groupby(keyed, itemgetter(0))) for _, h in same}
+    at = [rank[z.homology] for z in orbits]
+    sigma = _orientation(d)
+    arcs: dict = {}  # (rank where the arc starts, rank where it ends) -> its arrows
+    for a, (zig, zag) in orbit_of.items():
+        arcs.setdefault((at[zag], at[zig]) if sigma < 0 else (at[zig], at[zag]), []).append(a)
+    corners = []
+    for theta in thetas:
+        t = rank[theta]
+        inside = [arrows for (p, q), arrows in arcs.items() if p < t < q or t < q < p or q < p < t]
+        corners.append(frozenset(a for arrows in inside for a in arrows))
+    return corners
+
+
 def matching_polytope(d: Dimer) -> MatchingPolytope:
     """Convex hull of matching heights with the class <-> edge correspondence.
 
-    Built from P0 and one certified max-weight matching query per zigzag
-    class (see the module docstring); no matching is enumerated.
+    Built from P0, the one solve, and the corners of the zigzag rule, each
+    certified by potentials (see the module docstring); no matching is
+    enumerated.
     """
     d.require_valid()
     oracle = _oracle(d)
@@ -559,21 +603,26 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
     normals = [vec_neg(classes[i][0]) for i in order]
     if len(normals) < 3 or any(cross(normals[k - 1], normals[k]) <= 0 for k in range(len(normals))):
         raise DimerError(f"zigzag normals {normals} do not turn once around a polygon")
-    tight = []  # per normal, the arrows tight under its certified potentials
-    for nu in normals:
+    # corner k, between normals k - 1 and k, by the zigzag rule; normal k is
+    # certified by corner k, and corner k must be tight for normal k - 1 too
+    rule = _zigzag_corners(d, normals)
+    tight = []
+    for k, nu in enumerate(normals):
         weight = {a: dot(nu, c) for a, c in arrow_class.items()}
-        tight.append(oracle.best(weight, f"direction {nu}")[1])
-
-    # corner k: the one matching optimal for normals k - 1 and k
+        found = oracle.certify(rule[k], weight, f"direction {nu}")
+        if found is None:
+            raise DimerError(
+                f"normals {normals[k - 1]} and {nu} share no corner: "
+                f"the zigzag rule's {len(rule[k])} arrows are not a perfect matching"
+            )
+        tight.append(found)
     corner_at = []
-    for k in range(len(normals)):
-        later = set(tight[k])
-        both = [a for a in tight[k - 1] if a in later]
-        arrows = oracle.perfect_on(both)
-        if arrows is None:
+    for k, arrows in enumerate(rule):
+        both = tight[k - 1] & tight[k]
+        if not arrows <= both:
             raise DimerError(
                 f"normals {normals[k - 1]} and {normals[k]} share no corner: "
-                "no matching is optimal for both"
+                f"the zigzag rule's matching is not optimal for {normals[k - 1]}"
             )
         h = vec_sub(_class_sum(arrows, arrow_class), p0_class)
         if not oracle.is_unique(arrows, both):

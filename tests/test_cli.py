@@ -980,24 +980,22 @@ def test_polytope_and_matchings_are_byte_identical_when_mirrored(name, k, l, cov
 
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
-def test_a_flipped_orientation_is_caught(name, covers, tmp_path, monkeypatch):
-    # negative control for the sign sigma in the height table: flipped, it
-    # negates every height
+def test_a_flipped_orientation_is_caught(name, monkeypatch):
+    # negative controls for the sign sigma.  Flipped everywhere, it reverses
+    # the zigzag rule's arcs, which then give no perfect matching.  Flipped in
+    # the height table alone, it negates every height, so the rule's corners
+    # fail their certificates: on the conifold too, whose square is symmetric
+    # under negation, so that before the rule only the output pin caught it
     from dimermirror import matchings
 
-    hull = matchings.matching_polytope(load_bundled(name)).hull
-    orientation = matchings._orientation
+    orientation, table = matchings._orientation, matchings.arrow_classes
     monkeypatch.setattr(matchings, "_orientation", lambda d: -orientation(d))
-    if name != "conifold":
-        with pytest.raises(matchings.DimerError, match="normals .* share no corner"):
-            matchings.matching_polytope(load_bundled(name))
-        return
-    # the conifold's square is symmetric under negation, so nothing raises:
-    # the reflected square comes back, and only the output pin catches it
-    flipped = matchings.matching_polytope(load_bundled(name)).hull
-    assert sorted(flipped) == sorted((-x, -y) for x, y in hull) != sorted(hull)
-    monkeypatch.chdir(tmp_path)
-    assert mirrored_outputs_sha256(covers.load_base(name)) != MIRRORED_OUTPUT_SHA256[(name, 1, 1)]
+    with pytest.raises(matchings.DimerError, match="normals .* share no corner: .* not a perfect matching"):
+        matchings.matching_polytope(load_bundled(name))
+    monkeypatch.setattr(matchings, "_orientation", orientation)
+    monkeypatch.setattr(matchings, "arrow_classes", lambda d: {a: (-x, -y) for a, (x, y) in table(d).items()})
+    with pytest.raises(matchings.DimerError, match="not certified optimal"):
+        matchings.matching_polytope(load_bundled(name))
 
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
@@ -1117,6 +1115,7 @@ INVALID = [
         "conifold", lambda r: r["faces"][0].update(boundary=["a1", "b1", "a2", "b2"]),
     ),
     ("disconnected", "underlying quiver is not connected", "c3", c3_twice),
+    ("duplicate_vertex", "duplicate vertex id", "c3", lambda r: r["vertices"].append("v")),
 ]
 
 
@@ -1131,8 +1130,18 @@ def test_each_validator_family_refuses_its_edit(case, tmp_path):
     p.write_text(json.dumps(raw))
     rc, out, err = main_in_process("validate", str(p), "--format", "json")
     data = json.loads(out)
-    assert (rc, err, data["valid"]) == (1, "", False)
-    assert data["error"] == f"{p}: invalid dimer: " + "; ".join(i.message for i in rep.issues)
+    assert (rc, err, data["valid"], data["zigzag_consistent"]) == (1, "", False, None)
+    assert [i["code"] for i in data["issues"]] == [i.code for i in rep.issues]
+    assert data["issues"] == [{"code": i.code, "message": i.message, "witness": i.witness} for i in rep.issues]
+
+
+@pytest.mark.parametrize("name,vertex", [("conifold", 2), ("c3", "v")])
+def test_a_repeated_vertex_id_is_one_issue(name, vertex):
+    # counted once in the Euler characteristic, so the torus stays a torus
+    raw = json.loads((DATA / f"{name}.json").read_text())
+    raw["vertices"].append(vertex)
+    rep = dimer_from_dict(raw).validate()
+    assert [(i.code, i.witness) for i in rep.issues] == [("duplicate_vertex", vertex)]
 
 
 def test_unhashable_arrow_endpoint_stays_a_validation_issue(tmp_path):
@@ -1143,7 +1152,7 @@ def test_unhashable_arrow_endpoint_stays_a_validation_issue(tmp_path):
     p.write_text(json.dumps(raw))
     rc, out, err = run_cli("validate", str(p))
     assert rc == 1 and "Traceback" not in err
-    assert "references unknown vertex [1]" in json.loads(out)["error"]
+    assert "arrow 'a1' references unknown vertex [1]" in [i["message"] for i in json.loads(out)["issues"]]
 
 
 # -- error paths on inconsistent dimers, pinned ----------------------------------

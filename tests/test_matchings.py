@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import itertools
 import json
 import random
+import re
 from math import gcd
 
 import pytest
@@ -656,10 +657,75 @@ def test_every_oracle_query_gets_the_dense_answer(name, k, l, seed, covers, monk
 
     monkeypatch.setattr(matchings, "_hungarian", checked)
     d = zoo_dimer(covers, name, k, l, seed)
-    edges = matching_polytope(d).edges
+    matching_polytope(d)
     matching_basis(d)
-    # P0 and one query per normal; the basis reuses P0 and asks none
-    assert len(queries) == 1 + len(edges)
+    # P0 alone: the corners come from the zigzag rule, and the basis reuses P0
+    assert len(queries) == 1
+
+
+def perfect_on(oracle, arrows: list) -> frozenset | None:
+    """A perfect matching that uses only the given arrows, or None if there is none.
+
+    Augmenting paths, one breadth-first search per row: O(n |arrows|) with no
+    weights, for the sparse sets of tight arrows.
+    """
+    out: dict = {i: [] for i in range(oracle.n)}
+    for a in arrows:
+        out[oracle.ends[a][0]].append(a)
+    owner: dict = {}  # column -> the matched arrow into it
+    matched: dict = {}  # row -> its matched column
+    for r in range(oracle.n):
+        via: dict = {}  # column -> the arrow the search reached it by
+        rows, free = [r], None
+        for i in rows:  # grows while it is read
+            for a in out[i]:
+                j = oracle.ends[a][1]
+                if j in via:
+                    continue
+                via[j] = a
+                if j not in owner:
+                    free = j
+                    break
+                rows.append(oracle.ends[owner[j]][0])
+            if free is not None:
+                break
+        if free is None:
+            return None
+        # flip the path: each column on it takes the arrow that reached it
+        j = free
+        while j is not None:
+            a = via[j]
+            i = oracle.ends[a][0]
+            owner[j], j = a, matched.get(i)
+            matched[i] = oracle.ends[a][1]
+    return frozenset(owner.values())
+
+
+def solver_tight(oracle, weight: dict) -> set:
+    """The arrows tight under the Hungarian potentials of the max-weight query for ``weight``."""
+    solved = []
+    original = matchings._hungarian
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matchings, "_hungarian", lambda pairs: solved.append(original(pairs)) or solved[-1])
+        oracle.best(weight, "oracle")
+    _, u, v = solved[0]
+    return {a for a in oracle.arrows if u[oracle.ends[a][0]] + v[oracle.ends[a][1]] == weight[a]}
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
+def test_zigzag_corners_are_the_solver_corners(name, k, l, seed, mirror, covers):
+    # the corner between two consecutive edges, found as the solver path found
+    # it: one Hungarian query per normal, and augmenting paths on the arrows
+    # tight under both sets of potentials
+    d = zoo_dimer(covers, name, k, l, seed, mirror)
+    mp = matching_polytope(d)
+    oracle = matchings._oracle(d)
+    tight = [solver_tight(oracle, {a: dot(e.normal, c) for a, c in mp.arrow_class.items()}) for e in mp.edges]
+    for i, e in enumerate(mp.edges):
+        both = tight[i - 1] & tight[i]
+        assert mp.corners[e.start].edges == perfect_on(oracle, [a for a in oracle.arrows if a in both])
 
 
 def test_polytope_and_jacobi_never_enumerate(monkeypatch, tmp_path, lattice_cover):
@@ -714,8 +780,8 @@ def test_polytope_of_large_covers(name, k, l, covers, tmp_path):
 
 
 def test_non_optimal_solver_answer_fails_the_dual_certificate(monkeypatch):
-    # after the P0 query come the edge-normal queries; the first of them
-    # gets a strictly lighter perfect matching, with the optimal potentials
+    # the one query, P0's, gets a strictly lighter perfect matching with the
+    # optimal potentials
     original = matchings._hungarian
     calls, swapped = [], []
 
@@ -723,7 +789,7 @@ def test_non_optimal_solver_answer_fails_the_dual_certificate(monkeypatch):
         w = dense(pairs)
         calls.append(w)
         match, u, v = original(pairs)
-        if len(calls) > 1 and not swapped:
+        if not swapped:
             n = len(w)
             best = sum(w[i][match[i]] for i in range(n))
             for perm in itertools.permutations(range(n)):
@@ -734,9 +800,80 @@ def test_non_optimal_solver_answer_fails_the_dual_certificate(monkeypatch):
         return match, u, v
 
     monkeypatch.setattr(matchings, "_hungarian", lighter)
-    with pytest.raises(DimerError, match="not certified optimal"):
+    with pytest.raises(DimerError, match="query P0: .* not certified optimal"):
         matching_polytope(load_bundled("spp"))
-    assert swapped == [2]  # on spp, the first edge-normal query
+    assert swapped == [1]
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_a_non_optimal_candidate_corner_fails_its_certificate(name, monkeypatch):
+    # each corner in turn replaced by a perfect matching lighter under its normal
+    d = load_bundled(name)
+    mp = matching_polytope(d)
+    rule = matchings._zigzag_corners
+    normals = [e.normal for e in sorted(mp.edges, key=lambda e: ccw_angle_key(e.normal))]
+    for k, nu in enumerate(normals):
+        corners = rule(d, normals)
+        top = dot(nu, mp.height(PerfectMatching(corners[k])))
+        corners[k] = next(p.edges for p in enumerate_perfect_matchings(d) if dot(nu, mp.height(p)) < top)
+        monkeypatch.setattr(matchings, "_zigzag_corners", lambda *_, c=corners: c)
+        with pytest.raises(DimerError, match=re.escape(f"query direction {nu}: ") + ".* not certified optimal"):
+            matching_polytope(load_bundled(name))
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("name,k,l", [("c3", 1, 1), ("conifold", 1, 1), ("spp", 1, 1), ("spp", 2, 1), ("conifold", 4, 3)])
+def test_a_corner_is_refused_for_a_normal_whose_edge_it_does_not_touch(name, k, l, mirror, covers):
+    d = zoo_dimer(covers, name, k, l, mirror=mirror)
+    mp = matching_polytope(d)
+    oracle = matchings._oracle(d)
+    refused = 0
+    for h, corner in mp.corners.items():
+        for e in mp.edges:
+            weight = {a: dot(e.normal, c) for a, c in mp.arrow_class.items()}
+            if h in (e.start, e.end):
+                assert set(corner.edges) <= set(oracle.certify(corner.edges, weight, e.normal))
+                continue
+            with pytest.raises(DimerError, match="not certified optimal"):
+                oracle.certify(corner.edges, weight, e.normal)
+            refused += 1
+    assert refused == len(mp.edges) * (len(mp.edges) - 2)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_the_zigzag_arc_must_follow_the_orientation(name, mirror, covers, monkeypatch):
+    # the arc taken in one fixed direction, whatever sigma: it fails on the
+    # inputs of the other orientation, bundled (sigma = -1) and mirrored (+1)
+    truth = matching_polytope(zoo_dimer(covers, name, 1, 1, mirror=mirror))
+    orientation = matchings._orientation
+    for fixed in (-1, 1):
+        d = zoo_dimer(covers, name, 1, 1, mirror=mirror)
+        matchings.arrow_classes(d)  # the height table keeps the true sigma
+        assert orientation(d) == (1 if mirror else -1)
+        monkeypatch.setattr(matchings, "_orientation", lambda _, s=fixed: s)
+        if fixed == orientation(d):
+            mp = matching_polytope(d)
+            assert (mp.hull, mp.edges, mp.corners) == (truth.hull, truth.edges, truth.corners)
+        else:
+            with pytest.raises(DimerError, match="share no corner"):
+                matching_polytope(d)
+        monkeypatch.setattr(matchings, "_orientation", orientation)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_one_arrow_with_its_zig_and_zag_swapped_fails(name, mirror, covers, monkeypatch):
+    orbits = matchings._zigzag_orbits
+    for arrow in zoo_dimer(covers, name, 1, 1).arrow_ids:
+
+        def swapped(d, a=arrow):
+            cycles, orbit_of = orbits(d)
+            return cycles, {**orbit_of, a: orbit_of[a][::-1]}
+
+        monkeypatch.setattr(matchings, "_zigzag_orbits", swapped)
+        with pytest.raises(DimerError, match="share no corner|not certified optimal"):
+            matching_polytope(zoo_dimer(covers, name, 1, 1, mirror=mirror))
 
 
 @pytest.mark.parametrize(
@@ -765,6 +902,20 @@ def test_corner_with_two_optimal_matchings_fails(monkeypatch, name, c1, c2):
         classes.append(((-normal[0], -normal[1]), [None] * length))
     monkeypatch.setattr(matchings, "arrow_classes", lambda d: {a: (c1.get(a, 0), c2.get(a, 0)) for a in d.arrow_by_id})
     monkeypatch.setattr(matchings, "zigzag_classes", lambda _: classes)
+    # the zigzag rule reads the true orbits, so its corners fail the faked heights
+    with pytest.raises(DimerError, match="not certified optimal|share no corner"):
+        matching_polytope(d)
+    # given a matching of greatest height in both directions at each corner,
+    # and so the first of the two at (0, 0), the corner step finds the second
+    at = {}
+    for p in enumerate_perfect_matchings(d):
+        at.setdefault((evaluate_on_chain(p.edges, c1), evaluate_on_chain(p.edges, c2)), []).append(p.edges)
+
+    def fake_rule(_, normals):
+        ends = [max(at, key=lambda h: (dot(nu, h), dot(normals[k - 1], h))) for k, nu in enumerate(normals)]
+        return [at[h][0] for h in ends]
+
+    monkeypatch.setattr(matchings, "_zigzag_corners", fake_rule)
     with pytest.raises(DimerError, match="carries more than one matching"):
         matching_polytope(d)
 
@@ -788,9 +939,9 @@ def test_a_turned_zigzag_class_fails_the_edge_certificate(name, k, l, covers, mo
     seen = set()
     for turned in turned_classes(classes):
         monkeypatch.setattr(matchings, "zigzag_classes", lambda _, c=turned: c)
-        with pytest.raises(DimerError, match="share no corner|do not turn once around a polygon") as err:
+        with pytest.raises(DimerError, match="share no corner|not certified optimal|do not turn once around") as err:
             matching_polytope(zoo_dimer(covers, name, k, l))
-        seen.add("share no corner" in str(err.value))
+        seen.add("do not turn once around" not in str(err.value))
     # on a triangle every turn breaks the counterclockwise order; with more
     # classes some reach the corner step
     assert seen == ({False} if len(classes) == 3 else {True, False})
@@ -813,16 +964,14 @@ def test_an_extra_or_short_zigzag_class_fails_the_edge_certificate(name, monkeyp
         matching_polytope(load_bundled(name))
 
 
-@pytest.mark.parametrize(
-    "name,k,l,solves", [("c3", 1, 1, 4), ("conifold", 1, 1, 5), ("spp", 1, 1, 5), ("conifold", 4, 3, 5)]
-)
-def test_polytope_makes_one_solve_per_zigzag_class(name, k, l, solves, covers, monkeypatch):
+@pytest.mark.parametrize("name,k,l", [("c3", 1, 1), ("conifold", 1, 1), ("spp", 1, 1), ("conifold", 4, 3)])
+def test_polytope_makes_one_solve_per_dimer(name, k, l, covers, monkeypatch):
     d = zoo_dimer(covers, name, k, l)
     calls = []
     original = matchings._hungarian
     monkeypatch.setattr(matchings, "_hungarian", lambda pairs: calls.append(pairs) or original(pairs))
-    matching_polytope(d)
-    assert len(calls) == 1 + len(parallel_classes(d)) == solves  # P0, then one per edge
+    assert len(matching_polytope(d).edges) == len(parallel_classes(d)) >= 3
+    assert len(calls) == 1  # P0; every corner comes from the zigzag rule
 
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
@@ -898,11 +1047,11 @@ COUNT_ZOO = [
 ]
 
 
-def zoo_dimer(covers, name, k, l, seed=None):
+def zoo_dimer(covers, name, k, l, seed=None, mirror=False):
     raw = covers.cover(covers.load_base(name), k, l) if (k, l) != (1, 1) else covers.load_base(name)
     if seed is not None:
         raw = covers.relabel(raw, random.Random(seed))
-    return dimer_from_dict(raw)
+    return dimer_from_dict(mirrored(raw) if mirror else raw)
 
 
 def indicator(d, p) -> list:
@@ -962,7 +1111,7 @@ def test_matching_basis_is_p0_and_its_ear_cycle_flips(name, k, l, seed, covers, 
     # the one solve is the P0 query, which the polygon then reads from the cache
     assert len(solves) == 1
     mp = matching_polytope(d)
-    assert len(solves) == 1 + len(mp.edges)
+    assert len(solves) == 1
     # P0 first: the least matching in sorted-id order, the first one enumerated
     assert basis.matchings[0].edges == mp.reference.edges == enumerate_perfect_matchings(d)[0].edges
     for p in basis.matchings:
