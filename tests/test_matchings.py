@@ -716,9 +716,9 @@ def solver_tight(oracle, weight: dict) -> set:
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
 @pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
 def test_zigzag_corners_are_the_solver_corners(name, k, l, seed, mirror, covers):
-    # the corner between two consecutive edges, found as the solver path found
-    # it: one Hungarian query per normal, and augmenting paths on the arrows
-    # tight under both sets of potentials
+    # the corner between two consecutive edges by the solver: one Hungarian
+    # query per normal, and augmenting paths on the arrows tight under both
+    # sets of potentials
     d = zoo_dimer(covers, name, k, l, seed, mirror)
     mp = matching_polytope(d)
     oracle = matchings._oracle(d)
@@ -821,6 +821,22 @@ def test_a_non_optimal_candidate_corner_fails_its_certificate(name, monkeypatch)
             matching_polytope(load_bundled(name))
 
 
+@pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
+def test_a_corner_not_optimal_for_the_normal_before_fails(name, monkeypatch):
+    # corner k replaced by corner k + 1: optimal for normal k, which certifies,
+    # but not for normal k - 1
+    d = load_bundled(name)
+    normals = [e.normal for e in sorted(matching_polytope(d).edges, key=lambda e: ccw_angle_key(e.normal))]
+    rule = matchings._zigzag_corners
+    for k in range(len(normals)):
+        corners = rule(d, normals)
+        corners[k] = corners[(k + 1) % len(normals)]
+        monkeypatch.setattr(matchings, "_zigzag_corners", lambda *_, c=corners: c)
+        message = f"share no corner: the zigzag rule's matching is not optimal for {normals[k - 1]}"
+        with pytest.raises(DimerError, match=re.escape(message)):
+            matching_polytope(load_bundled(name))
+
+
 @pytest.mark.parametrize("mirror", [False, True])
 @pytest.mark.parametrize("name,k,l", [("c3", 1, 1), ("conifold", 1, 1), ("spp", 1, 1), ("spp", 2, 1), ("conifold", 4, 3)])
 def test_a_corner_is_refused_for_a_normal_whose_edge_it_does_not_touch(name, k, l, mirror, covers):
@@ -832,7 +848,7 @@ def test_a_corner_is_refused_for_a_normal_whose_edge_it_does_not_touch(name, k, 
         for e in mp.edges:
             weight = {a: dot(e.normal, c) for a, c in mp.arrow_class.items()}
             if h in (e.start, e.end):
-                assert set(corner.edges) <= set(oracle.certify(corner.edges, weight, e.normal))
+                assert corner.edges <= oracle.certify(corner.edges, weight, e.normal)
                 continue
             with pytest.raises(DimerError, match="not certified optimal"):
                 oracle.certify(corner.edges, weight, e.normal)
