@@ -6,13 +6,15 @@ faces and whose edges are the arrows.  Its height is its class in H^1
 relative to the reference matching P0: the dual of the homology class of
 the bipartite cycle P - P0.
 
-``matching_polytope`` never lists the matchings, and it makes one solve:
+``matching_polytope`` never lists the matchings, and it solves no weighted
+problem:
 
-* P0 is the least matching in sorted-id order, the maximiser of
-  sum 2^(|Q1| - 1 - rank(a)), found once per dimer (``_reference``) by one
-  exact-integer query, ``_MatchingOracle.best``: the Hungarian method with
-  integer potentials (``_hungarian``, one heap-based Dijkstra per row over
-  the face pairs an arrow joins, O(n (n + E log E)) for n rows and E pairs).
+* P0 is the least matching in sorted-id order, found once per dimer
+  (``_reference``) with no weights by ``_MatchingOracle.least``: any perfect
+  matching by augmenting paths, then the arrows in id order, each joining
+  when an alternating cycle among the faces still open runs through it.  P0
+  maximises sum 2^(|Q1| - 1 - rank(a)), and potentials certify that as they
+  certify the corners.
 * The polygon's edges are the zigzag classes (``zigzag_classes``, which
   leaves each class's cycles unordered): edge i has outward normal -eta_i
   and lattice length m_i (Gulotta, arXiv:0807.3012).  The normals nu_k are
@@ -53,14 +55,14 @@ Two more polynomial computations stand in for the list of all matchings:
 * ``matching_basis`` returns matchings whose indicator vectors span those of
   every matching, which all lie in W = {x in Z^Q1 : every face sum equal}, of
   dimension |Q0| + 2: P0, and P0 Δ C for one directed cycle C of P0's
-  alternating digraph per ear of its ear decomposition.  It solves nothing
-  beyond P0, and its rank is exact by construction.  A linear identity that
-  holds on the basis holds on every matching.
+  alternating digraph per ear of its ear decomposition.  It searches for
+  nothing beyond P0, and its rank is exact by construction.  A linear
+  identity that holds on the basis holds on every matching.
 * ``kasteleyn_count`` counts the matchings from four determinants of a
   Kasteleyn-signed matrix (Kenyon, Okounkov and Sheffield).
 
 The oracle is built once per dimer and shared by the polygon and the count,
-and so is the table; P0, the one solve, is shared by the polygon and the
+and so is the table; P0, found once, is shared by the polygon and the
 basis.
 Enumeration (``enumerate_perfect_matchings``, once per dimer) still runs for
 ``MatchingPolytope.points``, read on first use by the ``matchings`` listing
@@ -81,6 +83,7 @@ from .dimer import (
     DimerError,
     Vec,
     _ext_gcd,
+    _face_structure,
     _Frozen,
     _Record,
     _set,
@@ -322,76 +325,6 @@ def _convex_hull(points: list[Vec]) -> list[Vec]:
     return lower[:-1] + upper[:-1]
 
 
-def _hungarian(pairs: list) -> tuple | None:
-    """Hungarian method on the present pairs alone: pairs[i] lists row i's (column, -weight).
-
-    Returns ``(match, u, v)``: row i is matched to column ``match[i]`` in a
-    perfect matching of greatest total weight, and the integer potentials
-    satisfy u[i] + v[j] >= weight on every present pair (i, j), with
-    equality on the matching.  Returns None when no perfect matching exists.
-
-    Works in the cost form (cost = -weight) of the shortest-augmenting-path
-    algorithm, with exact integers throughout: each row is added by Dijkstra
-    on the reduced costs of the present pairs, with a heap, and the columns
-    it settled have their potentials moved once, when it ends.  With E
-    present pairs that is O(n (n + E log E)) in all, against O(n^3) for the
-    textbook loop that scans every column at each step.
-
-    Ties are broken as that loop breaks them, so the answer is the same
-    (match, u, v): among the columns of least tentative distance the least
-    column is settled first, and a column keeps the first settled row that
-    reached it at its least distance.
-    """
-    from heapq import heappop, heappush  # imported here: a cold start never solves
-
-    n = len(pairs)
-    u = [0] * n  # cost-form row potentials
-    v = [0] * n  # cost-form column potentials
-    owner = [-1] * n  # row matched to each column, -1 if free
-    for r in range(n):
-        dist: list = [None] * n  # column -> least distance found so far from row r
-        way = [-1] * n  # column -> the settled column whose row reached it; -1 for row r
-        done = [False] * n  # settled for good, as the textbook loop's used columns
-        settled = []  # the owned columns settled, in order
-        heap: list = []
-        i, di, j0 = r, 0, -1
-        while True:
-            base = di - u[i]
-            for j, c in pairs[i]:
-                if done[j]:
-                    continue
-                t = base + c - v[j]
-                dj = dist[j]
-                if dj is None or t < dj:
-                    dist[j], way[j] = t, j0
-                    heappush(heap, (t, j))
-            while heap:
-                dj, j = heappop(heap)
-                if dist[j] == dj:  # a stale entry has a distance since lowered
-                    break
-            else:
-                return None
-            if owner[j] < 0:
-                break
-            done[j] = True
-            settled.append(j)
-            i, di, j0 = owner[j], dj, j
-        # potentials: each settled column moves by how much sooner it was reached
-        u[r] += dj
-        for k in settled:
-            s = dj - dist[k]
-            u[owner[k]] += s
-            v[k] -= s
-        while j >= 0:
-            j1 = way[j]
-            owner[j] = owner[j1] if j1 >= 0 else r
-            j = j1
-    match = [0] * n
-    for j, i in enumerate(owner):
-        match[i] = j
-    return match, [-x for x in u], [-x for x in v]
-
-
 @per_dimer
 def _oracle(d: Dimer) -> "_MatchingOracle":
     """The dimer's matching oracle, built once per dimer and shared."""
@@ -402,24 +335,26 @@ def _oracle(d: Dimer) -> "_MatchingOracle":
 def _reference(d: Dimer) -> frozenset:
     """The arrows of P0, the least matching in sorted-id order, read by the polygon and the basis.
 
-    P0 outweighs every other matching under the weights 2^(|Q1| - 1 - rank(a)),
-    so one certified query finds it.  Raises DimerError when the dimer has no
-    perfect matching.
+    Found by ``_MatchingOracle.least`` and not taken on trust: P0 outweighs
+    every other matching under the weights 2^(|Q1| - 1 - rank(a)), and
+    ``certify`` proves it optimal under them.  Raises DimerError when the
+    dimer has no perfect matching.
     """
     oracle = _oracle(d)
-    top = len(oracle.arrows) - 1
-    found = oracle.best({a: 1 << (top - r) for r, a in enumerate(oracle.arrows)}, "P0")
+    found = oracle.least()
     if found is None:
         raise DimerError("dimer has no perfect matching")
+    top = len(oracle.arrows) - 1
+    if oracle.certify(found, {a: 1 << (top - r) for r, a in enumerate(oracle.arrows)}, "P0") is None:
+        raise DimerError("query P0: the search returned no perfect matching")
     return found
 
 
 class _MatchingOracle:
-    """Certified max-weight perfect matchings of one dimer.
+    """The perfect matchings of one dimer: the least one, and certificates of optimality.
 
     Rows are the positive faces and columns the negative faces; arrow a joins
-    the row of its positive face to the column of its negative face.  Among
-    parallel arrows of a face pair the heaviest, then the least id, is used.
+    the row of its positive face to the column of its negative face.
     """
 
     def __init__(self, d: Dimer):
@@ -429,40 +364,72 @@ class _MatchingOracle:
         row = {fi: i for i, fi in enumerate(pos)}
         col = {fi: j for j, fi in enumerate(neg)}
         self.n = len(pos) if len(pos) == len(neg) else None
-        self.ends = {a: (row[d.pos_face_of(a)], col[d.neg_face_of(a)]) for a in self.arrows}
-        # by (row, column), and in id order among parallel arrows
-        self.by_pair = sorted(self.arrows, key=self.ends.__getitem__)
+        pos_face, neg_face = _face_structure(d)[:2]
+        self.ends = {a: (row[pos_face[a]], col[neg_face[a]]) for a in self.arrows}
 
-    def best(self, weight: dict, label) -> frozenset | None:
-        """The matched arrows of greatest total weight, or None if there is no matching.
+    def least(self) -> frozenset | None:
+        """The least perfect matching in sorted-id order, or None if there is none.
 
-        Each row's (column, -weight) pairs come straight from its arrows, in
-        column order, so the solver (``_hungarian``) reads about four pairs a
-        row rather than a dense n x n matrix.  Raises DimerError unless the
-        solver's potentials prove the answer optimal (``_check``).
+        Any perfect matching is found first, by augmenting paths, one
+        breadth-first search per row.  The arrows are then walked in id
+        order.  An arrow a from an open row i to an open column j joins when
+        an alternating cycle runs through it among the open rows: a path from
+        the row matched at j to the column matched at i.  The matching is
+        flipped along the cycle, and row i and column j close.  Otherwise a
+        is refused.  So a joins exactly when some perfect matching holds it
+        and every arrow joined before it, and the joined arrows are P0.
         """
         if self.n is None:
             return None
-        pairs: list = [[] for _ in range(self.n)]
-        pick: dict = {}
-        for a in self.by_pair:
-            i, j = self.ends[a]
-            row = pairs[i]
-            if row and row[-1][0] == j:  # a parallel arrow: the heaviest, then the least id
-                if weight[a] <= -row[-1][1]:
+        ends = self.ends
+        out: list = [[] for _ in range(self.n)]  # row -> its arrows, in id order
+        for a in self.arrows:
+            out[ends[a][0]].append(a)
+        owner: list = [None] * self.n  # column -> its matched arrow
+        matched: list = [None] * self.n  # row -> its matched column
+        closed = [False] * self.n  # by column; a closed row is matched to a closed column
+
+        def augment(start: int, reached) -> bool:
+            """Flip a shortest path of open columns from row start to the first column where reached(column) holds."""
+            via: dict = {}  # column -> the arrow the search reached it by
+            rows = [start]
+            for i in rows:  # grows while it is read
+                for a in out[i]:
+                    j = ends[a][1]
+                    if j in via or closed[j]:
+                        continue
+                    via[j] = a
+                    if reached(j):
+                        # each column on the path takes the arrow that reached it
+                        while True:
+                            i = ends[via[j]][0]
+                            owner[j], matched[i], j = via[j], j, matched[i]
+                            if i == start:
+                                return True
+                    rows.append(ends[owner[j]][0])
+            return False
+
+        for r in range(self.n):
+            if not augment(r, lambda j: owner[j] is None):
+                return None
+        for a in self.arrows:
+            i, j = ends[a]
+            if closed[j] or closed[matched[i]]:
+                continue
+            if owner[j] != a:
+                # owner[j] is never parallel to a: each search reaches a column
+                # first through the least-id arrow from a row, so a parallel
+                # owner[j] precedes a and was walked first, and it joined,
+                # closing j, since a refused arrow is in no matching found.
+                # No rank floor is needed either: a refused arrow lies in no
+                # perfect matching of the open part, which only shrinks, so
+                # no path found holds one.
+                target = matched[i]
+                if not augment(ends[owner[j]][0], lambda c: c == target):
                     continue
-                row.pop()
-            row.append((j, -weight[a]))
-            pick[i, j] = a
-        found = _hungarian(pairs)
-        if found is None:
-            return None
-        match, u, v = found
-        if sorted(match) != list(range(self.n)) or any((i, j) not in pick for i, j in enumerate(match)):
-            raise DimerError(f"query {label}: the solver returned no perfect matching")
-        edges = frozenset(pick[i, j] for i, j in enumerate(match))
-        self._check(edges, u, v, weight, label)
-        return edges
+                owner[j], matched[i] = a, j
+            closed[j] = True
+        return frozenset(owner)
 
     def certify(self, edges: frozenset, weight: dict, label) -> set | None:
         """The arrows tight under potentials that prove ``edges`` a perfect matching of greatest weight.
@@ -472,10 +439,14 @@ class _MatchingOracle:
         graph (Bellman-Ford, at most n rounds): an arrow a off the matching,
         from row i to the column of row k's matched arrow m_k, is an arc
         k -> i of gain weight[a] - weight[m_k].  The column of m_k takes
-        weight[m_k] - u[k], so every matched arrow is tight.  The potentials
-        are then checked as ``best`` checks the solver's (``_check``); a
-        heavier matching is a cycle of positive gain, which leaves some arrow
-        violated however the rounds end.
+        weight[m_k] - u[k], so every matched arrow is tight.  A heavier
+        matching is a cycle of positive gain, which leaves some arrow violated
+        however the rounds end.
+
+        The proof is LP duality: u[i] + v[j] >= weight[a] on every arrow a
+        from row i to column j, and the matching's weight equals
+        sum(u) + sum(v); DimerError otherwise.  Every optimal matching then
+        uses only the tight arrows, u[i] + v[j] == weight[a].
         """
         col = {}  # column -> (its matched row, the matched arrow's weight)
         for a in edges:
@@ -501,15 +472,6 @@ class _MatchingOracle:
         v = [0] * self.n
         for j, (k, wk) in col.items():
             v[j] = wk - u[k]
-        return self._check(edges, u, v, weight, label)
-
-    def _check(self, edges: frozenset, u: list, v: list, weight: dict, label) -> set:
-        """The tight arrows, u[i] + v[j] == weight[a]; DimerError unless (u, v) proves ``edges`` optimal.
-
-        The proof is LP duality: u[i] + v[j] >= weight[a] on every arrow a
-        from row i to column j, and the matching's weight equals
-        sum(u) + sum(v).  Every optimal matching then uses only tight arrows.
-        """
         bound = {a: u[i] + v[j] for a, (i, j) in self.ends.items()}
         violated = sum(1 for a in self.arrows if bound[a] < weight[a])
         total = sum(weight[a] for a in edges)
@@ -587,7 +549,7 @@ def _zigzag_corners(d: Dimer, normals: list) -> list:
 def matching_polytope(d: Dimer) -> MatchingPolytope:
     """Convex hull of matching heights with the class <-> edge correspondence.
 
-    Built from P0, the one solve, and the corners of the zigzag rule, each
+    Built from P0, found once, and the corners of the zigzag rule, each
     certified by potentials (see the module docstring); no matching is
     enumerated.
     """
@@ -735,7 +697,8 @@ def _free_arrows(d: Dimer) -> list:
     number plus one.
     """
     arrows = d.arrow_ids
-    ends = {a: (d.pos_face_of(a), d.neg_face_of(a)) for a in arrows}
+    pos_face, neg_face = _face_structure(d)[:2]
+    ends = {a: (pos_face[a], neg_face[a]) for a in arrows}
     at_face: dict = {}
     for a in arrows:
         for f in ends[a]:
@@ -786,11 +749,9 @@ def _alternating_arcs(d: Dimer, p0: frozenset) -> list:
     arrow back.  A directed cycle C alternates between P0 and the rest, so
     P0 minus C plus the rest of C is again a perfect matching, P0 Δ C.
     """
-    arcs = []
-    for a in d.arrow_ids:
-        pos, neg = d.pos_face_of(a), d.neg_face_of(a)
-        arcs.append((a, pos, neg) if a in p0 else (a, neg, pos))
-    return arcs
+    pos_face, neg_face = _face_structure(d)[:2]
+    ends = ((a, pos_face[a], neg_face[a]) for a in d.arrow_ids)
+    return [(a, pos, neg) if a in p0 else (a, neg, pos) for a, pos, neg in ends]
 
 
 def _strong_components(out: list, arcs: list) -> list:
@@ -914,7 +875,7 @@ def matching_basis(d: Dimer) -> MatchingBasis:
     those of every matching (Lovász and Plummer, *Matching Theory*).  The
     cycles of ``_ear_cycles`` span the cycle space and are independent, and
     so are P0 (face sum 1) and the differences P0 Δ C - P0 (face sum 0), so
-    the rank is exact with no solve beyond P0's: it falls below dim W exactly
+    the rank is exact with no search beyond P0's: it falls below dim W exactly
     when some arrow lies on no alternating cycle.  Points of W are read in
     the coordinates of ``_free_arrows``.
     """

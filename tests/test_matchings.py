@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 from dataclasses import dataclass
+from heapq import heappop, heappush
 import itertools
 import json
 import random
@@ -344,6 +345,10 @@ def test_unequal_face_counts_have_no_perfect_matching(pos, neg):
     d = uneven_dimer(pos, neg)
     assert d.validate().ok
     assert enumerate_perfect_matchings(d) == [] == brute_force_matchings(d)
+    assert kasteleyn_count(d) == 0
+    for build in (matching_polytope, matching_basis):
+        with pytest.raises(DimerError, match="dimer has no perfect matching"):
+            build(uneven_dimer(pos, neg))
 
 
 def test_height_of_reference_is_zero(dimers):
@@ -536,6 +541,109 @@ def check_hull_of_every_matching(d):
     assert sum(len(ps) for ps in mp.points.values()) == len(every)
 
 
+def hungarian(pairs: list) -> tuple | None:
+    """Hungarian method on the present pairs alone: pairs[i] lists row i's (column, -weight).
+
+    The max-weight reference that P0 and the corners are checked against.
+    Returns ``(match, u, v)``: row i is matched to column ``match[i]`` in a
+    perfect matching of greatest total weight, and the integer potentials
+    satisfy u[i] + v[j] >= weight on every present pair (i, j), with
+    equality on the matching.  Returns None when no perfect matching exists.
+
+    Works in the cost form (cost = -weight) of the shortest-augmenting-path
+    algorithm, with exact integers throughout: each row is added by Dijkstra
+    on the reduced costs of the present pairs, with a heap, and the columns
+    it settled have their potentials moved once, when it ends.  With E
+    present pairs that is O(n (n + E log E)) in all, against O(n^3) for the
+    textbook loop that scans every column at each step.
+
+    Ties are broken as that loop breaks them, so the answer is the same
+    (match, u, v): among the columns of least tentative distance the least
+    column is settled first, and a column keeps the first settled row that
+    reached it at its least distance.
+    """
+    n = len(pairs)
+    u = [0] * n  # cost-form row potentials
+    v = [0] * n  # cost-form column potentials
+    owner = [-1] * n  # row matched to each column, -1 if free
+    for r in range(n):
+        dist: list = [None] * n  # column -> least distance found so far from row r
+        way = [-1] * n  # column -> the settled column whose row reached it; -1 for row r
+        done = [False] * n  # settled for good, as the textbook loop's used columns
+        settled = []  # the owned columns settled, in order
+        heap: list = []
+        i, di, j0 = r, 0, -1
+        while True:
+            base = di - u[i]
+            for j, c in pairs[i]:
+                if done[j]:
+                    continue
+                t = base + c - v[j]
+                dj = dist[j]
+                if dj is None or t < dj:
+                    dist[j], way[j] = t, j0
+                    heappush(heap, (t, j))
+            while heap:
+                dj, j = heappop(heap)
+                if dist[j] == dj:  # a stale entry has a distance since lowered
+                    break
+            else:
+                return None
+            if owner[j] < 0:
+                break
+            done[j] = True
+            settled.append(j)
+            i, di, j0 = owner[j], dj, j
+        # potentials: each settled column moves by how much sooner it was reached
+        u[r] += dj
+        for k in settled:
+            s = dj - dist[k]
+            u[owner[k]] += s
+            v[k] -= s
+        while j >= 0:
+            j1 = way[j]
+            owner[j] = owner[j1] if j1 >= 0 else r
+            j = j1
+    match = [0] * n
+    for j, i in enumerate(owner):
+        match[i] = j
+    return match, [-x for x in u], [-x for x in v]
+
+
+def solver_rows(oracle, weight: dict) -> tuple:
+    """(rows, pick): ``hungarian``'s rows of (column, -weight) for an oracle's arrows, and (row, column) -> arrow.
+
+    Each row lists one pair per column its arrows reach, in column order;
+    among parallel arrows of a face pair the heaviest, then the least id, is
+    the pair's arrow.
+    """
+    rows: list = [[] for _ in range(oracle.n)]
+    pick: dict = {}
+    for a in sorted(oracle.arrows, key=oracle.ends.__getitem__):  # in id order among parallel arrows
+        i, j = oracle.ends[a]
+        row = rows[i]
+        if row and row[-1][0] == j:  # a parallel arrow: the heaviest, then the least id
+            if weight[a] <= -row[-1][1]:
+                continue
+            row.pop()
+        row.append((j, -weight[a]))
+        pick[i, j] = a
+    return rows, pick
+
+
+def max_weight(oracle, weight: dict) -> tuple:
+    """(arrows, u, v): a perfect matching of greatest weight by ``hungarian``, and its potentials."""
+    rows, pick = solver_rows(oracle, weight)
+    match, u, v = hungarian(rows)
+    return frozenset(pick[i, j] for i, j in enumerate(match)), u, v
+
+
+def rank_weights(oracle) -> dict:
+    """arrow -> 2^(|Q1| - 1 - rank): the weights under which P0 is the heaviest matching."""
+    top = len(oracle.arrows) - 1
+    return {a: 1 << (top - r) for r, a in enumerate(oracle.arrows)}
+
+
 def sparse(w: list) -> list:
     """The solver's rows of (column, -weight) of a weight matrix; None marks a missing pair."""
     return [[(j, -x) for j, x in enumerate(row) if x is not None] for row in w]
@@ -551,7 +659,7 @@ def test_max_weight_matching_against_brute_force():
             for perm in itertools.permutations(range(n))
             if all(w[i][perm[i]] is not None for i in range(n))
         ]
-        found = matchings._hungarian(sparse(w))
+        found = hungarian(sparse(w))
         if not totals:
             assert found is None
             continue
@@ -634,7 +742,7 @@ def test_max_weight_matching_gives_the_dense_answer():
         w = [[rng.randint(-scale, scale) if rng.random() < density else None for _ in range(n)] for _ in range(n)]
         if rng.random() < 0.1:
             w[rng.randrange(n)] = [None] * n  # a row with no pair
-        found = matchings._hungarian(sparse(w))
+        found = hungarian(sparse(w))
         assert found == parent_max_weight_matching(w), w
         solved += found is not None
     assert 1000 < solved < 4000  # both outcomes are well represented
@@ -642,25 +750,37 @@ def test_max_weight_matching_gives_the_dense_answer():
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
 @pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
-def test_every_oracle_query_gets_the_dense_answer(name, k, l, seed, covers, monkeypatch):
-    queries = []
-    original = matchings._hungarian
+def test_every_oracle_query_gets_the_dense_answer(name, k, l, seed, covers):
+    # the one query, P0's, plain and mirrored: the search's answer is the
+    # Hungarian one under 2^rank weights, which the dense loop gives too, and
+    # the first matching enumerated
+    for mirror in (False, True):
+        d = zoo_dimer(covers, name, k, l, seed, mirror)
+        oracle = matchings._oracle(d)
+        rows, pick = solver_rows(oracle, rank_weights(oracle))
+        found = hungarian(rows)
+        assert found == parent_max_weight_matching(dense(rows))
+        solved = frozenset(pick[i, j] for i, j in enumerate(found[0]))
+        assert matchings._reference(d) == solved == enumerate_perfect_matchings(d)[0].edges
 
-    def checked(pairs):
-        # one pair per column a row reaches, in column order
-        assert all([j for j, _ in row] == sorted({j for j, _ in row}) for row in pairs)
-        w = dense(pairs)
-        queries.append(w)
-        found = original(pairs)
-        assert found == parent_max_weight_matching(w)
-        return found
 
-    monkeypatch.setattr(matchings, "_hungarian", checked)
+@pytest.mark.parametrize("seed", [None, 0])
+@pytest.mark.parametrize("name,k,l", [("c3", 10, 11), ("spp", 5, 4), ("conifold", 6, 5)])
+def test_p0_of_large_covers_is_the_hungarian_answer(name, k, l, seed, covers):
+    # beyond the reach of enumeration
     d = zoo_dimer(covers, name, k, l, seed)
-    matching_polytope(d)
-    matching_basis(d)
-    # P0 alone: the corners come from the zigzag rule, and the basis reuses P0
-    assert len(queries) == 1
+    oracle = matchings._oracle(d)
+    assert matchings._reference(d) == max_weight(oracle, rank_weights(oracle))[0]
+
+
+def test_least_is_none_when_halls_condition_fails():
+    # two rows and two columns, but every arrow reaches column 0
+    oracle = object.__new__(matchings._MatchingOracle)
+    oracle.arrows, oracle.n = ("a", "b", "c"), 2
+    oracle.ends = {"a": (0, 0), "b": (1, 0), "c": (0, 0)}
+    assert oracle.least() is None
+    oracle.ends["c"] = (0, 1)  # now a matching exists, and b must be in it
+    assert oracle.least() == frozenset("bc")
 
 
 def perfect_on(oracle, arrows: list) -> frozenset | None:
@@ -703,12 +823,7 @@ def perfect_on(oracle, arrows: list) -> frozenset | None:
 
 def solver_tight(oracle, weight: dict) -> set:
     """The arrows tight under the Hungarian potentials of the max-weight query for ``weight``."""
-    solved = []
-    original = matchings._hungarian
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matchings, "_hungarian", lambda pairs: solved.append(original(pairs)) or solved[-1])
-        oracle.best(weight, "oracle")
-    _, u, v = solved[0]
+    _, u, v = max_weight(oracle, weight)
     return {a for a in oracle.arrows if u[oracle.ends[a][0]] + v[oracle.ends[a][1]] == weight[a]}
 
 
@@ -780,29 +895,15 @@ def test_polytope_of_large_covers(name, k, l, covers, tmp_path):
 
 
 def test_non_optimal_solver_answer_fails_the_dual_certificate(monkeypatch):
-    # the one query, P0's, gets a strictly lighter perfect matching with the
-    # optimal potentials
-    original = matchings._hungarian
-    calls, swapped = [], []
-
-    def lighter(pairs):
-        w = dense(pairs)
-        calls.append(w)
-        match, u, v = original(pairs)
-        if not swapped:
-            n = len(w)
-            best = sum(w[i][match[i]] for i in range(n))
-            for perm in itertools.permutations(range(n)):
-                if all(w[i][perm[i]] is not None for i in range(n)):
-                    if sum(w[i][perm[i]] for i in range(n)) < best:
-                        swapped.append(len(calls))
-                        return list(perm), u, v
-        return match, u, v
-
-    monkeypatch.setattr(matchings, "_hungarian", lighter)
+    # the search for P0 returns a strictly lighter perfect matching, spp's
+    # second enumerated, and then a set one arrow short of it
+    lighter = enumerate_perfect_matchings(load_bundled("spp"))[1].edges
+    monkeypatch.setattr(matchings._MatchingOracle, "least", lambda _: lighter)
     with pytest.raises(DimerError, match="query P0: .* not certified optimal"):
         matching_polytope(load_bundled("spp"))
-    assert swapped == [1]
+    monkeypatch.setattr(matchings._MatchingOracle, "least", lambda _: frozenset(sorted(lighter)[1:]))
+    with pytest.raises(DimerError, match="query P0: the search returned no perfect matching"):
+        matching_basis(load_bundled("spp"))
 
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
@@ -980,12 +1081,18 @@ def test_an_extra_or_short_zigzag_class_fails_the_edge_certificate(name, monkeyp
         matching_polytope(load_bundled(name))
 
 
+def counted_searches(monkeypatch) -> list:
+    """A list that grows by one at each ``_MatchingOracle.least`` call, from now on."""
+    calls = []
+    least = matchings._MatchingOracle.least
+    monkeypatch.setattr(matchings._MatchingOracle, "least", lambda self: calls.append(1) or least(self))
+    return calls
+
+
 @pytest.mark.parametrize("name,k,l", [("c3", 1, 1), ("conifold", 1, 1), ("spp", 1, 1), ("conifold", 4, 3)])
 def test_polytope_makes_one_solve_per_dimer(name, k, l, covers, monkeypatch):
     d = zoo_dimer(covers, name, k, l)
-    calls = []
-    original = matchings._hungarian
-    monkeypatch.setattr(matchings, "_hungarian", lambda pairs: calls.append(pairs) or original(pairs))
+    calls = counted_searches(monkeypatch)
     assert len(matching_polytope(d).edges) == len(parallel_classes(d)) >= 3
     assert len(calls) == 1  # P0; every corner comes from the zigzag rule
 
@@ -1119,12 +1226,10 @@ def test_span_rank_against_gram_determinants():
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
 @pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
 def test_matching_basis_is_p0_and_its_ear_cycle_flips(name, k, l, seed, covers, monkeypatch):
-    solves = []
-    original = matchings._hungarian
-    monkeypatch.setattr(matchings, "_hungarian", lambda pairs: solves.append(1) or original(pairs))
+    solves = counted_searches(monkeypatch)
     d = zoo_dimer(covers, name, k, l, seed)
     basis = matching_basis(d)
-    # the one solve is the P0 query, which the polygon then reads from the cache
+    # the one search is P0's, which the polygon then reads from the cache
     assert len(solves) == 1
     mp = matching_polytope(d)
     assert len(solves) == 1
