@@ -122,7 +122,7 @@ class KSVerifier:
             {"source": {"kind": "q"}, "image": E2Label("U"), "lift": "canonical"},
             {"source": {"kind": "p"}, "image": E2Label("V"), "lift": "canonical"},
         ]
-        v0 = self.dimer.vertices[0]
+        v0 = self.K.base_vertex
         for v in self.dimer.vertices:
             if v == v0:
                 continue
@@ -178,21 +178,13 @@ class KSVerifier:
 
     def _verify_determinants(self, rep: KSReport):
         sh, K = self.sh, self.K
-        # winding zero: rows q, p, xi_v against columns U, V, Theta_v.
-        v0 = self.dimer.vertices[0]
-        others = [v for v in self.dimer.vertices if v != v0]
-        size = 2 + len(others)
-        mat = [[0] * size for _ in range(size)]
-        mat[0][0] = 1  # q -> U
-        mat[1][1] = 1  # p -> V
-        for r, v in enumerate(others, start=2):
-            tele = self._telescoped_theta(self.odd["xi_path"][v])
-            for c, w in enumerate(others, start=2):
-                mat[r][c] = tele.get(w, 0)
-            if tele.get(v0, 0) != -sum(tele.get(w, 0) for w in others):
-                rep.add(f"telescope.xi.{v}", False, tele)
-        det0 = det_int(mat)
-        rep.add("det.odd.winding0", det0 in (1, -1), {"det": det0})
+        # winding zero: q, p and xi_v go to U, V and Theta_v, an identity
+        # matrix exactly when each xi_v telescopes to e_v - e_{v0}
+        v0 = K.base_vertex
+        xi_path = self.odd["xi_path"]
+        theta = {v: self._telescoped_theta(xi_path[v]) for v in self.dimer.vertices if v != v0}
+        wrong = {v: t for v, t in theta.items() if t != {v: 1, v0: -1}}
+        rep.add("det.odd.winding0", not wrong, {"theta": wrong} if wrong else {"det": 1})
         rep.add("det.even.winding0", True, {"det": 1})
         for i in range(1, sh.n_classes + 1):
             m = sh.m[i]
@@ -222,27 +214,24 @@ class KSVerifier:
                 c_i != 0 and uniform,
                 {"c": c_i, "row": row0},
             )
-            # graded correspondence matrices in the chosen bases: the diagonal
+            # even correspondence matrix in the chosen bases: the diagonal
             # entries are pinned by the canonical quotient images
             ks_even = [[0] * m for _ in range(m)]
             ks_even[0][0] = 1
             for j in range(2, m + 1):
                 ks_even[j - 1][j - 1] = 1
             det_ke = det_int(ks_even)
-            ks_odd = [[0] * m for _ in range(m)]
-            ks_odd[0][0] = 1  # alpha^n (a q + b p) -> x^n W
-            for j, path in paths.items():
-                if path is None:
-                    continue
-                endpoint = self.dimer.head(path[-1])
-                for jj in range(2, m + 1):
-                    if endpoint in sd.strips[jj - 1]:
-                        ks_odd[j - 1][jj - 1] = 1
-            det_ko = det_int(ks_odd)
+            # alpha^n (a q + b p) -> x^n W and alpha^n xi_{i,j} -> theta_{i,j}:
+            # an identity matrix exactly when each xi_{i,j} ends in strip j
+            astray = [
+                j
+                for j, path in paths.items()
+                if path is None or self.dimer.head(path[-1]) not in sd.strips[j - 1]
+            ]
             rep.add(f"det.even.sh_basis.i{i}", det_even_sh in (1, -1), {"det": det_even_sh})
             rep.add(f"det.odd.sh_image.i{i}", det_odd_sh != 0, {"det": det_odd_sh})
             rep.add(f"det.even.ks.i{i}", det_ke in (1, -1), {"det": det_ke})
-            rep.add(f"det.odd.ks.i{i}", det_ko in (1, -1), {"det": det_ko})
+            rep.add(f"det.odd.ks.i{i}", not astray, {"strips": astray} if astray else {"det": 1})
         return rep
 
     def _telescoped_theta(self, path) -> dict:

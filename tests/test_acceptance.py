@@ -120,7 +120,10 @@ def test_criterion_6_ks_dimension_theorem(verifiers):
         for c in rep.checks:
             if c.name.startswith("det.") and "sh_image" not in c.name:
                 ok = ok and c.detail["det"] in (1, -1)
-    verdict(6, ok, "even/odd counts match on every class (they do not depend on the winding); correspondence matrices unimodular")
+            # checked as identities: each xi_v and xi_{i,j} goes to its own image
+            if c.name == "det.odd.winding0" or c.name.startswith("det.odd.ks."):
+                ok = ok and c.detail == {"det": 1}
+    verdict(6, ok, "even/odd counts match on every class (they do not depend on the winding); winding-0 and strip-image maps are identities, the rest unimodular")
 
 
 def test_criterion_7_singularity_report(verifiers):

@@ -489,3 +489,65 @@ def test_a_xi_path_into_the_wrong_strip_fails_the_odd_determinants(lattice_cover
     failed = {c.name for c in rep.checks if c.status == FAIL}
     assert failed == {"det.odd.ks.i2", "det.odd.ks.i4", "det.odd.sh_image.i2", "det.odd.sh_image.i4"}
     assert all(c.status in (PASS, SKIP) for c in rep.checks if c.name not in failed)
+
+
+# -- the winding-zero and strip-image rows as identities -------------------------
+
+XI_ZOO = [("conifold", 1, 1), ("spp", 1, 1), ("conifold", 4, 1), ("spp", 2, 1), ("c3", 4, 5)]
+
+
+def zoo_verifier(name, k, l, lattice_cover) -> KSVerifier:
+    # the bundled c3 has one vertex and no xi_v, so its 4x5 cover stands in
+    d = load_bundled(name) if (k, l) == (1, 1) else cover_dimer(lattice_cover, name, k, l)
+    return KSVerifier(d)
+
+
+@pytest.mark.parametrize("name,k,l", XI_ZOO)
+def test_negated_telescoped_thetas_fail_the_winding_zero_row(name, k, l, lattice_cover, monkeypatch):
+    # every xi_v telescoped to e_{v0} - e_v: -1 times the identity is still
+    # unimodular, but no xi_v goes to its Theta_v
+    telescoped = KSVerifier._telescoped_theta
+
+    def negated(self, path):
+        return {v: -c for v, c in telescoped(self, path).items()}
+
+    monkeypatch.setattr(KSVerifier, "_telescoped_theta", negated)
+    v = zoo_verifier(name, k, l, lattice_cover)
+    rep = v.verify_all()
+    failed = [c for c in rep.checks if c.status == FAIL]
+    assert [c.name for c in failed] == ["det.odd.winding0"]
+    v0 = v.K.base_vertex
+    assert failed[0].detail == {"theta": {u: {u: -1, v0: 1} for u in v.dimer.vertices if u != v0}}
+
+
+@pytest.mark.parametrize("name,k,l", XI_ZOO)
+def test_a_xi_path_without_its_first_arrow_fails_the_winding_zero_row(name, k, l, lattice_cover):
+    # the longest xi_v now starts one arrow after the base vertex, so it
+    # telescopes to e_v minus that arrow's head, or to 0 if it had one arrow
+    v = zoo_verifier(name, k, l, lattice_cover)
+    paths = v.odd["xi_path"]
+    longest = max(v.dimer.vertices, key=lambda u: len(paths[u]))
+    first, *rest = paths[longest]
+    v.odd = {**v.odd, "xi_path": {**paths, longest: tuple(rest)}}
+    rep = v.verify_all()
+    failed = [c for c in rep.checks if c.status == FAIL]
+    assert [c.name for c in failed] == ["det.odd.winding0"]
+    expected = {longest: 1, v.dimer.head(first): -1} if rest else {}
+    assert failed[0].detail == {"theta": {longest: expected}}
+
+
+@pytest.mark.parametrize("name,k,l", [("c3", 4, 5), ("conifold", 4, 1)])
+def test_verify_takes_no_determinant_larger_than_a_class(name, k, l, lattice_cover, monkeypatch):
+    # the winding-zero and strip-image matrices are identities and are not
+    # built; what is left is m_i-square (the Kasteleyn count reads its own)
+    v = zoo_verifier(name, k, l, lattice_cover)
+    sizes = []
+    det = ks.det_int
+
+    def recorded(mat):
+        sizes.append(len(mat))
+        return det(mat)
+
+    monkeypatch.setattr(ks, "det_int", recorded)
+    assert v.verify_all().passed
+    assert sizes and max(sizes) <= max(v.sh.m.values()), sizes
