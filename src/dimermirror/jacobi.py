@@ -27,7 +27,6 @@ from .dimer import (
     idkey,
     tree_paths,
     vec_add,
-    vec_sub,
 )
 from .matchings import (
     MatchingPolytope,
@@ -93,11 +92,9 @@ class Jacobi:
         self.dimer = d
         self.poly: MatchingPolytope = matching_polytope(d)
         self.corners = corner_matchings_in_order(self.poly)  # P_1 ... P_N
-        self.ref = self.corners[0]  # reference corner P*
-        # height of P_i minus height of P*, used in the degree formula
-        self.corner_offsets = [
-            vec_sub(p.height, self.ref.height) for p in self.corners
-        ]
+        self.ref = self.corners[0]  # reference corner P* = P_1, at height (0, 0)
+        # height of P_i, measured from P*, used in the degree formula
+        self.corner_offsets = [p.height for p in self.corners]
         self.realize_cap = realize_cap if realize_cap is not None else 4 * len(d.arrows)
         # tree paths from the base vertex, for the open-path degree correction
         self._tree_paths = tree_paths(d)
@@ -109,10 +106,10 @@ class Jacobi:
     def _phi(self, matching: PerfectMatching) -> dict:
         """Vertex potential of the cochain (P - P*) minus its harmonic part, for P with its height.
 
-        On an open path p the cochain evaluates to <height(P) - height(P*),
-        h1(p)> + phi(head) - phi(tail); on loops the correction cancels.
+        On an open path p the cochain evaluates to <height(P), h1(p)> +
+        phi(head) - phi(tail), P* being at height (0, 0); on loops the
+        correction cancels.
         """
-        off = vec_sub(matching.height, self.ref.height)
         phi = {}
         for v, path in self._tree_paths.items():
             val = 0
@@ -120,7 +117,7 @@ class Jacobi:
                 val += sgn * (
                     (1 if aid in matching.edges else 0) - (1 if aid in self.ref.edges else 0)
                 )
-            phi[v] = val - dot(off, self.dimer.path_shift(path))
+            phi[v] = val - dot(matching.height, self.dimer.path_shift(path))
         return phi
 
     def class_degree(self, cls: PathClass, corner_index: int) -> int:

@@ -199,14 +199,11 @@ class KSVerifier:
             qvec = sh.odd_pairing_vector(self.odd["q"], i)
             row0 = [a * qv + b * pv for qv, pv in zip(qvec, pvec)]
             c_i = row0[0]
-            odd_rows = [row0]
             sd = K.strips[i]
             paths = self.strip_paths[i]
-            for j, path in paths.items():
-                if path is None:
-                    rep.add(f"xi_path.i{i}.j{j}", False, "no zigzag path into the strip")
-                    continue
-                odd_rows.append(sh.odd_pairing_vector(self.sh.xi_from_path(path), i))
+            # a strip with no path leaves its row out, and det.odd.ks names it
+            odd_rows = [row0]
+            odd_rows += (sh.odd_pairing_vector(sh.xi_from_path(p), i) for p in paths.values() if p is not None)
             det_odd_sh = det_int(odd_rows) if len(odd_rows) == m else 0
             uniform = all(x == c_i for x in row0)
             rep.add(

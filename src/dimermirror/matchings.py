@@ -3,18 +3,14 @@
 A perfect matching picks one arrow on every face: it is a perfect matching
 of the bipartite graph whose two sides are the positive and the negative
 faces and whose edges are the arrows.  Its height is its class in H^1
-relative to the reference matching P0: the dual of the homology class of
-the bipartite cycle P - P0.
+relative to the reference matching P_1, the corner at the start of zigzag
+class 1's edge: the dual of the homology class of the bipartite cycle
+P - P_1.  P_1 is read off the zigzag directions, so relabelling the dimer
+moves no height.
 
-``matching_polytope`` never lists the matchings, and it solves no weighted
-problem:
+The corners are built once per dimer (``_corners``), with no matching listed
+and no weighted problem solved:
 
-* P0 is the least matching in sorted-id order, found once per dimer
-  (``_reference``) with no weights by ``_MatchingOracle.least``: any perfect
-  matching by augmenting paths, then the arrows in id order, each joining
-  when an alternating cycle among the faces still open runs through it.  P0
-  maximises sum 2^(|Q1| - 1 - rank(a)), and potentials certify that as they
-  certify the corners.
 * The polygon's edges are the zigzag classes (``zigzag_classes``, which
   leaves each class's cycles unordered): edge i has outward normal -eta_i
   and lattice length m_i (Gulotta, arXiv:0807.3012).  The normals nu_k are
@@ -26,10 +22,10 @@ problem:
 * Nothing is taken on trust.  Each corner must be a perfect matching.
   Normal k is certified from corner k alone (``_MatchingOracle.certify``):
   Bellman-Ford on the corner's exchange graph gives integer potentials, and
-  LP duality checks them as it checks P0's.  Corner k must then be tight
-  for normal k - 1 too, so it is optimal for both of its normals, and the
-  absence of an alternating cycle among the arrows tight for both proves
-  it the only matching at its height.
+  LP duality checks them.  Corner k must then be tight for normal k - 1 too,
+  so it is optimal for both of its normals, and the absence of an
+  alternating cycle among the arrows tight for both proves it the only
+  matching at its height.
 * Each pair of consecutive corners spans an edge of the normal between them
   (both are optimal for it), which must have lattice length m_i.  The
   corners are then realized heights at every vertex of the intersection of
@@ -39,31 +35,31 @@ problem:
 A wrong normal or a wrong corner raises ``DimerError`` instead of shrinking
 the hull: a rule set that is no perfect matching, a certificate that fails,
 two consecutive normals with no common optimum, or a corner where an edge
-should be.
+should be.  ``matching_polytope`` assembles the polygon from the corners on
+each call and is not kept: it holds its dimer.
 
 Heights come from one table per dimer, ``arrow_classes``, whose entries
 are also the weights of the certificates.  Each arrow's entry is read off the
 shift prefixes of the arrow in the stored boundaries of its two faces, one
 pass over the faces (Kenyon, Okounkov and Sheffield, math-ph/0311005).  A
-matching's height is the sum of its arrows' entries minus that of P0, which
-is summed once; ``MatchingPolytope.height`` reads the same table.  Before
-the table is built, ``_check_marking`` refuses shifts whose cycles miss the
-class (1, 0) or (0, 1) of the torus.
+matching's height is the sum of its arrows' entries minus that of P_1;
+``MatchingPolytope.height`` reads the same table.  Before the table is
+built, ``_check_marking`` refuses shifts whose cycles miss the class (1, 0)
+or (0, 1) of the torus.
 
 Two more polynomial computations stand in for the list of all matchings:
 
 * ``matching_basis`` returns matchings whose indicator vectors span those of
   every matching, which all lie in W = {x in Z^Q1 : every face sum equal}, of
-  dimension |Q0| + 2: P0, and P0 Δ C for one directed cycle C of P0's
-  alternating digraph per ear of its ear decomposition.  It searches for
-  nothing beyond P0, and its rank is exact by construction.  A linear
-  identity that holds on the basis holds on every matching.
+  dimension |Q0| + 2: P_1, and P_1 Δ C for one directed cycle C of P_1's
+  alternating digraph per ear of its ear decomposition.  Its rank is exact by
+  construction.  A linear identity that holds on the basis holds on every
+  matching.
 * ``kasteleyn_count`` counts the matchings from four determinants of a
   Kasteleyn-signed matrix (Kenyon, Okounkov and Sheffield).
 
-The oracle is built once per dimer and shared by the polygon and the count,
-and so is the table; P0, found once, is shared by the polygon and the
-basis.
+The oracle and the table are built once per dimer and shared by the corners
+and the count; the corners are shared by the polygon and the basis.
 Enumeration (``enumerate_perfect_matchings``, once per dimer) still runs for
 ``MatchingPolytope.points``, read on first use by the ``matchings`` listing
 (which refuses dimers above ``ENUMERATION_GATE``) and by
@@ -107,7 +103,7 @@ class PerfectMatching(_Frozen):
 
     def __init__(self, edges: frozenset, height: Vec | None = None):
         _set(self, "edges", edges)
-        _set(self, "height", height)  # class of (P - P0) in H^1, once assigned
+        _set(self, "height", height)  # class of (P - P_1) in H^1, once assigned
 
     def key(self):
         return tuple(sorted(self.edges, key=idkey))
@@ -153,8 +149,8 @@ class MatchingPolytope(_Record):
         self.normalized_area = normalized_area  # twice the Euclidean area
         self.dimer = dimer
         self.arrow_class = arrow_class  # arrow -> its height entry, the table arrow_classes(dimer)
-        self.reference = reference  # P0, at height (0, 0)
-        self.reference_class = reference_class  # _class_sum(P0.edges, arrow_class), taken once
+        self.reference = reference  # P_1, at height (0, 0)
+        self.reference_class = reference_class  # _class_sum(P_1.edges, arrow_class), taken once
         self._points = _points
 
     @property
@@ -169,7 +165,7 @@ class MatchingPolytope(_Record):
         return self._points
 
     def height(self, matching: PerfectMatching) -> Vec:
-        """Class of (matching - P0), read from the table the polytope was built with."""
+        """Class of (matching - P_1), read from the table the polytope was built with."""
         return vec_sub(_class_sum(matching.edges, self.arrow_class), self.reference_class)
 
 
@@ -226,14 +222,14 @@ def enumerate_perfect_matchings(d: Dimer) -> list[PerfectMatching]:
 
 @per_dimer
 def arrow_classes(d: Dimer) -> dict:
-    """arrow -> its entry in the height table: the class of P - P0 is the sum over P minus that over P0.
+    """arrow -> its entry in the height table: the class of P - P_1 is the sum over P minus that over P_1.
 
     A face's stored boundary, lifted to the plane from the tail of its first
     arrow, puts each arrow's tail at its shift prefix: the total shift of the
     arrows before it.  So s(a), a's prefix in its positive face minus its
     prefix in its negative face, is the translate between the lifts of the
-    two faces that a joins, and s summed over P minus P0 is the homology
-    class of the bipartite cycle P - P0 (Kenyon, Okounkov and Sheffield,
+    two faces that a joins, and s summed over P minus P_1 is the homology
+    class of the bipartite cycle P - P_1 (Kenyon, Okounkov and Sheffield,
     math-ph/0311005).  Its dual in H^1 is sigma * (-s_y, s_x), sigma being
     the orientation of the embedding (``_orientation``).  Computed once per
     dimer, after ``_check_marking``; the table is shared, so do not mutate it.
@@ -331,27 +327,8 @@ def _oracle(d: Dimer) -> "_MatchingOracle":
     return _MatchingOracle(d)
 
 
-@per_dimer
-def _reference(d: Dimer) -> frozenset:
-    """The arrows of P0, the least matching in sorted-id order, read by the polygon and the basis.
-
-    Found by ``_MatchingOracle.least`` and not taken on trust: P0 outweighs
-    every other matching under the weights 2^(|Q1| - 1 - rank(a)), and
-    ``certify`` proves it optimal under them.  Raises DimerError when the
-    dimer has no perfect matching.
-    """
-    oracle = _oracle(d)
-    found = oracle.least()
-    if found is None:
-        raise DimerError("dimer has no perfect matching")
-    top = len(oracle.arrows) - 1
-    if oracle.certify(found, {a: 1 << (top - r) for r, a in enumerate(oracle.arrows)}, "P0") is None:
-        raise DimerError("query P0: the search returned no perfect matching")
-    return found
-
-
 class _MatchingOracle:
-    """The perfect matchings of one dimer: the least one, and certificates of optimality.
+    """The perfect matchings of one dimer: certificates of optimality and of uniqueness.
 
     Rows are the positive faces and columns the negative faces; arrow a joins
     the row of its positive face to the column of its negative face.
@@ -366,70 +343,6 @@ class _MatchingOracle:
         self.n = len(pos) if len(pos) == len(neg) else None
         pos_face, neg_face = _face_structure(d)[:2]
         self.ends = {a: (row[pos_face[a]], col[neg_face[a]]) for a in self.arrows}
-
-    def least(self) -> frozenset | None:
-        """The least perfect matching in sorted-id order, or None if there is none.
-
-        Any perfect matching is found first, by augmenting paths, one
-        breadth-first search per row.  The arrows are then walked in id
-        order.  An arrow a from an open row i to an open column j joins when
-        an alternating cycle runs through it among the open rows: a path from
-        the row matched at j to the column matched at i.  The matching is
-        flipped along the cycle, and row i and column j close.  Otherwise a
-        is refused.  So a joins exactly when some perfect matching holds it
-        and every arrow joined before it, and the joined arrows are P0.
-        """
-        if self.n is None:
-            return None
-        ends = self.ends
-        out: list = [[] for _ in range(self.n)]  # row -> its arrows, in id order
-        for a in self.arrows:
-            out[ends[a][0]].append(a)
-        owner: list = [None] * self.n  # column -> its matched arrow
-        matched: list = [None] * self.n  # row -> its matched column
-        closed = [False] * self.n  # by column; a closed row is matched to a closed column
-
-        def augment(start: int, reached) -> bool:
-            """Flip a shortest path of open columns from row start to the first column where reached(column) holds."""
-            via: dict = {}  # column -> the arrow the search reached it by
-            rows = [start]
-            for i in rows:  # grows while it is read
-                for a in out[i]:
-                    j = ends[a][1]
-                    if j in via or closed[j]:
-                        continue
-                    via[j] = a
-                    if reached(j):
-                        # each column on the path takes the arrow that reached it
-                        while True:
-                            i = ends[via[j]][0]
-                            owner[j], matched[i], j = via[j], j, matched[i]
-                            if i == start:
-                                return True
-                    rows.append(ends[owner[j]][0])
-            return False
-
-        for r in range(self.n):
-            if not augment(r, lambda j: owner[j] is None):
-                return None
-        for a in self.arrows:
-            i, j = ends[a]
-            if closed[j] or closed[matched[i]]:
-                continue
-            if owner[j] != a:
-                # owner[j] is never parallel to a: each search reaches a column
-                # first through the least-id arrow from a row, so a parallel
-                # owner[j] precedes a and was walked first, and it joined,
-                # closing j, since a refused arrow is in no matching found.
-                # No rank floor is needed either: a refused arrow lies in no
-                # perfect matching of the open part, which only shrinks, so
-                # no path found holds one.
-                target = matched[i]
-                if not augment(ends[owner[j]][0], lambda c: c == target):
-                    continue
-                owner[j], matched[i] = a, j
-            closed[j] = True
-        return frozenset(owner)
 
     def certify(self, edges: frozenset, weight: dict, label) -> set | None:
         """The arrows tight under potentials that prove ``edges`` a perfect matching of greatest weight.
@@ -546,19 +459,21 @@ def _zigzag_corners(d: Dimer, normals: list) -> list:
     return corners
 
 
-def matching_polytope(d: Dimer) -> MatchingPolytope:
-    """Convex hull of matching heights with the class <-> edge correspondence.
+@per_dimer
+def _corners(d: Dimer) -> tuple:
+    """(edges, corners): the polygon's edges from its least corner on, and height -> corner matching.
 
-    Built from P0, found once, and the corners of the zigzag rule, each
-    certified by potentials (see the module docstring); no matching is
-    enumerated.
+    Built once per dimer from the zigzag rule and certified by potentials
+    (see the module docstring); no matching is enumerated.  Heights are
+    measured from P_1, the corner at the start of class 1's edge, which sits
+    at (0, 0).  Holds arrow sets and heights, no dimer, and is shared by
+    ``matching_polytope`` and ``matching_basis``, so do not mutate it.
     """
     d.require_valid()
     oracle = _oracle(d)
-    p0 = PerfectMatching(_reference(d), (0, 0))
+    if oracle.n is None:
+        raise DimerError("dimer has no perfect matching")
     arrow_class = arrow_classes(d)
-    p0_class = _class_sum(p0.edges, arrow_class)
-
     classes = zigzag_classes(d)
     # edge k has outward normal -eta of class order[k]; counterclockwise
     order = sorted(range(len(classes)), key=lambda i: ccw_angle_key(vec_neg(classes[i][0])))
@@ -578,6 +493,7 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
                 f"the zigzag rule's {len(rule[k])} arrows are not a perfect matching"
             )
         tight.append(found)
+    origin = _class_sum(rule[order.index(0)], arrow_class)  # P_1's
     corner_at = []
     for k, arrows in enumerate(rule):
         both = tight[k - 1] & tight[k]
@@ -586,7 +502,7 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
                 f"normals {normals[k - 1]} and {normals[k]} share no corner: "
                 f"the zigzag rule's matching is not optimal for {normals[k - 1]}"
             )
-        h = vec_sub(_class_sum(arrows, arrow_class), p0_class)
+        h = vec_sub(_class_sum(arrows, arrow_class), origin)
         if not oracle.is_unique(arrows, both):
             raise DimerError(f"corner {h} carries more than one matching, expected exactly 1")
         corner_at.append(PerfectMatching(arrows, h))
@@ -608,23 +524,33 @@ def matching_polytope(d: Dimer) -> MatchingPolytope:
         edges.append(HullEdge(class_index=ci, normal=nu, start=a, end=b, lattice_length=length))
     # the hull starts at its least corner, as the monotone chain does
     s = min(range(len(edges)), key=lambda k: edges[k].start)
-    edges = edges[s:] + edges[:s]
+    return edges[s:] + edges[:s], {p.height: p for p in corner_at[s:] + corner_at[:s]}
+
+
+def matching_polytope(d: Dimer) -> MatchingPolytope:
+    """Convex hull of matching heights with the class <-> edge correspondence, P_1 at (0, 0).
+
+    Assembled on each call from the corners of ``_corners``, which are built
+    once per dimer.  The polygon itself is not kept on the dimer: it holds
+    the dimer, so keeping it would make every dimer a reference cycle.
+    """
+    edges, corners = _corners(d)
     hull = [e.start for e in edges]
-    corners = {p.height: p for p in corner_at[s:] + corner_at[:s]}
     boundary = sum(e.lattice_length for e in edges)
     twice_area = sum(cross(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull)))
-    interior = (twice_area - boundary + 2) // 2
+    arrow_class = arrow_classes(d)
+    p1 = corners[(0, 0)]
     return MatchingPolytope(
         hull=hull,
         edges=edges,
         boundary_count=boundary,
-        interior_count=interior,
+        interior_count=(twice_area - boundary + 2) // 2,
         corners=corners,
         normalized_area=twice_area,
         dimer=d,
         arrow_class=arrow_class,
-        reference=p0,
-        reference_class=p0_class,
+        reference=p1,
+        reference_class=_class_sum(p1.edges, arrow_class),
     )
 
 
@@ -722,7 +648,7 @@ def _coordinates(edges: frozenset, free: list) -> list:
 
 
 class MatchingBasis(_Record):
-    """P0 and its ear-cycle flips P0 Δ C (``matching_basis``), with independent indicators.
+    """P_1 and its ear-cycle flips P_1 Δ C (``matching_basis``), with independent indicators.
 
     The rank is their number, which equals ``dim_W`` exactly when they span
     every perfect matching's indicator; ``free`` gives the coordinates on W
@@ -742,16 +668,16 @@ class MatchingBasis(_Record):
         return len(self.matchings)
 
 
-def _alternating_arcs(d: Dimer, p0: frozenset) -> list:
-    """P0's alternating digraph on the face indices: (arrow, tail face, head face), in id order.
+def _alternating_arcs(d: Dimer, p1: frozenset) -> list:
+    """P_1's alternating digraph on the face indices: (arrow, tail face, head face), in id order.
 
-    P0's arrows run from their positive to their negative face, every other
-    arrow back.  A directed cycle C alternates between P0 and the rest, so
-    P0 minus C plus the rest of C is again a perfect matching, P0 Δ C.
+    P_1's arrows run from their positive to their negative face, every other
+    arrow back.  A directed cycle C alternates between P_1 and the rest, so
+    P_1 minus C plus the rest of C is again a perfect matching, P_1 Δ C.
     """
     pos_face, neg_face = _face_structure(d)[:2]
     ends = ((a, pos_face[a], neg_face[a]) for a in d.arrow_ids)
-    return [(a, pos, neg) if a in p0 else (a, neg, pos) for a, pos, neg in ends]
+    return [(a, pos, neg) if a in p1 else (a, neg, pos) for a, pos, neg in ends]
 
 
 def _strong_components(out: list, arcs: list) -> list:
@@ -867,23 +793,23 @@ def _ear_cycles(n: int, arcs: list) -> list:
 
 @per_dimer
 def matching_basis(d: Dimer) -> MatchingBasis:
-    """Perfect matchings whose indicators span those of every perfect matching: P0, and P0 Δ C per ear cycle C.
+    """Perfect matchings whose indicators span those of every perfect matching: P_1, and P_1 Δ C per ear cycle C.
 
-    P Δ P0 is a union of directed cycles of P0's alternating digraph
-    (``_alternating_arcs``) for every matching P, and P0 Δ C is a matching
-    for every such cycle C, so the indicators of P0 and of the P0 Δ C span
+    P Δ P_1 is a union of directed cycles of P_1's alternating digraph
+    (``_alternating_arcs``) for every matching P, and P_1 Δ C is a matching
+    for every such cycle C, so the indicators of P_1 and of the P_1 Δ C span
     those of every matching (Lovász and Plummer, *Matching Theory*).  The
     cycles of ``_ear_cycles`` span the cycle space and are independent, and
-    so are P0 (face sum 1) and the differences P0 Δ C - P0 (face sum 0), so
-    the rank is exact with no search beyond P0's: it falls below dim W exactly
-    when some arrow lies on no alternating cycle.  Points of W are read in
+    so are P_1 (face sum 1) and the differences P_1 Δ C - P_1 (face sum 0),
+    so the rank is exact with no search beyond the corners: it falls below
+    dim W exactly when some arrow lies on no alternating cycle.  Points of W are read in
     the coordinates of ``_free_arrows``.
     """
+    p1 = _corners(d)[1][(0, 0)].edges  # the corner at height (0, 0)
     free = _free_arrows(d)
-    p0 = _reference(d)
-    arcs = _alternating_arcs(d, p0)
-    found = [PerfectMatching(p0)]
-    found += (PerfectMatching(p0.symmetric_difference(c)) for c in _ear_cycles(len(d.faces), arcs))
+    arcs = _alternating_arcs(d, p1)
+    found = [PerfectMatching(p1)]
+    found += (PerfectMatching(p1.symmetric_difference(c)) for c in _ear_cycles(len(d.faces), arcs))
     return MatchingBasis(found, len(free) + 1, free)
 
 
@@ -961,7 +887,7 @@ def kasteleyn_count(d: Dimer) -> int:
     Each arrow enters K(t) with its Kasteleyn sign times t = (t1, t2) in
     {+1, -1}^2 raised to the parities of its ``arrow_classes`` entry.  A
     matching M then carries t^c(M), c(M) being the parity of its entries'
-    sum: its height parity plus that of P0's sum, one constant for every
+    sum: its height parity plus that of P_1's sum, one constant for every
     matching, which only permutes the four parity classes.  So det K(t) is
     the sum over matchings of s(M) t^c(M), where the sign s(M) depends only
     on c(M) (Kenyon, Okounkov and Sheffield, math-ph/0311005), and for each

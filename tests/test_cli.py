@@ -157,11 +157,15 @@ def parent_form(json_out: str, markdown_out: str | None = None) -> str:
 
 # sha256 of the parent form of the stdout of `dimermirror report <name> --format
 # json` with default flags.  A change that alters the report on purpose updates
-# these and says why.
+# these and says why.  These, and every pin below but the `hh`, `jacobi` and
+# inconsistent-dimer ones, changed when heights came to be measured from the
+# corner P_1 instead of the least matching in sorted-id order: each printed
+# height moved by -h(P_1), and the `matching_unit` rows name P_1's ear-cycle
+# flips.
 REPORT_SHA256 = {
-    "c3": "f8c73018bb1207b9bb33ad7274db27e2021d9ea411a62d88867e4cf215b4280c",
-    "conifold": "7cf50c52b67bfafea0b04d823cfdec15582b32dc17e267b0dd13e101d2351231",
-    "spp": "1faaadeec9e57e2710354f83752ad0745d318c4045f95b76dfe231f1fd1f7003",
+    "c3": "891bdcb9f4c10ddaf146be3c4b105d5e003c78dcf933d636a54e62d6005468b6",
+    "conifold": "8cf19c70d0d3826c6e8598086084d041a3b71cff501bbb9043a69f89da714bf3",
+    "spp": "adc33a5644b5eb719cdfa5467d8991e45c422e345a2e991cebdfb3a8a9ca28af",
 }
 
 
@@ -191,13 +195,11 @@ def test_hh_json_is_byte_identical(name):
 # The same for k x l lattice covers: the conifold ones, where two zigzag
 # classes have parallel multiplicity 4, and a c3 and an spp cover, whose strips
 # need the vertex-component construction; the hashes do not depend on the path.
-# The spp entry changed when the matching basis became P0 and its ear-cycle
-# flips: only the names of its `matching_unit` rows differ.
 COVER_REPORT_SHA256 = {
-    ("conifold", 4, 1): "4ea9e94d3dff6696d3c3b7892e7fdd0629e3f0880afe1595b3ec63f94e5f3d61",
-    ("conifold", 1, 4): "0d0ceeb41e0169dbaa42205b68cd0bde0bea37fa208f70c1b14e360bba73968b",
-    ("c3", 2, 2): "1782f99504b17120eff15b932ef4b49be573bf77788d1c387d7b36a5e1454f2b",
-    ("spp", 2, 1): "50ac1c91e69a085583829b525ee6620fca7740e38e3368505d2cc65915c81c40",
+    ("conifold", 4, 1): "1a624d2a89b65bf96768448e4b7cfd77e4c4014e7fab1c184f0cd17e26f012c9",
+    ("conifold", 1, 4): "67866d52597133cbfad2de69cc08bc8fe7c9a49f935005a3642ffc62249aeafb",
+    ("c3", 2, 2): "d8ec65aec57c279b7e005b6b627be3cf5204028db81b3df374d9052bfd824fa9",
+    ("spp", 2, 1): "d7c05c640aae6fb59658e5f65706c59f2bc15863b005a159624981dcc771ac88",
 }
 
 
@@ -257,10 +259,10 @@ def test_report_refuses_n_max_below_one_like_hh(n_max, monkeypatch):
     assert err == "error: n_max must be >= 1\n"
 
 
-# sha256 of `dimermirror polytope <conifold 4x3 cover> --format json`, computed
-# when the polygon still came from enumerating all 2,624 perfect matchings.
+# sha256 of `dimermirror polytope <conifold 4x3 cover> --format json`; the
+# polygon is the one that enumerating all 2,624 perfect matchings gives.
 COVER_POLYTOPE_SHA256 = {
-    ("conifold", 4, 3): "292e073addaeb8060bf8738a3b597f30d9924674d377e26066bfeb7753280e08",
+    ("conifold", 4, 3): "6393ce3bf779c32afb0fc2f2f9fb4ed12733a9b99983086a319a1c437e7226fc",
 }
 
 
@@ -867,44 +869,40 @@ def zoo_outputs_sha256(raw: dict) -> str:
     return h.hexdigest()
 
 
-# Computed before the Koszul differentials moved to plain class keys; a change
-# that alters any output on purpose updates these and says why.  Ten entries
-# (c3 1x2, 2x2 and 3x3, spp 2x1, 1x2 and 2x2, conifold 1x4) changed when the
-# matching basis became P0 and its ear-cycle flips: `verify` and `report` name
-# other basis matchings in their `matching_unit` rows, and nothing else moved.
+# A change that alters any output on purpose updates these and says why.
 ZOO_OUTPUT_SHA256 = {
-    ("c3", 1, 1, None): "ae3707625fc8a647b890d729f7ca5904bdc1b3abc188bc198103df1855a5be37",
-    ("c3", 1, 1, 0): "2167747d708d2083b1087381106d992758d16a946babaf009f7daeef75dd1142",
-    ("conifold", 1, 1, None): "4095ac4669553b7f4d882c769376d8a47b147cf5866ee0ada733af90b2f21804",
-    ("conifold", 1, 1, 0): "22f83b28cc01fd85ccc3232fc85e86fc1fc04d920c2b7aee6133b777c95957c1",
-    ("spp", 1, 1, None): "c7ec3a4d97776b50f5c0af7db6e150759eab61669bcad860eab8e9d501b185ed",
-    ("spp", 1, 1, 0): "34cc4b6d2c4b6ac870dc6dc31e52f20431a2592a35b69d544898015137ef6861",
-    ("c3", 2, 1, None): "ea0e43c2accad3f2cc93f6682359c90d8732acf313d1453a35ab0483f2e451b5",
-    ("c3", 2, 1, 0): "42a325da9559fb40823f0b74b7c8013bb2297a31536756f0ccd6b3420880b4bf",
-    ("c3", 3, 1, None): "10d78149c87896ebf3034d4fb1ffc00ff0179a1fe045a222a6ae317b9c3b7f4f",
-    ("c3", 3, 1, 0): "06497ed3c185d844e06f6eb7e1d3fccc77f1094fe5df57e695ddbb92bd16fdd5",
-    ("c3", 1, 2, None): "5de8796acbe896487b3c03e9aec681aa30d1b48ce49848ad1bf4695af5247bb8",
-    ("c3", 1, 2, 0): "4b9d5d52d7ac8d010264db7e8136647efbe5966aac1da3cb463790bf00a1453d",
-    ("c3", 2, 2, None): "fbed8dafb6417d999c85ea6f7cd2490c98a949fa153d070cff0dea4b39a51319",
-    ("c3", 2, 2, 0): "0ed3631030f1a37a99c84be8b57b505dee5a70d3bcc5039dea1c4ae7a8690ae6",
-    ("c3", 3, 3, None): "f8bc49ed13ab1d710954ade136e6a5d9f11f20951109c0c2bf0364369df2ea4a",
-    ("c3", 3, 3, 0): "a260b8444775348db98420ddaddfeae4dcb2b12dcf0d65c1dc074ee634e8d6c3",
-    ("spp", 2, 1, None): "0f791f20dc14e5631e3768c30653b9d54de94245f40395a34b1b99945c980224",
-    ("spp", 2, 1, 0): "2b827ed3ba340202239e1db7185392f16d1b370fcc6af6840b1da24a747eab4f",
-    ("spp", 1, 2, None): "5e9b656782e81204c3d63dc3f08e3451be4f483169425c7ac5cb6644370f0649",
-    ("spp", 1, 2, 0): "86ae25a2b9b3d5c1129aa4283c4038ca986ba10cd8fb8296f6ba6f48d8efb612",
-    ("spp", 2, 2, None): "9839251f2273071d2b4e6e8e2fc14ac920efaddb7940e7ff960502b9973b3bfc",
-    ("spp", 2, 2, 0): "0d653c353bda0b77100089c57d462520b222e6b5e459b8e464a7d90f54dac50f",
-    ("conifold", 2, 1, None): "a2f8aee4bb13b85d292431984395c2e75907a580bfa45494d743a6a7672da8a3",
-    ("conifold", 2, 1, 0): "bd46530170435ac5d15e97e09d407cb4668270a0ee0f862c63641e951caebc73",
-    ("conifold", 4, 1, None): "9b31667bbe49dd890ecd55e6238148b07bc75d55c389ac2984ee00e02c5ba477",
-    ("conifold", 4, 1, 0): "babb746bad4b9214fab9f2a7e6ec3a39e6d2e7bba349d4c83c0b9f4354b84d7b",
-    ("conifold", 1, 4, None): "8940ae189b780da9dff61392b972add7965691e860bced5cb9344a259f4c6da3",
-    ("conifold", 1, 4, 0): "779130a7a2902ca082a7692f690e731190fac72f88db14832fd22226bb2f01da",
-    ("conifold", 2, 2, None): "dc37209140e0938f69172d3076e69da4f3db6534df1273623277e30b68f2ab1f",
-    ("conifold", 2, 2, 0): "85c155b3282184825aa9573558fea34dd1be4ace6065ff316c6355aa16f22f01",
-    ("conifold", 3, 2, None): "22c33618ae8ee6b4cb903f7b290c7a321a9f980fcb142e1e76c8ed1555e17bc5",
-    ("conifold", 3, 2, 0): "af0bf1b47292dcf5389dec7fdd224ae6759be3899746e6c6ce33077640ba911b",
+    ("c3", 1, 1, None): "97b1bc0471569c1441296c83615b0445f9676d5abc0e4755b38ddfefd947a125",
+    ("c3", 1, 1, 0): "02e62f4d01a0cd5fac4a01433f9bcd33b1f231461f857150c8675e29b7e0b8b8",
+    ("conifold", 1, 1, None): "c128945edd954fd8ddc16fe85cb0433d104609c886a7b4111659aeaa638dcb3b",
+    ("conifold", 1, 1, 0): "46c35fc7f3aaad8012d99f9d5c7a47e23d94658d836dc840c8ed572c28c42842",
+    ("spp", 1, 1, None): "a394dcfe0e735c92c62cf801b68b1dec099b4868954b52454e0645d83003e160",
+    ("spp", 1, 1, 0): "7c5410e3ed900c09eebf56b66bfc9eda19deef123586a8416239653200d6f81f",
+    ("c3", 2, 1, None): "d4fad465fc4560ca6f559802dc6941e993fd18cd5c06f0c0d0804271d49daa31",
+    ("c3", 2, 1, 0): "2bd787a4abfd2feb8e96f7e779645e422e80b720925c2dbe7688ec83fbcd70a2",
+    ("c3", 3, 1, None): "1100aaba65aa64fa1dad3261560097df97680df25586ea3d4bf7615ec430955a",
+    ("c3", 3, 1, 0): "748f4f47f223b90695e9ebd846ffa1645817a6e5c3d814d2c7f8fc2e9c1fce4a",
+    ("c3", 1, 2, None): "93e0cf06241cdeed04e0e857e1a4d2cd725d253f9a7fe38e72d930c4c362efe2",
+    ("c3", 1, 2, 0): "daba15d2c32f925f84655c6c8ac69aeb51af6ff0f767a6aa4bc86874808d1146",
+    ("c3", 2, 2, None): "752f80b88cf74ff1d06482aaf3a075d3091bfb02d14c4c037b15797d5ea9aaa2",
+    ("c3", 2, 2, 0): "81e67e530501fd0024ce1550460f6c5f4bcf9f3188a5318c3fd1a53861979a4a",
+    ("c3", 3, 3, None): "906bbc0c6bc5b113504c9fa036359391b91d3d1ca06be0f98f3fb18d0ef33488",
+    ("c3", 3, 3, 0): "942cd35816361488212cc5fa8c7eaf41dd1f31e8875e44a0d83618bba247a4d5",
+    ("spp", 2, 1, None): "02951d8898ffd0b3755b4b92a0dc154a7584f14255434a66582d0f50206973a9",
+    ("spp", 2, 1, 0): "cddc13b02f15d16fea3878059b273ea197e6e22971da89a317dc1e6c327963e8",
+    ("spp", 1, 2, None): "29b004e5bbb1f082d2a941c792cbf3ce5bda79f75faaf4cfed8631b0b8867d91",
+    ("spp", 1, 2, 0): "e2431ef4c9ede73f4541003bb279ee16163ae76d00c3aed34421ab2238f3d011",
+    ("spp", 2, 2, None): "160f124e31079f2adf26f7b3a6aac0392de3245caf8b1b515fe11aea6a8e3848",
+    ("spp", 2, 2, 0): "618a0cd1bedafe3f23475fdbf2d808aa31caf04d614b5b33802aa60f5069eac2",
+    ("conifold", 2, 1, None): "8ab5e063fdd317a88dea5e42862b77e2954a3b327916a059e9b8651bd154c628",
+    ("conifold", 2, 1, 0): "c00860e654641a5caec6aa8e96fc7a32f066172a602e4d425aa936968b36902b",
+    ("conifold", 4, 1, None): "a4fcef7b8ce36ebda2051c40da7ad8a6ad2280f4e0c2b84fe033c1aaedcccc64",
+    ("conifold", 4, 1, 0): "23381912387c0581bbcf2586ffefa8f3a1491be882b8844790816509157fcf4d",
+    ("conifold", 1, 4, None): "ca9df19372e21857d2814cd721949f8a57a5b61aafdef7103e8c7c2f0bcfc286",
+    ("conifold", 1, 4, 0): "2ae8d2ab195e73ae5b3ccff33ed9635489d2f8c5a4702fcce8307e30f19b7282",
+    ("conifold", 2, 2, None): "33925d0f866355e85df2d0f1b6ea508cf6ad8b253fc3193edccd3c3264d5a343",
+    ("conifold", 2, 2, 0): "8f25f9b8d7df506711e4b4985b8a9f8369eb9c0ae204d4c048af90f20015841c",
+    ("conifold", 3, 2, None): "37c043502a498fb29a6c593275ead0a8c18a5dc511bcd9cc9f3a2a535d499b46",
+    ("conifold", 3, 2, 0): "13e9dd5bae055e01a92f249765967334d31ecd5e14224374267ff69e0572674d",
 }
 
 
@@ -950,15 +948,14 @@ def test_every_w_report_word_is_a_face_boundary_in_the_class_of_W(name, k, l, se
 
 # sha256 over (command, format, exit code, stdout, stderr) of `polytope` and
 # `matchings` on the dimer with every y shift negated, which reverses the
-# orientation of the embedding; computed while heights were still read off
-# two generating chains.
+# orientation of the embedding.
 MIRRORED_OUTPUT_SHA256 = {
-    ("c3", 1, 1): "abf01d651f1556f1e5c661b6c768500feacef49ca85b36cf771596d25f244170",
-    ("conifold", 1, 1): "09ab32be0a176d191e45e0821ae87683240bf9775921ce1bbaa4b98930adcd76",
-    ("spp", 1, 1): "c913095b6d7348baff3301951cc5eeb4b765dcb22068eab1ee7409da747d6e9e",
-    ("conifold", 4, 1): "c5f15f37945725b62756198a9b4cc865824f547ede440378d6d6b53aa7d3cfab",
-    ("spp", 2, 1): "f78bf71652dc8957650c9f292b396328f25b73498fe9dc5377f5f6587f7acd7e",
-    ("c3", 3, 3): "bbc1201c9fb24df2d818cea756f653933a950555c7af3df17833fb8696dd6af9",
+    ("c3", 1, 1): "4e625ab793b3d84371b145a1aeeae5b27c26c24a423978bff4a94701a0962379",
+    ("conifold", 1, 1): "5905b9f0b1a26a69e3b6f327621bea68c6f1c9b973f94abed94ec7e1cd7ecbd3",
+    ("spp", 1, 1): "061004437739c1c85d21e4ac641f7fc48668728c4f1a217a7840cfa4d2c1de08",
+    ("conifold", 4, 1): "c496a17496ec88c57418c2cd5f7cfd3bd43550b96d7a7f07cd41a0eda6c8a564",
+    ("spp", 2, 1): "e079297b8eedf918874ce052ebc5ca0d957eb61b15b230326c5d6d26e648fe05",
+    ("c3", 3, 3): "43098be28f9c1e0e84a386282f620b1086dd6139c92eccf1ccecf816203d9469",
 }
 
 

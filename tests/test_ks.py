@@ -365,12 +365,12 @@ def test_verify_normalises_each_word_once(lattice_cover, monkeypatch):
 def test_a_dropped_alternating_arc_fails_the_basis_rank(monkeypatch):
     from dimermirror import matchings
 
-    # without its first arc, P0's alternating digraph keeps one ear of four
+    # without its first arc, P0's alternating digraph keeps three ears of four
     arcs = matchings._alternating_arcs
     v = KSVerifier(load_bundled("spp"))
     monkeypatch.setattr(matchings, "_alternating_arcs", lambda d, p0: arcs(d, p0)[1:])
     rank, = rows(v.verify_chain_identities(), "matching_basis.rank")
-    assert rank.status == FAIL and rank.detail == {"rank": 2, "dim_W": 5}
+    assert rank.status == FAIL and rank.detail == {"rank": 4, "dim_W": 5}
     # enumeration finds the three dimensions that the basis misses
     count, = rows(v.verify_matching_count(), "matchings.count")
     assert count.status == FAIL and count.detail == {"kasteleyn": 6, "enumerated": 6, "rank": 5}
@@ -489,6 +489,21 @@ def test_a_xi_path_into_the_wrong_strip_fails_the_odd_determinants(lattice_cover
     failed = {c.name for c in rep.checks if c.status == FAIL}
     assert failed == {"det.odd.ks.i2", "det.odd.ks.i4", "det.odd.sh_image.i2", "det.odd.sh_image.i4"}
     assert all(c.status in (PASS, SKIP) for c in rep.checks if c.name not in failed)
+
+
+def test_a_strip_with_no_xi_path_fails_only_the_odd_determinants(lattice_cover, monkeypatch):
+    # classes 2 and 4 of conifold 4x1 have four strips each, and no path
+    # reaches strips 2 to 4: det.odd.ks names them, one row per class
+    monkeypatch.setattr(MirrorSH, "xi_for_strip", lambda self, strip: None)
+    v = KSVerifier(dimer_from_dict(lattice_cover("conifold", 4, 1)))
+    rep = v.verify_all()
+    failed = {c.name: c.detail for c in rep.checks if c.status == FAIL}
+    assert sorted(failed) == ["det.odd.ks.i2", "det.odd.ks.i4", "det.odd.sh_image.i2", "det.odd.sh_image.i4"]
+    assert failed["det.odd.ks.i2"] == failed["det.odd.ks.i4"] == {"strips": [2, 3, 4]}
+    missing = [img for img in v.ks_odd_images(1) if img["lift"] == "missing"]
+    assert sorted((img["source"]["i"], img["source"]["j"]) for img in missing) == [
+        (i, j) for i in (2, 4) for j in (2, 3, 4)
+    ]
 
 
 # -- the winding-zero and strip-image rows as identities -------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -8,6 +9,7 @@ import itertools
 import json
 import random
 import re
+import weakref
 from math import gcd
 
 import pytest
@@ -17,6 +19,7 @@ from dimermirror.cli import main
 from dimermirror.dimer import (
     Dimer,
     DimerError,
+    SHError,
     Vec,
     ccw_angle_key,
     cross,
@@ -507,14 +510,32 @@ def test_polytope_is_the_hull_of_every_matching_when_mirrored(name, k, l, seed, 
     check_hull_of_every_matching(dimer_from_dict(mirrored(raw)))
 
 
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("name,k,l", ORACLE_ZOO + [("c3", 4, 5), ("conifold", 4, 3)])
+def test_the_polygon_does_not_read_the_labels(name, k, l, mirror, covers):
+    # P0 is the corner P_1, read off the zigzag directions, so no relabelling
+    # moves a height
+    seen = set()
+    for seed in (None, 0, 1, 2):
+        d = zoo_dimer(covers, name, k, l, seed, mirror)
+        mp = matching_polytope(d)
+        assert mp.reference == corner_matchings_in_order(mp)[0] == Jacobi(d).ref
+        assert mp.reference.height == (0, 0)
+        edges = tuple((e.class_index, e.normal, e.start, e.end, e.lattice_length) for e in mp.edges)
+        seen.add((tuple(mp.hull), edges, frozenset(mp.corners)))
+    assert len(seen) == 1, seen
+
+
 def check_hull_of_every_matching(d):
     mp = matching_polytope(d)
     every = enumerate_perfect_matchings(d)
-    assert mp.reference.edges == every[0].edges  # P0: least in sorted-id order
+    p1 = corner_matchings_in_order(mp)[0]
+    assert mp.reference == p1 == PerfectMatching(p1.edges, (0, 0))
+    assert [p.edges for p in every].count(p1.edges) == 1
     # the polytope's table against the chain scan, matching by matching
-    assert [mp.height(p) for p in every] == [matching_height(d, p, every[0]) for p in every]
+    assert [mp.height(p) for p in every] == [matching_height(d, p, p1) for p in every]
     assert kasteleyn_count(d) == len(every)
-    heights = {matching_height(d, p, every[0]) for p in every}
+    heights = {matching_height(d, p, p1) for p in every}
     hull = mp.hull
     n = len(hull)
     sides = [(hull[i], hull[(i + 1) % n]) for i in range(n)]
@@ -535,7 +556,7 @@ def check_hull_of_every_matching(d):
     assert (mp.normalized_area, mp.boundary_count) == (twice_area, sum(lengths))
     assert mp.interior_count == (twice_area - sum(lengths) + 2) // 2
     for h in hull:
-        at_h = [p for p in every if matching_height(d, p, every[0]) == h]
+        at_h = [p for p in every if matching_height(d, p, p1) == h]
         assert len(at_h) == 1 and mp.corners[h].edges == at_h[0].edges
     assert set(mp.points) == heights
     assert sum(len(ps) for ps in mp.points.values()) == len(every)
@@ -544,7 +565,7 @@ def check_hull_of_every_matching(d):
 def hungarian(pairs: list) -> tuple | None:
     """Hungarian method on the present pairs alone: pairs[i] lists row i's (column, -weight).
 
-    The max-weight reference that P0 and the corners are checked against.
+    The max-weight reference that the corners are checked against.
     Returns ``(match, u, v)``: row i is matched to column ``match[i]`` in a
     perfect matching of greatest total weight, and the integer potentials
     satisfy u[i] + v[j] >= weight on every present pair (i, j), with
@@ -638,12 +659,6 @@ def max_weight(oracle, weight: dict) -> tuple:
     return frozenset(pick[i, j] for i, j in enumerate(match)), u, v
 
 
-def rank_weights(oracle) -> dict:
-    """arrow -> 2^(|Q1| - 1 - rank): the weights under which P0 is the heaviest matching."""
-    top = len(oracle.arrows) - 1
-    return {a: 1 << (top - r) for r, a in enumerate(oracle.arrows)}
-
-
 def sparse(w: list) -> list:
     """The solver's rows of (column, -weight) of a weight matrix; None marks a missing pair."""
     return [[(j, -x) for j, x in enumerate(row) if x is not None] for row in w]
@@ -722,15 +737,6 @@ def parent_max_weight_matching(w: list) -> tuple | None:
     return match, [-x for x in u[1:]], [-x for x in v[1:]]
 
 
-def dense(pairs: list) -> list:
-    """The weight matrix of the solver's sparse rows of (column, -weight); None marks a missing pair."""
-    w = [[None] * len(pairs) for _ in pairs]
-    for i, row in enumerate(pairs):
-        for j, c in row:
-            w[i][j] = -c
-    return w
-
-
 def test_max_weight_matching_gives_the_dense_answer():
     # every tie broken alike: equal matchings and equal potentials, not only equal weight
     rng = random.Random(11)
@@ -746,41 +752,6 @@ def test_max_weight_matching_gives_the_dense_answer():
         assert found == parent_max_weight_matching(w), w
         solved += found is not None
     assert 1000 < solved < 4000  # both outcomes are well represented
-
-
-@pytest.mark.parametrize("seed", [None, 0, 1, 2])
-@pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
-def test_every_oracle_query_gets_the_dense_answer(name, k, l, seed, covers):
-    # the one query, P0's, plain and mirrored: the search's answer is the
-    # Hungarian one under 2^rank weights, which the dense loop gives too, and
-    # the first matching enumerated
-    for mirror in (False, True):
-        d = zoo_dimer(covers, name, k, l, seed, mirror)
-        oracle = matchings._oracle(d)
-        rows, pick = solver_rows(oracle, rank_weights(oracle))
-        found = hungarian(rows)
-        assert found == parent_max_weight_matching(dense(rows))
-        solved = frozenset(pick[i, j] for i, j in enumerate(found[0]))
-        assert matchings._reference(d) == solved == enumerate_perfect_matchings(d)[0].edges
-
-
-@pytest.mark.parametrize("seed", [None, 0])
-@pytest.mark.parametrize("name,k,l", [("c3", 10, 11), ("spp", 5, 4), ("conifold", 6, 5)])
-def test_p0_of_large_covers_is_the_hungarian_answer(name, k, l, seed, covers):
-    # beyond the reach of enumeration
-    d = zoo_dimer(covers, name, k, l, seed)
-    oracle = matchings._oracle(d)
-    assert matchings._reference(d) == max_weight(oracle, rank_weights(oracle))[0]
-
-
-def test_least_is_none_when_halls_condition_fails():
-    # two rows and two columns, but every arrow reaches column 0
-    oracle = object.__new__(matchings._MatchingOracle)
-    oracle.arrows, oracle.n = ("a", "b", "c"), 2
-    oracle.ends = {"a": (0, 0), "b": (1, 0), "c": (0, 0)}
-    assert oracle.least() is None
-    oracle.ends["c"] = (0, 1)  # now a matching exists, and b must be in it
-    assert oracle.least() == frozenset("bc")
 
 
 def perfect_on(oracle, arrows: list) -> frozenset | None:
@@ -892,18 +863,6 @@ def test_polytope_of_large_covers(name, k, l, covers, tmp_path):
     area = data["normalized_area"]
     assert area == k * l * covers.BASE_AREA[name] == len(raw["vertices"])
     assert area == 2 * data["interior_lattice_points"] + data["boundary_lattice_points"] - 2
-
-
-def test_non_optimal_solver_answer_fails_the_dual_certificate(monkeypatch):
-    # the search for P0 returns a strictly lighter perfect matching, spp's
-    # second enumerated, and then a set one arrow short of it
-    lighter = enumerate_perfect_matchings(load_bundled("spp"))[1].edges
-    monkeypatch.setattr(matchings._MatchingOracle, "least", lambda _: lighter)
-    with pytest.raises(DimerError, match="query P0: .* not certified optimal"):
-        matching_polytope(load_bundled("spp"))
-    monkeypatch.setattr(matchings._MatchingOracle, "least", lambda _: frozenset(sorted(lighter)[1:]))
-    with pytest.raises(DimerError, match="query P0: the search returned no perfect matching"):
-        matching_basis(load_bundled("spp"))
 
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
@@ -1081,22 +1040,44 @@ def test_an_extra_or_short_zigzag_class_fails_the_edge_certificate(name, monkeyp
         matching_polytope(load_bundled(name))
 
 
-def counted_searches(monkeypatch) -> list:
-    """A list that grows by one at each ``_MatchingOracle.least`` call, from now on."""
-    calls = []
-    least = matchings._MatchingOracle.least
-    monkeypatch.setattr(matchings._MatchingOracle, "least", lambda self: calls.append(1) or least(self))
-    return calls
+def counted_corner_builds(monkeypatch) -> list:
+    """A list that grows by the dimer's name at each build of the cached corners, from now on."""
+    builds = []
+    build = matchings._corners.__wrapped__
+    monkeypatch.setattr(matchings._corners, "__wrapped__", lambda d: builds.append(d.name) or build(d))
+    return builds
+
+
+def run_verify(d) -> None:
+    """``KSVerifier(d).verify_all()``; on conifold 4x3 the verifier's set-up raises (ROADMAP item 1)."""
+    from dimermirror.ks import KSVerifier
+
+    try:
+        KSVerifier(d).verify_all()
+    except SHError as exc:
+        assert d.name == "conifold_4x3" and "no zigzag path" in str(exc), exc
 
 
 @pytest.mark.parametrize("name,k,l", [("c3", 1, 1), ("conifold", 1, 1), ("spp", 1, 1), ("conifold", 4, 3)])
-def test_polytope_makes_one_solve_per_dimer(name, k, l, covers, monkeypatch):
+def test_verify_builds_the_corners_once_and_leaves_no_dimer_cycle(name, k, l, covers, monkeypatch):
+    builds = counted_corner_builds(monkeypatch)
     d = zoo_dimer(covers, name, k, l)
-    calls = counted_searches(monkeypatch)
-    assert len(matching_polytope(d).edges) == len(parallel_classes(d)) >= 3
-    assert len(calls) == 1  # P0; every corner comes from the zigzag rule
-
-
+    run_verify(d)
+    assert builds == [d.name]
+    # the polygon holds its dimer and is not kept on it, so nothing the dimer
+    # keeps points back at it: with no collector, del alone frees it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for use in (run_verify, matching_polytope):
+            d = zoo_dimer(covers, name, k, l)
+            use(d)
+            alive = weakref.ref(d)
+            del d
+            assert alive() is None, use.__name__
+    finally:
+        if enabled:
+            gc.enable()
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
 def test_verify_builds_the_oracle_and_the_chains_once(name, monkeypatch):
     from dimermirror.ks import KSVerifier
@@ -1226,15 +1207,14 @@ def test_span_rank_against_gram_determinants():
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
 @pytest.mark.parametrize("name,k,l", ORACLE_ZOO)
 def test_matching_basis_is_p0_and_its_ear_cycle_flips(name, k, l, seed, covers, monkeypatch):
-    solves = counted_searches(monkeypatch)
+    builds = counted_corner_builds(monkeypatch)
     d = zoo_dimer(covers, name, k, l, seed)
     basis = matching_basis(d)
-    # the one search is P0's, which the polygon then reads from the cache
-    assert len(solves) == 1
+    # the basis reads P0 off the corners, built once and shared with the polygon
     mp = matching_polytope(d)
-    assert len(solves) == 1
-    # P0 first: the least matching in sorted-id order, the first one enumerated
-    assert basis.matchings[0].edges == mp.reference.edges == enumerate_perfect_matchings(d)[0].edges
+    assert builds == [d.name]
+    # P0 first: the corner P_1, at the start of class 1's edge
+    assert basis.matchings[0].edges == mp.reference.edges == corner_matchings_in_order(mp)[0].edges
     for p in basis.matchings:
         assert all(sum(1 for a in f.boundary if a in p.edges) == 1 for f in d.faces), p.key()
     # independent by construction, and full: the exact span agrees
@@ -1246,7 +1226,7 @@ def test_matching_basis_stops_short_without_an_alternating_arc(monkeypatch):
     arcs = matchings._alternating_arcs
     monkeypatch.setattr(matchings, "_alternating_arcs", lambda d, p0: arcs(d, p0)[1:])
     basis = matching_basis(load_bundled("spp"))
-    assert (basis.rank, basis.dim_W) == (2, 5)
+    assert (basis.rank, basis.dim_W) == (4, 5)
     assert indicator_rank(basis, enumerate_perfect_matchings(load_bundled("spp"))) == 5
 
 

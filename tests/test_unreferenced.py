@@ -14,6 +14,10 @@ Every parameter of a def is read in its body, or in a function nested in it.
 ``self``, ``cls`` and names that start with ``_`` are exempt, and so are the
 parameters of dunder methods other than ``__init__`` and ``__new__``, whose
 signatures their protocol fixes.
+
+The tests' own helpers are scanned the same way: every module-level def in
+``tests`` that is not a ``test_*`` function, a fixture or a pytest hook has a
+caller in ``tests``, so a helper is deleted with the last test that used it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dimermirror"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "dimermirror"
 
 # public entry points that the package itself does not call, and why each stays
 ALLOWED = {
@@ -84,6 +89,22 @@ def unread_parameters(package: Path) -> set:
             for p in params
             if p and p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")
         }
+    return out
+
+
+def uncalled_helpers(folder: Path) -> set:
+    """Every module-level def in ``folder`` that nothing there reads: tests, fixtures and pytest hooks aside."""
+    _, attrs, names = definitions_and_references(folder)
+    out = set()
+    for path in sorted(folder.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            fixture = any("fixture" in ast.unparse(dec) for dec in node.decorator_list)
+            if node.name.startswith(("test_", "pytest_")) or fixture:
+                continue
+            if node.name not in attrs and node.name not in names:
+                out.add(f"{path.name}:{node.name}")
     return out
 
 
@@ -152,3 +173,25 @@ def test_the_scan_finds_a_parameter_nothing_reads(tmp_path):
         "    return lambda: (x, rest)\n"
     )
     assert unread_parameters(tmp_path) == {"m.py:A.__init__(spare)", "m.py:A.pick(unused)", "m.py:f(y)"}
+
+
+def test_every_helper_in_tests_has_a_caller_in_tests():
+    assert uncalled_helpers(TESTS) == set()
+
+
+def test_the_scan_finds_a_test_helper_nothing_calls(tmp_path):
+    (tmp_path / "test_m.py").write_text(
+        "import pytest\n"
+        "@pytest.fixture\n"
+        "def data():\n"
+        "    return used()\n"
+        "def used():\n"
+        "    return 1\n"
+        "def orphan():\n"
+        "    return 2\n"
+        "def pytest_configure(config):\n"
+        "    pass\n"
+        "def test_x(data):\n"
+        "    assert data\n"
+    )
+    assert uncalled_helpers(tmp_path) == {"test_m.py:orphan"}
