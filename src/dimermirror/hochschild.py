@@ -17,8 +17,11 @@ signed, on one output slot.  The rows of d0, d1, d2 and d_W depend on the
 dimer only through the class of each arrow, the arrows at each vertex and
 the face words, and each ``KoszulComplex`` builds them once.  W is the signed
 sum of the face boundaries, so d1 (the Hessian of W) and d_W read one split
-of face words.  The product reads its rows off its degree-2 factor: X_a is
-paired with Xbar_a, whose terms are the rows at tail(a).
+of face words.  The product reads its rows off its degree-2 factor once, for
+every degree-1 factor (``cup_with``): X_a is paired with Xbar_a, whose terms
+are the rows at tail(a).  The kernel only translates a coefficient's offsets
+by a row's, so composing two tables row by row decides d1 d0 = 0 and
+d2 d1 = 0 for every cochain (``_composite_vanishes``).
 
 Each input slot's table is (lh, rt, rows), each row a flat tuple (sign,
 out, tail, head, o0, o1, w0, left, right).  Every row of a slot puts its
@@ -28,9 +31,11 @@ row disagrees.  So the kernel checks composability once per term, as
 ``Jacobi.compose`` would, and the degree of the output slots once per call.
 It adds every term through every row of its slot into one dict keyed by the
 output's flat key, and the nonzero totals are the output's terms.  An input
-slot the complex does not have is a named ``HochschildError``.  Every other
-sum of cochains runs through ``CochainElement.from_terms`` or
-``CochainElement.sum_of``, which add in one pass over the same keys.
+slot the complex does not have is a named ``HochschildError``; the product's
+table holds only the slots of its degree-2 factor, and the other arrows are
+known slots with no rows.  Every other sum of cochains runs through
+``CochainElement.from_terms`` or ``CochainElement.sum_of``, which add in one
+pass over the same keys.
 """
 
 from __future__ import annotations
@@ -183,12 +188,13 @@ def _ab_order(n: int):
                 yield from ((a, -r), (a, r)) if r else ((a, 0),)
 
 
-def _sandwich(c: CochainElement, in_kind: str, rows: dict, out_kind: str, degree: int):
+def _sandwich(c: CochainElement, in_kind: str, rows: dict, out_kind: str, degree: int, known=()):
     """The cochain of degree ``degree``: each coefficient on an ``in_kind`` slot
     put between the left and right of every row of that slot's index.
 
-    ``rows`` maps each index to its ``_table`` entry (lh, rt, rows).  Each
-    term is checked against (lh, rt), as ``Jacobi.compose`` would, and then
+    ``rows`` maps each index to its ``_table`` entry (lh, rt, rows); an index
+    in ``known`` but not in ``rows`` has no rows, and any other is named.
+    Each term is checked against (lh, rt), as ``Jacobi.compose`` would, and then
     added through every row into one dict keyed by the flat tuple (out, tail,
     head, h0, h1, w0), which is the output's ``terms`` once zeros are dropped.
     """
@@ -201,6 +207,8 @@ def _sandwich(c: CochainElement, in_kind: str, rows: dict, out_kind: str, degree
     for (s, ct, ch, h0, h1, cw), k in c.terms.items():
         entry = rows.get(s)
         if entry is None:
+            if s in known:
+                continue
             raise HochschildError(f"no {in_kind} slot {s!r} in this complex")
         lh, rt, slot_rows = entry
         if not slot_rows:  # nothing to add, so nothing to check
@@ -211,6 +219,36 @@ def _sandwich(c: CochainElement, in_kind: str, rows: dict, out_kind: str, degree
             key = (x, tail, head, o0 + h0, o1 + h1, w0 + cw)
             sums[key] = get(key, 0) + sign * k
     return CochainElement._nonzero(degree, {key: k for key, k in sums.items() if k})
+
+
+def _composite_vanishes(first: dict, second: dict) -> bool:
+    """Whether the kernel of ``second`` after that of ``first`` is zero on
+    every cochain.
+
+    The kernel keeps a coefficient's endpoints out of the rows and only
+    translates its (h0, h1, w0) by theirs, so on a coefficient c of input
+    slot s the composite is the sum, over each row of s and each row of that
+    row's output slot, of the product of their signs on the composed key (out,
+    tail, head, o0, o1, w0) translated by c.  It vanishes for every c exactly
+    when the composed keys of each slot cancel, which is what is checked; a
+    row of ``first`` that does not end where its output slot's coefficients
+    start does not compose, as in the kernel.
+    """
+    for _, _, rows in first.values():
+        sums: dict = {}
+        get = sums.get
+        for sign, y, tail, head, o0, o1, w0, _, _ in rows:
+            lh, rt, next_rows = second[y]
+            if not next_rows:
+                continue
+            if tail != lh or head != rt:
+                raise JacobiError("paths do not compose")
+            for next_sign, x, t, h, p0, p1, pw, _, _ in next_rows:
+                key = (x, t, h, o0 + p0, o1 + p1, w0 + pw)
+                sums[key] = get(key, 0) + sign * next_sign
+        if any(sums.values()):
+            return False
+    return True
 
 
 class E2Label(_Frozen):
@@ -267,7 +305,6 @@ class KoszulComplex:
         self._canon: dict = {}  # word -> its class, normalised once
         cls_of = self._class_of
         self._arrow_cls = {a: cls_of((a,)) for a in arrows}
-        self._no_rows = dict.fromkeys(arrows, (None, None, ()))  # each arrow's slot, adding nothing
         self._leaving, self._entering = d.leaving, d.entering
         self._unit = unit = {v: jac.idempotent(v) for v in d.vertices}
         cls = self._arrow_cls
@@ -360,6 +397,14 @@ class KoszulComplex:
         """Commutator with the slot arrow, landing on point slots."""
         return _sandwich(c, XBAR, self._d2_rows, PT, 3)
 
+    def d1d0_vanishes(self) -> bool:
+        """Whether d1 d0 = 0 on every cochain, decided on the composed rows."""
+        return _composite_vanishes(self._d0_rows, self._hessian)
+
+    def d2d1_vanishes(self) -> bool:
+        """Whether d2 d1 = 0 on every cochain, decided on the composed rows."""
+        return _composite_vanishes(self._hessian, self._d2_rows)
+
     # -- BV operator on degree 3 --------------------------------------------
 
     def _class_of(self, word: tuple) -> PathClass:
@@ -451,10 +496,10 @@ class KoszulComplex:
             raise HochschildError(f"class {i} has no parallel index {j}")
         word = sd.boundary[j - 1][0]  # O+(Z_{i,j})
         d = self.dimer
-        verts = sorted({d.head(a) for a in word}, key=idkey)
-        v = verts[0]
-        rotations = [word[k + 1 :] + word[: k + 1] for k in range(len(word))]
-        word_at_v = next(r for r in rotations if d.head(r[-1]) == v)
+        heads = [d.head(a) for a in word]
+        v = min(heads, key=idkey)
+        k = heads.index(v)
+        word_at_v = word[k + 1 :] + word[: k + 1]
         cls = self._class_of(word_at_v)
         expect = PathClass(v, v, self.eta(i), self.jac.x_alpha_w0(self.eta(i)))
         if cls != expect:
@@ -512,8 +557,10 @@ class KoszulComplex:
             raise HochschildError("bracket oracle needs a P_i-homogeneous input")
         return f.scale(degs.pop()) if degs else JElement()
 
-    def cup(self, a: CochainElement, b: CochainElement) -> CochainElement:
-        """Degree 1 times degree 2: X_e paired with Xbar_e.
+    def cup_with(self, b: CochainElement):
+        """The product of degree 1 times degree 2 with b as the second factor:
+        the function a |-> a cup b, pairing X_e with Xbar_e.  b's rows are
+        built once here, for every first factor.
 
         The X_e coefficient, which must start at tail(e), and the Xbar_e
         coefficient compose to a closed path at tail(e), which is added on the
@@ -524,20 +571,27 @@ class KoszulComplex:
         coefficient is checked against; when they do not, rt is None and no
         coefficient composes.  Unknown slots are named.
         """
-        if (a.degree, b.degree) != (1, 2):
-            raise HochschildError(f"cup is computed on degrees 1 x 2, not {a.degree} x {b.degree}")
-        no_rows, tail = self._no_rows, self.dimer.tail
+        if b.degree != 2:
+            raise HochschildError(f"cup's second factor has degree 2, not {b.degree}")
+        arrows, tail = self._arrow_cls, self.dimer.tail
         xbar: dict = {}  # e -> (lh, rt, rows) of Xbar_e's terms
         for (e, ct, ch, h0, h1, w0), k in b.terms.items():
-            if e not in no_rows:
+            if e not in arrows:
                 raise HochschildError(f"no {XBAR} slot {e!r} in this complex")
             v = tail(e)
             _, rt, flat = xbar.get(e) or (v, ct, [])
             xbar[e] = (v, rt if rt == ct else None, flat)
             flat.append((k, v, v, ch, h0, h1, w0, None, None))
-        # an X slot with nothing on its Xbar slot adds nothing; one the complex
-        # does not have is in no table, so the kernel names it
-        return _sandwich(a, X, {**no_rows, **xbar}, PT, 3)
+
+        def times_b(a: CochainElement) -> CochainElement:
+            if a.degree != 1:
+                raise HochschildError(f"cup's first factor has degree 1, not {a.degree}")
+            # an X slot with nothing on its Xbar slot adds nothing; one the
+            # complex does not have is neither in the table nor known, so the
+            # kernel names it
+            return _sandwich(a, X, xbar, PT, 3, known=arrows)
+
+        return times_b
 
     # -- second page -----------------------------------------------------------
 

@@ -813,8 +813,40 @@ def matching_basis(d: Dimer) -> MatchingBasis:
     return MatchingBasis(found, len(free) + 1, free)
 
 
+def _gf2_rank(masks, width: int) -> int:
+    """Rank over GF(2) of bit vectors given as ints, stopping once it reaches ``width``.
+
+    Each kept vector is reduced by the earlier ones and keyed by its top bit,
+    so a new vector clears its top bit against the kept one until it is zero
+    or has a top bit of its own.
+    """
+    kept: dict = {}  # top bit -> reduced vector
+    for v in masks:
+        while v:
+            top = v.bit_length() - 1
+            if top not in kept:
+                kept[top] = v
+                break
+            v ^= kept[top]
+        if len(kept) == width:
+            break
+    return len(kept)
+
+
 def indicator_rank(basis: MatchingBasis, matchings) -> int:
-    """Rank of the indicator vectors of perfect matchings, in the coordinates of ``basis``."""
+    """Rank of the indicator vectors of perfect matchings, in the coordinates of ``basis``.
+
+    The indicators are eliminated over GF(2) first, as int bitmasks (the
+    face sum 1 on bit 0, free arrow k on bit k + 1).  Rank over GF(2) is at
+    most rank over Q, which is at most ``dim_W``, so a GF(2) rank of
+    ``dim_W`` certifies the exact rank; only when it falls short are the
+    indicators reduced over Q by ``_Span``.
+    """
+    matchings = list(matchings)
+    bit = {a: 2 << k for k, a in enumerate(basis.free)}
+    masks = (sum(bit.get(a, 0) for a in p.edges) | 1 for p in matchings)
+    if _gf2_rank(masks, basis.dim_W) == basis.dim_W:
+        return basis.dim_W
     span = _Span(basis.dim_W)
     for p in matchings:
         if span.rank == span.width:

@@ -93,14 +93,21 @@ class MirrorSH:
         return out
 
     def odd_pairing_vector(self, elem: SHElement, class_index: int) -> list:
-        """Pairings of an odd Morse combination with the class-i puncture loops."""
-        out = []
-        for j in range(1, self.m[class_index] + 1):
-            total = 0
-            for label, coeff in elem.terms.items():
-                if label[0] == "p":
-                    total += coeff * self.pairing(label[1], (class_index, j))
-            out.append(total)
+        """Pairings of an odd Morse combination with the class-i puncture loops.
+
+        Each term p_e reads its zig and zag orbits once: +coeff on the strip
+        whose cycle is its zig orbit, -coeff on its zag orbit's (``pairing``).
+        """
+        m = self.m[class_index]
+        strip_of = {self._orbit[(class_index, j + 1)]: j for j in range(m)}
+        out = [0] * m
+        for label, coeff in elem.terms.items():
+            if label[0] == "p":
+                zig, zag = self._zigzag_of.get(label[1], (None, None))
+                if zig in strip_of:
+                    out[strip_of[zig]] += coeff
+                if zag in strip_of:
+                    out[strip_of[zag]] -= coeff
         return out
 
     # -- basis ----------------------------------------------------------------

@@ -220,7 +220,7 @@ def test_cup_oracle_partialP_psi(complexes):
             for j in range(1, len(K.strips[i].cycles) + 1):
                 psi_c, v, word = K.psi(i, j)
                 for k in range(1, K.n_classes + 1):
-                    out = K.cup(K.partial_P(k), psi_c)
+                    out = K.cup_with(psi_c)(K.partial_P(k))
                     total = 0
                     for (kind, u), e in per_slot(out).items():
                         assert kind == PT and set(e.terms) == {xcls_at(u)}
@@ -234,7 +234,7 @@ def test_cup_oracle_unit_and_unsupported(complexes):
     K = complexes["c3"]
     p1 = K.partial_P(1)
     with pytest.raises(HochschildError):
-        K.cup(p1, p1)
+        K.cup_with(p1)
 
 
 def test_e2_counts_c3(complexes):
@@ -478,6 +478,64 @@ def test_flipped_hessian_row_fails_a_d1_check(name, dimers, monkeypatch):
             ), (y, i)
 
 
+def flipped_rows(table: dict):
+    """(slot, entry) for each single-row sign flip of a kernel table, one at a time."""
+    for s, (lh, rt, rows) in table.items():
+        for i, (sign, *rest) in enumerate(rows):
+            yield s, (lh, rt, rows[:i] + [(-sign, *rest)] + rows[i + 1 :])
+
+
+@pytest.mark.parametrize("table,row", [("_d0_rows", "complex.d1d0"), ("_d2_rows", "complex.d2d1")])
+def test_flipped_d0_or_d2_row_fails_its_complex_row(table, row, dimers, monkeypatch):
+    # negative controls of the composed identities: on spp every single-row
+    # sign flip of d0 fails d1 d0 = 0, and of d2 fails d2 d1 = 0 (on c3 and
+    # the conifold each face holds every other arrow of the face through an
+    # arrow, so every d1 image of a single arrow vanishes and no flip shows)
+    v = KSVerifier(dimers["spp"])
+    assert v.verify_chain_identities().passed
+    flips = 0
+    for s, entry in flipped_rows(getattr(v.K, table)):
+        with monkeypatch.context() as mp:
+            mp.setitem(getattr(v.K, table), s, entry)
+            failed = {c.name for c in v.verify_chain_identities().checks if c.status == FAIL}
+        assert row in failed, (s, entry)
+        flips += 1
+    assert flips == 2 * len(v.dimer.arrows)
+
+
+def evaluated_identities(K) -> tuple:
+    """(d1 d0 = 0, d2 d1 = 0) as the verifier evaluated them on cochains:
+    d1 d0 on every unit, d2 d1 on every single-arrow derivation."""
+    d = K.dimer
+    d1d0 = all(K.d1(K.d0(unit_idempotent(K, v))).is_zero() for v in d.vertices)
+    d2d1 = all(K.d2(K.d1(K.partial_of_matching((a,)))).is_zero() for a in d.arrow_ids)
+    return d1d0, d2d1
+
+
+def test_composed_identities_match_their_evaluation_on_the_zoo(covers, monkeypatch):
+    # the composed rows decide d1 d0 = 0 and d2 d1 = 0 for every cochain; on
+    # every oracle cover, intact and with the first row of each slot of d0,
+    # d1 and d2 sign-flipped in turn, their verdict is the evaluated one
+    verdicts = Counter()
+    for name, k, l in ORACLE_ZOO:
+        raw = covers.load_base(name) if (k, l) == (1, 1) else covers.cover(covers.load_base(name), k, l)
+        K = KoszulComplex(Jacobi(dimer_from_dict(raw)))
+        composed = (K.d1d0_vanishes(), K.d2d1_vanishes())
+        assert composed == evaluated_identities(K) == (True, True), (name, k, l)
+        for table in ("_d0_rows", "_hessian", "_d2_rows"):
+            for s, (lh, rt, rows) in getattr(K, table).items():
+                if not rows:
+                    continue
+                sign, *rest = rows[0]
+                with monkeypatch.context() as mp:
+                    mp.setitem(getattr(K, table), s, (lh, rt, [(-sign, *rest), *rows[1:]]))
+                    composed = (K.d1d0_vanishes(), K.d2d1_vanishes())
+                    assert composed == evaluated_identities(K), (name, k, l, table, s)
+                verdicts[composed] += 1
+    # the flips reach both identities, and some flips reach neither (c3)
+    assert verdicts[(False, True)] and verdicts[(True, False)] and verdicts[(True, True)], verdicts
+
+
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])
 def test_flipped_W_row_fails_a_dW_check(name, dimers, monkeypatch):
     # every single-row sign flip of d_W must surface in the dW rows of the verifier
@@ -519,7 +577,7 @@ def test_differentials_and_W_reuse_their_classes(dimers, monkeypatch):
             if c.degree == 1:
                 K.d_W(c)
         for p, c in pairs:
-            K.cup(p, c)
+            K.cup_with(c)(p)
         assert calls == [], name
 
 
@@ -754,7 +812,7 @@ def assert_kernels_match_parent(K, rng, label) -> Counter:
         a = random_cochain(K, rng, 1)
         pairs.append((a, random_cochain(K, rng, 2, [e for _, e in per_slot(a)])))
     for a, b in pairs:
-        same(K.cup(a, b), parent_cup(K, a, b), ("cup", a, b))
+        same(K.cup_with(b)(a), parent_cup(K, a, b), ("cup", a, b))
     d = K.dimer
     words = [(), *(face_word_at(d, v) for v in d.vertices)]
     words += [word for _, _, word in gens["psi"].values()]
@@ -767,6 +825,10 @@ def assert_kernels_match_parent(K, rng, label) -> Counter:
 def stray_inputs(K):
     """(kernel, parent, arguments) whose coefficients do not compose with their slot."""
     jac, d = K.jac, K.dimer
+
+    def cup(x, xbar):
+        return K.cup_with(xbar)(x)
+
     out = []
     for a in sorted(d.arrow_by_id, key=idkey):
         tail, head = d.tail(a), d.head(a)
@@ -778,7 +840,7 @@ def stray_inputs(K):
             out += [(K.d1, parent_d1, (x,)), (K.d_W, parent_d_W, (x,)), (K.d2, parent_d2, (xbar,))]
         x = cochain(1, {(X, a): JElement.of(jac.idempotent(tail))})
         xbar = cochain(2, {(XBAR, a): JElement.of(jac.idempotent(head))})
-        out.append((K.cup, parent_cup, (x, xbar)))
+        out.append((cup, parent_cup, (x, xbar)))
         # Xbar_a with two classes of different tails: one runs back from
         # head(a) to tail(a) around a face, the other starts at tail(a)
         f = d.faces[d.pos_face_of(a)].boundary
@@ -786,7 +848,7 @@ def stray_inputs(K):
         back = jac.canonical_form(f[j + 1 :] + f[:j])
         mixed = cochain(2, {(XBAR, a): JElement({back: 1, jac.idempotent(tail): 1})})
         x = cochain(1, {(X, a): JElement.of(K._arrow_cls[a])})
-        out.append((K.cup, parent_cup, (x, mixed)))
+        out.append((cup, parent_cup, (x, mixed)))
         # on the unit slot at tail, a path from tail to head (m x does not
         # compose) and one from head to tail (m x composes, x m does not)
         for u, w in ((tail, head), (head, tail)):
@@ -892,11 +954,11 @@ def test_an_unknown_slot_is_a_named_error(kind, complexes):
     if kind == X:
         a = next(iter(K.dimer.arrow_ids))
         xbar = cochain(2, {(XBAR, a): JElement.of(jac.idempotent(K.dimer.head(a)))})
-        kernels.append(lambda c: K.cup(c, xbar))
-        kernels.append(lambda c: K.cup(c, CochainElement(2)))
+        kernels.append(K.cup_with(xbar))
+        kernels.append(K.cup_with(CochainElement(2)))
     if kind == XBAR:
-        # b's unknown slot is named although no X slot of a pairs with it
-        kernels.append(lambda c: K.cup(K.partial_P(1), c))
+        # b's unknown slot is named when its rows are built, before any first factor
+        kernels.append(K.cup_with)
     for kernel in kernels:
         with pytest.raises(HochschildError, match=re.escape(f"no {kind} slot 'nope' in this complex")):
             kernel(c)
@@ -925,7 +987,7 @@ def test_cup_refuses_a_coefficient_away_from_the_tail(oracle_complexes):
     xbar = cochain(2, {(XBAR, a): JElement.of(jac.idempotent(d.head(a)))})
     assert not parent_cup(K, x, xbar).is_zero()
     with pytest.raises(JacobiError, match="paths do not compose"):
-        K.cup(x, xbar)
+        K.cup_with(xbar)(x)
 
 
 def test_cancelled_class_is_added_again(complexes):
@@ -974,7 +1036,7 @@ def test_every_cochain_sum_agrees_on_a_cancelled_class(complexes):
 def cochain_samples(K) -> dict:
     """A generator cochain, a kernel output and a cup product of K, each nonzero."""
     gens = K.generators()
-    cups = (K.cup(p, c) for p in gens["partial_P"].values() for c, _, _ in gens["psi"].values())
+    cups = (K.cup_with(c)(p) for p in gens["partial_P"].values() for c, _, _ in gens["psi"].values())
     return {
         "partial_P": gens["partial_P"][1],
         "theta": gens["theta"][K.base_vertex],
@@ -1015,7 +1077,7 @@ def test_one_class_is_one_cochain_however_it_is_reached(complexes):
                 "per_slot": cochain(3, {slot: JElement.of(w)}),
                 "from_terms": CochainElement.from_terms(3, [(slot, w, 1)]),
                 "sum_of": CochainElement.sum_of(3, [twice, CochainElement(3), minus_one]),
-                "cup": K.cup(K.partial_of_matching((a,)), xbar),
+                "cup": K.cup_with(xbar)(K.partial_of_matching((a,))),
             }
             first = ways["per_slot"]
             assert per_slot(first) == {slot: JElement.of(w)}, (name, a)

@@ -4,11 +4,12 @@ import contextlib
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from dimermirror import Arrow, Dimer, Face, load_bundled
-from dimermirror import ks
+from dimermirror import hochschild, ks
 from dimermirror.cli import main
 from dimermirror.dimer import idkey, strips
 from dimermirror.hochschild import X, XBAR, E2Label, KoszulComplex
@@ -303,9 +304,9 @@ def rows(rep, prefix: str) -> list:
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_chain_identities_compute_each_d1_image_once(k, lattice_cover, monkeypatch):
-    # d1 runs on the d0 images of the units, the x_alpha and W, on each
-    # single-arrow derivation, and on each partial_P and partial_alpha: not
-    # once more per cocycle row, nor once per perfect matching
+    # d1 runs on each single-arrow derivation and on each partial_P and
+    # partial_alpha: not on the d0 images, which the composed rows decide,
+    # nor once more per cocycle row or per perfect matching
     d = cover_dimer(lattice_cover, "c3", k, k)
     v = KSVerifier(d)
     n = v.K.n_classes
@@ -319,7 +320,35 @@ def test_chain_identities_compute_each_d1_image_once(k, lattice_cover, monkeypat
 
     monkeypatch.setattr(KoszulComplex, "d1", counted)
     assert v.verify_chain_identities().passed
-    assert len(calls) == len(d.vertices) + len(d.arrows) + 3 * n + 1  # 46 on 3x3, 74 on 4x4
+    assert len(calls) == len(d.arrows) + 2 * n  # 33 on 3x3, 54 on 4x4
+
+
+@pytest.mark.parametrize(
+    "name,k,l,diffs,sandwiches",
+    [("c3", 1, 1, 16, 31), ("conifold", 1, 1, 22, 46), ("spp", 1, 1, 27, 55), ("conifold", 4, 1, 46, 94)],
+)
+def test_verify_pins_its_kernel_calls(name, k, l, diffs, sandwiches, lattice_cover, monkeypatch):
+    # deterministic work counters of one verify: d0 runs on the x_alpha, d1
+    # as above, d2 on each psi and each d_W theta_v; every kernel call, the
+    # differentials, d_W and each partial_P cup psi, is one _sandwich call
+    d = cover_dimer(lattice_cover, name, k, l)
+    v = KSVerifier(d)
+    calls = Counter()
+    for kernel in ("d0", "d1", "d2"):
+        monkeypatch.setattr(KoszulComplex, kernel, counted_call(calls, kernel, getattr(KoszulComplex, kernel)))
+    monkeypatch.setattr(hochschild, "_sandwich", counted_call(calls, "_sandwich", hochschild._sandwich))
+    assert v.verify_all().passed
+    assert (calls["d0"] + calls["d1"] + calls["d2"], calls["_sandwich"]) == (diffs, sandwiches)
+
+
+def counted_call(calls: Counter, name: str, fn):
+    """fn, counting each call under ``name`` in ``calls``."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 @pytest.mark.parametrize("name", ["c3", "conifold", "spp"])

@@ -35,6 +35,8 @@ from dimermirror.dimer import (
 from dimermirror.io import dimer_from_dict, load_bundled
 from dimermirror.jacobi import Jacobi
 from dimermirror.matchings import (
+    ENUMERATION_GATE,
+    MatchingBasis,
     MatchingPolytope,
     PerfectMatching,
     _Span,
@@ -355,9 +357,15 @@ def test_unequal_face_counts_have_no_perfect_matching(pos, neg):
 
 
 def test_height_of_reference_is_zero(dimers):
+    # the origin is P_1, and the chain scan's height of p against q is the
+    # difference of the table heights of p and q, for every enumerated pair
     for d in dimers.values():
+        mp = matching_polytope(d)
+        assert mp.height(mp.reference) == (0, 0)
+        chains = generating_cycles(d)
         pms = enumerate_perfect_matchings(d)
-        assert matching_height(d, pms[0], pms[0]) == (0, 0)
+        for p, q in itertools.product(pms, repeat=2):
+            assert matching_height(d, p, q, chains) == vec_sub(mp.height(p), mp.height(q)), (p.key(), q.key())
 
 
 def test_generating_cycle_classes(dimers):
@@ -1228,6 +1236,63 @@ def test_matching_basis_stops_short_without_an_alternating_arc(monkeypatch):
     basis = matching_basis(load_bundled("spp"))
     assert (basis.rank, basis.dim_W) == (4, 5)
     assert indicator_rank(basis, enumerate_perfect_matchings(load_bundled("spp"))) == 5
+
+
+def recorded_spans(monkeypatch) -> list:
+    """The width of each ``_Span`` that ``matchings`` builds from now on."""
+    made = []
+
+    class Recorded(_Span):
+        def __init__(self, width: int):
+            made.append(width)
+            super().__init__(width)
+
+    monkeypatch.setattr(matchings, "_Span", Recorded)
+    return made
+
+
+def span_rank(basis, listed) -> int:
+    """The rank of the indicators of ``listed`` in the coordinates of ``basis``, by ``_Span`` alone."""
+    span = _Span(basis.dim_W)
+    for p in listed:
+        span.add([1] + [1 if a in p.edges else 0 for a in basis.free])
+    return span.rank
+
+
+def test_indicator_rank_falls_back_to_the_rationals(monkeypatch):
+    # coordinates 1110, 1101, 1011 and 1000 (face sum, then the free arrows
+    # a, b, c): the first three add up to the fourth over GF(2), but the
+    # determinant is 2, so the rank over Q is 4 and only _Span finds it
+    basis = MatchingBasis([], 4, ["a", "b", "c"])
+    listed = [PerfectMatching(frozenset(edges)) for edges in ("ab", "ac", "bc", "")]
+    assert det_int([[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [1, 0, 0, 0]]) == 2
+    spans = recorded_spans(monkeypatch)
+    assert indicator_rank(basis, listed) == 4
+    assert spans == [4]
+    # over GF(2) a short rank always falls back: one matching, rank 1
+    spans.clear()
+    assert indicator_rank(basis, listed[:1]) == 1 and spans == [4]
+
+
+def test_indicator_rank_is_the_span_rank_under_the_gate(covers, monkeypatch):
+    # on every zoo cover the enumeration gate lets through, the GF(2) rank
+    # of every matching reaches dim W with no _Span; on prefixes of the list
+    # it may fall short, and the rank is still _Span's
+    checked = 0
+    for name, k, l in COUNT_ZOO:
+        d = zoo_dimer(covers, name, k, l)
+        if kasteleyn_count(d) > ENUMERATION_GATE:
+            continue
+        every = enumerate_perfect_matchings(d)
+        basis = matching_basis(d)
+        spans = recorded_spans(monkeypatch)
+        assert indicator_rank(basis, every) == basis.dim_W == span_rank(basis, every), (name, k, l)
+        assert spans == [], (name, k, l)
+        for j in range(1, basis.dim_W + 2):
+            assert indicator_rank(basis, every[:j]) == span_rank(basis, every[:j]), (name, k, l, j)
+        monkeypatch.undo()
+        checked += 1
+    assert checked == len(COUNT_ZOO) - 1  # all but the conifold 4x3 cover
 
 
 @pytest.mark.parametrize("seed", [None, 1])
