@@ -488,9 +488,9 @@ def flipped_rows(table: dict):
 @pytest.mark.parametrize("table,row", [("_d0_rows", "complex.d1d0"), ("_d2_rows", "complex.d2d1")])
 def test_flipped_d0_or_d2_row_fails_its_complex_row(table, row, dimers, monkeypatch):
     # negative controls of the composed identities: on spp every single-row
-    # sign flip of d0 fails d1 d0 = 0, and of d2 fails d2 d1 = 0 (on c3 and
-    # the conifold each face holds every other arrow of the face through an
-    # arrow, so every d1 image of a single arrow vanishes and no flip shows)
+    # sign flip of d0 fails d1 d0 = 0, and of d2 fails d2 d1 = 0 (on the
+    # bundled c3 and conifold the two faces at an arrow hold the same other
+    # arrows, so every d1 image of a single arrow vanishes and no flip shows)
     v = KSVerifier(dimers["spp"])
     assert v.verify_chain_identities().passed
     flips = 0
@@ -532,7 +532,7 @@ def test_composed_identities_match_their_evaluation_on_the_zoo(covers, monkeypat
                     composed = (K.d1d0_vanishes(), K.d2d1_vanishes())
                     assert composed == evaluated_identities(K), (name, k, l, table, s)
                 verdicts[composed] += 1
-    # the flips reach both identities, and some flips reach neither (c3)
+    # the flips reach both identities, and some reach neither (the bundled c3 and conifold)
     assert verdicts[(False, True)] and verdicts[(True, False)] and verdicts[(True, True)], verdicts
 
 
